@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 MIN_TRACE_POINTS = 8
+# Golden-section stop of the delay search, in units of 1/span: a delay
+# error of DELAY_XTOL / span leaves 2 pi DELAY_XTOL rad of phase tilt
+# across the band, far inside the refinement's basin.
+DELAY_XTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,12 @@ def fit_circle(points) -> CircleFit:
     if spread <= 1e-14 * max(1.0, abs(x0), abs(y0)):
         raise DegenerateGeometryError("points are coincident")
     zn = (sq - sq_mean) / (2.0 * spread)
-    m = np.column_stack([zn, x, y])
-    _, _, vt = np.linalg.svd(m, full_matrices=False)
-    a = vt[-1]
+    # The smallest eigenvector of the 3x3 moment matrix M^T M, with M the
+    # columns (zn, x, y), is the smallest right singular vector of M.
+    zz, zx, zy = zn @ zn, zn @ x, zn @ y
+    xx, xy, yy = x @ x, x @ y, y @ y
+    moments = np.array([[zz, zx, zy], [zx, xx, xy], [zy, xy, yy]])
+    a = np.linalg.eigh(moments)[1][:, 0]
     if abs(a[0]) < 1e-14:
         raise DegenerateGeometryError("points are collinear")
     a0 = a[0] / (2.0 * spread)
@@ -127,13 +134,16 @@ def fit_circle(points) -> CircleFit:
     return CircleFit(center=center, radius=radius, rms=rms, n_points=z.size)
 
 
-def _circle_rms_after_delay(freqs, z, tau) -> float:
-    zc = z * np.exp(1j * TWO_PI * freqs * tau)
+def _circle_rms(zc) -> float:
     try:
         return fit_circle(zc).rms
     except DegenerateGeometryError:
         # A coincident blob is maximally circular for delay purposes.
         return 0.0
+
+
+def _circle_rms_after_delay(freqs, z, tau) -> float:
+    return _circle_rms(z * np.exp(1j * TWO_PI * freqs * tau))
 
 
 def _phase_slope_delay(freqs, z) -> float:
@@ -164,9 +174,12 @@ def estimate_delay(trace: Trace) -> float:
     """Cable delay that makes the delay-corrected locus most circular.
 
     Coarse grid search around the unwrapped-phase-slope estimate,
-    refined by golden section. When the circle residual carries no
-    delay information (resonance-free or already-corrected data) the
-    phase-slope estimate is returned directly.
+    refined by golden section down to DELAY_XTOL / span seconds, a fixed
+    fraction of the grid step. The global refinement in fit_notch fits
+    the delay itself, so this only has to land in its basin. When the
+    circle residual carries no delay information (resonance-free or
+    already-corrected data) the phase-slope estimate is returned
+    directly.
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
@@ -185,13 +198,20 @@ def estimate_delay(trace: Trace) -> float:
 
     window = 2.0 / span
     taus = np.linspace(tau0 - window, tau0 + window, 81)
-    rms = np.array([_circle_rms_after_delay(freqs, z, t) for t in taus])
-    best = int(np.argmin(rms))
     step = taus[1] - taus[0]
+    # Each grid point is the previous one rotated by one grid step, so
+    # the grid costs one complex multiply per point instead of an exp.
+    rotate = np.exp(1j * TWO_PI * freqs * step)
+    zc = z * np.exp(1j * TWO_PI * freqs * taus[0])
+    rms = []
+    for _ in taus:
+        rms.append(_circle_rms(zc))
+        zc *= rotate
+    best = int(np.argmin(rms))
     lo = taus[best] - step
     hi = taus[best] + step
     return _golden_minimize(lambda t: _circle_rms_after_delay(freqs, z, t),
-                            lo, hi, xtol=1e-14)
+                            lo, hi, xtol=DELAY_XTOL / span)
 
 
 def fit_phase(trace: Trace, center: complex) -> PhaseFit:

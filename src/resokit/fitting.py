@@ -24,6 +24,9 @@ DAMPING_MAX = 1e15
 STEP_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-12
 MAX_ITERATIONS = 200
+# Accepted steps in a row with relative residual decrease below
+# residual_rtol that end a run as converged, whatever the damping.
+STALL_STEPS = 3
 JACOBIAN_STEP_REL = 1e-6
 
 
@@ -160,8 +163,11 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
     """Damped Gauss-Newton descent on a FitProblem.
 
     Accepted steps never increase the residual norm. Terminates on
-    relative step < step_rtol, relative residual change < residual_rtol,
-    a stationary gradient, or the iteration cap (converged=False).
+    relative step < step_rtol or relative residual change <
+    residual_rtol while damping is relaxed; on STALL_STEPS accepted
+    steps in a row, at any damping, each with relative residual change
+    < residual_rtol; on a stationary gradient; or at the iteration cap
+    (converged=False).
     """
     p = np.asarray(problem.initial_params, dtype=float).copy()
     p = _project(p, problem.bounds)
@@ -184,6 +190,7 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
     trace = [norm]
     lam = tol.damping_init
     iterations = 0
+    stalled = 0
     converged = False
     status = "max_iterations"
 
@@ -266,6 +273,13 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
             converged = True
             status = "stationary_point" if iterations == 1 and res_rel <= 0.0 \
                 else "converged"
+            break
+        # Damping inflated by rejections can keep accepting steps that no
+        # longer lower the residual; a run of them means the minimum.
+        stalled = stalled + 1 if res_rel < tol.residual_rtol else 0
+        if stalled >= STALL_STEPS:
+            converged = True
+            status = "converged"
             break
 
     J = numeric_jacobian(eval_resid, p, problem.step_scale)

@@ -21,7 +21,7 @@ from .fitting import Tolerances
 from .notch import Trace
 from .svgplot import Series, line_plot_svg
 from .tls import PowerSweep, TlsFitParams, tls_tan_delta
-from .traceio import atomic_write_text
+from .traceio import atomic_write_text, float_row
 
 __all__ = ["ReportRow", "SessionDelta", "ReportBundle", "compare_sessions",
            "emit_report", "read_report_rows", "write_report_rows",
@@ -115,7 +115,8 @@ def read_report_rows(path: str) -> list[ReportRow]:
             parts = line.split(",")
             if len(parts) != len(RESONATOR_COLUMNS):
                 raise SchemaError(f"expected {len(RESONATOR_COLUMNS)} columns")
-            rows.append(ReportRow(parts[0], *[float(p) for p in parts[1:]]))
+            rows.append(ReportRow(parts[0],
+                                  *float_row(parts[1:], "resonator", line)))
     if header is None:
         raise SchemaError("resonator table has no header")
     return rows

@@ -55,6 +55,23 @@ def _split_csv(path: str):
                 yield "row", line
 
 
+def float_row(parts, what: str, row: str) -> tuple[float, ...]:
+    """Floats of one data row; a cell that is not a number raises a
+    SchemaError that quotes the row."""
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise SchemaError(f"non-numeric {what} row: {row!r}") from exc
+
+
+def _float_directive(directives, key: str) -> float:
+    try:
+        return float(directives[key])
+    except ValueError as exc:
+        raise SchemaError(
+            f"non-numeric {key} directive: {directives[key]!r}") from exc
+
+
 def _parse_directives(comments):
     """Read `key = value` pairs from comment lines."""
     out = {}
@@ -89,10 +106,7 @@ def parse_trace_csv(path: str) -> Trace:
         parts = payload.split(",")
         if len(parts) != 3:
             raise SchemaError(f"expected 3 columns, got {len(parts)}: {payload!r}")
-        try:
-            rows.append(tuple(float(p) for p in parts))
-        except ValueError as exc:
-            raise SchemaError(f"non-numeric trace row: {payload!r}") from exc
+        rows.append(float_row(parts, "trace", payload))
     if header is None or not rows:
         raise SchemaError("trace file contains no data rows")
 
@@ -110,7 +124,7 @@ def parse_trace_csv(path: str) -> Trace:
     directives = _parse_directives(comments)
     power = None
     if "power_w" in directives:
-        power = float(directives["power_w"])
+        power = _float_directive(directives, "power_w")
     metadata = {k[len("meta."):]: v for k, v in directives.items()
                 if k.startswith("meta.")}
     return Trace(freqs_hz=freqs, s21=z, applied_power_w=power,
@@ -158,7 +172,7 @@ def parse_touchstone(path: str, ports: tuple[int, int] = (2, 1)) -> Trace:
             if option is None:
                 raise TouchstoneFormatError(
                     "data encountered before the # option line")
-            data_rows.append(line.split("!")[0].split())
+            data_rows.append(line.split("!")[0].strip())
     if option is None:
         raise TouchstoneFormatError("missing # option line")
 
@@ -175,11 +189,12 @@ def parse_touchstone(path: str, ports: tuple[int, int] = (2, 1)) -> Trace:
     freqs = []
     values = []
     offset = _TS_PORT_OFFSET[ports]
-    for parts in data_rows:
+    for line in data_rows:
+        parts = line.split()
         if len(parts) != 9:
             raise SchemaError(
                 f"expected a two-port row of 9 values, got {len(parts)}")
-        row = [float(p) for p in parts]
+        row = float_row(parts, "touchstone", line)
         freqs.append(row[0] * _TS_UNIT[unit])
         a, b = row[offset], row[offset + 1]
         if fmt == "ri":
@@ -214,14 +229,15 @@ def read_power_sweep(path: str) -> PowerSweep:
         parts = payload.split(",")
         if len(parts) != 3:
             raise SchemaError(f"expected 3 columns, got {len(parts)}")
-        rows.append(tuple(float(p) for p in parts))
+        rows.append(float_row(parts, "sweep", payload))
     directives = _parse_directives(comments)
     if "resonator_freq_hz" not in directives or "temperature_k" not in directives:
         raise SchemaError("sweep file must carry resonator_freq_hz and "
                           "temperature_k directives")
     return PowerSweep(points=tuple(rows),
-                      resonator_freq=float(directives["resonator_freq_hz"]),
-                      temperature=float(directives["temperature_k"]))
+                      resonator_freq=_float_directive(directives,
+                                                      "resonator_freq_hz"),
+                      temperature=_float_directive(directives, "temperature_k"))
 
 
 def write_power_sweep(sweep: PowerSweep, path: str) -> None:
@@ -283,8 +299,8 @@ def read_area_rows(path: str):
         parts = payload.split(",")
         if len(parts) != 2:
             raise SchemaError(f"expected 2 columns, got {len(parts)}")
-        rows.append((float(parts[0]), float(parts[1])))
+        rows.append(float_row(parts, "area", payload))
     directives = _parse_directives(comments)
-    inductance = float(directives["inductance_h"]) \
+    inductance = _float_directive(directives, "inductance_h") \
         if "inductance_h" in directives else None
     return rows, inductance

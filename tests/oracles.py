@@ -92,3 +92,20 @@ def debye_gradient(omega, eps_static, eps_inf, relax_time):
         1.0 - 1.0 / den,
         -(eps_static - eps_inf) * 2.0 * omega ** 2 * relax_time / den ** 2,
     ])
+
+
+def taubin_circle_svd(z):
+    """Taubin circle (center, radius) from the smallest right singular
+    vector of the N x 3 matrix of centred moments (zn, x, y)."""
+    z = np.asarray(z, dtype=complex)
+    x0, y0 = z.real.mean(), z.imag.mean()
+    x, y = z.real - x0, z.imag - y0
+    sq = x * x + y * y
+    spread = np.sqrt(sq.mean())
+    zn = (sq - sq.mean()) / (2.0 * spread)
+    a = np.linalg.svd(np.column_stack([zn, x, y]))[2][-1]
+    a0 = a[0] / (2.0 * spread)
+    a3 = -sq.mean() * a0
+    center = complex(-a[1] / (2.0 * a0) + x0, -a[2] / (2.0 * a0) + y0)
+    radius = np.sqrt(a[1] ** 2 + a[2] ** 2 - 4.0 * a0 * a3) / (2.0 * abs(a0))
+    return center, radius

@@ -241,3 +241,52 @@ class TestErrors:
         code, out, err = run(capsys, "simulate", "--out", str(tmp_path),
                              "--format", "s2p")
         assert code == 1
+
+
+class TestNonNumericCells:
+    """A cell that is not a number ends in exit 1 and one `error:` line
+    that quotes the row, for every table reader."""
+
+    def assert_input_error(self, capsys, row, *args):
+        code, out, err = run(capsys, *args)
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert row in lines[0]
+
+    def test_sweep_reader(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("# resonator_freq_hz = 7.3e9\n# temperature_k = 0.01\n"
+                        "photon_number,q_internal,sigma\n1,abc,3\n")
+        self.assert_input_error(capsys, "1,abc,3", "sweep", "--input",
+                                str(path))
+
+    def test_sweep_directive(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("# resonator_freq_hz = 7.3e9\n# temperature_k = cold\n"
+                        "photon_number,q_internal,sigma\n1,2e5,3e3\n")
+        self.assert_input_error(capsys, "'cold'", "sweep", "--input",
+                                str(path))
+
+    def test_touchstone_reader(self, capsys, tmp_path):
+        path = tmp_path / "notch.s2p"
+        path.write_text("# HZ S RI R 50\n"
+                        "7.3e9 0.9 0.0 abc 0.1 0.9 0.1 0.9 0.0\n")
+        self.assert_input_error(capsys, "7.3e9 0.9 0.0 abc", "fit",
+                                str(path))
+
+    def test_area_reader(self, capsys, tmp_path):
+        path = tmp_path / "areas.csv"
+        path.write_text("area_um2,freq_hz\n100.0,7.3e9\n120.0,7.1x9\n")
+        self.assert_input_error(capsys, "120.0,7.1x9", "area-fit", "--input",
+                                str(path), "--l-nh", "0.3")
+
+    def test_report_reader(self, capsys, tmp_path):
+        from resokit.report import RESONATOR_COLUMNS
+        path = tmp_path / "resonators.csv"
+        path.write_text(",".join(RESONATOR_COLUMNS) + "\n"
+                        "r01,7.3e9,113.2,1.56e-12,9e3,n/a,4.5e3,2.2e-4\n")
+        self.assert_input_error(capsys, "r01,7.3e9,113.2", "report",
+                                "--input", str(path),
+                                "--out", str(tmp_path / "rep"))

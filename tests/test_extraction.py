@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import resokit as rk
 from conftest import draw_notch_params
 from resokit import extraction as ex
@@ -50,6 +51,20 @@ class TestFitCircle:
             fit = ex.fit_circle(z)
             assert abs(fit.center - 0.5) < 5e-3
             assert abs(fit.radius - 0.25) < 5e-3
+
+    @pytest.mark.parametrize("arc", [2 * np.pi, 1.0, 0.2])
+    def test_matches_svd_reference(self, arc):
+        # The 3x3 moment-matrix eigenvector squares the conditioning of
+        # the N x 3 SVD; on noisy arcs down to 0.2 rad both still agree
+        # to near rounding.
+        rng = np.random.default_rng(23)
+        theta = np.linspace(0.0, arc, 4001)
+        radii = 0.25 + 0.003 * rng.standard_normal(theta.size)
+        z = 0.5 - 0.1j + radii * np.exp(1j * theta)
+        fit = ex.fit_circle(z)
+        center, radius = oracles.taubin_circle_svd(z)
+        assert abs(fit.center - center) < 1e-12 * radius
+        assert fit.radius == pytest.approx(radius, rel=1e-12)
 
     def test_collinear_rejected(self):
         with pytest.raises(DegenerateGeometryError):
@@ -230,6 +245,23 @@ class TestFitNotch:
             rhs = 1.0 / res.params.q_loaded \
                 - math.cos(res.params.mismatch_phi) / res.params.q_ext_mag
             assert lhs == pytest.approx(rhs, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", [2, 46, 177])
+    def test_acceptance_stream_stall_seeds_converge(self, seed):
+        # Traces of the acceptance-05 stream whose phase fit (seed 2) or
+        # refinement (46, 177) used to crawl to the iteration cap at the
+        # right answer with inflated damping.
+        rng = np.random.default_rng(12345)
+        for _ in range(seed + 1):
+            p, q_in = draw_notch_params(rng)
+        trace = rk.synthesize_trace(p, rk.linewidth_grid(p, 5.0, 4001),
+                                    noise_sigma=0.003, seed=seed)
+        res = rk.fit_notch(trace)
+        assert res.converged
+        assert abs(res.params.f_r / p.f_r - 1.0) < 1e-6
+        assert abs(res.q_internal / q_in - 1.0) < 0.05
+        assert abs(res.params.q_loaded / p.q_loaded - 1.0) < 0.05
+        assert abs(res.params.q_ext_mag / p.q_ext_mag - 1.0) < 0.05
 
     def test_pure_baseline_rejected(self):
         rng = np.random.default_rng(8)

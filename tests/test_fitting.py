@@ -117,6 +117,35 @@ class TestNonlinearLs:
         assert not res.converged
         assert res.status == "max_iterations"
 
+    def test_no_progress_stops_at_any_damping(self):
+        # A residual known only to single precision: at the minimum the
+        # numeric Jacobian is rounding noise, so Gauss-Newton steps are
+        # rejected, damping inflates, and the accepted steps no longer
+        # lower the residual. STALL_STEPS of them end the run.
+        rng = np.random.default_rng(5)
+        x = np.linspace(0.0, 2.0, 200)
+        y = 3.0 * np.exp(-x / 0.7) + 0.05 * rng.standard_normal(200)
+
+        def resid(p):
+            r = p[0] * np.exp(-x / p[1]) - y
+            return r.astype(np.float32).astype(float)
+
+        problem = fitting.FitProblem(
+            residual=resid, initial_params=np.array([1.0, 1.0]),
+            bounds=[(1e-6, math.inf), (1e-6, math.inf)])
+        res = fitting.nonlinear_ls(problem)
+        assert res.converged
+        assert res.status == "converged"
+        assert res.iterations < fitting.MAX_ITERATIONS // 4
+        last = np.array(res.residual_trace[-fitting.STALL_STEPS - 1:])
+        rel = -np.diff(last) / last[:-1]
+        assert np.all(rel < fitting.RESIDUAL_RTOL)
+        exact = fitting.nonlinear_ls(fitting.FitProblem(
+            residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
+            initial_params=np.array([1.0, 1.0]),
+            bounds=[(1e-6, math.inf), (1e-6, math.inf)]))
+        assert np.allclose(res.params, exact.params, rtol=1e-4)
+
     def test_residual_trace_monotone(self):
         rng = np.random.default_rng(6)
         x = np.linspace(0.0, 2.0, 100)
