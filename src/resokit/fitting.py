@@ -1,9 +1,10 @@
 """Least-squares substrate: weighted linear fits and a damped
-Gauss-Newton solver with numeric Jacobians.
+Gauss-Newton solver.
 
 All model-specific fitters in the toolkit sit on these three entry
-points. The nonlinear solver keeps a per-run trace of accepted residual
-norms so callers can assert monotone descent.
+points. The solver differentiates the residual by central differences
+unless the problem supplies an exact Jacobian. It keeps a per-run trace
+of accepted residual norms so callers can assert monotone descent.
 """
 
 import math
@@ -27,6 +28,11 @@ MAX_ITERATIONS = 200
 # Accepted steps in a row with relative residual decrease below
 # residual_rtol that end a run as converged, whatever the damping.
 STALL_STEPS = 3
+# Relative parameter motion below which an accepted step is arithmetic
+# noise. An exact Jacobian lets the solver keep accepting such steps at
+# the minimum, where the residual norm no longer changes reliably;
+# STALL_STEPS of them in a row end a run as converged, at any damping.
+STEP_FLOOR = 1e-13
 JACOBIAN_STEP_REL = 1e-6
 
 
@@ -51,7 +57,9 @@ class FitProblem:
     per residual entry. bounds are (lo, hi) pairs per parameter, np.inf
     allowed; steps are projected back into the box. step_scale rescales
     the numeric-Jacobian step per parameter for quantities whose natural
-    magnitude is far from 1 (for example delays in seconds).
+    magnitude is far from 1 (for example delays in seconds). jacobian,
+    when given, maps a parameter vector to the exact (n, p) derivative of
+    the unweighted residual and replaces the numeric Jacobian.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
@@ -59,6 +67,7 @@ class FitProblem:
     bounds: Sequence[tuple[float, float]] | None = None
     weights: np.ndarray | None = None
     step_scale: np.ndarray | float = 1.0
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -166,8 +175,11 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
     relative step < step_rtol or relative residual change <
     residual_rtol while damping is relaxed; on STALL_STEPS accepted
     steps in a row, at any damping, each with relative residual change
-    < residual_rtol; on a stationary gradient; or at the iteration cap
-    (converged=False).
+    < residual_rtol; on STALL_STEPS accepted steps in a row, at any
+    damping, each moving no parameter by more than STEP_FLOOR relative;
+    on a stationary gradient; or at the iteration cap (converged=False).
+    The Jacobian is problem.jacobian when set, scaled like the residual
+    by sqrt(weights), and numeric_jacobian otherwise.
     """
     p = np.asarray(problem.initial_params, dtype=float).copy()
     p = _project(p, problem.bounds)
@@ -185,17 +197,28 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
             raise ModelEvaluationError("model returned non-finite residuals")
         return r if sw is None else r * sw
 
+    if problem.jacobian is None:
+        def eval_jac(q):
+            return numeric_jacobian(eval_resid, q, problem.step_scale)
+    else:
+        def eval_jac(q):
+            jac = np.asarray(problem.jacobian(q), dtype=float)
+            if not np.all(np.isfinite(jac)):
+                raise ModelEvaluationError("jacobian returned non-finite values")
+            return jac if sw is None else jac * sw[:, None]
+
     r = eval_resid(p)
     norm = float(np.linalg.norm(r))
     trace = [norm]
     lam = tol.damping_init
     iterations = 0
     stalled = 0
+    floored = 0
     converged = False
     status = "max_iterations"
 
     while iterations < tol.max_iterations:
-        J = numeric_jacobian(eval_resid, p, problem.step_scale)
+        J = eval_jac(p)
         g = J.T @ r
         if float(np.max(np.abs(g), initial=0.0)) < 1e-300:
             converged = True
@@ -277,12 +300,15 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
         # Damping inflated by rejections can keep accepting steps that no
         # longer lower the residual; a run of them means the minimum.
         stalled = stalled + 1 if res_rel < tol.residual_rtol else 0
-        if stalled >= STALL_STEPS:
+        # Steps at the arithmetic floor can still tick the residual down
+        # by rounding noise, so they are counted apart from the above.
+        floored = floored + 1 if step_rel <= STEP_FLOOR else 0
+        if stalled >= STALL_STEPS or floored >= STALL_STEPS:
             converged = True
             status = "converged"
             break
 
-    J = numeric_jacobian(eval_resid, p, problem.step_scale)
+    J = eval_jac(p)
     normal = J.T @ J
     n_pts, n_par = J.shape
     try:

@@ -17,8 +17,9 @@ import numpy as np
 from .constants import HBAR, TWO_PI
 from .errors import DomainError
 
-__all__ = ["NotchParams", "Trace", "s21_at", "s21_model", "synthesize_trace",
-           "linewidth_grid", "photons_from_power", "q_internal_of"]
+__all__ = ["NotchParams", "Trace", "s21_at", "s21_model", "s21_jacobian",
+           "synthesize_trace", "linewidth_grid", "photons_from_power",
+           "q_internal_of"]
 
 
 @dataclass(frozen=True)
@@ -91,12 +92,46 @@ def s21_model(f, f_r, q_loaded, q_ext_mag, mismatch_phi=0.0, env_gain=1.0,
     Fitters call this directly so they can explore transiently
     nonphysical parameter combinations; use s21_at for checked inputs.
     """
-    f = np.asarray(f, dtype=float)
-    env = env_gain * np.exp(1j * (env_phase - TWO_PI * f * cable_delay))
+    rotor, _, dip = _model_terms(np.asarray(f, dtype=float), f_r, q_loaded,
+                                 q_ext_mag, mismatch_phi, env_phase,
+                                 cable_delay)
+    out = env_gain * rotor * (1.0 - dip)
+    return out if out.ndim else complex(out)
+
+
+def _model_terms(f, f_r, q_loaded, q_ext_mag, mismatch_phi, env_phase,
+                 cable_delay):
+    """Unit-gain environment factor, detuning and resonant dip."""
+    rotor = np.exp(1j * (env_phase - TWO_PI * f * cable_delay))
     detune = 1.0 + 2j * q_loaded * (f / f_r - 1.0)
     dip = (q_loaded / q_ext_mag) * np.exp(1j * mismatch_phi) / detune
-    out = env * (1.0 - dip)
-    return out if out.ndim else complex(out)
+    return rotor, detune, dip
+
+
+def s21_jacobian(f, f_r, q_loaded, q_ext_mag, mismatch_phi=0.0, env_gain=1.0,
+                 env_phase=0.0, cable_delay=0.0) -> np.ndarray:
+    """Exact partials of s21_model, complex with shape (N, 7).
+
+    Columns follow the argument order (f_r, q_loaded, q_ext_mag,
+    mismatch_phi, env_gain, env_phase, cable_delay). With S = env (1 -
+    dip) and dip = (Q_l/|Q_e|) e^(i phi) / detune, every column is a
+    multiple of env * dip or of S.
+    """
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    rotor, detune, dip = _model_terms(f, f_r, q_loaded, q_ext_mag,
+                                      mismatch_phi, env_phase, cable_delay)
+    env_dip = env_gain * rotor * dip
+    shape = rotor * (1.0 - dip)
+    s21 = env_gain * shape
+    jac = np.empty((f.size, 7), dtype=complex)
+    jac[:, 0] = env_dip * (-2j * q_loaded / f_r ** 2) * f / detune
+    jac[:, 1] = -env_dip / (q_loaded * detune)
+    jac[:, 2] = env_dip / q_ext_mag
+    jac[:, 3] = -1j * env_dip
+    jac[:, 4] = shape
+    jac[:, 5] = 1j * s21
+    jac[:, 6] = (-1j * TWO_PI) * f * s21
+    return jac
 
 
 def s21_at(params: NotchParams, f):

@@ -15,7 +15,7 @@ from conftest import draw_notch_params
 from resokit import circuit, extraction, fitting, tls
 from resokit.circuit import DispersiveBudget, ResonatorDesign
 from resokit.constants import FF, GHZ, NH, TWO_PI
-from resokit.notch import s21_model
+from resokit.notch import s21_jacobian, s21_model
 from resokit.refdata import (CRYO_CAP_PER_AREA, CRYO_CAP_TO_GROUND,
                              DIELECTRIC_THICKNESS, INDUCTANCE_GEOMETRIC,
                              REFERENCE_RESONATORS, ROOM_T_CAP_PER_AREA,
@@ -181,9 +181,11 @@ def jacobian_agreement(numeric, analytic):
 
 def test_09_numerics_hygiene():
     """Numeric Jacobians match hand-derived analytic gradients within
-    1e-5 relative at 100 random points for every bundled model."""
+    1e-5 relative at 100 random points for every bundled model, and so
+    does the library's exact notch Jacobian."""
     rng = np.random.default_rng(777)
-    worst = {"notch": 0.0, "freq_vs_area": 0.0, "tls": 0.0, "debye": 0.0}
+    worst = {"notch": 0.0, "notch_exact": 0.0, "freq_vs_area": 0.0,
+             "tls": 0.0, "debye": 0.0}
 
     for _ in range(100):
         # notch transmission model, stacked real residuals
@@ -202,6 +204,9 @@ def test_09_numerics_hygiene():
             notch_resid, p, scale=np.array([2e-2, 1, 1, 1, 1, 1, 2e-8]))
         analytic = oracles.notch_s21_gradient(freqs, p)
         worst["notch"] = max(worst["notch"], jacobian_agreement(numeric, analytic))
+        exact = s21_jacobian(freqs, *p)
+        worst["notch_exact"] = max(worst["notch_exact"], jacobian_agreement(
+            np.vstack([exact.real, exact.imag]), analytic))
 
         # resonance frequency versus area (fit parameterization, fF units)
         c_ff = rng.uniform(5.0, 30.0)

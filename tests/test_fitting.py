@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from resokit import fitting
+from resokit import fitting, notch
 from resokit.circuit import ResonatorDesign, resonance_frequency
+from resokit.constants import TWO_PI
 from resokit.errors import ModelEvaluationError, RankDeficiencyError
 
 LINE = [lambda x: np.ones_like(x), lambda x: x]
@@ -145,6 +146,86 @@ class TestNonlinearLs:
             initial_params=np.array([1.0, 1.0]),
             bounds=[(1e-6, math.inf), (1e-6, math.inf)]))
         assert np.allclose(res.params, exact.params, rtol=1e-4)
+
+    def test_floor_steps_stop_at_any_damping(self):
+        # A noiseless notch in the centred-phase parameterization of the
+        # notch refinement, started 1e-7 off its truth. With the exact
+        # Jacobian the residual reaches rounding level and the accepted
+        # steps then move the parameters by 1e-16 to 1e-15 relative
+        # without lowering the residual reliably. Without the STEP_FLOOR
+        # stop this runs to the iteration cap.
+        f_r, q_l, q_e = 11136669882.811073, 7066.722922099782, 7955.603681079918
+        phi, gain = 0.2792789654359264, 1.9239993388359142
+        phase, tau = 1.9610903114344334, 4.048007909601815e-08
+        freqs = np.linspace(f_r * (1 - 5 / q_l), f_r * (1 + 5 / q_l), 1001)
+        f_mid = freqs[500]
+        z = notch.s21_model(freqs, f_r, q_l, q_e, phi, gain, phase, tau)
+
+        def args(p):
+            return (freqs, *p[:5], p[5] + TWO_PI * f_mid * p[6], p[6])
+
+        def resid(p):
+            d = notch.s21_model(*args(p)) - z
+            return np.concatenate([d.real, d.imag])
+
+        visited = []
+
+        def jac(p):
+            visited.append(p.copy())
+            j = notch.s21_jacobian(*args(p))
+            j[:, 6] += TWO_PI * f_mid * j[:, 5]
+            return np.concatenate([j.real, j.imag])
+
+        truth = np.array([f_r, q_l, q_e, phi, gain,
+                          phase - TWO_PI * f_mid * tau, tau])
+        start = truth * (1.0 + 1e-7 * np.random.default_rng(34).standard_normal(7))
+        scale = np.array([2e-2, 1.0, 1.0, 1.0, 1.0, 1.0, 2e-8])
+        res = fitting.nonlinear_ls(fitting.FitProblem(
+            residual=resid, initial_params=start, step_scale=scale,
+            jacobian=jac))
+        assert res.converged
+        assert res.status == "converged"
+        assert res.iterations < fitting.MAX_ITERATIONS // 4
+        assert np.allclose(res.params, truth, rtol=1e-9, atol=0.0)
+        # The Jacobian is taken at every accepted point, the last one
+        # included (for the covariance).
+        points = np.array(visited)
+        assert len(points) == res.iterations + 1
+        last = points[-fitting.STALL_STEPS - 1:]
+        ref = np.maximum(np.maximum(np.abs(last[1:]), np.abs(last[:-1])), scale)
+        assert np.all(np.abs(np.diff(last, axis=0)) / ref <= fitting.STEP_FLOOR)
+
+    def test_exact_jacobian_weighted_covariance(self):
+        # The exact Jacobian is scaled by sqrt(weights) like the residual:
+        # the covariance matches the numeric-Jacobian path.
+        rng = np.random.default_rng(13)
+        x = np.linspace(0.0, 2.0, 60)
+        sigma = 0.01 * (1.0 + x)
+        y = 3.0 * np.exp(-x / 0.7) + sigma * rng.standard_normal(60)
+
+        def jac(p):
+            e = np.exp(-x / p[1])
+            return np.column_stack([e, p[0] * x / p[1] ** 2 * e])
+
+        def fit(jacobian):
+            return fitting.nonlinear_ls(fitting.FitProblem(
+                residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
+                initial_params=np.array([1.0, 1.0]),
+                bounds=[(1e-6, math.inf), (1e-6, math.inf)],
+                weights=1.0 / sigma ** 2, jacobian=jacobian))
+
+        numeric, exact = fit(None), fit(jac)
+        assert numeric.converged and exact.converged
+        assert np.allclose(exact.params, numeric.params, rtol=1e-8, atol=0.0)
+        assert np.allclose(exact.covariance, numeric.covariance,
+                           rtol=1e-6, atol=0.0)
+
+    def test_non_finite_jacobian_raises(self):
+        problem = fitting.FitProblem(
+            residual=lambda p: p - 1.0, initial_params=np.array([3.0]),
+            jacobian=lambda p: np.array([[np.nan]]))
+        with pytest.raises(ModelEvaluationError):
+            fitting.nonlinear_ls(problem)
 
     def test_residual_trace_monotone(self):
         rng = np.random.default_rng(6)
