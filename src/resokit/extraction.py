@@ -29,12 +29,12 @@ __all__ = [
 ]
 
 MIN_TRACE_POINTS = 8
-# Golden-section stop of the delay search, in units of 1/span: a delay
-# error of DELAY_XTOL / span leaves 2 pi DELAY_XTOL rad of phase tilt
-# across the band, far inside the refinement's basin.
+# Stop of the delay search's Brent refinement, in units of 1/span: a
+# delay error of DELAY_XTOL / span leaves 2 pi DELAY_XTOL rad of phase
+# tilt across the band, far inside the refinement's basin.
 DELAY_XTOL = 1e-4
 # Grid points of the delay search over +-2/span. 31 points leave the
-# golden section a bracket of 0.27/span and still find the basin of the
+# line search a bracket of 0.27/span and still find the basin of the
 # circle residual: on 100 noisy resonance-free traces the delay misses
 # 1 % once, as with 81 points (21 points miss 3 times, 11 fail outright).
 DELAY_GRID_POINTS = 31
@@ -153,37 +153,113 @@ def _circle_rms_after_delay(freqs, z, tau) -> float:
 
 def _phase_slope_delay(freqs, z) -> float:
     theta = _unwrap_from_mid(np.angle(z))
-    slope = np.polyfit(freqs, theta, 1)[0]
+    df = freqs - freqs.mean()
+    slope = (df @ theta) / (df @ df)
     return -slope / TWO_PI
 
 
-def _golden_minimize(fun, lo, hi, xtol) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def _taubin_criterion(n, p2, p4, s1, s2, s3) -> np.ndarray:
+    """Taubin circle criterion of rotated loci w = z e^(i phi(f)) from
+    their moment sums: s1 = sum w, s2 = sum w^2, s3 = sum |z|^2 w, with
+    p2 = sum |z|^2 and p4 = sum |z|^4 shared (|w| = |z|).
+
+    The moments of fit_circle's centred columns (zn, x, y) are closed
+    forms in these sums, and the smallest eigenvalue of their 3x3 matrix
+    over n is mean((|w - c|^2 - r^2)^2) / (4 r^2) for the Taubin circle
+    (c, r): the squared rms of the circle fit for thin noise. Entries
+    that are not finite (a coincident locus) come back as inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = s1 / n
+        c = (m * m.conj()).real
+        sq_mean = p2 / n - c
+        # Centred sums of u = w - m: sum u^2, sum |u|^2 u, sum |u|^4.
+        uu = s2 - n * m * m
+        u3 = s3 - 2.0 * m * p2 - m.conj() * s2 + 2.0 * n * m * c
+        u4 = p4 + 4.0 * c * p2 + 2.0 * (m.conj() ** 2 * s2).real \
+            - 4.0 * (m.conj() * s3).real - 3.0 * n * c * c
+        spread = np.sqrt(sq_mean)
+        moments = np.empty((s1.size, 3, 3))
+        moments[:, 0, 0] = (u4 - n * sq_mean * sq_mean) / (4.0 * sq_mean)
+        moments[:, 0, 1] = moments[:, 1, 0] = u3.real / (2.0 * spread)
+        moments[:, 0, 2] = moments[:, 2, 0] = u3.imag / (2.0 * spread)
+        moments[:, 1, 1] = 0.5 * (n * sq_mean + uu.real)
+        moments[:, 2, 2] = 0.5 * (n * sq_mean - uu.real)
+        moments[:, 1, 2] = moments[:, 2, 1] = 0.5 * uu.imag
+    finite = np.isfinite(moments).all(axis=(1, 2))
+    out = np.full(s1.size, np.inf)
+    if finite.any():
+        out[finite] = np.linalg.eigvalsh(moments[finite])[:, 0] / n
+    return out
+
+
+def _brent_minimize(fun, lo, hi, xtol) -> float:
+    """Minimum of fun on [lo, hi] by Brent's method: parabolic steps
+    through the three best points so far, golden-section steps where the
+    parabola is not trusted. Stops once the returned point is within
+    xtol / 2 of both bracket ends, as a golden section stopping at a
+    bracket of xtol would."""
+    cgold = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
+    x = w = v = a + cgold * (b - a)
+    fx = fw = fv = fun(x)
+    d = e = 0.0
+    while True:
+        # The ulp term keeps every step above the spacing of floats at x.
+        tol = 0.25 * xtol + 2.0 * math.ulp(x)
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            return x
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # Accept the parabola's vertex only inside the bracket and
+            # for a step below half the one before last.
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                u = x + d
+                if u - a < 2.0 * tol or b - u < 2.0 * tol:
+                    d = tol if mid >= x else -tol
+                parabolic = True
+        if not parabolic:
+            e = (b - x) if x < mid else (a - x)
+            d = cgold * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = fun(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def estimate_delay(trace: Trace) -> float:
     """Cable delay that makes the delay-corrected locus most circular.
 
     Coarse grid search of DELAY_GRID_POINTS points over +-2/span around
-    the unwrapped-phase-slope estimate, refined by golden section down
-    to DELAY_XTOL / span seconds: about 50 circle fits per trace. The
-    global refinement in fit_notch fits the delay itself, so this only
-    has to land in its basin. When the circle residual carries no delay
-    information (resonance-free or already-corrected data) the
+    the unwrapped-phase-slope estimate, refined by Brent's method down
+    to DELAY_XTOL / span seconds. The grid ranks the points by the
+    Taubin criterion from three moment sums per point; the refinement
+    runs on the geometric circle rms: about 11 circle fits per trace.
+    The global refinement in fit_notch fits the delay itself, so this
+    only has to land in its basin. When the circle residual carries no
+    delay information (resonance-free or already-corrected data) the
     phase-slope estimate is returned directly.
     """
     if len(trace) < MIN_TRACE_POINTS:
@@ -204,19 +280,30 @@ def estimate_delay(trace: Trace) -> float:
     window = 2.0 / span
     taus = np.linspace(tau0 - window, tau0 + window, DELAY_GRID_POINTS)
     step = taus[1] - taus[0]
-    # Each grid point is the previous one rotated by one grid step, so
-    # the grid costs one complex multiply per point instead of an exp.
+    # Each grid point's phasor is the previous one rotated by one grid
+    # step, so the grid costs one complex multiply per point instead of
+    # an exp, plus the three moment sums.
     rotate = np.exp(1j * TWO_PI * freqs * step)
-    zc = z * np.exp(1j * TWO_PI * freqs * taus[0])
-    rms = []
-    for _ in taus:
-        rms.append(_circle_rms(zc))
-        zc *= rotate
-    best = int(np.argmin(rms))
-    lo = taus[best] - step
-    hi = taus[best] + step
-    return _golden_minimize(lambda t: _circle_rms_after_delay(freqs, z, t),
-                            lo, hi, xtol=DELAY_XTOL / span)
+    phasor = np.exp(1j * TWO_PI * freqs * taus[0])
+    abs2 = (z * z.conj()).real
+    z3 = abs2 * z
+    w = np.empty_like(z)
+    s1 = np.empty(taus.size, dtype=complex)
+    s2 = np.empty_like(s1)
+    s3 = np.empty_like(s1)
+    for k in range(taus.size):
+        np.multiply(z, phasor, out=w)
+        s1[k] = w.sum()
+        s2[k] = w @ w
+        s3[k] = z3 @ phasor
+        phasor *= rotate
+    crit = _taubin_criterion(z.size, abs2.sum(), abs2 @ abs2, s1, s2, s3)
+    best = int(np.argmin(crit))
+    # The line search runs on the geometric rms: near a noiseless optimum
+    # the moment sums cancel to rounding noise and could not rank points.
+    return _brent_minimize(lambda t: _circle_rms_after_delay(freqs, z, t),
+                           taus[best] - step, taus[best] + step,
+                           xtol=DELAY_XTOL / span)
 
 
 def fit_phase(trace: Trace, center: complex) -> PhaseFit:
@@ -253,14 +340,24 @@ def fit_phase(trace: Trace, center: complex) -> PhaseFit:
         f_r, q_l, theta0 = p
         return theta - (theta0 + 2.0 * np.arctan(2.0 * q_l * (1.0 - freqs / f_r)))
 
-    # The f_r differencing step must stay well below a linewidth or its
-    # truncation error caps the attainable precision.
+    # With u = 2 Q_l (1 - f/f_r), d resid / du = -2 / (1 + u^2).
+    def jac(p):
+        f_r, q_l, _ = p
+        detune = 1.0 - freqs / f_r
+        u = 2.0 * q_l * detune
+        g = -2.0 / (1.0 + u * u)
+        out = np.empty((freqs.size, 3))
+        out[:, 0] = g * (2.0 * q_l / (f_r * f_r)) * freqs
+        out[:, 1] = g * 2.0 * detune
+        out[:, 2] = -1.0
+        return out
+
     problem = fitting.FitProblem(
         residual=resid,
         initial_params=np.array([f_r0, q_l0, mid_level]),
         bounds=[(max(freqs[0] - span, 1.0), freqs[-1] + span),
                 (1e-3, 1e12), (mid_level - 10.0, mid_level + 10.0)],
-        step_scale=np.array([2e-2, 1.0, 1.0]),
+        jacobian=jac,
     )
     res = fitting.nonlinear_ls(problem)
     if not res.converged:

@@ -3,8 +3,9 @@ Gauss-Newton solver.
 
 All model-specific fitters in the toolkit sit on these three entry
 points. The solver differentiates the residual by central differences
-unless the problem supplies an exact Jacobian. It keeps a per-run trace
-of accepted residual norms so callers can assert monotone descent.
+unless the problem supplies an exact Jacobian, as the notch refinement
+and the phase-winding fit do. It keeps a per-run trace of accepted
+residual norms so callers can assert monotone descent.
 """
 
 import math

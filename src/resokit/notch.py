@@ -77,6 +77,12 @@ class Trace:
             raise DomainError("frequencies and samples must be 1-D and equal length")
         if self.freqs_hz.size == 0:
             raise DomainError("trace must contain at least one point")
+        bad = ~(np.isfinite(self.freqs_hz) & np.isfinite(self.s21))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(
+                f"trace point {i} is not finite: frequency "
+                f"{float(self.freqs_hz[i])!r} Hz, sample {complex(self.s21[i])!r}")
         diffs = np.diff(self.freqs_hz)
         if diffs.size and not np.all(diffs > 0):
             raise DomainError("trace frequencies must be strictly increasing")

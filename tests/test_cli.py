@@ -290,3 +290,30 @@ class TestNonNumericCells:
         self.assert_input_error(capsys, "r01,7.3e9,113.2", "report",
                                 "--input", str(path),
                                 "--out", str(tmp_path / "rep"))
+
+
+class TestNonFiniteSamples:
+    """A trace file whose numbers parse but are not finite ends in exit 1
+    and one `error:` line that names the point."""
+
+    def assert_input_error(self, capsys, *args):
+        code, out, err = run(capsys, *args)
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: trace point 1 is not finite")
+
+    def test_csv_trace(self, capsys, tmp_path):
+        path = tmp_path / "trace.csv"
+        rows = [f"{7.29e9 + 1e6 * i!r},0.9,0.0" for i in range(12)]
+        rows[1] = "7291000000.0,nan,0.1"
+        path.write_text("freq_hz,re,im\n" + "\n".join(rows) + "\n")
+        self.assert_input_error(capsys, "fit", str(path))
+
+    def test_touchstone_trace(self, capsys, tmp_path):
+        path = tmp_path / "notch.s2p"
+        rows = [f"{7.29e9 + 1e6 * i!r} 0.9 0.0 0.9 0.1 0.9 0.1 0.9 0.0"
+                for i in range(12)]
+        rows[1] = "7291000000.0 0.9 0.0 0.9 inf 0.9 0.1 0.9 0.0"
+        path.write_text("# HZ S RI R 50\n" + "\n".join(rows) + "\n")
+        self.assert_input_error(capsys, "fit", str(path))

@@ -142,6 +142,75 @@ class TestEstimateDelay:
         with pytest.raises(InsufficientDataError):
             ex.estimate_delay(rk.Trace(f, np.ones(5, dtype=complex)))
 
+    @pytest.mark.parametrize("noise", [0.0, 0.003])
+    def test_moment_criterion_matches_explicit_fit(self, noise):
+        # The grid's closed form against the rotated arrays and the
+        # fit_circle circle, at five delays around the true one.
+        _, trace = notch_trace(noise=noise, seed=5, cable_delay=30e-9)
+        f, z = trace.freqs_hz, trace.s21
+        span = f[-1] - f[0]
+        abs2 = np.abs(z) ** 2
+        for offset in (-1.5, -0.7, 0.2, 0.9, 1.8):
+            w = z * np.exp(1j * TWO_PI * f * (30e-9 + offset / span))
+            crit = ex._taubin_criterion(
+                z.size, abs2.sum(), (abs2 ** 2).sum(), np.array([w.sum()]),
+                np.array([(w * w).sum()]), np.array([(abs2 * w).sum()]))[0]
+            circle = ex.fit_circle(w)
+            expected = np.mean((np.abs(w - circle.center) ** 2
+                                - circle.radius ** 2) ** 2) \
+                / (4.0 * circle.radius ** 2)
+            assert crit == pytest.approx(expected, rel=1e-9)
+
+    def test_moment_criterion_non_finite_is_inf(self):
+        # A locus collapsed onto the origin has no centred spread.
+        crit = ex._taubin_criterion(4, 0.0, 0.0, np.zeros(2, complex),
+                                    np.zeros(2, complex), np.zeros(2, complex))
+        assert np.all(crit == np.inf)
+
+    @staticmethod
+    def golden_evaluations(lo, hi, xtol):
+        # Golden section: two interior points, then one per shrink of
+        # the bracket by 1/phi until it is below xtol.
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        return 2 + math.ceil(math.log(xtol / (hi - lo)) / math.log(invphi))
+
+    @pytest.mark.parametrize("fun, beats_golden", [
+        (lambda x: (x - 0.3172) ** 2 + 1.0, True),
+        (lambda x: abs(x - 0.3172), False)], ids=["parabola", "abs"])
+    def test_brent_finds_minimum(self, fun, beats_golden):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return fun(x)
+
+        x = ex._brent_minimize(counted, 0.0, 1.0, xtol=1e-4)
+        assert abs(x - 0.3172) <= 1e-4
+        if beats_golden:
+            assert len(calls) < self.golden_evaluations(0.0, 1.0, 1e-4)
+
+    def test_noisy_notch_needs_few_circle_fits(self, monkeypatch):
+        _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9)
+        real = ex.fit_circle
+        calls = []
+
+        def counting(points):
+            calls.append(1)
+            return real(points)
+
+        monkeypatch.setattr(ex, "fit_circle", counting)
+        tau = ex.estimate_delay(trace)
+        assert abs(tau / 30e-9 - 1.0) < 0.02
+        assert len(calls) <= 15
+
+    def test_phase_slope_matches_polyfit(self):
+        _, trace = notch_trace(noise=0.003, seed=2, cable_delay=30e-9)
+        f, z = trace.freqs_hz, trace.s21
+        theta = ex._unwrap_from_mid(np.angle(z))
+        expected = -np.polyfit(f, theta, 1)[0] / TWO_PI
+        assert ex._phase_slope_delay(f, z) == pytest.approx(expected,
+                                                            rel=1e-12)
+
 
 class TestFitPhase:
     def phase_trace(self, f_r=7.3e9, q_l=3000.0, theta0=0.2, noise=0.0,
@@ -180,6 +249,29 @@ class TestFitPhase:
             fit = ex.fit_phase(trace, 0j)
             assert abs(fit.f_r / 7.3e9 - 1.0) < 1e-6
             assert abs(fit.q_loaded / 3000.0 - 1.0) < 0.05
+
+    def test_exact_jacobian_matches_numeric(self, monkeypatch):
+        # The Jacobian fit_phase hands the solver, at 100 points and off
+        # the optimum, against central differences with a f_r step well
+        # below a linewidth.
+        problems = []
+        real = ex.fitting.nonlinear_ls
+
+        def spy(problem, *args, **kwargs):
+            problems.append(problem)
+            return real(problem, *args, **kwargs)
+
+        monkeypatch.setattr(ex.fitting, "nonlinear_ls", spy)
+        fit = ex.fit_phase(self.phase_trace(noise=0.02, points=100), 0j)
+        problem = problems[0]
+        p = np.array([fit.f_r * (1 + 2e-5), fit.q_loaded * 1.2,
+                      fit.theta0 - 0.1])
+        exact = problem.jacobian(p)
+        numeric = ex.fitting.numeric_jacobian(problem.residual, p,
+                                              scale=np.array([2e-2, 1, 1]))
+        assert exact.shape == (100, 3)
+        scale = np.max(np.abs(exact), axis=0)
+        assert np.max(np.abs(numeric - exact) / scale) < 1e-5
 
     def test_windingless_data_rejected(self):
         rng = np.random.default_rng(1)

@@ -111,6 +111,17 @@ class TestSynthesize:
             rk.Trace(freqs_hz=np.array([1e9, 1e9 + 1, 1e9]),
                      s21=np.ones(3, dtype=complex))
 
+    @pytest.mark.parametrize("column, value", [("s21", np.nan),
+                                               ("s21", complex(0, np.inf)),
+                                               ("freqs_hz", np.nan),
+                                               ("freqs_hz", np.inf)])
+    def test_non_finite_point_rejected(self, column, value):
+        data = {"freqs_hz": np.array([1e9, 2e9, 3e9, 4e9]),
+                "s21": np.ones(4, dtype=complex)}
+        data[column][2] = value
+        with pytest.raises(DomainError, match="trace point 2 "):
+            rk.Trace(**data)
+
 
 class TestPhotonNumber:
     def test_reference_point(self):
