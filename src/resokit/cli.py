@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import __version__, circuit, extraction, notch, refdata, tls
-from .config import PhysicsOverrides, RunConfig, load_config_file
+from .config import PhysicsOverrides, load_config_file
 from .constants import FF, GHZ, NH, NS, dbm_to_watt
 from .errors import ConfigError, DomainError, ExtractionError, SchemaError
 from .report import (ReportBundle, compare_sessions, emit_report,
@@ -37,7 +37,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = _Parser(prog="resokit",
                      description="compact-resonator design and trace analysis")
     parser.add_argument("--version", action="version",
@@ -51,18 +52,24 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--format", choices=("csv", "s2p"), default=None,
                         help="trace file format (Touchstone is read-only)")
+    # The physics the report manifest hashes.
+    physics = _Parser(add_help=False)
+    physics.add_argument("--kinetic-fraction", type=float,
+                         default=PhysicsOverrides.kinetic_fraction)
+    physics.add_argument("--gap-ev", type=float,
+                         default=PhysicsOverrides.gap_ev)
 
-    p = sub.add_parser("design", parents=[common],
+    p = sub.add_parser("design", parents=[common, physics],
                        help="capacitor area for a target frequency")
     p.add_argument("--target-ghz", type=float, required=True)
-    p.add_argument("--l-nh", type=float, default=None)
-    p.add_argument("--c-ff-um2", type=float, default=None)
-    p.add_argument("--cg-ff", type=float, default=None)
-    p.add_argument("--kinetic-fraction", type=float, default=None)
+    p.add_argument("--l-nh", type=float, default=0.3)
+    p.add_argument("--c-ff-um2", type=float,
+                   default=refdata.CRYO_CAP_PER_AREA / FF)
+    p.add_argument("--cg-ff", type=float,
+                   default=refdata.CRYO_CAP_TO_GROUND / FF)
     p.add_argument("--r-ohm-um2", type=float, default=None,
                    help="room-temperature resistance-area product for the "
                         "tunnel-leakage check")
-    p.add_argument("--gap-ev", type=float, default=None)
     p.add_argument("--temperature-k", type=float, default=0.01)
     p.set_defaults(func=_cmd_design)
 
@@ -91,7 +98,7 @@ def _build_parser() -> _Parser:
                         "instead of the first-order covariance")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, physics],
                        help="fit a TLS model to a power sweep")
     p.add_argument("--input", required=True)
     p.add_argument("--fix-beta", action="store_true",
@@ -100,16 +107,17 @@ def _build_parser() -> _Parser:
                    help="mask points above this photon number")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("area-fit", parents=[common],
+    p = sub.add_parser("area-fit", parents=[common, physics],
                        help="fit capacitance constants to (area, frequency) rows")
     p.add_argument("--input", default=None,
                    help="CSV with area_um2,freq_hz rows; bundled reference "
                         "set when omitted")
-    p.add_argument("--l-nh", type=float, default=None)
-    p.add_argument("--kinetic-fraction", type=float, default=None)
+    p.add_argument("--l-nh", type=float, default=None,
+                   help="series inductance in nH; default: the file's "
+                        "inductance_h directive, else the reference design's")
     p.set_defaults(func=_cmd_area_fit)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[common, physics],
                        help="emit the results table, plots and manifest")
     p.add_argument("--input", required=True, help="resonators.csv")
     p.add_argument("--compare", default=None,
@@ -117,25 +125,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--traces", nargs="*", default=[])
     p.add_argument("--sweeps", nargs="*", default=[])
     p.set_defaults(func=_cmd_report)
-    return parser
-
-
-def _setting(args, name, default):
-    """Resolve a value: explicit flag, then config file, then default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config_values", {})
-    if name in config:
-        raw = config[name]
-        return type(default)(raw) if default is not None else raw
-    return default
+    return parser, sub.choices
 
 
 def _physics(args) -> PhysicsOverrides:
-    return PhysicsOverrides(
-        kinetic_fraction=float(_setting(args, "kinetic_fraction", 0.0)),
-        gap_ev=float(_setting(args, "gap_ev", 180e-6)))
+    return PhysicsOverrides(kinetic_fraction=args.kinetic_fraction,
+                            gap_ev=args.gap_ev)
 
 
 def _load_trace(path: str, fmt: str | None):
@@ -149,11 +144,9 @@ def _load_trace(path: str, fmt: str | None):
 def _cmd_design(args) -> int:
     physics = _physics(args)
     target = args.target_ghz * GHZ
-    inductance = float(_setting(args, "l_nh", 0.3)) * NH
-    cap_per_area = float(_setting(args, "c_ff_um2",
-                                  refdata.CRYO_CAP_PER_AREA / FF)) * FF
-    cap_to_ground = float(_setting(args, "cg_ff",
-                                   refdata.CRYO_CAP_TO_GROUND / FF)) * FF
+    inductance = args.l_nh * NH
+    cap_per_area = args.c_ff_um2 * FF
+    cap_to_ground = args.cg_ff * FF
     area = circuit.area_for_frequency(target, inductance, cap_per_area,
                                       cap_to_ground, physics.kinetic_fraction)
     design = circuit.ResonatorDesign(
@@ -327,9 +320,8 @@ def _cmd_area_fit(args) -> int:
     else:
         rows = [(r.area_um2, r.freq_hz) for r in refdata.REFERENCE_RESONATORS]
         file_inductance = None
-    flag_l = _setting(args, "l_nh", None)
-    if flag_l is not None:
-        inductance = float(flag_l) * NH
+    if args.l_nh is not None:
+        inductance = args.l_nh * NH
     elif file_inductance is not None:
         inductance = file_inductance
     else:
@@ -386,33 +378,46 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _collect_inputs(args) -> tuple[str, ...]:
-    paths = list(getattr(args, "inputs", None) or [])
-    for attr in ("input", "compare"):
-        value = getattr(args, attr, None)
-        if value:
-            paths.append(value)
-    paths.extend(getattr(args, "traces", None) or [])
-    paths.extend(getattr(args, "sweeps", None) or [])
-    return tuple(paths)
+def _set_config_defaults(parser: _Parser, path: str) -> None:
+    """Load a config file into one subcommand's defaults.
+
+    A key names a long flag of the subcommand that takes one value, with
+    dashes or underscores; its value goes through the flag's type and
+    choices. An unknown key, a key for a flag that takes no value, a
+    list or a required value, and an invalid value raise ConfigError.
+    """
+    actions = {action.dest: action for action in parser._actions}
+    defaults = {}
+    for key, value in load_config_file(path).items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"{path}: unknown key {key!r} for {parser.prog}")
+        if (not action.option_strings or action.nargs is not None
+                or action.required or action.dest == "config"):
+            raise ConfigError(
+                f"{path}: key {key!r} cannot be set from a config file")
+        try:
+            default = action.type(value) if action.type else value
+        except ValueError:
+            raise ConfigError(
+                f"{path}: invalid value {value!r} for key {key!r}") from None
+        if action.choices is not None and default not in action.choices:
+            raise ConfigError(
+                f"{path}: invalid value {value!r} for key {key!r}; "
+                f"choose from {', '.join(action.choices)}")
+        defaults[action.dest] = default
+    parser.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, workflows = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            values = load_config_file(args.config)
-            args._config_values = {k.replace("-", "_"): v
-                                   for k, v in values.items()}
-        else:
-            args._config_values = {}
-        # Validates the workflow name, format, physics windows and that
-        # every referenced input path exists.
-        args.run_config = RunConfig(
-            workflow=args.workflow, inputs=_collect_inputs(args),
-            out_dir=args.out, seed=args.seed or 0,
-            file_format=args.format or "csv", physics=_physics(args))
+        if args.config:
+            # Flags on the command line win over the file: parse again
+            # with its values as defaults.
+            _set_config_defaults(workflows[args.workflow], args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

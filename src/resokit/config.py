@@ -1,20 +1,19 @@
-"""Run configuration: physics overrides, fit tolerances, config files
-and the manifest hash.
+"""Physics overrides, config files and the manifest hash.
 
-Config files are flat `key = value` text with `#` comments; keys match
-the long CLI flags with dashes replaced by underscores.
+Config files are flat `key = value` text with `#` comments. The CLI
+loads one into the chosen subcommand's argparse defaults: a key names
+one of that subcommand's long flags that takes a value, with dashes or
+underscores (`l-nh` or `l_nh`), and a flag given on the command line
+wins over the file.
 """
 
 import hashlib
-import os
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
 from .fitting import Tolerances
 
-__all__ = ["PhysicsOverrides", "RunConfig", "load_config_file", "config_hash"]
-
-WORKFLOWS = ("design", "simulate", "fit", "sweep", "area-fit", "report")
+__all__ = ["PhysicsOverrides", "load_config_file", "config_hash"]
 
 
 @dataclass(frozen=True)
@@ -34,28 +33,6 @@ class PhysicsOverrides:
             raise ConfigError("kinetic_fraction must lie in [0, 1)")
         if not 0.0 < self.gap_ev < 1e-2:
             raise ConfigError("gap_ev outside the (0, 1e-2) eV sanity window")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI workflow invocation."""
-
-    workflow: str
-    inputs: tuple[str, ...] = ()
-    out_dir: str | None = None
-    seed: int = 0
-    file_format: str = "csv"
-    physics: PhysicsOverrides = PhysicsOverrides()
-    tolerances: Tolerances = Tolerances()
-
-    def __post_init__(self):
-        if self.workflow not in WORKFLOWS:
-            raise ConfigError(f"unknown workflow {self.workflow!r}")
-        if self.file_format not in ("csv", "s2p"):
-            raise ConfigError(f"unknown file format {self.file_format!r}")
-        for path in self.inputs:
-            if not os.path.exists(path):
-                raise ConfigError(f"input path does not exist: {path}")
 
 
 def load_config_file(path: str) -> dict[str, str]:

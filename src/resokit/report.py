@@ -15,13 +15,12 @@ import numpy as np
 
 from . import __version__
 from .config import PhysicsOverrides, config_hash
-from .errors import SchemaError
 from .extraction import AreaFitResult
 from .fitting import Tolerances
 from .notch import Trace
 from .svgplot import Series, line_plot_svg
 from .tls import PowerSweep, TlsFitParams, tls_tan_delta
-from .traceio import atomic_write_text, float_row
+from .traceio import _read_table, atomic_write_text, float_row
 
 __all__ = ["ReportRow", "SessionDelta", "ReportBundle", "compare_sessions",
            "emit_report", "read_report_rows", "write_report_rows",
@@ -100,26 +99,9 @@ def write_report_rows(rows, path: str) -> None:
 
 
 def read_report_rows(path: str) -> list[ReportRow]:
-    header = None
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = tuple(c.strip() for c in line.split(","))
-                if header != RESONATOR_COLUMNS:
-                    raise SchemaError(f"unknown resonator table header {header!r}")
-                continue
-            parts = line.split(",")
-            if len(parts) != len(RESONATOR_COLUMNS):
-                raise SchemaError(f"expected {len(RESONATOR_COLUMNS)} columns")
-            rows.append(ReportRow(parts[0],
-                                  *float_row(parts[1:], "resonator", line)))
-    if header is None:
-        raise SchemaError("resonator table has no header")
-    return rows
+    _, _, rows = _read_table(path, "resonator table", (RESONATOR_COLUMNS,))
+    return [ReportRow(cells[0], *float_row(cells, path, lineno, start=1))
+            for lineno, cells in rows]
 
 
 def _trace_plot(name: str, trace: Trace) -> str:
@@ -158,13 +140,14 @@ def _area_plot(points, fit: AreaFitResult, inductance: float) -> str:
 
 def emit_report(bundle: ReportBundle, out_dir: str,
                 physics: PhysicsOverrides = PhysicsOverrides(),
-                tolerances: Tolerances = Tolerances(),
                 inputs: list[str] | None = None,
                 seed: int | None = None) -> list[str]:
     """Write the results table, manifest and plots into out_dir.
 
     Returns the list of written paths. Output is deterministic for
-    fixed inputs: stable ordering, no timestamps, atomic writes.
+    fixed inputs: stable ordering, no timestamps, atomic writes. The
+    manifest's config_hash covers the physics and the default fit
+    tolerances, the only ones the fitters run with.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -201,7 +184,7 @@ def emit_report(bundle: ReportBundle, out_dir: str,
         "toolkit": "resokit",
         "version": __version__,
         "schema": RESONATOR_SCHEMA,
-        "config_hash": config_hash(physics, tolerances),
+        "config_hash": config_hash(physics, Tolerances()),
         "inputs": sorted(inputs or []),
         "seed": seed,
         "artifacts": sorted(os.path.basename(p) for p in written),

@@ -6,7 +6,6 @@ floats through repr so that re-ingesting any artifact reproduces the
 in-memory object bit-exactly.
 """
 
-import math
 import os
 import tempfile
 
@@ -42,44 +41,86 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _split_csv(path: str):
-    """Yield (kind, payload) per line: comment directives and data rows."""
+def _read_table(path: str, what: str, headers):
+    """Read a CSV table: `#` comment lines, one header line, data rows.
+
+    The header must be one of `headers`, and every row must have as many
+    cells as the header. Returns (header, directives, rows): directives
+    are the `key = value` pairs of the comment lines, and rows are
+    (line_number, cells) pairs. Every SchemaError names the file line.
+    """
+    header = None
+    directives = {}
+    rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                yield "comment", line[1:].strip()
+                key, eq, value = line[1:].partition("=")
+                if eq:
+                    directives[key.strip()] = value.strip()
+                continue
+            cells = line.split(",")
+            if header is None:
+                header = tuple(c.strip() for c in cells)
+                if header not in headers:
+                    raise SchemaError(
+                        f"{path}:{lineno}: unknown {what} header {header!r}; "
+                        f"expected {' or '.join(','.join(h) for h in headers)}")
+            elif len(cells) != len(header):
+                raise SchemaError(f"{path}:{lineno}: expected {len(header)} "
+                                  f"columns, got {len(cells)}: {line!r}")
             else:
-                yield "row", line
+                rows.append((lineno, cells))
+    if header is None:
+        raise SchemaError(f"{path}: {what} file has no header")
+    return header, directives, rows
 
 
-def float_row(parts, what: str, row: str) -> tuple[float, ...]:
-    """Floats of one data row; a cell that is not a number raises a
-    SchemaError that quotes the row."""
+def float_row(cells, path: str, lineno: int, start: int = 0,
+              sep: str = ",") -> tuple[float, ...]:
+    """Floats of cells[start:] of one data row; a cell that is not a
+    number raises a SchemaError that names the file line and quotes the
+    row."""
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(map(float, cells[start:]))
     except ValueError as exc:
-        raise SchemaError(f"non-numeric {what} row: {row!r}") from exc
+        raise SchemaError(f"{path}:{lineno}: non-numeric row: "
+                          f"{sep.join(cells)!r}") from exc
 
 
-def _float_directive(directives, key: str) -> float:
+def _float_directive(path: str, directives, key: str) -> float:
     try:
         return float(directives[key])
     except ValueError as exc:
-        raise SchemaError(
-            f"non-numeric {key} directive: {directives[key]!r}") from exc
+        raise SchemaError(f"{path}: non-numeric {key} directive: "
+                          f"{directives[key]!r}") from exc
 
 
-def _parse_directives(comments):
-    """Read `key = value` pairs from comment lines."""
-    out = {}
-    for text in comments:
-        if "=" in text:
-            key, _, value = text.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+def _samples(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex samples from two columns: real and imaginary parts ("ri"),
+    or a magnitude ("ma") or dB magnitude ("db") and a phase in radians.
+
+    An overflowing dB value or an infinite cell gives a non-finite
+    sample without a numpy warning; Trace then rejects it.
+    """
+    if fmt == "ri":
+        z = a.astype(complex)
+        z.imag = b
+        return z
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = 10.0 ** (a / 20.0) if fmt == "db" else a
+        return mag * np.cos(b) + 1j * mag * np.sin(b)
+
+
+def _check_increasing(freqs: np.ndarray) -> None:
+    """Raise TraceOrderError at the first frequency that does not exceed
+    the one before it."""
+    bad = np.flatnonzero(freqs[1:] <= freqs[:-1])
+    if bad.size:
+        raise TraceOrderError(int(bad[0]) + 1)
 
 
 def parse_trace_csv(path: str) -> Trace:
@@ -89,42 +130,17 @@ def parse_trace_csv(path: str) -> Trace:
     are comments and may carry power_w and meta.* directives written by
     write_trace_csv.
     """
-    comments = []
-    header = None
-    rows = []
-    for kind, payload in _split_csv(path):
-        if kind == "comment":
-            comments.append(payload)
-            continue
-        if header is None:
-            header = tuple(c.strip() for c in payload.split(","))
-            if header not in (TRACE_COLUMNS_RI, TRACE_COLUMNS_DB):
-                raise SchemaError(
-                    f"unknown trace header {header!r}; expected "
-                    f"{','.join(TRACE_COLUMNS_RI)} or {','.join(TRACE_COLUMNS_DB)}")
-            continue
-        parts = payload.split(",")
-        if len(parts) != 3:
-            raise SchemaError(f"expected 3 columns, got {len(parts)}: {payload!r}")
-        rows.append(float_row(parts, "trace", payload))
-    if header is None or not rows:
-        raise SchemaError("trace file contains no data rows")
-
-    freqs = np.array([r[0] for r in rows])
-    for i in range(1, len(freqs)):
-        if freqs[i] <= freqs[i - 1]:
-            raise TraceOrderError(i)
-    if header == TRACE_COLUMNS_RI:
-        z = np.array([complex(r[1], r[2]) for r in rows])
-    else:
-        mag = 10.0 ** (np.array([r[1] for r in rows]) / 20.0)
-        phase = np.array([r[2] for r in rows])
-        z = mag * np.cos(phase) + 1j * mag * np.sin(phase)
-
-    directives = _parse_directives(comments)
+    header, directives, rows = _read_table(
+        path, "trace", (TRACE_COLUMNS_RI, TRACE_COLUMNS_DB))
+    if not rows:
+        raise SchemaError(f"{path}: trace file contains no data rows")
+    freqs, a, b = map(np.array, zip(*(float_row(cells, path, lineno)
+                                        for lineno, cells in rows)))
+    _check_increasing(freqs)
+    z = _samples("ri" if header == TRACE_COLUMNS_RI else "db", a, b)
     power = None
     if "power_w" in directives:
-        power = _float_directive(directives, "power_w")
+        power = _float_directive(path, directives, "power_w")
     metadata = {k[len("meta."):]: v for k, v in directives.items()
                 if k.startswith("meta.")}
     return Trace(freqs_hz=freqs, s21=z, applied_power_w=power,
@@ -161,9 +177,9 @@ def parse_touchstone(path: str, ports: tuple[int, int] = (2, 1)) -> Trace:
     option = None
     data_rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("!"):
+        for lineno, line in enumerate(handle, start=1):
+            line = line.split("!", 1)[0].strip()
+            if not line:
                 continue
             if line.startswith("#"):
                 if option is None:
@@ -171,10 +187,11 @@ def parse_touchstone(path: str, ports: tuple[int, int] = (2, 1)) -> Trace:
                 continue
             if option is None:
                 raise TouchstoneFormatError(
-                    "data encountered before the # option line")
-            data_rows.append(line.split("!")[0].strip())
+                    f"{path}:{lineno}: data encountered before the # "
+                    "option line")
+            data_rows.append((lineno, line.split()))
     if option is None:
-        raise TouchstoneFormatError("missing # option line")
+        raise TouchstoneFormatError(f"{path}: missing # option line")
 
     tokens = [t.lower() for t in option]
     unit = next((t for t in tokens if t in _TS_UNIT), "ghz")
@@ -184,60 +201,34 @@ def parse_touchstone(path: str, ports: tuple[int, int] = (2, 1)) -> Trace:
         raise UnsupportedFormatError(
             f"parameter type {ptype.upper()!r} is not supported; only S")
     if not data_rows:
-        raise SchemaError("touchstone file contains no data")
+        raise SchemaError(f"{path}: touchstone file contains no data")
 
-    freqs = []
     values = []
-    offset = _TS_PORT_OFFSET[ports]
-    for line in data_rows:
-        parts = line.split()
+    for lineno, parts in data_rows:
         if len(parts) != 9:
             raise SchemaError(
-                f"expected a two-port row of 9 values, got {len(parts)}")
-        row = float_row(parts, "touchstone", line)
-        freqs.append(row[0] * _TS_UNIT[unit])
-        a, b = row[offset], row[offset + 1]
-        if fmt == "ri":
-            values.append(complex(a, b))
-        elif fmt == "ma":
-            values.append(a * np.exp(1j * math.radians(b)))
-        else:
-            values.append(10.0 ** (a / 20.0) * np.exp(1j * math.radians(b)))
-    freqs = np.array(freqs)
-    for i in range(1, len(freqs)):
-        if freqs[i] <= freqs[i - 1]:
-            raise TraceOrderError(i)
-    return Trace(freqs_hz=freqs, s21=np.array(values))
+                f"{path}:{lineno}: expected a two-port row of 9 values, "
+                f"got {len(parts)}: {' '.join(parts)!r}")
+        values.append(float_row(parts, path, lineno, sep=" "))
+    data = np.array(values)
+    freqs = data[:, 0] * _TS_UNIT[unit]
+    _check_increasing(freqs)
+    offset = _TS_PORT_OFFSET[ports]
+    a, b = data[:, offset], data[:, offset + 1]
+    return Trace(freqs_hz=freqs,
+                 s21=_samples(fmt, a, b if fmt == "ri" else np.radians(b)))
 
 
 def read_power_sweep(path: str) -> PowerSweep:
     """Read a power sweep CSV written by write_power_sweep."""
-    comments = []
-    header = None
-    rows = []
-    for kind, payload in _split_csv(path):
-        if kind == "comment":
-            comments.append(payload)
-            continue
-        if header is None:
-            header = tuple(c.strip() for c in payload.split(","))
-            if header != SWEEP_COLUMNS:
-                raise SchemaError(
-                    f"unknown sweep header {header!r}; expected "
-                    f"{','.join(SWEEP_COLUMNS)}")
-            continue
-        parts = payload.split(",")
-        if len(parts) != 3:
-            raise SchemaError(f"expected 3 columns, got {len(parts)}")
-        rows.append(float_row(parts, "sweep", payload))
-    directives = _parse_directives(comments)
+    _, directives, rows = _read_table(path, "sweep", (SWEEP_COLUMNS,))
     if "resonator_freq_hz" not in directives or "temperature_k" not in directives:
-        raise SchemaError("sweep file must carry resonator_freq_hz and "
-                          "temperature_k directives")
-    return PowerSweep(points=tuple(rows),
-                      resonator_freq=_float_directive(directives,
-                                                      "resonator_freq_hz"),
-                      temperature=_float_directive(directives, "temperature_k"))
+        raise SchemaError(f"{path}: sweep file must carry resonator_freq_hz "
+                          "and temperature_k directives")
+    return PowerSweep(
+        points=tuple(float_row(cells, path, lineno) for lineno, cells in rows),
+        resonator_freq=_float_directive(path, directives, "resonator_freq_hz"),
+        temperature=_float_directive(path, directives, "temperature_k"))
 
 
 def write_power_sweep(sweep: PowerSweep, path: str) -> None:
@@ -282,25 +273,8 @@ def read_design(path: str) -> ResonatorDesign:
 def read_area_rows(path: str):
     """Read (area_um2, freq_hz) rows plus an optional inductance_h
     directive; returns (rows, inductance_or_None)."""
-    comments = []
-    header = None
-    rows = []
-    for kind, payload in _split_csv(path):
-        if kind == "comment":
-            comments.append(payload)
-            continue
-        if header is None:
-            header = tuple(c.strip() for c in payload.split(","))
-            if header != AREA_COLUMNS:
-                raise SchemaError(
-                    f"unknown area header {header!r}; expected "
-                    f"{','.join(AREA_COLUMNS)}")
-            continue
-        parts = payload.split(",")
-        if len(parts) != 2:
-            raise SchemaError(f"expected 2 columns, got {len(parts)}")
-        rows.append(float_row(parts, "area", payload))
-    directives = _parse_directives(comments)
-    inductance = _float_directive(directives, "inductance_h") \
+    _, directives, rows = _read_table(path, "area", (AREA_COLUMNS,))
+    inductance = _float_directive(path, directives, "inductance_h") \
         if "inductance_h" in directives else None
-    return rows, inductance
+    return [float_row(cells, path, lineno) for lineno, cells in rows], \
+        inductance

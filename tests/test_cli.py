@@ -2,9 +2,13 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 import resokit as rk
 from resokit import cli, traceio
+from resokit.config import PhysicsOverrides, config_hash
+from resokit.fitting import Tolerances
+from resokit.report import RESONATOR_COLUMNS, ReportRow, write_report_rows
 
 
 def run(capsys, *args):
@@ -242,6 +246,17 @@ class TestErrors:
                              "--format", "s2p")
         assert code == 1
 
+    def test_missing_second_input_writes_nothing(self, capsys, tmp_path):
+        paths = write_inputs(tmp_path)
+        out_dir = tmp_path / "fit"
+        code, out, err = run(capsys, "fit", paths["trace"],
+                             str(tmp_path / "missing.csv"),
+                             "--out", str(out_dir))
+        assert code == 1
+        assert "label = sim" in out
+        assert err.count("error: ") == 1 and "missing.csv" in err
+        assert not out_dir.exists()
+
 
 class TestNonNumericCells:
     """A cell that is not a number ends in exit 1 and one `error:` line
@@ -254,6 +269,40 @@ class TestNonNumericCells:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert row in lines[0]
+        return lines[0]
+
+    # Per CSV reader: the command (with {path} and {out}), the lines
+    # before the data, a good row, a row with a non-numeric cell and a
+    # row with the wrong number of cells.
+    CSV_READERS = {
+        "trace": (("fit", "{path}"), "# meta.label = r01\nfreq_hz,re,im\n",
+                  "7.29e9,0.9,0.0", "7.3e9,0.9,abc", "7.3e9,0.9"),
+        "sweep": (("sweep", "--input", "{path}"),
+                  "# resonator_freq_hz = 7.3e9\n# temperature_k = 0.01\n"
+                  "photon_number,q_internal,sigma\n",
+                  "1,2e5,3e3", "10,abc,3e3", "10,2e5,3e3,4"),
+        "area": (("area-fit", "--input", "{path}"), "area_um2,freq_hz\n",
+                 "100.0,7.3e9", "120.0,7.1x9", "120.0"),
+        "report": (("report", "--input", "{path}", "--out", "{out}"),
+                   ",".join(RESONATOR_COLUMNS) + "\n",
+                   "r01,7.3e9,113.2,1.56e-12,9e3,4.55e4,4.5e3,2.2e-4",
+                   "r02,7.3e9,113.2,1.56e-12,9e3,n/a,4.5e3,2.2e-4",
+                   "r02,7.3e9,113.2,1.56e-12,9e3,4.55e4,4.5e3"),
+    }
+
+    @pytest.mark.parametrize("fault", ["non_numeric", "column_count"])
+    @pytest.mark.parametrize("reader", sorted(CSV_READERS))
+    def test_bad_row_names_file_line(self, capsys, tmp_path, reader, fault):
+        command, head, good, non_numeric, miscounted = \
+            self.CSV_READERS[reader]
+        bad = non_numeric if fault == "non_numeric" else miscounted
+        path = tmp_path / "table.csv"
+        path.write_text(head + good + "\n" + bad + "\n")
+        lineno = head.count("\n") + 2
+        args = [a.format(path=path, out=tmp_path / "rep") for a in command]
+        line = self.assert_input_error(capsys, repr(bad), *args)
+        assert line.startswith(f"error: {path}:{lineno}: ")
+        assert not (tmp_path / "rep").exists()
 
     def test_sweep_reader(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -317,3 +366,152 @@ class TestNonFiniteSamples:
         rows[1] = "7291000000.0 0.9 0.0 0.9 inf 0.9 0.1 0.9 0.0"
         path.write_text("# HZ S RI R 50\n" + "\n".join(rows) + "\n")
         self.assert_input_error(capsys, "fit", str(path))
+
+    def test_csv_db_infinite_magnitude(self, capsys, tmp_path):
+        path = tmp_path / "trace.csv"
+        rows = [f"{7.29e9 + 1e6 * i!r},-1.0,0.1" for i in range(12)]
+        rows[1] = "7291000000.0,inf,0.1"
+        path.write_text("freq_hz,mag_db,phase_rad\n" + "\n".join(rows) + "\n")
+        self.assert_input_error(capsys, "fit", str(path))
+
+    def test_touchstone_db_overflow(self, capsys, tmp_path):
+        path = tmp_path / "notch.s2p"
+        rows = [f"{7.29e9 + 1e6 * i!r} 0.9 0.0 -1.0 10.0 -1.0 10.0 0.9 0.0"
+                for i in range(12)]
+        rows[1] = "7291000000.0 0.9 0.0 1e6 10.0 -1.0 10.0 0.9 0.0"
+        path.write_text("# HZ S DB R 50\n" + "\n".join(rows) + "\n")
+        self.assert_input_error(capsys, "fit", str(path))
+
+
+def write_inputs(tmp_path):
+    """A notch trace, a power sweep and a resonator table to run the
+    subcommands on; returns their paths by kind."""
+    from resokit.tls import PowerSweep, solve_endpoint_params, tls_tan_delta
+    params = rk.NotchParams(f_r=7.3e9, q_loaded=3000.0, q_ext_mag=9000.0)
+    trace = rk.synthesize_trace(params, rk.linewidth_grid(params, 8.0, 401),
+                                noise_sigma=0.003, seed=2,
+                                metadata={"label": "sim"})
+    gen = solve_endpoint_params(4.5e3, 1.0, 45.5e3, 1e5, 10.0, 0.5,
+                                7.3e9, 0.01)
+    ns = np.geomspace(0.1, 1e6, 15)
+    q = 1.0 / tls_tan_delta(ns, gen, 7.3e9, 0.01)
+    q = q * (1.0 + 0.03 * np.random.default_rng(24).standard_normal(15))
+    sweep = PowerSweep(points=tuple((n, v, 0.03 * v) for n, v in zip(ns, q)),
+                       resonator_freq=7.3e9, temperature=0.01)
+    paths = {kind: str(tmp_path / name) for kind, name in (
+        ("trace", "trace.csv"), ("sweep", "sweep.csv"),
+        ("table", "resonators.csv"))}
+    traceio.write_trace_csv(trace, paths["trace"])
+    traceio.write_power_sweep(sweep, paths["sweep"])
+    write_report_rows([ReportRow("r01", 7.3e9, 113.2, 1.56e-12, 9e3, 45.5e3,
+                                 4.5e3, 2.22e-4)], paths["table"])
+    return paths
+
+
+def outputs(capsys, tmp_path, name, command, config=None, flags=()):
+    """Exit code, stdout and the files written by one run into
+    tmp_path/name, with that directory's path taken out of stdout so
+    that runs compare."""
+    out_dir = tmp_path / name
+    args = [*command, *flags, "--out", str(out_dir)]
+    if config is not None:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config)
+        args += ["--config", str(cfg)]
+    code, out, _ = run(capsys, *args)
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))} \
+        if out_dir.exists() else {}
+    return code, out.replace(str(out_dir), "OUT"), files
+
+
+# Per subcommand: the command, a config file and the flags that say the
+# same.
+CONFIG_CASES = {
+    "design": (("design", "--target-ghz", "7.3"), "l_nh = 0.35\n",
+               ("--l-nh", "0.35")),
+    "simulate": (("simulate", "--points", "301"), "seed = 5\nnoise = 0.01\n",
+                 ("--seed", "5", "--noise", "0.01")),
+    "fit": (("fit", "{trace}"), "mc_draws = 3\n", ("--mc-draws", "3")),
+    "sweep": (("sweep", "--input", "{sweep}"), "n_max = 1e3\n",
+              ("--n-max", "1e3")),
+    "area-fit": (("area-fit",), "l_nh = 0.35\n", ("--l-nh", "0.35")),
+    "report": (("report", "--input", "{table}"), "kinetic_fraction = 0.06\n",
+               ("--kinetic-fraction", "0.06")),
+}
+
+
+class TestConfigFile:
+    """`--config` loads a key = value file into the subcommand's flag
+    defaults."""
+
+    @pytest.mark.parametrize("workflow", sorted(CONFIG_CASES))
+    def test_key_changes_output(self, capsys, tmp_path, workflow):
+        paths = write_inputs(tmp_path)
+        command, config, flags = CONFIG_CASES[workflow]
+        command = [a.format(**paths) for a in command]
+        default = outputs(capsys, tmp_path, "default", command)
+        configured = outputs(capsys, tmp_path, "config", command, config)
+        flagged = outputs(capsys, tmp_path, "flags", command, flags=flags)
+        assert configured == flagged
+        assert configured != default
+
+    @pytest.mark.parametrize("key", ["c-ff-um2", "c_ff_um2"])
+    def test_dashed_and_underscored_keys(self, capsys, tmp_path, key):
+        command = ("design", "--target-ghz", "7.3")
+        configured = outputs(capsys, tmp_path, "config", command,
+                             f"{key} = 14.2\n")
+        flagged = outputs(capsys, tmp_path, "flags", command,
+                          flags=("--c-ff-um2", "14.2"))
+        assert configured == flagged
+        assert configured != outputs(capsys, tmp_path, "default", command)
+
+    def test_flag_wins_over_file(self, capsys, tmp_path):
+        command = ("design", "--target-ghz", "7.3", "--l-nh", "0.35")
+        configured = outputs(capsys, tmp_path, "config", command,
+                             "l_nh = 0.5\n")
+        assert configured == outputs(capsys, tmp_path, "flags", command)
+
+    @pytest.mark.parametrize("command, config, key", [
+        (("design", "--target-ghz", "7.3"), "l_nhh = 0.3", "l_nhh"),
+        (("simulate",), "kinetic_fraction = 0.06", "kinetic_fraction"),
+        (("sweep", "--input", "s.csv"), "fix_beta = 1", "fix_beta"),
+        (("fit", "t.csv"), "config = other.cfg", "config"),
+        (("fit", "t.csv"), "inputs = t.csv", "inputs"),
+        (("report", "--input", "r.csv"), "traces = t.csv", "traces"),
+        (("design", "--target-ghz", "7.3"), "target-ghz = 7.1", "target-ghz"),
+        (("fit", "t.csv"), "format = xls", "format"),
+        (("simulate",), "seed = 1.5", "seed"),
+    ])
+    def test_bad_key_or_value_exits_1(self, capsys, tmp_path, command, config,
+                                      key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        code, out, err = run(capsys, *command, "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {cfg}: ")
+        assert repr(key) in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workflow", ["area-fit", "sweep"])
+    def test_no_leak_into_another_subcommand(self, capsys, tmp_path,
+                                             workflow):
+        # Flags from parent parsers are one object in every subcommand,
+        # and set_defaults on one subcommand changes them.
+        paths = write_inputs(tmp_path)
+        command = {"area-fit": ("area-fit",),
+                   "sweep": ("sweep", "--input", paths["sweep"])}[workflow]
+        outputs(capsys, tmp_path, "config", command,
+                "seed = 9\nkinetic_fraction = 0.06\n")
+        outputs(capsys, tmp_path, "plain", ("report", "--input",
+                                            paths["table"]))
+        configured = json.loads((tmp_path / "config" / "report.json")
+                                .read_text())
+        plain = json.loads((tmp_path / "plain" / "report.json").read_text())
+        default_hash = config_hash(PhysicsOverrides(), Tolerances())
+        assert configured["seed"] == 9
+        assert configured["config_hash"] != default_hash
+        assert plain["seed"] is None
+        assert plain["config_hash"] == default_hash

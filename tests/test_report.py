@@ -85,6 +85,15 @@ class TestManifest:
         tol = config_hash(PhysicsOverrides(), Tolerances(max_iterations=77))
         assert tol != base
 
+    def test_default_hash_pinned(self, tmp_path):
+        # The manifest hashes the default tolerances, the only ones the
+        # fitters run with; this digest must not move.
+        pinned = "0c245446e006d49fbe2d043937215ca79266679d6c32f3f042fd14177dc46d31"
+        assert config_hash(PhysicsOverrides(), Tolerances()) == pinned
+        emit_report(ReportBundle(), str(tmp_path))
+        manifest = json.loads((tmp_path / "report.json").read_text())
+        assert manifest["config_hash"] == pinned
+
     def test_manifest_independent_of_inputs_list(self, tmp_path):
         a = emit_report(ReportBundle(), str(tmp_path / "a"),
                         inputs=["x.csv"])

@@ -110,6 +110,30 @@ class TestTouchstone:
         assert abs(z_db - z_ri) < 1e-9
         assert abs(z_ma - z_ri) < 1e-9
 
+    @pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
+    def test_samples_match_row_loop(self, tmp_path, fmt):
+        # Reference: the per-row conversion. RI copies the cells, so it
+        # must match exactly; MA and DB now take cos/sin and numpy's
+        # array power, which may differ from the scalar path by an ulp.
+        rng = np.random.default_rng(7)
+        a = {"RI": rng.uniform(-1.0, 1.0, 200),
+             "MA": rng.uniform(0.1, 1.5, 200),
+             "DB": rng.uniform(-30.0, 3.0, 200)}[fmt]
+        b = rng.uniform(-1.0, 1.0, 200) if fmt == "RI" \
+            else rng.uniform(-180.0, 180.0, 200)
+        rows = [f"{7.3e9 + 1e5 * i!r} 0 0 {x!r} {y!r} 0 0 0 0"
+                for i, (x, y) in enumerate(zip(a.tolist(), b.tolist()))]
+        path = self.write(tmp_path, f"# HZ S {fmt} R 50\n" + "\n".join(rows))
+        z = traceio.parse_touchstone(path).s21
+        if fmt == "RI":
+            assert np.array_equal(z, [complex(x, y) for x, y in zip(a, b)])
+            return
+        mag = a if fmt == "MA" else np.array([10.0 ** (x / 20.0)
+                                              for x in a.tolist()])
+        ref = np.array([m * np.exp(1j * math.radians(y))
+                        for m, y in zip(mag.tolist(), b.tolist())])
+        assert np.all(np.abs(z - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+
     def test_ghz_units(self, tmp_path):
         path = self.write(tmp_path, "# GHZ S RI R 50\n"
                           "7.3 0 0 0.5 0 0 0 0 0\n")
