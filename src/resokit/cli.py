@@ -49,9 +49,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--format", choices=("csv", "s2p"), default=None,
-                        help="trace file format (Touchstone is read-only)")
+    # Each flag goes only to the subcommands that read it.
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None)
+    formatted = _Parser(add_help=False)
+    formatted.add_argument("--format", choices=("csv", "s2p"), default=None,
+                           help="input trace file format")
     # The physics the report manifest hashes.
     physics = _Parser(add_help=False)
     physics.add_argument("--kinetic-fraction", type=float,
@@ -73,7 +76,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--temperature-k", type=float, default=0.01)
     p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common, seeded],
                        help="emit a synthetic notch trace")
     p.add_argument("--fr-ghz", type=float, default=7.3)
     p.add_argument("--q-in", type=float, default=4.5e3)
@@ -89,7 +92,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--label", default="sim")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", parents=[common],
+    p = sub.add_parser("fit", parents=[common, seeded, formatted],
                        help="circle-fit notch traces")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--temperature-k", type=float, default=0.01)
@@ -98,7 +101,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                         "instead of the first-order covariance")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("sweep", parents=[common, physics],
+    p = sub.add_parser("sweep", parents=[common, seeded, physics],
                        help="fit a TLS model to a power sweep")
     p.add_argument("--input", required=True)
     p.add_argument("--fix-beta", action="store_true",
@@ -107,7 +110,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="mask points above this photon number")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("area-fit", parents=[common, physics],
+    p = sub.add_parser("area-fit", parents=[common, seeded, physics],
                        help="fit capacitance constants to (area, frequency) rows")
     p.add_argument("--input", default=None,
                    help="CSV with area_um2,freq_hz rows; bundled reference "
@@ -117,7 +120,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                         "inductance_h directive, else the reference design's")
     p.set_defaults(func=_cmd_area_fit)
 
-    p = sub.add_parser("report", parents=[common, physics],
+    p = sub.add_parser("report",
+                       parents=[common, seeded, formatted, physics],
                        help="emit the results table, plots and manifest")
     p.add_argument("--input", required=True, help="resonators.csv")
     p.add_argument("--compare", default=None,
@@ -187,8 +191,6 @@ def _cmd_simulate(args) -> int:
     trace = notch.synthesize_trace(params, grid, noise_sigma=args.noise,
                                    seed=args.seed or 0, applied_power_w=power,
                                    metadata={"label": args.label})
-    if (args.format or "csv") != "csv":
-        raise ConfigError("simulate only writes CSV; Touchstone is read-only")
     path = os.path.join(out_dir, f"trace_{args.label}.csv")
     write_trace_csv(trace, path)
     print(path)
@@ -359,10 +361,8 @@ def _cmd_report(args) -> int:
         inputs.append(args.compare)
     traces = []
     for path in args.traces:
-        trace = _load_trace(path, args.format)
-        name = trace.metadata.get("label") or \
-            os.path.splitext(os.path.basename(path))[0]
-        traces.append((name, trace))
+        stem = os.path.splitext(os.path.basename(path))[0]
+        traces.append((stem, _load_trace(path, args.format)))
         inputs.append(path)
     sweeps = []
     for path in args.sweeps:

@@ -70,5 +70,10 @@ class NonphysicalQinError(ExtractionError):
     """Extracted coupling exceeds the loaded loss rate (negative Q_in)."""
 
 
+class NonphysicalMismatchError(ExtractionError):
+    """Fitted circle center lies past the off-resonant point, which puts
+    the mismatch angle outside |phi| < pi/2."""
+
+
 class ModelEvaluationError(ExtractionError):
     """Model returned non-finite values during a fit."""

@@ -17,9 +17,10 @@ from . import fitting
 from .constants import FF, TWO_PI
 from .errors import (DegenerateDataError, DegenerateGeometryError, DomainError,
                      ExtractionError, FitInstabilityError,
-                     InsufficientDataError, NonphysicalQinError,
-                     RankDeficiencyError)
-from .notch import NotchParams, Trace, s21_jacobian, s21_model
+                     InsufficientDataError, NonphysicalMismatchError,
+                     NonphysicalQinError, RankDeficiencyError)
+from .notch import (NotchParams, Trace, _jacobian_rows, _model_terms,
+                    s21_model)
 
 __all__ = [
     "CircleFit", "PhaseFit", "EnvironmentParams", "NotchFitResult",
@@ -29,15 +30,19 @@ __all__ = [
 ]
 
 MIN_TRACE_POINTS = 8
-# Stop of the delay search's Brent refinement, in units of 1/span: a
-# delay error of DELAY_XTOL / span leaves 2 pi DELAY_XTOL rad of phase
-# tilt across the band, far inside the refinement's basin.
-DELAY_XTOL = 1e-4
-# Grid points of the delay search over +-2/span. 31 points leave the
-# line search a bracket of 0.27/span and still find the basin of the
-# circle residual: on 100 noisy resonance-free traces the delay misses
-# 1 % once, as with 81 points (21 points miss 3 times, 11 fail outright).
+# Grid points of the delay search over +-2/span. 31 points, 0.13/span
+# apart, still find the basin of the circle residual: on 100 noisy
+# resonance-free traces the delay misses 1 % once, as with 81 points
+# (21 points miss 3 times, 11 fail outright).
 DELAY_GRID_POINTS = 31
+# The circle residual of a large circle at low noise can dip between
+# grid points, and a delay seed 0.01/span off can break the circle and
+# phase fits before the refinement. A second grid therefore spans the
+# best point's bracket in steps of 1/DELAY_ZOOM of the first: over 300
+# wide-range traces (Q_in 1e2-3e6, |Q_e| 3e2-3e5, 8-3000 points, noise
+# 1e-5-0.5) the first grid's parabola alone seeds 20 fewer good fits
+# than a Brent search to 1e-4/span did, the zoom 6 more than Brent.
+DELAY_ZOOM = 4
 
 
 @dataclass(frozen=True)
@@ -193,73 +198,18 @@ def _taubin_criterion(n, p2, p4, s1, s2, s3) -> np.ndarray:
     return out
 
 
-def _brent_minimize(fun, lo, hi, xtol) -> float:
-    """Minimum of fun on [lo, hi] by Brent's method: parabolic steps
-    through the three best points so far, golden-section steps where the
-    parabola is not trusted. Stops once the returned point is within
-    xtol / 2 of both bracket ends, as a golden section stopping at a
-    bracket of xtol would."""
-    cgold = (3.0 - math.sqrt(5.0)) / 2.0
-    a, b = lo, hi
-    x = w = v = a + cgold * (b - a)
-    fx = fw = fv = fun(x)
-    d = e = 0.0
-    while True:
-        # The ulp term keeps every step above the spacing of floats at x.
-        tol = 0.25 * xtol + 2.0 * math.ulp(x)
-        mid = 0.5 * (a + b)
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            return x
-        parabolic = False
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            # Accept the parabola's vertex only inside the bracket and
-            # for a step below half the one before last.
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                u = x + d
-                if u - a < 2.0 * tol or b - u < 2.0 * tol:
-                    d = tol if mid >= x else -tol
-                parabolic = True
-        if not parabolic:
-            e = (b - x) if x < mid else (a - x)
-            d = cgold * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = fun(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
 def estimate_delay(trace: Trace) -> float:
     """Cable delay that makes the delay-corrected locus most circular.
 
-    Coarse grid search of DELAY_GRID_POINTS points over +-2/span around
-    the unwrapped-phase-slope estimate, refined by Brent's method down
-    to DELAY_XTOL / span seconds. The grid ranks the points by the
-    Taubin criterion from three moment sums per point; the refinement
-    runs on the geometric circle rms: about 11 circle fits per trace.
-    The global refinement in fit_notch fits the delay itself, so this
-    only has to land in its basin. When the circle residual carries no
-    delay information (resonance-free or already-corrected data) the
+    Grid search of DELAY_GRID_POINTS points over +-2/span around the
+    unwrapped-phase-slope estimate, ranked by the Taubin criterion from
+    three moment sums per point; a finer grid of 2 DELAY_ZOOM + 1 points
+    across the best point's bracket; then the vertex of the parabola
+    through the finer grid's best point and its two neighbours. That is
+    one circle fit per trace, for the resonance-free check. The global
+    refinement in fit_notch fits the delay itself, so this only has to
+    land in its basin. When the circle residual carries no delay
+    information (resonance-free or already-corrected data) the
     phase-slope estimate is returned directly.
     """
     if len(trace) < MIN_TRACE_POINTS:
@@ -278,15 +228,36 @@ def estimate_delay(trace: Trace) -> float:
         return tau0
 
     window = 2.0 / span
+    abs2 = (z * z.conj()).real
+    sums = (abs2 * z, abs2.sum(), abs2 @ abs2)
     taus = np.linspace(tau0 - window, tau0 + window, DELAY_GRID_POINTS)
+    best = int(np.argmin(_grid_criterion(freqs, z, taus, *sums)))
     step = taus[1] - taus[0]
+    taus = np.linspace(taus[best] - step, taus[best] + step,
+                       2 * DELAY_ZOOM + 1)
+    crit = _grid_criterion(freqs, z, taus, *sums)
+    best = int(np.argmin(crit))
+    if 0 < best < taus.size - 1:
+        # Python floats: an inf neighbour (a coincident locus) gives a
+        # non-finite curvature without a numpy warning. The best point
+        # is the lowest of the three, so the vertex of a positive
+        # curvature lies within half a step of it.
+        left, mid, right = (float(c) for c in crit[best - 1:best + 2])
+        curvature = left - 2.0 * mid + right
+        if math.isfinite(curvature) and curvature > 0.0:
+            return float(taus[best] + 0.5 * (taus[1] - taus[0])
+                         * (left - right) / curvature)
+    return float(taus[best])
+
+
+def _grid_criterion(freqs, z, taus, z3, p2, p4) -> np.ndarray:
+    """_taubin_criterion of z e^(2 pi i f tau) at evenly spaced taus,
+    with z3 = |z|^2 z, p2 = sum |z|^2 and p4 = sum |z|^4."""
     # Each grid point's phasor is the previous one rotated by one grid
     # step, so the grid costs one complex multiply per point instead of
     # an exp, plus the three moment sums.
-    rotate = np.exp(1j * TWO_PI * freqs * step)
+    rotate = np.exp(1j * TWO_PI * freqs * (taus[1] - taus[0]))
     phasor = np.exp(1j * TWO_PI * freqs * taus[0])
-    abs2 = (z * z.conj()).real
-    z3 = abs2 * z
     w = np.empty_like(z)
     s1 = np.empty(taus.size, dtype=complex)
     s2 = np.empty_like(s1)
@@ -297,13 +268,7 @@ def estimate_delay(trace: Trace) -> float:
         s2[k] = w @ w
         s3[k] = z3 @ phasor
         phasor *= rotate
-    crit = _taubin_criterion(z.size, abs2.sum(), abs2 @ abs2, s1, s2, s3)
-    best = int(np.argmin(crit))
-    # The line search runs on the geometric rms: near a noiseless optimum
-    # the moment sums cancel to rounding noise and could not rank points.
-    return _brent_minimize(lambda t: _circle_rms_after_delay(freqs, z, t),
-                           taus[best] - step, taus[best] + step,
-                           xtol=DELAY_XTOL / span)
+    return _taubin_criterion(z.size, p2, p4, s1, s2, s3)
 
 
 def fit_phase(trace: Trace, center: complex) -> PhaseFit:
@@ -376,12 +341,18 @@ def extract_qfactors(circle: CircleFit, phase: PhaseFit,
     |Q_e| = Q_l / (2 r) with r the normalized circle radius, phi from
     the center position relative to the off-resonant point, and
     1/Q_in = 1/Q_l - cos(phi)/|Q_e| (diameter corrected). Raises
-    NonphysicalQinError when the coupling loss exceeds the loaded loss.
+    NonphysicalMismatchError when the center lies past the off-resonant
+    point (|phi| >= pi/2) and NonphysicalQinError when the coupling loss
+    exceeds the loaded loss: fit failures, not input errors.
     """
     amp = env.gain * np.exp(1j * env.phase)
     center_n = complex(circle.center / amp)
     radius_n = circle.radius / env.gain
     phi = math.atan2(-center_n.imag, 1.0 - center_n.real)
+    if abs(phi) >= math.pi / 2:
+        raise NonphysicalMismatchError(
+            "fitted circle center lies past the off-resonant point: "
+            f"mismatch angle {phi:.4g} rad is outside |phi| < pi/2")
     q_l = phase.q_loaded
     q_e = q_l / (2.0 * radius_n)
     inv_qin = 1.0 / q_l - math.cos(phi) / q_e
@@ -430,21 +401,30 @@ def _refine_notch(trace: Trace, seed: NotchFitResult) -> NotchFitResult:
     # The environment phase is referenced to the band center inside the
     # fit: alpha_c = alpha - 2 pi f_mid tau. Otherwise alpha and tau are
     # nearly degenerate and a small delay-seed error puts the optimum
-    # many radians of alpha away.
-    def model_args(p):
-        return (freqs, p[0], p[1], p[2], p[3], p[4],
-                p[5] + TWO_PI * f_mid * p[6], p[6])
+    # many radians of alpha away. The solver differentiates the point
+    # whose residual it evaluated last, so one cached entry lets the
+    # residual and the Jacobian share that point's model terms.
+    cached = [None, None]
 
+    def terms(p):
+        key = p.tobytes()
+        if key != cached[0]:
+            cached[:] = key, _model_terms(freqs, p[0], p[1], p[2], p[3],
+                                          p[5] + TWO_PI * f_mid * p[6], p[6])
+        return cached[1]
+
+    # Residual and Jacobian rows interleave the real and imaginary parts
+    # (views of the complex arrays, no copies).
     def resid(p):
-        diff = s21_model(*model_args(p)) - z
-        return np.concatenate([diff.real, diff.imag])
+        rotor, _, dip = terms(p)
+        return (p[4] * rotor * (1.0 - dip) - z).view(float)
 
     # Chain rule through env_phase = alpha_c + 2 pi f_mid tau: the tau
-    # column picks up 2 pi f_mid times the phase column.
+    # row picks up 2 pi f_mid times the phase row.
     def jac(p):
-        j = s21_jacobian(*model_args(p))
-        j[:, 6] += TWO_PI * f_mid * j[:, 5]
-        return np.concatenate([j.real, j.imag])
+        rows = _jacobian_rows(freqs, p[0], p[1], p[2], p[4], terms(p))
+        rows[6] += TWO_PI * f_mid * rows[5]
+        return rows.view(float).T
 
     alpha_c = _wrap_angle(p0.env_phase - TWO_PI * f_mid * p0.cable_delay)
     problem = fitting.FitProblem(

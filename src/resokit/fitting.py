@@ -4,8 +4,10 @@ Gauss-Newton solver.
 All model-specific fitters in the toolkit sit on these three entry
 points. The solver differentiates the residual by central differences
 unless the problem supplies an exact Jacobian, as the notch refinement
-and the phase-winding fit do. It keeps a per-run trace of accepted
-residual norms so callers can assert monotone descent.
+and the phase-winding fit do; a run that stops at the point it last
+differentiated reuses that Jacobian for the covariance. It keeps a
+per-run trace of accepted residual norms so callers can assert monotone
+descent.
 """
 
 import math
@@ -217,6 +219,7 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
     floored = 0
     converged = False
     status = "max_iterations"
+    J = None
 
     while iterations < tol.max_iterations:
         J = eval_jac(p)
@@ -288,6 +291,7 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
         step_rel = float(np.max(np.abs(moved) / scale_ref))
         res_rel = (norm - norm_trial) / max(norm, 1e-300)
         p, r, norm = p_trial, r_trial, norm_trial
+        J = None
         trace.append(norm)
         iterations += 1
         # Small steps only signal arrival when damping is relaxed; an
@@ -309,7 +313,9 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
             status = "converged"
             break
 
-    J = eval_jac(p)
+    # A stop at the point the loop last differentiated reuses its Jacobian.
+    if J is None:
+        J = eval_jac(p)
     normal = J.T @ J
     n_pts, n_par = J.shape
     try:

@@ -124,20 +124,27 @@ def s21_jacobian(f, f_r, q_loaded, q_ext_mag, mismatch_phi=0.0, env_gain=1.0,
     multiple of env * dip or of S.
     """
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    rotor, detune, dip = _model_terms(f, f_r, q_loaded, q_ext_mag,
-                                      mismatch_phi, env_phase, cable_delay)
+    terms = _model_terms(f, f_r, q_loaded, q_ext_mag, mismatch_phi,
+                         env_phase, cable_delay)
+    return _jacobian_rows(f, f_r, q_loaded, q_ext_mag, env_gain, terms).T
+
+
+def _jacobian_rows(f, f_r, q_loaded, q_ext_mag, env_gain, terms) -> np.ndarray:
+    """s21_jacobian's columns as the rows of a contiguous (7, N) array,
+    from the _model_terms of the same point."""
+    rotor, detune, dip = terms
     env_dip = env_gain * rotor * dip
     shape = rotor * (1.0 - dip)
     s21 = env_gain * shape
-    jac = np.empty((f.size, 7), dtype=complex)
-    jac[:, 0] = env_dip * (-2j * q_loaded / f_r ** 2) * f / detune
-    jac[:, 1] = -env_dip / (q_loaded * detune)
-    jac[:, 2] = env_dip / q_ext_mag
-    jac[:, 3] = -1j * env_dip
-    jac[:, 4] = shape
-    jac[:, 5] = 1j * s21
-    jac[:, 6] = (-1j * TWO_PI) * f * s21
-    return jac
+    rows = np.empty((7, f.size), dtype=complex)
+    rows[0] = env_dip * (-2j * q_loaded / f_r ** 2) * f / detune
+    rows[1] = -env_dip / (q_loaded * detune)
+    rows[2] = env_dip / q_ext_mag
+    rows[3] = -1j * env_dip
+    rows[4] = shape
+    rows[5] = 1j * s21
+    rows[6] = (-1j * TWO_PI) * f * s21
+    return rows
 
 
 def s21_at(params: NotchParams, f):

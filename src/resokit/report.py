@@ -61,7 +61,12 @@ class SessionDelta:
 
 @dataclass
 class ReportBundle:
-    """Everything emit_report turns into files."""
+    """Everything emit_report turns into files.
+
+    traces pairs each trace with a unique name, such as its input-file
+    stem, that names its plot; the plot title is the trace's label
+    (metadata "label", else that name).
+    """
 
     rows: list[ReportRow] = field(default_factory=list)
     deltas: list[SessionDelta] = field(default_factory=list)
@@ -168,7 +173,8 @@ def emit_report(bundle: ReportBundle, out_dir: str,
 
     for name, trace in bundle.traces:
         path = os.path.join(out_dir, f"trace_{name}.svg")
-        atomic_write_text(path, _trace_plot(name, trace))
+        title = trace.metadata.get("label") or name
+        atomic_write_text(path, _trace_plot(title, trace))
         written.append(path)
     for name, sweep, params in bundle.sweeps:
         path = os.path.join(out_dir, f"qin_vs_photons_{name}.svg")

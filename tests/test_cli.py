@@ -159,6 +159,33 @@ class TestSimulateFit:
         assert "fit failed" in err
 
 
+    def test_mismatch_failure_keeps_batch(self, capsys, tmp_path):
+        # 169 points over 1.5 linewidths, off centre: the fitted circle
+        # center lands past the off-resonant point. That file fails as a
+        # fit; the good files around it are fitted and written.
+        q_in, q_e, phi = 4010.0, 55960.0, 0.643
+        p = rk.NotchParams(f_r=7.647e9, q_ext_mag=q_e, mismatch_phi=phi,
+                           q_loaded=1.0 / (1.0 / q_in + np.cos(phi) / q_e),
+                           env_gain=1.524, env_phase=0.573,
+                           cable_delay=59.66e-9)
+        half = 1.474 * p.f_r / p.q_loaded / 2.0
+        grid = np.linspace(p.f_r - 1.39 * half, p.f_r + 0.61 * half, 169)
+        hard = tmp_path / "hard.csv"
+        traceio.write_trace_csv(rk.synthesize_trace(
+            p, grid, noise_sigma=2.24e-5, seed=641), str(hard))
+        good = write_inputs(tmp_path)["trace"]
+        out_dir = tmp_path / "fit"
+        code, out, err = run(capsys, "fit", good, str(hard), good,
+                             "--out", str(out_dir))
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{hard}: fit failed: fitted circle "
+                                   "center lies past the off-resonant point")
+        rows = (out_dir / "fits.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["sim", "sim"]
+
+
 class TestSweepCommand:
     def test_fit_from_file(self, capsys, tmp_path):
         from resokit.tls import PowerSweep, solve_endpoint_params, tls_tan_delta
@@ -226,6 +253,26 @@ class TestReportCommand:
         assert "comparison.csv" in manifest["artifacts"]
 
 
+    def test_shared_label_plots_do_not_overwrite(self, capsys, tmp_path):
+        # Two power steps of one resonator share the label r01: each
+        # plot is named by its file stem and titled by the label.
+        paths = write_inputs(tmp_path)
+        trace = traceio.parse_trace_csv(paths["trace"])
+        trace.metadata["label"] = "r01"
+        for stem in ("r01_p0", "r01_p1"):
+            traceio.write_trace_csv(trace, str(tmp_path / f"{stem}.csv"))
+        code, out, _ = run(capsys, "report", "--input", paths["table"],
+                           "--traces", str(tmp_path / "r01_p0.csv"),
+                           str(tmp_path / "r01_p1.csv"),
+                           "--out", str(tmp_path / "rep"))
+        assert code == 0
+        manifest = json.loads((tmp_path / "rep" / "report.json").read_text())
+        plots = [a for a in manifest["artifacts"] if a.startswith("trace_")]
+        assert plots == ["trace_r01_p0.svg", "trace_r01_p1.svg"]
+        for name in plots:
+            assert "|S21| r01" in (tmp_path / "rep" / name).read_text()
+
+
 class TestErrors:
     def test_unknown_subcommand_exits_1(self, capsys):
         code, out, err = run(capsys, "frobnicate")
@@ -245,6 +292,20 @@ class TestErrors:
         code, out, err = run(capsys, "simulate", "--out", str(tmp_path),
                              "--format", "s2p")
         assert code == 1
+
+    @pytest.mark.parametrize("command", [
+        ("design", "--target-ghz", "7.3", "--seed", "5"),
+        ("design", "--target-ghz", "7.3", "--format", "csv"),
+        ("simulate", "--format", "csv"),
+        ("sweep", "--input", "s.csv", "--format", "csv"),
+        ("area-fit", "--format", "csv"),
+    ], ids=" ".join)
+    def test_unread_flag_rejected(self, capsys, tmp_path, command):
+        # --seed and --format exist only where a subcommand reads them.
+        code, out, err = run(capsys, *command, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_second_input_writes_nothing(self, capsys, tmp_path):
         paths = write_inputs(tmp_path)
@@ -481,6 +542,8 @@ class TestConfigFile:
         (("design", "--target-ghz", "7.3"), "target-ghz = 7.1", "target-ghz"),
         (("fit", "t.csv"), "format = xls", "format"),
         (("simulate",), "seed = 1.5", "seed"),
+        (("design", "--target-ghz", "7.3"), "seed = 5", "seed"),
+        (("simulate",), "format = csv", "format"),
     ])
     def test_bad_key_or_value_exits_1(self, capsys, tmp_path, command, config,
                                       key):

@@ -220,6 +220,31 @@ class TestNonlinearLs:
         assert np.allclose(exact.covariance, numeric.covariance,
                            rtol=1e-6, atol=0.0)
 
+    def test_optimum_stop_reuses_last_jacobian(self):
+        # The run ends at a point it has already differentiated (no step
+        # accepted in the last iteration), so the covariance reuses that
+        # Jacobian: one call per iteration plus one at the start.
+        rng = np.random.default_rng(13)
+        x = np.linspace(0.0, 2.0, 60)
+        y = 3.0 * np.exp(-x / 0.7) + 0.01 * rng.standard_normal(60)
+        visited = []
+
+        def jac(p):
+            visited.append(p.copy())
+            e = np.exp(-x / p[1])
+            return np.column_stack([e, p[0] * x / p[1] ** 2 * e])
+
+        res = fitting.nonlinear_ls(fitting.FitProblem(
+            residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
+            initial_params=np.array([1.0, 1.0]), jacobian=jac))
+        assert res.converged
+        assert len(visited) == res.iterations + 1
+        assert np.array_equal(visited[-1], res.params)
+        J = jac(res.params)
+        dof = x.size - 2
+        expected = np.linalg.inv(J.T @ J) * (res.residual_norm ** 2 / dof)
+        assert np.array_equal(res.covariance, expected)
+
     def test_non_finite_jacobian_raises(self):
         problem = fitting.FitProblem(
             residual=lambda p: p - 1.0, initial_params=np.array([3.0]),
