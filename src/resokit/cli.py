@@ -16,9 +16,9 @@ from .constants import FF, GHZ, NH, NS, dbm_to_watt
 from .errors import ConfigError, DomainError, ExtractionError, SchemaError
 from .report import (ReportBundle, compare_sessions, emit_report,
                      read_report_rows)
-from .traceio import (atomic_write_text, parse_touchstone, parse_trace_csv,
-                      read_area_rows, read_power_sweep, write_design,
-                      write_power_sweep, write_trace_csv)
+from .traceio import (parse_touchstone, parse_trace_csv, read_area_rows,
+                      read_power_sweep, write_design, write_power_sweep,
+                      write_table, write_trace_csv)
 
 FIT_COLUMNS = ("label", "f_r_hz", "f_r_err_hz", "q_loaded", "q_loaded_err",
                "q_ext_mag", "q_ext_mag_err", "mismatch_phi_rad",
@@ -252,24 +252,20 @@ def _cmd_fit(args) -> int:
 
     if args.out and rows:
         os.makedirs(args.out, exist_ok=True)
-        lines = [",".join(FIT_COLUMNS)]
-        for label, result, photons in rows:
-            p = result.params
-            err = result.uncertainties
-            lines.append(",".join([
-                label, repr(float(p.f_r)), repr(float(err["f_r"])),
-                repr(float(p.q_loaded)), repr(float(err["q_loaded"])),
-                repr(float(p.q_ext_mag)), repr(float(err["q_ext_mag"])),
-                repr(float(p.mismatch_phi)), repr(float(err["mismatch_phi"])),
-                repr(float(result.q_internal)), repr(float(err["q_internal"])),
-                repr(float(p.env_gain)), repr(float(p.env_phase)),
-                repr(float(p.cable_delay)), repr(float(result.residual_rms)),
-                "" if photons is None else repr(float(photons)),
-                str(result.converged)]))
-        atomic_write_text(os.path.join(args.out, "fits.csv"),
-                          "\n".join(lines) + "\n")
+        write_table(os.path.join(args.out, "fits.csv"), FIT_COLUMNS,
+                    [fit_row(*row) for row in rows])
         _write_sweeps(args, rows)
     return 2 if any_failed else 0
+
+
+def fit_row(label, result, photons) -> tuple:
+    """The cells of one fits.csv row, in FIT_COLUMNS order."""
+    p, err = result.params, result.uncertainties
+    return (label, p.f_r, err["f_r"], p.q_loaded, err["q_loaded"],
+            p.q_ext_mag, err["q_ext_mag"], p.mismatch_phi,
+            err["mismatch_phi"], result.q_internal, err["q_internal"],
+            p.env_gain, p.env_phase, p.cable_delay, result.residual_rms,
+            photons, result.converged)
 
 
 def _write_sweeps(args, rows) -> None:

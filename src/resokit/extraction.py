@@ -9,7 +9,7 @@ one global complex least-squares pass.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class CircleFit:
     center: complex
     radius: float
     rms: float
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -62,10 +61,6 @@ class PhaseFit:
     f_r: float
     q_loaded: float
     theta0: float
-    f_r_err: float
-    q_loaded_err: float
-    theta0_err: float
-    converged: bool
     residual_norm: float
 
 
@@ -80,7 +75,7 @@ class EnvironmentParams:
 
 @dataclass
 class NotchFitResult:
-    """Extracted resonance parameters with first-order uncertainties.
+    """Refined resonance parameters with their uncertainties.
 
     q_internal always satisfies 1/q_internal = 1/q_loaded -
     cos(phi)/q_ext_mag exactly for the reported parameter values.
@@ -88,9 +83,9 @@ class NotchFitResult:
 
     params: NotchParams
     q_internal: float
-    uncertainties: dict[str, float] = field(default_factory=dict)
-    residual_rms: float = 0.0
-    converged: bool = True
+    uncertainties: dict[str, float]
+    residual_rms: float
+    converged: bool
 
 
 def _unwrap_from_mid(theta: np.ndarray) -> np.ndarray:
@@ -141,7 +136,7 @@ def fit_circle(points) -> CircleFit:
         raise DegenerateGeometryError("circle fit did not produce a finite circle")
     center = complex(xc, yc)
     rms = float(np.sqrt(np.mean((np.abs(z - center) - radius) ** 2)))
-    return CircleFit(center=center, radius=radius, rms=rms, n_points=z.size)
+    return CircleFit(center=center, radius=radius, rms=rms)
 
 
 def _circle_rms(zc) -> float:
@@ -327,16 +322,15 @@ def fit_phase(trace: Trace, center: complex) -> PhaseFit:
     res = fitting.nonlinear_ls(problem)
     if not res.converged:
         raise FitInstabilityError("phase fit did not converge")
-    err = res.stderr
     return PhaseFit(f_r=float(res.params[0]), q_loaded=float(res.params[1]),
-                    theta0=float(res.params[2]), f_r_err=float(err[0]),
-                    q_loaded_err=float(err[1]), theta0_err=float(err[2]),
-                    converged=res.converged, residual_norm=res.residual_norm)
+                    theta0=float(res.params[2]),
+                    residual_norm=res.residual_norm)
 
 
 def extract_qfactors(circle: CircleFit, phase: PhaseFit,
-                     env: EnvironmentParams) -> NotchFitResult:
-    """Coupling quantities from canonical-frame circle geometry.
+                     env: EnvironmentParams) -> NotchParams:
+    """Seed parameters for the global refinement from canonical-frame
+    circle geometry.
 
     |Q_e| = Q_l / (2 r) with r the normalized circle radius, phi from
     the center position relative to the off-resonant point, and
@@ -355,48 +349,22 @@ def extract_qfactors(circle: CircleFit, phase: PhaseFit,
             f"mismatch angle {phi:.4g} rad is outside |phi| < pi/2")
     q_l = phase.q_loaded
     q_e = q_l / (2.0 * radius_n)
-    inv_qin = 1.0 / q_l - math.cos(phi) / q_e
-    if inv_qin <= 0:
+    if 1.0 / q_l - math.cos(phi) / q_e <= 0:
         raise NonphysicalQinError(
             "coupling loss cos(phi)/|Q_e| is not below the loaded loss 1/Q_l")
-    q_in = 1.0 / inv_qin
-
-    params = NotchParams(f_r=phase.f_r, q_loaded=q_l, q_ext_mag=q_e,
-                         mismatch_phi=phi, env_gain=env.gain,
-                         env_phase=env.phase, cable_delay=env.delay)
-
-    # First-order seeds; a global refinement replaces these with
-    # covariance-propagated values.
-    sigma_r = circle.rms / math.sqrt(circle.n_points)
-    sigma_qe = q_e * math.hypot(phase.q_loaded_err / q_l, sigma_r / radius_n)
-    sigma_phi = sigma_r / radius_n
-    grad = np.array([q_in ** 2 / q_l ** 2,
-                     -q_in ** 2 * math.cos(phi) / q_e ** 2,
-                     -q_in ** 2 * math.sin(phi) / q_e])
-    var = (grad[0] * phase.q_loaded_err) ** 2 + (grad[1] * sigma_qe) ** 2 \
-        + (grad[2] * sigma_phi) ** 2
-    uncertainties = {
-        "f_r": phase.f_r_err,
-        "q_loaded": phase.q_loaded_err,
-        "q_ext_mag": sigma_qe,
-        "mismatch_phi": sigma_phi,
-        "q_internal": math.sqrt(var),
-    }
-    return NotchFitResult(params=params, q_internal=q_in,
-                          uncertainties=uncertainties,
-                          residual_rms=circle.rms / env.gain,
-                          converged=phase.converged)
+    return NotchParams(f_r=phase.f_r, q_loaded=q_l, q_ext_mag=q_e,
+                       mismatch_phi=phi, env_gain=env.gain,
+                       env_phase=env.phase, cable_delay=env.delay)
 
 
 def _wrap_angle(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _refine_notch(trace: Trace, seed: NotchFitResult) -> NotchFitResult:
+def _refine_notch(trace: Trace, p0: NotchParams) -> NotchFitResult:
     freqs, z = trace.freqs_hz, trace.s21
     span = freqs[-1] - freqs[0]
     f_mid = float(freqs[freqs.size // 2])
-    p0 = seed.params
 
     # The environment phase is referenced to the band center inside the
     # fit: alpha_c = alpha - 2 pi f_mid tau. Otherwise alpha and tau are
@@ -476,15 +444,15 @@ def _refine_notch(trace: Trace, seed: NotchFitResult) -> NotchFitResult:
                           converged=res.converged)
 
 
-def fit_notch(trace: Trace, refine: bool = True,
-              mc_draws: int = 0, mc_seed: int = 0) -> NotchFitResult:
+def fit_notch(trace: Trace, mc_draws: int = 0,
+              mc_seed: int = 0) -> NotchFitResult:
     """Full notch extraction pipeline on a raw trace.
 
-    Composes delay estimation, environment normalization, circle fit,
-    phase fit and Q-factor extraction, then one global nonlinear
-    refinement of all seven model parameters against the complex data.
-    Non-convergence is reported, never silent: degenerate inputs raise
-    and the converged flag reflects the final optimizer state.
+    Delay estimation, environment normalization, circle fit, phase fit
+    and Q-factor extraction give a seed; one global nonlinear refinement
+    of all seven model parameters against the complex data gives the
+    result. Non-convergence is reported, never silent: degenerate inputs
+    raise and the converged flag reflects the final optimizer state.
 
     Uncertainties are first-order from the refinement covariance by
     default; mc_draws > 0 switches to a parametric bootstrap (refit of
@@ -495,19 +463,13 @@ def fit_notch(trace: Trace, refine: bool = True,
             f"notch fit needs at least {MIN_TRACE_POINTS} points")
     tau = estimate_delay(trace)
     z1 = trace.s21 * np.exp(1j * TWO_PI * trace.freqs_hz * tau)
-    corrected = Trace(freqs_hz=trace.freqs_hz, s21=z1,
-                      applied_power_w=trace.applied_power_w,
-                      metadata=dict(trace.metadata))
     circle = fit_circle(z1)
-    phase = fit_phase(corrected, circle.center)
+    phase = fit_phase(Trace(freqs_hz=trace.freqs_hz, s21=z1), circle.center)
     beta = phase.theta0 + math.pi
     offres = circle.center + circle.radius * np.exp(1j * beta)
     env = EnvironmentParams(gain=float(np.abs(offres)),
                             phase=float(np.angle(offres)), delay=tau)
-    seed = extract_qfactors(circle, phase, env)
-    if not refine:
-        return seed
-    result = _refine_notch(trace, seed)
+    result = _refine_notch(trace, extract_qfactors(circle, phase, env))
     if mc_draws > 0:
         _bootstrap_uncertainties(trace, result, mc_draws, mc_seed)
     return result
@@ -528,7 +490,7 @@ def _bootstrap_uncertainties(trace: Trace, result: NotchFitResult,
         resampled = Trace(freqs_hz=trace.freqs_hz,
                           s21=model + sigma * (quad[:, 0] + 1j * quad[:, 1]))
         try:
-            draw = fit_notch(resampled, refine=True)
+            draw = fit_notch(resampled)
         except ExtractionError:
             continue
         samples["f_r"].append(draw.params.f_r)
@@ -592,7 +554,7 @@ def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
     y = 1.0 / freqs ** 2 / (TWO_PI ** 2 * l_eff)
     design = np.column_stack([areas, np.ones_like(areas)])
     try:
-        init = fitting.linear_wls(areas, y, design=design)
+        init = fitting.linear_wls(design, y)
     except RankDeficiencyError as exc:
         raise DegenerateDataError("area-frequency system is singular") from exc
     c0_ff = max(init.params[0], 1e-6 * FF) / FF
@@ -656,7 +618,7 @@ def fit_capacitance_vs_area(rows, sigma=None) -> CapAreaFitResult:
         design[:, 1 + j] = [1.0 if g == lab else 0.0 for g in groups]
 
     sig_ff = None if sigma is None else np.asarray(sigma, dtype=float) / FF
-    res = fitting.linear_wls(areas, caps / FF, sigma=sig_ff, design=design)
+    res = fitting.linear_wls(design, caps / FF, sigma=sig_ff)
     if sigma is None:
         dof = len(rows) - (1 + len(labels))
         scale = (res.residual_norm ** 2 / dof) if dof > 0 else 0.0

@@ -119,25 +119,15 @@ def numeric_jacobian(model, params, scale=1.0) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _design_matrix(x, design) -> np.ndarray:
-    if isinstance(design, np.ndarray) and design.ndim == 2:
-        return design.astype(float)
-    x = np.asarray(x, dtype=float)
-    return np.column_stack([np.asarray(b(x), dtype=float) for b in design])
-
-
-def linear_wls(x, y, sigma=None, design=None) -> FitResult:
+def linear_wls(design, y, sigma=None) -> FitResult:
     """Weighted linear least squares in closed form.
 
-    design is either a sequence of basis callables evaluated on x or a
-    ready (n, p) design matrix. sigma, when given, are per-point
-    standard deviations; the covariance is then (X^T W X)^-1 with
-    W = diag(1/sigma^2).
+    design is the (n, p) design matrix, one column per parameter. sigma,
+    when given, are per-point standard deviations; the covariance is
+    then (X^T W X)^-1 with W = diag(1/sigma^2).
     """
-    if design is None:
-        raise ValueError("design basis is required")
     y = np.asarray(y, dtype=float)
-    X = _design_matrix(x, design)
+    X = np.asarray(design, dtype=float)
     n, p = X.shape
     if n < p:
         raise RankDeficiencyError(f"{n} points cannot determine {p} parameters")

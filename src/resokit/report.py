@@ -9,18 +9,19 @@ frequency proximity.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .config import PhysicsOverrides, config_hash
+from .errors import ConfigError
 from .extraction import AreaFitResult
 from .fitting import Tolerances
 from .notch import Trace
 from .svgplot import Series, line_plot_svg
 from .tls import PowerSweep, TlsFitParams, tls_tan_delta
-from .traceio import _read_table, atomic_write_text, float_row
+from .traceio import _read_table, atomic_write_text, float_row, write_table
 
 __all__ = ["ReportRow", "SessionDelta", "ReportBundle", "compare_sessions",
            "emit_report", "read_report_rows", "write_report_rows",
@@ -36,7 +37,7 @@ DELTA_COLUMNS = ("label", "delta_freq_hz", "delta_q_in_high_power",
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One resonator in the fixed eight-column results table."""
+    """One resonator; the fields are the results-table columns, in order."""
 
     label: str
     freq_hz: float
@@ -50,7 +51,7 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class SessionDelta:
-    """Differences between two sessions for one matched label."""
+    """Session differences for one label, fields in comparison.csv order."""
 
     label: str
     delta_freq_hz: float
@@ -65,7 +66,7 @@ class ReportBundle:
 
     traces pairs each trace with a unique name, such as its input-file
     stem, that names its plot; the plot title is the trace's label
-    (metadata "label", else that name).
+    (metadata "label", else that name). Sweep names must be unique too.
     """
 
     rows: list[ReportRow] = field(default_factory=list)
@@ -95,12 +96,8 @@ def compare_sessions(rows_a, rows_b) -> list[SessionDelta]:
 
 
 def write_report_rows(rows, path: str) -> None:
-    lines = [f"# schema = {RESONATOR_SCHEMA}", ",".join(RESONATOR_COLUMNS)]
-    for row in rows:
-        lines.append(",".join([row.label] + [repr(float(v)) for v in (
-            row.freq_hz, row.area_um2, row.capacitance_f, row.q_ext_mag,
-            row.q_in_high_power, row.q_in_single_photon, row.tan_delta)]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, RESONATOR_COLUMNS, map(astuple, rows),
+                [("schema", RESONATOR_SCHEMA)])
 
 
 def read_report_rows(path: str) -> list[ReportRow]:
@@ -152,8 +149,23 @@ def emit_report(bundle: ReportBundle, out_dir: str,
     Returns the list of written paths. Output is deterministic for
     fixed inputs: stable ordering, no timestamps, atomic writes. The
     manifest's config_hash covers the physics and the default fit
-    tolerances, the only ones the fitters run with.
+    tolerances, the only ones the fitters run with. Plot names must be
+    distinct: a repeated one raises ConfigError before anything is
+    created.
     """
+    plots = [(f"trace_{name}.svg", _trace_plot,
+              (trace.metadata.get("label") or name, trace))
+             for name, trace in bundle.traces]
+    plots += [(f"qin_vs_photons_{name}.svg", _sweep_plot,
+               (name, sweep, params)) for name, sweep, params in bundle.sweeps]
+    if bundle.area_fit is not None:
+        plots.append(("freq_vs_area.svg", _area_plot, bundle.area_fit))
+    names = [name for name, _, _ in plots]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"repeated plot names: {', '.join(repeated)}; "
+                          "give each trace and sweep file a distinct name")
+
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -162,28 +174,13 @@ def emit_report(bundle: ReportBundle, out_dir: str,
     written.append(table_path)
 
     if bundle.deltas:
-        lines = [",".join(DELTA_COLUMNS)]
-        for d in bundle.deltas:
-            lines.append(",".join([d.label] + [repr(float(v)) for v in (
-                d.delta_freq_hz, d.delta_q_in_high_power,
-                d.delta_q_in_single_photon, d.delta_tan_delta)]))
         delta_path = os.path.join(out_dir, "comparison.csv")
-        atomic_write_text(delta_path, "\n".join(lines) + "\n")
+        write_table(delta_path, DELTA_COLUMNS, map(astuple, bundle.deltas))
         written.append(delta_path)
 
-    for name, trace in bundle.traces:
-        path = os.path.join(out_dir, f"trace_{name}.svg")
-        title = trace.metadata.get("label") or name
-        atomic_write_text(path, _trace_plot(title, trace))
-        written.append(path)
-    for name, sweep, params in bundle.sweeps:
-        path = os.path.join(out_dir, f"qin_vs_photons_{name}.svg")
-        atomic_write_text(path, _sweep_plot(name, sweep, params))
-        written.append(path)
-    if bundle.area_fit is not None:
-        points, fit, inductance = bundle.area_fit
-        path = os.path.join(out_dir, "freq_vs_area.svg")
-        atomic_write_text(path, _area_plot(points, fit, inductance))
+    for name, plot, args in plots:
+        path = os.path.join(out_dir, name)
+        atomic_write_text(path, plot(*args))
         written.append(path)
 
     manifest = {

@@ -1,9 +1,10 @@
 """File ingestion and emission for traces, power sweeps and datasets.
 
-CSV is the canonical interchange format; Touchstone v1 two-port files
-are read-only. Writers are atomic (write-temp-then-rename) and emit
-floats through repr so that re-ingesting any artifact reproduces the
-in-memory object bit-exactly.
+CSV is the canonical interchange format, read by _read_table and written
+by write_table: atomic (write-temp-then-rename), floats through repr so
+that re-ingesting any artifact reproduces the in-memory object
+bit-exactly, and no cell the reader could not give back. Touchstone v1
+two-port files are read-only, and only their S21 column is read.
 """
 
 import os
@@ -19,7 +20,8 @@ from .tls import PowerSweep
 
 __all__ = ["parse_trace_csv", "write_trace_csv", "parse_touchstone",
            "read_power_sweep", "write_power_sweep", "read_area_rows",
-           "write_design", "read_design", "atomic_write_text"]
+           "write_design", "read_design", "atomic_write_text",
+           "write_table"]
 
 TRACE_COLUMNS_RI = ("freq_hz", "re", "im")
 TRACE_COLUMNS_DB = ("freq_hz", "mag_db", "phase_rad")
@@ -77,6 +79,40 @@ def _read_table(path: str, what: str, headers):
     if header is None:
         raise SchemaError(f"{path}: {what} file has no header")
     return header, directives, rows
+
+
+def _text(path: str, value, cell: bool = True) -> str:
+    """One cell, or directive value, as write_table writes it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value)
+    if not isinstance(value, str):
+        return repr(float(value))
+    if (value != value.strip() or "\n" in value or "\r" in value
+            or cell and ("," in value or value.startswith("#"))):
+        what = "cell" if cell else "directive value"
+        raise SchemaError(f"{path}: cannot write {what} {value!r}: the "
+                          "table reader would not read it back")
+    return value
+
+
+def write_table(path: str, header, rows, directives=()) -> None:
+    """Write a CSV table that _read_table reads back cell for cell.
+
+    directives are (key, value) pairs written as `# key = value` lines
+    above the header. A str is written as is, None as an empty cell, a
+    bool as True or False, anything else as the repr of its float. A str
+    that would not read back raises SchemaError and nothing is written:
+    a row cell that holds a comma or a line break, has blanks around it
+    or starts with `#`, or a directive value that holds a line break or
+    has blanks around it. Commas stay allowed in directive values.
+    """
+    lines = [f"# {key} = {_text(path, value, cell=False)}"
+             for key, value in directives]
+    lines.append(",".join(header))
+    lines += [",".join(_text(path, value) for value in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def float_row(cells, path: str, lineno: int, start: int = 0,
@@ -149,31 +185,25 @@ def parse_trace_csv(path: str) -> Trace:
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Write a trace as freq_hz,re,im CSV with metadata comments."""
-    lines = []
-    if trace.applied_power_w is not None:
-        lines.append(f"# power_w = {trace.applied_power_w!r}")
-    for key in sorted(trace.metadata):
-        lines.append(f"# meta.{key} = {trace.metadata[key]}")
-    lines.append(",".join(TRACE_COLUMNS_RI))
-    for f, z in zip(trace.freqs_hz, trace.s21):
-        lines.append(f"{float(f)!r},{float(z.real)!r},{float(z.imag)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    directives = [] if trace.applied_power_w is None \
+        else [("power_w", trace.applied_power_w)]
+    directives += [(f"meta.{key}", trace.metadata[key])
+                   for key in sorted(trace.metadata)]
+    rows = zip(trace.freqs_hz.tolist(), trace.s21.real.tolist(),
+               trace.s21.imag.tolist())
+    write_table(path, TRACE_COLUMNS_RI, rows, directives)
 
 
 _TS_UNIT = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
-# Touchstone v1 two-port column order.
-_TS_PORT_OFFSET = {(1, 1): 1, (2, 1): 3, (1, 2): 5, (2, 2): 7}
 
 
-def parse_touchstone(path: str, ports: tuple[int, int] = (2, 1)) -> Trace:
-    """Read one S-parameter of a Touchstone v1 two-port file as a Trace.
+def parse_touchstone(path: str) -> Trace:
+    """Read S21 of a Touchstone v1 two-port file as a Trace.
 
     Supports the RI, MA and DB formats of the option line; only
     S-parameter files are accepted. Angles are in degrees per the
     Touchstone convention.
     """
-    if ports not in _TS_PORT_OFFSET:
-        raise UnsupportedFormatError(f"unsupported port pair {ports}")
     option = None
     data_rows = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -213,8 +243,7 @@ def parse_touchstone(path: str, ports: tuple[int, int] = (2, 1)) -> Trace:
     data = np.array(values)
     freqs = data[:, 0] * _TS_UNIT[unit]
     _check_increasing(freqs)
-    offset = _TS_PORT_OFFSET[ports]
-    a, b = data[:, offset], data[:, offset + 1]
+    a, b = data[:, 3], data[:, 4]
     return Trace(freqs_hz=freqs,
                  s21=_samples(fmt, a, b if fmt == "ri" else np.radians(b)))
 
@@ -232,12 +261,9 @@ def read_power_sweep(path: str) -> PowerSweep:
 
 
 def write_power_sweep(sweep: PowerSweep, path: str) -> None:
-    lines = [f"# resonator_freq_hz = {sweep.resonator_freq!r}",
-             f"# temperature_k = {sweep.temperature!r}",
-             ",".join(SWEEP_COLUMNS)]
-    for n, q, s in sweep.points:
-        lines.append(f"{n!r},{q!r},{s!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, SWEEP_COLUMNS, sweep.points,
+                [("resonator_freq_hz", sweep.resonator_freq),
+                 ("temperature_k", sweep.temperature)])
 
 
 _DESIGN_KEYS = ("inductance-geometric-h", "cap-area-um2", "cap-per-area-f-um2",

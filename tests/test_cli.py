@@ -186,6 +186,20 @@ class TestSimulateFit:
         assert [row.split(",")[0] for row in rows[1:]] == ["sim", "sim"]
 
 
+    def test_label_with_comma_refused_in_fits_table(self, capsys, tmp_path):
+        # Directive values may hold commas, fits.csv cells may not.
+        code, out, _ = run(capsys, "simulate", "--label", "a,b",
+                           "--out", str(tmp_path))
+        assert code == 0
+        out_dir = tmp_path / "fit"
+        code, out, err = run(capsys, "fit", out.strip(), "--out", str(out_dir))
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "'a,b'" in lines[0]
+        assert not (out_dir / "fits.csv").exists()
+
+
 class TestSweepCommand:
     def test_fit_from_file(self, capsys, tmp_path):
         from resokit.tls import PowerSweep, solve_endpoint_params, tls_tan_delta
@@ -271,6 +285,24 @@ class TestReportCommand:
         assert plots == ["trace_r01_p0.svg", "trace_r01_p1.svg"]
         for name in plots:
             assert "|S21| r01" in (tmp_path / "rep" / name).read_text()
+
+    @pytest.mark.parametrize("flag,kind", [("--traces", "trace"),
+                                           ("--sweeps", "sweep")])
+    def test_repeated_file_stems_refused(self, capsys, tmp_path, flag, kind):
+        # a/x.csv and b/x.csv would both be plotted as one file name.
+        paths = write_inputs(tmp_path)
+        copy = tmp_path / "b" / os.path.basename(paths[kind])
+        copy.parent.mkdir()
+        copy.write_bytes(open(paths[kind], "rb").read())
+        out_dir = tmp_path / "rep"
+        code, out, err = run(capsys, "report", "--input", paths["table"],
+                             flag, paths[kind], str(copy),
+                             "--out", str(out_dir))
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: repeated plot names")
+        assert not out_dir.exists()
 
 
 class TestErrors:

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -13,7 +14,7 @@ from resokit.constants import FF, NH, TWO_PI
 from resokit.errors import (DegenerateGeometryError, DomainError,
                             FitInstabilityError, InsufficientDataError,
                             NonphysicalMismatchError, NonphysicalQinError,
-                            RankDeficiencyError)
+                            RankDeficiencyError, ResokitError)
 from resokit.refdata import INDUCTANCE_GEOMETRIC, REFERENCE_RESONATORS
 
 
@@ -23,6 +24,32 @@ def notch_trace(noise=0.0, seed=0, span=10.0, points=1001, **overrides):
     p = rk.NotchParams(**base)
     return p, rk.synthesize_trace(p, rk.linewidth_grid(p, span, points),
                                   noise_sigma=noise, seed=seed)
+
+
+@st.composite
+def wide_range_traces(draw):
+    """Notch traces over the wide-range probe's span: Q_in 1e2-3e6,
+    |Q_e| 3e2-3e5, |phi| < 1.4, 8-3000 points over 0.1-100 linewidths
+    with the window off centre by up to half its width, and noise from
+    1e-5 to 0.5 of the gain."""
+    def log_uniform(lo, hi):
+        return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+
+    q_in, q_e = log_uniform(1e2, 3e6), log_uniform(3e2, 3e5)
+    phi = draw(st.floats(-1.4, 1.4))
+    gain = draw(st.floats(0.5, 2.0))
+    p = rk.NotchParams(f_r=draw(st.floats(5e9, 8e9)), q_ext_mag=q_e,
+                       q_loaded=1.0 / (1.0 / q_in + math.cos(phi) / q_e),
+                       mismatch_phi=phi, env_gain=gain,
+                       env_phase=draw(st.floats(-math.pi, math.pi)),
+                       cable_delay=draw(st.floats(0.0, 60e-9)))
+    half = log_uniform(0.1, 100.0) * p.f_r / p.q_loaded / 2.0
+    grid = np.linspace(p.f_r - half, p.f_r + half, draw(st.integers(8, 3000)))
+    grid += 2.0 * draw(st.floats(-0.5, 0.5)) * half
+    assume(grid[0] > 0.0)
+    noise = gain * log_uniform(1e-5, 0.5)
+    return rk.synthesize_trace(p, grid, noise_sigma=noise,
+                               seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
 class TestFitCircle:
@@ -262,26 +289,24 @@ class TestExtractQFactors:
     def canonical(self, q_l=3000.0, q_e=9000.0, phi=0.0):
         radius = q_l / (2 * q_e)
         center = 1.0 - radius * np.exp(1j * phi)
-        circle = ex.CircleFit(center=center, radius=radius, rms=0.0,
-                              n_points=100)
+        circle = ex.CircleFit(center=center, radius=radius, rms=0.0)
         phase = ex.PhaseFit(f_r=7.3e9, q_loaded=q_l, theta0=phi + math.pi,
-                            f_r_err=0.0, q_loaded_err=0.0, theta0_err=0.0,
-                            converged=True, residual_norm=0.0)
+                            residual_norm=0.0)
         env = ex.EnvironmentParams(gain=1.0, phase=0.0, delay=0.0)
         return circle, phase, env
 
     def test_table_row1_qin(self):
-        result = ex.extract_qfactors(*self.canonical())
-        assert result.q_internal == pytest.approx(4500.0, rel=1e-12)
-        assert result.params.q_ext_mag == pytest.approx(9000.0, rel=1e-12)
+        params = ex.extract_qfactors(*self.canonical())
+        assert params.q_internal == pytest.approx(4500.0, rel=1e-12)
+        assert params.q_ext_mag == pytest.approx(9000.0, rel=1e-12)
 
     def test_decoupled_limit(self):
-        result = ex.extract_qfactors(*self.canonical(q_e=9e8))
-        assert result.q_internal == pytest.approx(3000.0, rel=1e-4)
+        params = ex.extract_qfactors(*self.canonical(q_e=9e8))
+        assert params.q_internal == pytest.approx(3000.0, rel=1e-4)
 
     def test_mismatch_angle_recovered(self):
-        result = ex.extract_qfactors(*self.canonical(phi=0.27))
-        assert result.params.mismatch_phi == pytest.approx(0.27, abs=1e-12)
+        params = ex.extract_qfactors(*self.canonical(phi=0.27))
+        assert params.mismatch_phi == pytest.approx(0.27, abs=1e-12)
 
     def test_nonphysical_flagged(self):
         circle, phase, env = self.canonical(q_l=3000.0, q_e=2000.0)
@@ -292,8 +317,7 @@ class TestExtractQFactors:
         # A normalised center beyond the off-resonant point 1 puts phi
         # outside (-pi/2, pi/2): a failed fit, not an input error.
         _, phase, env = self.canonical()
-        circle = ex.CircleFit(center=1.2 + 0.1j, radius=0.5, rms=0.0,
-                              n_points=100)
+        circle = ex.CircleFit(center=1.2 + 0.1j, radius=0.5, rms=0.0)
         with pytest.raises(NonphysicalMismatchError):
             ex.extract_qfactors(circle, phase, env)
 
@@ -407,6 +431,18 @@ class TestFitNotch:
         assert abs(res.q_internal / q_in - 1.0) < 0.05
         assert abs(res.params.q_loaded / q_l - 1.0) < 0.05
         assert abs(res.params.q_ext_mag / q_e - 1.0) < 0.05
+
+    @given(trace=wide_range_traces())
+    @settings(max_examples=40, deadline=None)
+    def test_wide_range_raises_only_resokit_errors(self, trace):
+        # A fit ends in a result or a ResokitError: never a foreign
+        # exception, and never a RuntimeWarning (raised here as an error).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rk.fit_notch(trace)
+            except ResokitError:
+                pass
 
     def test_pure_baseline_rejected(self):
         rng = np.random.default_rng(8)

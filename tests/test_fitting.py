@@ -9,19 +9,23 @@ from resokit.circuit import ResonatorDesign, resonance_frequency
 from resokit.constants import TWO_PI
 from resokit.errors import ModelEvaluationError, RankDeficiencyError
 
-LINE = [lambda x: np.ones_like(x), lambda x: x]
+
+def line(x):
+    """Design matrix of an intercept and a slope."""
+    x = np.asarray(x, dtype=float)
+    return np.column_stack([np.ones_like(x), x])
 
 
 class TestLinearWls:
     def test_exact_line(self):
         x = np.arange(10.0)
-        res = fitting.linear_wls(x, 2.0 * x + 1.0, design=LINE)
+        res = fitting.linear_wls(line(x), 2.0 * x + 1.0)
         assert abs(res.params[1] - 2.0) < 1e-12
         assert abs(res.params[0] - 1.0) < 1e-12
         assert res.converged
 
     def test_two_points_suffice(self):
-        res = fitting.linear_wls([0.0, 1.0], [1.0, 3.0], design=LINE)
+        res = fitting.linear_wls(line([0.0, 1.0]), [1.0, 3.0])
         assert np.allclose(res.params, [1.0, 2.0], atol=1e-12)
 
     def test_stderr_matches_monte_carlo(self):
@@ -34,7 +38,7 @@ class TestLinearWls:
         slopes = []
         for _ in range(500):
             y = 2.0 * x + 1.0 + sigma * rng.standard_normal(n)
-            res = fitting.linear_wls(x, y, sigma=np.full(n, sigma), design=LINE)
+            res = fitting.linear_wls(line(x), y, sigma=np.full(n, sigma))
             slopes.append(res.params[1])
         reported = res.stderr[1]
         empirical = np.std(slopes)
@@ -45,26 +49,26 @@ class TestLinearWls:
         errs = []
         for n in (50, 200):
             x = np.linspace(0.0, 1.0, n)
-            res = fitting.linear_wls(x, 2.0 * x, sigma=np.full(n, sigma),
-                                     design=LINE)
+            res = fitting.linear_wls(line(x), 2.0 * x,
+                                     sigma=np.full(n, sigma))
             errs.append(res.stderr[1])
         assert abs(errs[0] / errs[1] - 2.0) < 0.2
 
     def test_duplicate_x_rank_deficient(self):
         x = np.full(6, 3.0)
         with pytest.raises(RankDeficiencyError):
-            fitting.linear_wls(x, 2.0 * x, design=LINE)
+            fitting.linear_wls(line(x), 2.0 * x)
 
     def test_fewer_points_than_params(self):
         with pytest.raises(RankDeficiencyError):
-            fitting.linear_wls([1.0], [2.0], design=LINE)
+            fitting.linear_wls(line([1.0]), [2.0])
 
 
 class TestNonlinearLs:
     def test_linear_problem_matches_wls(self):
         x = np.arange(10.0)
         y = 2.0 * x + 1.0
-        wls = fitting.linear_wls(x, y, design=LINE)
+        wls = fitting.linear_wls(line(x), y)
 
         problem = fitting.FitProblem(
             residual=lambda p: (p[0] + p[1] * x) - y,

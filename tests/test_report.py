@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 import resokit as rk
 from resokit import report
 from resokit.config import PhysicsOverrides, config_hash
+from resokit.errors import ConfigError, SchemaError
 from resokit.fitting import Tolerances
 from resokit.refdata import REFERENCE_RESONATORS, shared_cap_per_area
 from resokit.report import (ReportBundle, ReportRow, compare_sessions,
@@ -46,6 +48,14 @@ class TestResonatorTable:
         write_report_rows(reference_rows(), str(path))
         back = read_report_rows(str(path))
         assert back == reference_rows()
+
+    @pytest.mark.parametrize("label", ["a,b", " r1"])
+    def test_label_that_would_not_read_back_refused(self, tmp_path, label):
+        # A comma would add a column; blanks would be stripped.
+        rows = [dataclasses.replace(reference_rows()[0], label=label)]
+        with pytest.raises(SchemaError):
+            write_report_rows(rows, str(tmp_path / "resonators.csv"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestComparison:
@@ -133,6 +143,15 @@ class TestPlots:
                 text = (tmp_path / name).read_text()
                 assert text.startswith("<?xml")
                 assert "<svg" in text and "</svg>" in text
+
+    @pytest.mark.parametrize("kind", ["traces", "sweeps"])
+    def test_repeated_plot_name_refused(self, tmp_path, kind):
+        bundle = self.bundle()
+        plots = getattr(bundle, kind)
+        plots.append(plots[0])
+        with pytest.raises(ConfigError, match="repeated plot names"):
+            emit_report(bundle, str(tmp_path / "rep"))
+        assert not (tmp_path / "rep").exists()
 
     def test_emission_is_deterministic(self, tmp_path):
         emit_report(self.bundle(), str(tmp_path / "one"))

@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resokit as rk
 from resokit import traceio
@@ -76,6 +80,59 @@ class TestTraceCsv:
             traceio.parse_trace_csv(str(path))
 
 
+TABLE_HEADER = ("label", "x", "y")
+
+
+class TestWriteTable:
+    @given(label=st.text(), note=st.text(),
+           values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=2, max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_cells_read_back_or_write_refused(self, label, note, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            try:
+                traceio.write_table(path, TABLE_HEADER, [(label, *values)],
+                                    [("note", note)])
+            except SchemaError:
+                assert os.listdir(tmp) == []
+                return
+            _, directives, rows = traceio._read_table(path, "test",
+                                                      (TABLE_HEADER,))
+        assert directives == {"note": note}
+        assert [cells for _, cells in rows] == [[label, *map(repr, values)]]
+        assert traceio.float_row(rows[0][1], path, 0, start=1) == tuple(values)
+
+    @pytest.mark.parametrize("label", ["a,b", " r1", "r1 ", "#r1", "r\n1",
+                                       "r\r1"])
+    def test_unreadable_cell_refused(self, tmp_path, label):
+        path = tmp_path / "t.csv"
+        with pytest.raises(SchemaError, match="cannot write cell"):
+            traceio.write_table(str(path), TABLE_HEADER, [(label, 1.0, 2.0)])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["a\nb", " a", "a "])
+    def test_unreadable_directive_refused(self, tmp_path, value):
+        with pytest.raises(SchemaError, match="cannot write directive"):
+            traceio.write_table(str(tmp_path / "t.csv"), TABLE_HEADER, [],
+                                [("note", value)])
+
+    def test_cell_formats(self, tmp_path):
+        path = tmp_path / "t.csv"
+        traceio.write_table(str(path), ("a", "b", "c", "d", "e"),
+                            [("r1", None, True, np.float64(0.1), 3)],
+                            [("label", "a,b")])
+        assert path.read_text() == ("# label = a,b\na,b,c,d,e\n"
+                                    "r1,,True,0.1,3.0\n")
+
+    def test_numpy_power_reads_back(self, tmp_path):
+        trace = rk.Trace(np.linspace(7e9, 7.1e9, 4), np.ones(4),
+                         applied_power_w=np.float64(3e-15))
+        path = str(tmp_path / "trace.csv")
+        traceio.write_trace_csv(trace, path)
+        assert traceio.parse_trace_csv(path).applied_power_w == 3e-15
+
+
 TS_HEADER = "! test two-port file\n# HZ S RI R 50\n"
 
 
@@ -139,13 +196,11 @@ class TestTouchstone:
                           "7.3 0 0 0.5 0 0 0 0 0\n")
         assert traceio.parse_touchstone(path).freqs_hz[0] == 7.3e9
 
-    def test_port_selection(self, tmp_path):
+    def test_reads_s21_column(self, tmp_path):
+        # Two-port rows are f, S11, S21, S12, S22; only S21 is read.
         path = self.write(tmp_path, TS_HEADER +
                           "1e9 0.11 0 0.21 0 0.12 0 0.22 0\n")
-        assert traceio.parse_touchstone(path, ports=(1, 1)).s21[0] == 0.11
-        assert traceio.parse_touchstone(path, ports=(2, 1)).s21[0] == 0.21
-        assert traceio.parse_touchstone(path, ports=(1, 2)).s21[0] == 0.12
-        assert traceio.parse_touchstone(path, ports=(2, 2)).s21[0] == 0.22
+        assert traceio.parse_touchstone(path).s21[0] == 0.21
 
     def test_missing_option_line(self, tmp_path):
         path = self.write(tmp_path, "7.3e9 0 0 0.5 0 0 0 0 0\n")
