@@ -92,12 +92,24 @@ def _unwrap_from_mid(theta: np.ndarray) -> np.ndarray:
     """Unwrap phase outward from the trace midpoint.
 
     Resonance-centered traces keep the winding unambiguous this way
-    even when the ends sit near the branch cut.
+    even when the ends sit near the branch cut. The steps are walked
+    outward, forward above the midpoint and backward below it, and each
+    step of pi or more is corrected as np.unwrap corrects it.
     """
     mid = theta.size // 2
-    out = np.empty_like(theta)
-    out[mid:] = np.unwrap(theta[mid:])
-    out[:mid + 1] = np.unwrap(theta[:mid + 1][::-1])[::-1]
+    step = np.diff(theta)
+    step[:mid] *= -1.0
+    jump = np.abs(step) >= math.pi
+    out = theta.copy()
+    if not jump.any():
+        return out
+    big = step[jump]
+    wrapped = np.mod(big + math.pi, TWO_PI) - math.pi
+    wrapped[(wrapped == -math.pi) & (big > 0)] = math.pi
+    fix = np.zeros_like(step)
+    fix[jump] = wrapped - big
+    out[mid + 1:] += np.cumsum(fix[mid:])
+    out[:mid] += np.cumsum(fix[:mid][::-1])[::-1]
     return out
 
 
@@ -145,10 +157,6 @@ def _circle_rms(zc) -> float:
     except DegenerateGeometryError:
         # A coincident blob is maximally circular for delay purposes.
         return 0.0
-
-
-def _circle_rms_after_delay(freqs, z, tau) -> float:
-    return _circle_rms(z * np.exp(1j * TWO_PI * freqs * tau))
 
 
 def _phase_slope_delay(freqs, z) -> float:
@@ -201,7 +209,8 @@ def estimate_delay(trace: Trace) -> float:
     three moment sums per point; a finer grid of 2 DELAY_ZOOM + 1 points
     across the best point's bracket; then the vertex of the parabola
     through the finer grid's best point and its two neighbours. That is
-    one circle fit per trace, for the resonance-free check. The global
+    one circle fit per trace, for the resonance-free check, and one
+    complex exp per grid pair, of the finer grid's step. The global
     refinement in fit_notch fits the delay itself, so this only has to
     land in its basin. When the circle residual carries no delay
     information (resonance-free or already-corrected data) the
@@ -211,26 +220,18 @@ def estimate_delay(trace: Trace) -> float:
         raise InsufficientDataError(
             f"delay estimation needs at least {MIN_TRACE_POINTS} points")
     freqs, z = trace.freqs_hz, trace.s21
-    span = freqs[-1] - freqs[0]
     tau0 = _phase_slope_delay(freqs, z)
+    phasor = np.exp(1j * TWO_PI * freqs * tau0)
 
     # Already-circular data (resonance-free, or delay fully absorbed by
     # the phase slope): the residual carries no delay information and
     # the grid search would wander, so trust the slope estimate.
-    base = _circle_rms_after_delay(freqs, z, tau0)
+    base = _circle_rms(z * phasor)
     scale = float(np.mean(np.abs(z)))
     if base <= 1e-9 * scale:
         return tau0
 
-    window = 2.0 / span
-    abs2 = (z * z.conj()).real
-    sums = (abs2 * z, abs2.sum(), abs2 @ abs2)
-    taus = np.linspace(tau0 - window, tau0 + window, DELAY_GRID_POINTS)
-    best = int(np.argmin(_grid_criterion(freqs, z, taus, *sums)))
-    step = taus[1] - taus[0]
-    taus = np.linspace(taus[best] - step, taus[best] + step,
-                       2 * DELAY_ZOOM + 1)
-    crit = _grid_criterion(freqs, z, taus, *sums)
+    _, (taus, crit) = _delay_grids(freqs, z, tau0, phasor)
     best = int(np.argmin(crit))
     if 0 < best < taus.size - 1:
         # Python floats: an inf neighbour (a coincident locus) gives a
@@ -245,25 +246,66 @@ def estimate_delay(trace: Trace) -> float:
     return float(taus[best])
 
 
-def _grid_criterion(freqs, z, taus, z3, p2, p4) -> np.ndarray:
-    """_taubin_criterion of z e^(2 pi i f tau) at evenly spaced taus,
-    with z3 = |z|^2 z, p2 = sum |z|^2 and p4 = sum |z|^4."""
+def _delay_grids(freqs, z, tau0, phasor):
+    """(taus, criterion) of the DELAY_GRID_POINTS grid over +-2/span
+    around tau0, then of the 2 DELAY_ZOOM + 1 grid across the first
+    grid's best point's bracket; phasor is e^(2 pi i f tau0).
+
+    Every grid phasor comes from phasor and one exp, the rotation by
+    the zoom step: its DELAY_ZOOM-th power steps the first grid, which
+    starts DELAY_GRID_POINTS // 2 steps below tau0, and the zoom grid
+    starts one step below the first grid's best point.
+    """
+    span = freqs[-1] - freqs[0]
+    window = 2.0 / span
+    taus = np.linspace(tau0 - window, tau0 + window, DELAY_GRID_POINTS)
+    step = taus[1] - taus[0]
+    zoom_rotate = np.exp(1j * TWO_PI * freqs * (step / DELAY_ZOOM))
+    rotate = _rotated(zoom_rotate, zoom_rotate, DELAY_ZOOM - 1)
+    start = _rotated(phasor, rotate, -(DELAY_GRID_POINTS // 2))
+    abs2 = (z * z.conj()).real
+    sums = (np.stack([z, abs2 * z]), abs2.sum(), abs2 @ abs2)
+    crit = _grid_criterion(z, start.copy(), rotate, taus.size, *sums)
+    best = int(np.argmin(crit))
+    zoom_taus = np.linspace(taus[best] - step, taus[best] + step,
+                            2 * DELAY_ZOOM + 1)
+    zoom_crit = _grid_criterion(z, _rotated(start, rotate, best - 1),
+                                zoom_rotate, zoom_taus.size, *sums)
+    return (taus, crit), (zoom_taus, zoom_crit)
+
+
+def _rotated(phasor, rotate, power):
+    """phasor * rotate**power for unit phasors, by repeated squaring; a
+    negative power rotates by the conjugate."""
+    out = phasor.copy()
+    if power < 0:
+        rotate, power = rotate.conj(), -power
+    while power:
+        if power & 1:
+            out *= rotate
+        power >>= 1
+        if power:
+            rotate = rotate * rotate
+    return out
+
+
+def _grid_criterion(z, phasor, rotate, points, stacked, p2, p4) -> np.ndarray:
+    """_taubin_criterion of z * phasor * rotate**k for k < points, with
+    stacked = [z, |z|^2 z], p2 = sum |z|^2 and p4 = sum |z|^4; phasor is
+    rotated in place."""
     # Each grid point's phasor is the previous one rotated by one grid
-    # step, so the grid costs one complex multiply per point instead of
-    # an exp, plus the three moment sums.
-    rotate = np.exp(1j * TWO_PI * freqs * (taus[1] - taus[0]))
-    phasor = np.exp(1j * TWO_PI * freqs * taus[0])
+    # step, so a point costs one complex multiply instead of an exp, one
+    # product with the stacked rows for s1 and s3, and s2.
     w = np.empty_like(z)
-    s1 = np.empty(taus.size, dtype=complex)
-    s2 = np.empty_like(s1)
-    s3 = np.empty_like(s1)
-    for k in range(taus.size):
+    s13 = np.empty((points, 2), dtype=complex)
+    s2 = np.empty(points, dtype=complex)
+    for k in range(points):
+        if k:
+            phasor *= rotate
+        s13[k] = stacked @ phasor
         np.multiply(z, phasor, out=w)
-        s1[k] = w.sum()
         s2[k] = w @ w
-        s3[k] = z3 @ phasor
-        phasor *= rotate
-    return _taubin_criterion(z.size, p2, p4, s1, s2, s3)
+    return _taubin_criterion(z.size, p2, p4, s13[:, 0], s2, s13[:, 1])
 
 
 def fit_phase(trace: Trace, center: complex) -> PhaseFit:
@@ -371,27 +413,36 @@ def _refine_notch(trace: Trace, p0: NotchParams) -> NotchFitResult:
     # nearly degenerate and a small delay-seed error puts the optimum
     # many radians of alpha away. The solver differentiates the point
     # whose residual it evaluated last, so one cached entry lets the
-    # residual and the Jacobian share that point's model terms.
+    # residual and the Jacobian share that point's model terms and its
+    # unit-gain model rotor (1 - dip).
     cached = [None, None]
 
     def terms(p):
         key = p.tobytes()
         if key != cached[0]:
-            cached[:] = key, _model_terms(freqs, p[0], p[1], p[2], p[3],
-                                          p[5] + TWO_PI * f_mid * p[6], p[6])
+            rotor, detune, dip = _model_terms(
+                freqs, p[0], p[1], p[2], p[3], p[5] + TWO_PI * f_mid * p[6],
+                p[6])
+            shape = np.subtract(1.0, dip)
+            shape *= rotor
+            cached[:] = key, ((rotor, detune, dip), shape)
         return cached[1]
 
     # Residual and Jacobian rows interleave the real and imaginary parts
     # (views of the complex arrays, no copies).
     def resid(p):
-        rotor, _, dip = terms(p)
-        return (p[4] * rotor * (1.0 - dip) - z).view(float)
+        _, shape = terms(p)
+        out = shape * p[4]
+        out -= z
+        return out.view(float)
 
     # Chain rule through env_phase = alpha_c + 2 pi f_mid tau: the tau
-    # row picks up 2 pi f_mid times the phase row.
+    # row's lever arm is 2 pi (f_mid - f) instead of -2 pi f.
+    delay_lever = TWO_PI * (f_mid - freqs)
+
     def jac(p):
-        rows = _jacobian_rows(freqs, p[0], p[1], p[2], p[4], terms(p))
-        rows[6] += TWO_PI * f_mid * rows[5]
+        rows = _jacobian_rows(freqs, p[0], p[1], p[2], p[4], *terms(p),
+                              delay_lever)
         return rows.view(float).T
 
     alpha_c = _wrap_angle(p0.env_phase - TWO_PI * f_mid * p0.cable_delay)

@@ -153,12 +153,15 @@ def linear_wls(design, y, sigma=None) -> FitResult:
                      residual_trace=(norm,))
 
 
-def _project(p, bounds):
-    if bounds is None:
-        return p
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    return np.clip(p, lo, hi)
+def _normal_matrix(J) -> np.ndarray:
+    """J^T J as a general product with a copy of J.
+
+    numpy hands J.T @ J to BLAS syrk because both operands share one
+    buffer. For tall Jacobians such as the notch refinement's (8002, 7)
+    OpenBLAS 0.3.31's syrk took 126 us on a 2-core Xeon, gemm on a copy
+    54 us with the copy; the two agree to rounding.
+    """
+    return J.T @ np.array(J, order="K")
 
 
 def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResult:
@@ -174,8 +177,15 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
     The Jacobian is problem.jacobian when set, scaled like the residual
     by sqrt(weights), and numeric_jacobian otherwise.
     """
-    p = np.asarray(problem.initial_params, dtype=float).copy()
-    p = _project(p, problem.bounds)
+    if problem.bounds is None:
+        lo, hi = -math.inf, math.inf
+    else:
+        lo = np.array([b[0] for b in problem.bounds], dtype=float)
+        hi = np.array([b[1] for b in problem.bounds], dtype=float)
+    p = np.clip(np.asarray(problem.initial_params, dtype=float), lo, hi)
+    typical = np.maximum(
+        np.broadcast_to(np.asarray(problem.step_scale, dtype=float), p.shape),
+        1e-300)
     if problem.weights is None:
         sw = None
     else:
@@ -218,23 +228,25 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
             converged = True
             status = "stationary_point"
             break
-        normal = J.T @ J
+        normal = _normal_matrix(J)
         diag = np.diag(normal).copy()
         # Flat directions (zero diagonal) have zero gradient; give them
         # a positive damping entry only so the solve stays nonsingular.
         flat = diag <= 0.0
         if np.any(flat):
             diag[flat] = max(float(diag.max(initial=0.0)), 1.0)
+        normal_diag = np.diag(normal)
+        damped = normal.copy()
 
         accepted = False
         at_optimum = False
         best_ratio = math.inf
         while lam <= DAMPING_MAX:
+            damped.flat[::p.size + 1] = normal_diag + lam * diag
             try:
-                step = np.linalg.solve(normal + lam * np.diag(diag), -g)
+                step = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(normal + lam * np.diag(diag), -g,
-                                       rcond=None)[0]
+                step = np.linalg.lstsq(damped, -g, rcond=None)[0]
             # Even a model-perfect step would not reduce the cost
             # measurably: the current point is the minimum to within
             # arithmetic noise. Only meaningful while damping is
@@ -244,7 +256,7 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
                     and predicted <= tol.residual_rtol * norm * norm:
                 at_optimum = True
                 break
-            p_trial = _project(p + step, problem.bounds)
+            p_trial = np.clip(p + step, lo, hi)
             moved = p_trial - p
             try:
                 r_trial = eval_resid(p_trial)
@@ -274,10 +286,8 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
         # the largest-magnitude parameter mask motion in the others.
         # Parameters hovering at zero are referenced to their typical
         # scale (the Jacobian step_scale) instead.
-        typical = np.broadcast_to(np.asarray(problem.step_scale, dtype=float),
-                                  p.shape)
         scale_ref = np.maximum(np.maximum(np.abs(p), np.abs(p_trial)),
-                               np.maximum(typical, 1e-300))
+                               typical)
         step_rel = float(np.max(np.abs(moved) / scale_ref))
         res_rel = (norm - norm_trial) / max(norm, 1e-300)
         p, r, norm = p_trial, r_trial, norm_trial
@@ -306,7 +316,7 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
     # A stop at the point the loop last differentiated reuses its Jacobian.
     if J is None:
         J = eval_jac(p)
-    normal = J.T @ J
+    normal = _normal_matrix(J)
     n_pts, n_par = J.shape
     try:
         cov = np.linalg.inv(normal)

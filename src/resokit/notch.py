@@ -126,24 +126,36 @@ def s21_jacobian(f, f_r, q_loaded, q_ext_mag, mismatch_phi=0.0, env_gain=1.0,
     f = np.atleast_1d(np.asarray(f, dtype=float))
     terms = _model_terms(f, f_r, q_loaded, q_ext_mag, mismatch_phi,
                          env_phase, cable_delay)
-    return _jacobian_rows(f, f_r, q_loaded, q_ext_mag, env_gain, terms).T
+    rotor, _, dip = terms
+    return _jacobian_rows(f, f_r, q_loaded, q_ext_mag, env_gain, terms,
+                          rotor * (1.0 - dip), (-TWO_PI) * f).T
 
 
-def _jacobian_rows(f, f_r, q_loaded, q_ext_mag, env_gain, terms) -> np.ndarray:
+def _jacobian_rows(f, f_r, q_loaded, q_ext_mag, env_gain, terms, shape,
+                   delay_lever) -> np.ndarray:
     """s21_jacobian's columns as the rows of a contiguous (7, N) array,
-    from the _model_terms of the same point."""
+    from the _model_terms of the same point and its unit-gain model
+    shape = rotor (1 - dip).
+
+    The delay row is i S delay_lever: delay_lever = -2 pi f for the
+    model's own delay, or a shifted lever when the caller references
+    the environment phase to another frequency. Every row is filled in
+    place; rows 1 and 3 hold env * dip / detune and env * dip until
+    their own turn.
+    """
     rotor, detune, dip = terms
-    env_dip = env_gain * rotor * dip
-    shape = rotor * (1.0 - dip)
-    s21 = env_gain * shape
     rows = np.empty((7, f.size), dtype=complex)
-    rows[0] = env_dip * (-2j * q_loaded / f_r ** 2) * f / detune
-    rows[1] = -env_dip / (q_loaded * detune)
-    rows[2] = env_dip / q_ext_mag
-    rows[3] = -1j * env_dip
+    env_dip = np.multiply(rotor, dip, out=rows[3])
+    env_dip *= env_gain
+    dip_rate = np.divide(env_dip, detune, out=rows[1])
+    np.multiply(dip_rate, f, out=rows[0])
+    rows[0] *= -2j * q_loaded / f_r ** 2
+    dip_rate *= -1.0 / q_loaded
+    np.multiply(env_dip, 1.0 / q_ext_mag, out=rows[2])
+    env_dip *= -1j
     rows[4] = shape
-    rows[5] = 1j * s21
-    rows[6] = (-1j * TWO_PI) * f * s21
+    np.multiply(shape, 1j * env_gain, out=rows[5])
+    np.multiply(rows[5], delay_lever, out=rows[6])
     return rows
 
 

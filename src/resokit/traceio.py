@@ -90,11 +90,23 @@ def _text(path: str, value, cell: bool = True) -> str:
     if not isinstance(value, str):
         return repr(float(value))
     if (value != value.strip() or "\n" in value or "\r" in value
-            or cell and ("," in value or value.startswith("#"))):
+            or cell and ("," in value or value.startswith("#"))
+            or not _encodes_utf8(value)):
         what = "cell" if cell else "directive value"
         raise SchemaError(f"{path}: cannot write {what} {value!r}: the "
                           "table reader would not read it back")
     return value
+
+
+def _encodes_utf8(value: str) -> bool:
+    """False for a str the UTF-8 writer cannot encode, such as one that
+    holds a lone surrogate (a command-line argument that was not valid
+    UTF-8)."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def write_table(path: str, header, rows, directives=()) -> None:
@@ -105,8 +117,9 @@ def write_table(path: str, header, rows, directives=()) -> None:
     bool as True or False, anything else as the repr of its float. A str
     that would not read back raises SchemaError and nothing is written:
     a row cell that holds a comma or a line break, has blanks around it
-    or starts with `#`, or a directive value that holds a line break or
-    has blanks around it. Commas stay allowed in directive values.
+    or starts with `#`, a directive value that holds a line break or
+    has blanks around it, or any str that does not encode as UTF-8.
+    Commas stay allowed in directive values.
     """
     lines = [f"# {key} = {_text(path, value, cell=False)}"
              for key, value in directives]

@@ -45,6 +45,16 @@ def notch_s21_gradient(f, p):
     return np.vstack([jac.real, jac.imag])
 
 
+def unwrap_from_mid(theta):
+    """Phase unwrapped outward from the trace midpoint by np.unwrap, run
+    once on the upper half and once, reversed, on the lower half."""
+    mid = theta.size // 2
+    out = np.empty_like(theta)
+    out[mid:] = np.unwrap(theta[mid:])
+    out[:mid + 1] = np.unwrap(theta[:mid + 1][::-1])[::-1]
+    return out
+
+
 def freq_vs_area_gradient(areas, inductance, cap_per_area, cap_to_ground):
     """Gradient of f = 1/(2 pi sqrt(L (C_g + c S))) w.r.t. (c, C_g):
     df/dc = -f S / (2 (C_g + c S)), df/dC_g = -f / (2 (C_g + c S))."""

@@ -98,7 +98,7 @@ def test_05_circle_fit_round_trip():
     within 5 percent for at least 95 percent of seeds, under 1 s per
     trace."""
     rng = np.random.default_rng(12345)
-    passes = 0
+    misses = []
     slowest = 0.0
     for seed in range(200):
         params, q_in = draw_notch_params(rng)
@@ -108,6 +108,7 @@ def test_05_circle_fit_round_trip():
         try:
             res = rk.fit_notch(trace)
         except Exception:
+            misses.append(seed)
             continue
         slowest = max(slowest, time.perf_counter() - start)
         ok = (abs(res.params.f_r / params.f_r - 1.0) < 1e-6
@@ -115,8 +116,12 @@ def test_05_circle_fit_round_trip():
               and abs(res.params.q_loaded / params.q_loaded - 1.0) < 0.05
               and abs(res.params.q_ext_mag / params.q_ext_mag - 1.0) < 0.05
               and res.converged)
-        passes += ok
+        if not ok:
+            misses.append(seed)
+    passes = 200 - len(misses)
     assert passes >= 190
+    # A kernel change must not trade one of these misses for another.
+    assert set(misses) <= {12, 54, 147, 180, 193}
     assert slowest < 1.0
     report(5, f"{passes}/200 seeds within tolerance, slowest trace "
               f"{slowest * 1e3:.0f} ms")

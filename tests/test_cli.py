@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,9 +96,8 @@ class TestSimulateFit:
         code_a, out_a, _ = run(capsys, *args, "--out", str(tmp_path / "a"))
         code_b, out_b, _ = run(capsys, *args, "--out", str(tmp_path / "b"))
         assert code_a == code_b == 0
-        bytes_a = open(out_a.strip(), "rb").read()
-        bytes_b = open(out_b.strip(), "rb").read()
-        assert bytes_a == bytes_b
+        assert Path(out_a.strip()).read_bytes() == \
+            Path(out_b.strip()).read_bytes()
 
     def test_photon_number_emitted_with_power(self, capsys, tmp_path):
         out_dir = str(tmp_path / "run")
@@ -199,6 +201,21 @@ class TestSimulateFit:
         assert "'a,b'" in lines[0]
         assert not (out_dir / "fits.csv").exists()
 
+    def test_label_not_utf8_refused(self, tmp_path):
+        # A command-line byte that is not UTF-8 arrives as a lone
+        # surrogate, which the trace writer cannot encode. Run as a real
+        # process: its stderr escapes the surrogate, capsys would not.
+        src = os.path.dirname(os.path.dirname(rk.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "resokit.cli", "simulate", "--label",
+             b"\xff", "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            timeout=60)
+        assert proc.returncode == 1
+        lines = proc.stderr.decode().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepCommand:
     def test_fit_from_file(self, capsys, tmp_path):
@@ -293,7 +310,7 @@ class TestReportCommand:
         paths = write_inputs(tmp_path)
         copy = tmp_path / "b" / os.path.basename(paths[kind])
         copy.parent.mkdir()
-        copy.write_bytes(open(paths[kind], "rb").read())
+        copy.write_bytes(Path(paths[kind]).read_bytes())
         out_dir = tmp_path / "rep"
         code, out, err = run(capsys, "report", "--input", paths["table"],
                              flag, paths[kind], str(copy),

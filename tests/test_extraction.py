@@ -15,6 +15,7 @@ from resokit.errors import (DegenerateGeometryError, DomainError,
                             FitInstabilityError, InsufficientDataError,
                             NonphysicalMismatchError, NonphysicalQinError,
                             RankDeficiencyError, ResokitError)
+from resokit.notch import s21_jacobian, s21_model
 from resokit.refdata import INDUCTANCE_GEOMETRIC, REFERENCE_RESONATORS
 
 
@@ -206,6 +207,54 @@ class TestEstimateDelay:
         # The resonance-free check is the only circle fit.
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("noise,seed", [(0.0, 0), (0.003, 3), (0.3, 8)])
+    @pytest.mark.parametrize("points", [1001, 1000])
+    def test_unwrap_matches_np_unwrap(self, noise, seed, points):
+        # The raw phase winds with the delay, the phase about the circle
+        # centre through the resonance; heavy noise adds random jumps.
+        _, trace = notch_trace(noise=noise, seed=seed, span=40.0,
+                               points=points, cable_delay=60e-9)
+        f, z = trace.freqs_hz, trace.s21
+        z1 = z * np.exp(1j * TWO_PI * f * 60e-9)
+        center = ex.fit_circle(z1).center
+        for theta in (np.angle(z), np.angle(z1 - center)):
+            assert np.array_equal(ex._unwrap_from_mid(theta),
+                                  oracles.unwrap_from_mid(theta))
+
+    def test_unwrap_ties_match_np_unwrap(self):
+        # Steps of exactly +-pi on both sides of the midpoint.
+        theta = np.array([0.0, np.pi, 0.0, -np.pi, 0.0, 0.5, np.pi + 0.5,
+                          0.5, -np.pi + 0.5, 3.0])
+        assert np.array_equal(ex._unwrap_from_mid(theta),
+                              oracles.unwrap_from_mid(theta))
+
+    @pytest.mark.parametrize("noise", [0.003, 0.03])
+    @pytest.mark.parametrize("shift", [0.0, 2.05])
+    def test_grid_phasors_match_explicit_exp(self, noise, shift):
+        # The grids rotate two exps into every phasor; the criterion at
+        # all 31 + 9 points against phasors from one exp each. Centred
+        # 2.05/span above the true delay, the first grid's best point is
+        # its lower edge, so the zoom grid starts below the first grid.
+        # The tolerance is relative to each grid's largest value: near
+        # the minimum at low noise the criterion cancels, and there even
+        # the explicit exps differ from long-double phasors by 7e-10
+        # relative.
+        _, trace = notch_trace(noise=noise, seed=5, cable_delay=30e-9)
+        f, z = trace.freqs_hz, trace.s21
+        tau0 = 30e-9 + shift / (f[-1] - f[0])
+        grids = ex._delay_grids(f, z, tau0, np.exp(1j * TWO_PI * f * tau0))
+        assert [taus.size for taus, _ in grids] == \
+            [ex.DELAY_GRID_POINTS, 2 * ex.DELAY_ZOOM + 1]
+        assert np.argmin(grids[0][1]) == (0 if shift else 15)
+        abs2 = np.abs(z) ** 2
+        for taus, crit in grids:
+            w = z * np.exp(1j * TWO_PI * f * taus[:, None])
+            expected = ex._taubin_criterion(
+                z.size, abs2.sum(), (abs2 ** 2).sum(), w.sum(axis=1),
+                (w * w).sum(axis=1), (abs2 * w).sum(axis=1))
+            np.testing.assert_allclose(crit, expected, rtol=0.0,
+                                       atol=1e-10 * expected.max())
+
     def test_phase_slope_matches_polyfit(self):
         _, trace = notch_trace(noise=0.003, seed=2, cable_delay=30e-9)
         f, z = trace.freqs_hz, trace.s21
@@ -361,6 +410,46 @@ class TestFitNotch:
             rhs = 1.0 / res.params.q_loaded \
                 - math.cos(res.params.mismatch_phi) / res.params.q_ext_mag
             assert lhs == pytest.approx(rhs, rel=1e-14)
+
+    def test_refine_rows_match_s21_jacobian(self, monkeypatch):
+        # The refinement's residual and Jacobian, built from its cached
+        # model terms and shape, against s21_model and a fresh
+        # s21_jacobian with the chain rule through the band-centre phase
+        # alpha_c = alpha - 2 pi f_mid tau, off the optimum.
+        problems = []
+        real = ex.fitting.nonlinear_ls
+
+        def spy(problem, *args, **kwargs):
+            problems.append(problem)
+            return real(problem, *args, **kwargs)
+
+        monkeypatch.setattr(ex.fitting, "nonlinear_ls", spy)
+        _, trace = notch_trace(noise=0.003, seed=4, cable_delay=30e-9,
+                               mismatch_phi=0.2, env_gain=0.8, env_phase=1.0)
+        ex.fit_notch(trace)
+        problem = problems[-1]
+        f, z = trace.freqs_hz, trace.s21
+        f_mid = f[f.size // 2]
+
+        def interleaved(c):
+            out = np.empty((2 * c.shape[0],) + c.shape[1:])
+            out[0::2], out[1::2] = c.real, c.imag
+            return out
+
+        for k in (1, 2):
+            p = problem.initial_params * (1.0 + 1e-6 * k * np.arange(1, 8))
+            args = (f, *p[:5], p[5] + TWO_PI * f_mid * p[6], p[6])
+            j = s21_jacobian(*args)
+            j[:, 6] += TWO_PI * f_mid * j[:, 5]
+            # The solver differentiates where it last took the residual,
+            # which fills the cache; the second point skips that.
+            if k == 1:
+                assert np.allclose(problem.residual(p),
+                                   interleaved(s21_model(*args) - z),
+                                   rtol=0.0, atol=1e-14)
+            rows = problem.jacobian(p)
+            scale = np.max(np.abs(rows), axis=0)
+            assert np.max(np.abs(rows - interleaved(j)) / scale) < 1e-13
 
     def test_zero_delay_noiseless(self):
         # The refinement owns the delay: the grid seed is off by about

@@ -250,11 +250,33 @@ class TestNonlinearLs:
         assert np.array_equal(res.covariance, expected)
 
     def test_non_finite_jacobian_raises(self):
-        problem = fitting.FitProblem(
-            residual=lambda p: p - 1.0, initial_params=np.array([3.0]),
-            jacobian=lambda p: np.array([[np.nan]]))
-        with pytest.raises(ModelEvaluationError):
-            fitting.nonlinear_ls(problem)
+        for bad in (np.nan, np.inf, -np.inf):
+            problem = fitting.FitProblem(
+                residual=lambda p: p - 1.0, initial_params=np.array([3.0]),
+                jacobian=lambda p, bad=bad: np.array([[bad]]))
+            with pytest.raises(ModelEvaluationError):
+                fitting.nonlinear_ls(problem)
+
+    def test_non_finite_trial_residual_is_rejected(self):
+        # sqrt(p) - 2 is NaN for p < 0, where the undamped Gauss-Newton
+        # steps from p = 30 land. Those trials are rejected and damped
+        # until one lands inside; the run still ends at p = 4.
+        outside = []
+
+        def resid(p):
+            if p[0] < 0.0:
+                outside.append(p[0])
+                return np.array([np.nan])
+            return np.sqrt(p) - 2.0
+
+        res = fitting.nonlinear_ls(fitting.FitProblem(
+            residual=resid, initial_params=np.array([30.0]),
+            jacobian=lambda p: np.array([[0.5 / np.sqrt(p[0])]])))
+        assert len(outside) >= 1
+        assert res.converged
+        assert res.params[0] == pytest.approx(4.0, rel=1e-10)
+        assert all(math.isfinite(n) for n in res.residual_trace)
+        assert np.all(np.diff(res.residual_trace) <= 0.0)
 
     def test_residual_trace_monotone(self):
         rng = np.random.default_rng(6)

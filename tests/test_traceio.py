@@ -104,14 +104,14 @@ class TestWriteTable:
         assert traceio.float_row(rows[0][1], path, 0, start=1) == tuple(values)
 
     @pytest.mark.parametrize("label", ["a,b", " r1", "r1 ", "#r1", "r\n1",
-                                       "r\r1"])
+                                       "r\r1", "r\udcff1"])
     def test_unreadable_cell_refused(self, tmp_path, label):
         path = tmp_path / "t.csv"
         with pytest.raises(SchemaError, match="cannot write cell"):
             traceio.write_table(str(path), TABLE_HEADER, [(label, 1.0, 2.0)])
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", ["a\nb", " a", "a "])
+    @pytest.mark.parametrize("value", ["a\nb", " a", "a ", "a\udcffb"])
     def test_unreadable_directive_refused(self, tmp_path, value):
         with pytest.raises(SchemaError, match="cannot write directive"):
             traceio.write_table(str(tmp_path / "t.csv"), TABLE_HEADER, [],
