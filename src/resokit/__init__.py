@@ -19,8 +19,8 @@ from .extraction import (AreaFrequencyDataset, AreaFitResult, CapAreaFitResult,
                          estimate_delay, extract_qfactors,
                          fit_capacitance_vs_area, fit_circle,
                          fit_frequency_vs_area, fit_notch, fit_phase)
-from .fitting import (FitProblem, FitResult, Tolerances, linear_wls,
-                      nonlinear_ls, numeric_jacobian)
+from .fitting import (FitProblem, FitResult, linear_wls, nonlinear_ls,
+                      numeric_jacobian)
 from .notch import (NotchParams, Trace, linewidth_grid, photons_from_power,
                     q_internal_of, s21_at, s21_model, synthesize_trace)
 from .tls import (PowerSweep, PowerSweepFit, TlsFitParams, fit_power_sweep,

@@ -10,8 +10,8 @@ wins over the file.
 import hashlib
 from dataclasses import asdict, dataclass
 
+from . import fitting
 from .errors import ConfigError
-from .fitting import Tolerances
 
 __all__ = ["PhysicsOverrides", "load_config_file", "config_hash"]
 
@@ -54,14 +54,18 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def config_hash(physics: PhysicsOverrides, tolerances: Tolerances) -> str:
-    """Digest of everything that can change numeric results.
+def config_hash(physics: PhysicsOverrides) -> str:
+    """Digest of the physics overrides and six solver constants.
 
-    Depends on the physics overrides and fit tolerances only, so the
-    manifest hash moves exactly when one of them does.
+    The constants are read from resokit.fitting at call time and hashed
+    as tolerances.<lower-case name>. The digest does not cover all that
+    can change numeric results: STEP_FLOOR, STALL_STEPS and DAMPING_MAX
+    are not hashed.
     """
     fields: dict[str, object] = {}
     fields.update({f"physics.{k}": v for k, v in asdict(physics).items()})
-    fields.update({f"tolerances.{k}": v for k, v in asdict(tolerances).items()})
+    fields.update({f"tolerances.{name.lower()}": getattr(fitting, name)
+                   for name in ("STEP_RTOL", "RESIDUAL_RTOL", "MAX_ITERATIONS",
+                                "DAMPING_INIT", "DAMPING_UP", "DAMPING_DOWN")})
     canonical = "\n".join(f"{k} = {fields[k]!r}" for k in sorted(fields))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -7,7 +7,8 @@ unless the problem supplies an exact Jacobian, as the notch refinement
 and the phase-winding fit do; a run that stops at the point it last
 differentiated reuses that Jacobian for the covariance. It keeps a
 per-run trace of accepted residual norms so callers can assert monotone
-descent.
+descent. Its one stop rule, a model test and a count of negligible
+steps, is stated in nonlinear_ls; the constants below are its settings.
 """
 
 import math
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ModelEvaluationError, RankDeficiencyError
+from .errors import DomainError, ModelEvaluationError, RankDeficiencyError
 
 # Damping is applied Marquardt-style, scaled by the diagonal of the
 # normal matrix, which keeps steps invariant under positive rescaling
@@ -28,27 +29,13 @@ DAMPING_MAX = 1e15
 STEP_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-12
 MAX_ITERATIONS = 200
-# Accepted steps in a row with relative residual decrease below
-# residual_rtol that end a run as converged, whatever the damping.
+# Damping inflated by rejections shrinks steps by itself, so there a step
+# counts as negligible only below STEP_FLOOR, the arithmetic floor that
+# exact-Jacobian steps reach at the minimum, and it takes STALL_STEPS
+# negligible steps in a row to end a run.
 STALL_STEPS = 3
-# Relative parameter motion below which an accepted step is arithmetic
-# noise. An exact Jacobian lets the solver keep accepting such steps at
-# the minimum, where the residual norm no longer changes reliably;
-# STALL_STEPS of them in a row end a run as converged, at any damping.
 STEP_FLOOR = 1e-13
 JACOBIAN_STEP_REL = 1e-6
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Frozen numeric knobs of the nonlinear solver."""
-
-    step_rtol: float = STEP_RTOL
-    residual_rtol: float = RESIDUAL_RTOL
-    max_iterations: int = MAX_ITERATIONS
-    damping_init: float = DAMPING_INIT
-    damping_up: float = DAMPING_UP
-    damping_down: float = DAMPING_DOWN
 
 
 @dataclass
@@ -58,11 +45,14 @@ class FitProblem:
     residual maps a parameter vector to a residual vector (data minus
     model or any stacking thereof). weights, when given, are 1/sigma^2
     per residual entry. bounds are (lo, hi) pairs per parameter, np.inf
-    allowed; steps are projected back into the box. step_scale rescales
-    the numeric-Jacobian step per parameter for quantities whose natural
-    magnitude is far from 1 (for example delays in seconds). jacobian,
-    when given, maps a parameter vector to the exact (n, p) derivative of
-    the unweighted residual and replaces the numeric Jacobian.
+    allowed; steps are projected back into the box. step_scale is the
+    typical magnitude of each parameter, for quantities far from 1 (for
+    example delays in seconds). It has two roles: it rescales the
+    numeric-Jacobian step, and it is the reference scale of the
+    negligible-step test for parameters near zero (see nonlinear_ls).
+    Only the notch refinement sets it. jacobian, when given, maps a
+    parameter vector to the exact (n, p) derivative of the unweighted
+    residual and replaces the numeric Jacobian.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
@@ -136,7 +126,7 @@ def linear_wls(design, y, sigma=None) -> FitResult:
     else:
         sigma = np.asarray(sigma, dtype=float)
         if np.any(sigma <= 0):
-            raise ValueError("sigmas must be positive")
+            raise DomainError("sigmas must be positive")
         sw = 1.0 / sigma
     Xw = X * sw[:, None]
     yw = y * sw
@@ -164,16 +154,19 @@ def _normal_matrix(J) -> np.ndarray:
     return J.T @ np.array(J, order="K")
 
 
-def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResult:
+def nonlinear_ls(problem: FitProblem) -> FitResult:
     """Damped Gauss-Newton descent on a FitProblem.
 
-    Accepted steps never increase the residual norm. Terminates on
-    relative step < step_rtol or relative residual change <
-    residual_rtol while damping is relaxed; on STALL_STEPS accepted
-    steps in a row, at any damping, each with relative residual change
-    < residual_rtol; on STALL_STEPS accepted steps in a row, at any
-    damping, each moving no parameter by more than STEP_FLOOR relative;
-    on a stationary gradient; or at the iteration cap (converged=False).
+    Accepted steps never increase the residual norm. A run converges by
+    Moré's two tests (LNM 630, 1978): (a) at relaxed damping (lam <=
+    DAMPING_INIT) the damped step predicts a decrease of at most
+    RESIDUAL_RTOL * |r|^2, status "stationary_point" at iteration 0 and
+    "converged" after; (b) negligible accepted steps, which lower the
+    residual norm by less than RESIDUAL_RTOL relative or move no
+    parameter by more than STEP_RTOL relative (STEP_FLOOR at inflated
+    damping): one at relaxed damping, or STALL_STEPS in a row, ends the
+    run as "converged". It fails with "damping_overflow" when damping
+    passes DAMPING_MAX before a step is accepted, or "max_iterations".
     The Jacobian is problem.jacobian when set, scaled like the residual
     by sqrt(weights), and numeric_jacobian otherwise.
     """
@@ -190,8 +183,8 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
         sw = None
     else:
         w = np.asarray(problem.weights, dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all((w > 0) & np.isfinite(w)):
+            raise DomainError("weights must be positive and finite")
         sw = np.sqrt(w)
 
     def eval_resid(q):
@@ -213,21 +206,15 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
     r = eval_resid(p)
     norm = float(np.linalg.norm(r))
     trace = [norm]
-    lam = tol.damping_init
+    lam = DAMPING_INIT
     iterations = 0
-    stalled = 0
-    floored = 0
-    converged = False
+    negligible = 0
     status = "max_iterations"
     J = None
 
-    while iterations < tol.max_iterations:
+    while iterations < MAX_ITERATIONS:
         J = eval_jac(p)
         g = J.T @ r
-        if float(np.max(np.abs(g), initial=0.0)) < 1e-300:
-            converged = True
-            status = "stationary_point"
-            break
         normal = _normal_matrix(J)
         diag = np.diag(normal).copy()
         # Flat directions (zero diagonal) have zero gradient; give them
@@ -239,8 +226,6 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
         damped = normal.copy()
 
         accepted = False
-        at_optimum = False
-        best_ratio = math.inf
         while lam <= DAMPING_MAX:
             damped.flat[::p.size + 1] = normal_diag + lam * diag
             try:
@@ -249,39 +234,32 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
                 step = np.linalg.lstsq(damped, -g, rcond=None)[0]
             # Even a model-perfect step would not reduce the cost
             # measurably: the current point is the minimum to within
-            # arithmetic noise. Only meaningful while damping is
-            # relaxed; inflated lambda shrinks the prediction by itself.
-            predicted = float(-g @ step)
-            if lam <= tol.damping_init \
-                    and predicted <= tol.residual_rtol * norm * norm:
-                at_optimum = True
+            # arithmetic noise (a zero gradient included). Only
+            # meaningful while damping is relaxed; inflated lambda
+            # shrinks the prediction by itself.
+            relaxed = lam <= DAMPING_INIT
+            if relaxed and float(-g @ step) <= RESIDUAL_RTOL * norm * norm:
                 break
             p_trial = np.clip(p + step, lo, hi)
             moved = p_trial - p
             try:
                 r_trial = eval_resid(p_trial)
             except ModelEvaluationError:
-                lam *= tol.damping_up
+                lam *= DAMPING_UP
                 continue
             norm_trial = float(np.linalg.norm(r_trial))
             if norm_trial <= norm:
                 accepted = True
                 break
-            best_ratio = min(best_ratio, norm_trial / max(norm, 1e-300))
-            lam *= tol.damping_up
-        if at_optimum or (not accepted and best_ratio <= 1.0 + 1e-10):
-            # No descent found, but the nearest trials tie the current
-            # residual to arithmetic precision: already at the minimum.
-            converged = True
-            status = "converged" if iterations > 0 else "stationary_point"
-            break
-        if not accepted:
-            converged = False
+            lam *= DAMPING_UP
+        if lam > DAMPING_MAX:
             status = "damping_overflow"
             break
+        if not accepted:
+            status = "converged" if iterations > 0 else "stationary_point"
+            break
 
-        lam_used = lam
-        lam = max(lam / tol.damping_down, 1e-300)
+        lam = max(lam / DAMPING_DOWN, 1e-300)
         # Relative step per parameter: a global vector norm would let
         # the largest-magnitude parameter mask motion in the others.
         # Parameters hovering at zero are referenced to their typical
@@ -294,22 +272,11 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
         J = None
         trace.append(norm)
         iterations += 1
-        # Small steps only signal arrival when damping is relaxed; an
-        # inflated lambda after rejections shrinks steps on its own.
-        if lam_used <= tol.damping_init and \
-                (step_rel < tol.step_rtol or res_rel < tol.residual_rtol):
-            converged = True
-            status = "stationary_point" if iterations == 1 and res_rel <= 0.0 \
-                else "converged"
-            break
-        # Damping inflated by rejections can keep accepting steps that no
-        # longer lower the residual; a run of them means the minimum.
-        stalled = stalled + 1 if res_rel < tol.residual_rtol else 0
-        # Steps at the arithmetic floor can still tick the residual down
-        # by rounding noise, so they are counted apart from the above.
-        floored = floored + 1 if step_rel <= STEP_FLOOR else 0
-        if stalled >= STALL_STEPS or floored >= STALL_STEPS:
-            converged = True
+        # Inflated damping shrinks steps on its own: see STALL_STEPS.
+        small = res_rel < RESIDUAL_RTOL \
+            or step_rel <= (STEP_RTOL if relaxed else STEP_FLOOR)
+        negligible = negligible + 1 if small else 0
+        if negligible >= (1 if relaxed else STALL_STEPS):
             status = "converged"
             break
 
@@ -326,5 +293,6 @@ def nonlinear_ls(problem: FitProblem, tol: Tolerances = Tolerances()) -> FitResu
         dof = n_pts - n_par
         cov = cov * (norm ** 2 / dof if dof > 0 else 0.0)
     return FitResult(params=p, covariance=cov, residual_norm=norm,
-                     iterations=iterations, converged=converged, status=status,
+                     iterations=iterations, status=status,
+                     converged=status in ("converged", "stationary_point"),
                      residual_trace=tuple(trace))

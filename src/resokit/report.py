@@ -17,7 +17,6 @@ from . import __version__
 from .config import PhysicsOverrides, config_hash
 from .errors import ConfigError
 from .extraction import AreaFitResult
-from .fitting import Tolerances
 from .notch import Trace
 from .svgplot import Series, line_plot_svg
 from .tls import PowerSweep, TlsFitParams, tls_tan_delta
@@ -148,10 +147,10 @@ def emit_report(bundle: ReportBundle, out_dir: str,
 
     Returns the list of written paths. Output is deterministic for
     fixed inputs: stable ordering, no timestamps, atomic writes. The
-    manifest's config_hash covers the physics and the default fit
-    tolerances, the only ones the fitters run with. Plot names must be
-    distinct: a repeated one raises ConfigError before anything is
-    created.
+    manifest's config_hash covers the physics and six of the solver's
+    constants (see config.config_hash), not every setting that can
+    change numeric results. Plot names must be distinct: a repeated one
+    raises ConfigError before anything is created.
     """
     plots = [(f"trace_{name}.svg", _trace_plot,
               (trace.metadata.get("label") or name, trace))
@@ -187,7 +186,7 @@ def emit_report(bundle: ReportBundle, out_dir: str,
         "toolkit": "resokit",
         "version": __version__,
         "schema": RESONATOR_SCHEMA,
-        "config_hash": config_hash(physics, Tolerances()),
+        "config_hash": config_hash(physics),
         "inputs": sorted(inputs or []),
         "seed": seed,
         "artifacts": sorted(os.path.basename(p) for p in written),

@@ -164,7 +164,17 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
         raise InsufficientDataError("power-sweep fit needs at least 4 points")
     ns = np.array([p[0] for p in pts])
     tan_d = np.array([1.0 / p[1] for p in pts])
-    sigma_tan = np.array([p[2] / p[1] ** 2 for p in pts])
+    # A sigma far from its Q can over- or underflow the weight. The
+    # numpy scalar power overflows to inf here, where a float's raises.
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        sigma_tan = np.array([s / np.float64(q) ** 2 for _, q, s in pts])
+        weights = 1.0 / sigma_tan ** 2
+    usable = np.isfinite(weights) & (weights > 0.0)
+    if not np.all(usable):
+        n, q, s = pts[int(np.argmin(usable))]
+        raise DomainError(
+            f"power-sweep point at photon number {n:g} (q_internal {q:g}, "
+            f"sigma {s:g}) has no positive finite fit weight")
     th = thermal_factor(sweep.resonator_freq, sweep.temperature)
 
     warnings: list[str] = []
@@ -193,7 +203,7 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
         # saturation term stays evaluable at the bound.
         bounds=[(0.0, math.inf), (max(1e-3, 1e-6 * ns[0]), 1e6 * ns[-1]),
                 (lo_beta, hi_beta), (0.0, math.inf)],
-        weights=1.0 / sigma_tan ** 2,
+        weights=weights,
     )
     res = fitting.nonlinear_ls(problem)
     tls0, n_c, beta, other = res.params * np.array([scale, 1.0, 1.0, scale])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,6 @@ import pytest
 import resokit as rk
 from resokit import cli, traceio
 from resokit.config import PhysicsOverrides, config_hash
-from resokit.fitting import Tolerances
 from resokit.report import RESONATOR_COLUMNS, ReportRow, write_report_rows
 
 
@@ -238,6 +238,97 @@ class TestSweepCommand:
         tls0 = float(values["tan_delta_tls0"].split(" +- ")[0])
         assert abs(tls0 / gen.tan_delta_tls0 - 1.0) < 0.1
         assert os.path.exists(tmp_path / "rep" / "qin_vs_photons_sweep.svg")
+
+    @pytest.mark.parametrize("sigma", [1e300, 1e-200])
+    def test_extreme_sigma_is_input_error(self, capsys, tmp_path, sigma):
+        # sigma / q^2 squared overflows (1e300) or underflows to zero
+        # (1e-200): no usable fit weight, so the point is bad input.
+        ns = np.geomspace(0.1, 1e6, 8).tolist()
+        qs = np.geomspace(4e3, 4e4, 8).tolist()
+        rows = [f"{n!r},{q!r},{0.03 * q!r}" for n, q in zip(ns, qs)]
+        rows[3] = f"{ns[3]!r},{qs[3]!r},{sigma!r}"
+        path = tmp_path / "sweep.csv"
+        path.write_text("# resonator_freq_hz = 7.3e9\n# temperature_k = 0.01\n"
+                        "photon_number,q_internal,sigma\n"
+                        + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "sweep", "--input", str(path))
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"error: power-sweep point at photon number {ns[3]:g} ")
+        assert f"sigma {sigma:g}" in lines[0]
+
+
+class TestHostileTraceFiles:
+    """`resokit fit` on small hostile trace files: every run exits 0, 1
+    or 2 without a traceback, an input error is one `error:` line, and a
+    fit failure is one `fit failed` line that does not stop the batch."""
+
+    CASES = ("eight_points", "narrow_span", "band_edge", "high_q",
+             "heavy_noise")
+
+    @staticmethod
+    def write(tmp_path, case, seed=0) -> str:
+        p = rk.NotchParams(f_r=7.3e9, q_loaded=3000.0, q_ext_mag=9000.0,
+                           mismatch_phi=0.2, env_gain=0.8, env_phase=0.4,
+                           cable_delay=40e-9)
+        noise = 0.003
+        if case == "high_q":
+            p = dataclasses.replace(p, q_loaded=2e5, q_ext_mag=4e5)
+        if case == "eight_points":
+            grid = rk.linewidth_grid(p, 5.0, 8)
+        elif case == "narrow_span":
+            grid = rk.linewidth_grid(p, 0.05, 401)
+        elif case == "band_edge":
+            grid = np.linspace(p.f_r, p.f_r + 10.0 * p.f_r / p.q_loaded, 401)
+        else:
+            grid = rk.linewidth_grid(p, 5.0, 401)
+        if case == "heavy_noise":
+            noise = 0.5 * p.env_gain
+        path = str(tmp_path / f"{case}_{seed}.csv")
+        traceio.write_trace_csv(rk.synthesize_trace(
+            p, grid, noise_sigma=noise, seed=seed,
+            metadata={"label": case}), path)
+        return path
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_file(self, capsys, tmp_path, case, seed):
+        path = self.write(tmp_path, case, seed)
+        code, out, err = run(capsys, "fit", path)
+        lines = err.strip().splitlines()
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        elif code == 2 and lines:
+            assert len(lines) == 1
+            assert lines[0].startswith(f"{path}: fit failed: ")
+        elif code == 2:
+            assert "converged = False" in out
+        else:
+            assert code == 0 and not lines
+            assert "converged = True" in out
+
+    def test_fit_failures_keep_batch(self, tmp_path):
+        # A real process, so a traceback or a warning would show on its
+        # stderr. The eight-point trace fails as a fit in every run.
+        good = write_inputs(tmp_path)["trace"]
+        hostile = [self.write(tmp_path, case) for case in self.CASES]
+        src = os.path.dirname(os.path.dirname(rk.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "resokit.cli", "fit", good, *hostile,
+             good, "--out", str(tmp_path / "fit")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        failed = proc.stderr.strip().splitlines()
+        assert all(": fit failed: " in line for line in failed)
+        assert any(line.startswith(f"{hostile[0]}: ") for line in failed)
+        rows = (tmp_path / "fit" / "fits.csv").read_text().splitlines()[1:]
+        labels = [row.split(",")[0] for row in rows]
+        assert len(labels) + len(failed) == len(hostile) + 2
+        assert labels[0] == labels[-1] == "sim"
 
 
 class TestAreaFitCommand:
@@ -622,7 +713,7 @@ class TestConfigFile:
         configured = json.loads((tmp_path / "config" / "report.json")
                                 .read_text())
         plain = json.loads((tmp_path / "plain" / "report.json").read_text())
-        default_hash = config_hash(PhysicsOverrides(), Tolerances())
+        default_hash = config_hash(PhysicsOverrides())
         assert configured["seed"] == 9
         assert configured["config_hash"] != default_hash
         assert plain["seed"] is None

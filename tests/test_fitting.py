@@ -110,17 +110,47 @@ class TestNonlinearLs:
         with pytest.raises(ModelEvaluationError):
             fitting.nonlinear_ls(problem)
 
-    def test_iteration_cap_reported(self):
+    def test_iteration_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
         rng = np.random.default_rng(9)
         x = np.linspace(0.0, 2.0, 50)
         y = 3.0 * np.exp(-x / 0.7) + 0.01 * rng.standard_normal(50)
         problem = fitting.FitProblem(
             residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
             initial_params=np.array([0.1, 5.0]))
-        res = fitting.nonlinear_ls(problem,
-                                   fitting.Tolerances(max_iterations=1))
+        res = fitting.nonlinear_ls(problem)
         assert not res.converged
         assert res.status == "max_iterations"
+
+    def test_small_relaxed_step_stops(self):
+        # A steep residual started 1e-11 from its minimum: the first step
+        # lowers the residual norm by about 5e-5 relative but moves p by
+        # less than STEP_RTOL, which ends a run at relaxed damping.
+        res = fitting.nonlinear_ls(fitting.FitProblem(
+            residual=lambda p: np.array([1e6 * (p[0] - 1.0), 1e-3]),
+            initial_params=np.array([1.0 + 1e-11]),
+            jacobian=lambda p: np.array([[1e6], [0.0]])))
+        assert res.status == "converged"
+        assert res.iterations == 1
+        assert res.residual_trace[1] < res.residual_trace[0] * (1 - 1e-5)
+
+    def test_damping_overflow_reported(self):
+        # The residual is finite only at its start point, so every trial
+        # step is rejected and the damping grows past DAMPING_MAX.
+        start = np.array([2.0, -1.0])
+
+        def resid(p):
+            if not np.array_equal(p, start):
+                return np.full(2, np.nan)
+            return p - np.array([5.0, 3.0])
+
+        res = fitting.nonlinear_ls(fitting.FitProblem(
+            residual=resid, initial_params=start,
+            jacobian=lambda p: np.eye(2)))
+        assert res.status == "damping_overflow"
+        assert not res.converged
+        assert res.iterations == 0
+        assert np.array_equal(res.params, start)
 
     def test_no_progress_stops_at_any_damping(self):
         # A residual known only to single precision: at the minimum the

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import resokit as rk
-from resokit import report
+from resokit import fitting, report
 from resokit.config import PhysicsOverrides, config_hash
 from resokit.errors import ConfigError, SchemaError
-from resokit.fitting import Tolerances
 from resokit.refdata import REFERENCE_RESONATORS, shared_cap_per_area
 from resokit.report import (ReportBundle, ReportRow, compare_sessions,
                             emit_report, read_report_rows, write_report_rows)
@@ -83,23 +82,23 @@ class TestComparison:
 
 
 class TestManifest:
-    def test_hash_tracks_physics_only(self):
-        base = config_hash(PhysicsOverrides(), Tolerances())
-        same = config_hash(PhysicsOverrides(), Tolerances())
+    def test_hash_tracks_physics_only(self, monkeypatch):
+        base = config_hash(PhysicsOverrides())
+        same = config_hash(PhysicsOverrides())
         assert base == same
-        kinetic = config_hash(PhysicsOverrides(kinetic_fraction=0.06),
-                              Tolerances())
+        kinetic = config_hash(PhysicsOverrides(kinetic_fraction=0.06))
         assert kinetic != base
-        gap = config_hash(PhysicsOverrides(gap_ev=200e-6), Tolerances())
+        gap = config_hash(PhysicsOverrides(gap_ev=200e-6))
         assert gap != base
-        tol = config_hash(PhysicsOverrides(), Tolerances(max_iterations=77))
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 77)
+        tol = config_hash(PhysicsOverrides())
         assert tol != base
 
     def test_default_hash_pinned(self, tmp_path):
-        # The manifest hashes the default tolerances, the only ones the
-        # fitters run with; this digest must not move.
+        # The manifest hashes the physics and the solver's constants;
+        # this digest must not move.
         pinned = "0c245446e006d49fbe2d043937215ca79266679d6c32f3f042fd14177dc46d31"
-        assert config_hash(PhysicsOverrides(), Tolerances()) == pinned
+        assert config_hash(PhysicsOverrides()) == pinned
         emit_report(ReportBundle(), str(tmp_path))
         manifest = json.loads((tmp_path / "report.json").read_text())
         assert manifest["config_hash"] == pinned
