@@ -26,7 +26,8 @@ __all__ = [
     "CircleFit", "PhaseFit", "EnvironmentParams", "NotchFitResult",
     "AreaFrequencyDataset", "AreaFitResult", "CapAreaFitResult",
     "estimate_delay", "fit_circle", "fit_phase", "extract_qfactors",
-    "fit_notch", "fit_frequency_vs_area", "fit_capacitance_vs_area",
+    "fit_notch", "frequency_area_jacobian", "fit_frequency_vs_area",
+    "fit_capacitance_vs_area",
 ]
 
 MIN_TRACE_POINTS = 8
@@ -590,6 +591,18 @@ class AreaFitResult:
     residual_norm: float      # Hz
 
 
+def frequency_area_jacobian(areas, inductance: float, cap_per_area: float,
+                            cap_to_ground: float) -> np.ndarray:
+    """(len(areas), 2) partial of f = 1/(2 pi sqrt(L C)), C = C_g + c S,
+    with respect to (c, C_g): -f S / (2 C) and -f / (2 C).
+
+    SI units: areas in um^2, c in F/um^2, C_g in F.
+    """
+    c_total = cap_to_ground + cap_per_area * areas
+    half_f_per_c = -0.5 / (TWO_PI * np.sqrt(inductance * c_total) * c_total)
+    return np.column_stack([half_f_per_c * areas, half_f_per_c])
+
+
 def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
     """Least-squares fit of f = 1/(2 pi sqrt(L (C_g + c S))).
 
@@ -615,10 +628,15 @@ def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
         c_total = (p[1] + p[0] * areas) * FF
         return 1.0 / (TWO_PI * np.sqrt(l_eff * c_total)) - freqs
 
+    def jac(p):
+        return frequency_area_jacobian(areas, l_eff, p[0] * FF,
+                                       p[1] * FF) * FF
+
     problem = fitting.FitProblem(
         residual=resid,
         initial_params=np.array([c0_ff, cg0_ff]),
         bounds=[(1e-9, math.inf), (1e-9, math.inf)],
+        jacobian=jac,
     )
     res = fitting.nonlinear_ls(problem)
     cov = res.covariance * FF ** 2

@@ -2,13 +2,14 @@
 Gauss-Newton solver.
 
 All model-specific fitters in the toolkit sit on these three entry
-points. The solver differentiates the residual by central differences
-unless the problem supplies an exact Jacobian, as the notch refinement
-and the phase-winding fit do; a run that stops at the point it last
-differentiated reuses that Jacobian for the covariance. It keeps a
-per-run trace of accepted residual norms so callers can assert monotone
-descent. Its one stop rule, a model test and a count of negligible
-steps, is stated in nonlinear_ls; the constants below are its settings.
+points. Every fitter that calls the solver (the notch refinement, the
+phase-winding fit, the power-sweep fit and the area fit) supplies an
+exact Jacobian; central differences serve only a FitProblem without
+one. A run that stops at the point it last differentiated reuses that
+Jacobian for the covariance. It keeps a per-run trace of accepted
+residual norms so callers can assert monotone descent. Its one stop
+rule, a model test and a count of negligible steps, is stated in
+nonlinear_ls; the constants below are its settings.
 """
 
 import math
@@ -69,7 +70,9 @@ class FitResult:
 
     covariance follows the sigma convention of the input: with explicit
     weights (1/sigma^2) it is (J^T W J)^-1; unweighted it is scaled by
-    the reduced chi-square so standard errors stay meaningful.
+    the reduced chi-square so standard errors stay meaningful. A
+    parameter pinned by its bounds (lo == hi) has a zero row and column
+    and counts as no degree of freedom.
     """
 
     params: np.ndarray
@@ -154,6 +157,13 @@ def _normal_matrix(J) -> np.ndarray:
     return J.T @ np.array(J, order="K")
 
 
+def _inverse(normal) -> np.ndarray:
+    try:
+        return np.linalg.inv(normal)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(normal)
+
+
 def nonlinear_ls(problem: FitProblem) -> FitResult:
     """Damped Gauss-Newton descent on a FitProblem.
 
@@ -168,7 +178,9 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     run as "converged". It fails with "damping_overflow" when damping
     passes DAMPING_MAX before a step is accepted, or "max_iterations".
     The Jacobian is problem.jacobian when set, scaled like the residual
-    by sqrt(weights), and numeric_jacobian otherwise.
+    by sqrt(weights), and numeric_jacobian otherwise. Only the final
+    covariance leaves pinned parameters (lo == hi) out; the iterations
+    still carry their columns.
     """
     if problem.bounds is None:
         lo, hi = -math.inf, math.inf
@@ -283,12 +295,17 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     # A stop at the point the loop last differentiated reuses its Jacobian.
     if J is None:
         J = eval_jac(p)
-    normal = _normal_matrix(J)
     n_pts, n_par = J.shape
-    try:
-        cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(normal)
+    # A pinned parameter (lo == hi) was never fitted: it gets a zero row
+    # and column, and the others the inverse of their own block, the
+    # covariance conditional on the pinned value.
+    free = np.broadcast_to(lo != hi, p.shape)
+    if free.all():
+        cov = _inverse(_normal_matrix(J))
+    else:
+        cov = np.zeros((n_par, n_par))
+        cov[np.ix_(free, free)] = _inverse(_normal_matrix(J[:, free]))
+        n_par = int(free.sum())
     if sw is None:
         dof = n_pts - n_par
         cov = cov * (norm ** 2 / dof if dof > 0 else 0.0)

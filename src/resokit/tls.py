@@ -24,7 +24,7 @@ from .errors import DomainError, InsufficientDataError
 
 __all__ = ["TlsFitParams", "PowerSweep", "PowerSweepFit",
            "tan_delta_from_q", "thermal_factor", "tls_tan_delta",
-           "fit_power_sweep", "solve_endpoint_params"]
+           "tan_delta_jacobian", "fit_power_sweep", "solve_endpoint_params"]
 
 DEFAULT_BETA = 0.5
 
@@ -126,6 +126,24 @@ def tls_tan_delta(n, p: TlsFitParams, f: float, temperature: float):
     return out if out.ndim else float(out)
 
 
+def tan_delta_jacobian(n, thermal: float, tls0: float, n_critical: float,
+                       beta: float) -> np.ndarray:
+    """(len(n), 4) partial of the loss tangent with respect to
+    (tan_delta_tls0, n_critical, beta, tan_delta_other).
+
+    With x = n/n_c and s = (1 + x)^-beta: th s, tls0 th beta s x /
+    ((1 + x) n_c), -tls0 th s log1p(x) and 1.
+    """
+    x = n / n_critical
+    out = np.empty((x.size, 4))
+    out[:, 0] = thermal * (1.0 + x) ** -beta
+    weighted = tls0 * out[:, 0]
+    out[:, 1] = weighted * beta * x / ((1.0 + x) * n_critical)
+    out[:, 2] = -weighted * np.log1p(x)
+    out[:, 3] = 1.0
+    return out
+
+
 def solve_endpoint_params(q_low: float, n_low: float, q_high: float,
                           n_high: float, n_critical: float,
                           beta: float, f: float,
@@ -194,16 +212,25 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
         model = tls0 * th / (1.0 + ns / n_c) ** beta + other
         return model - tan_d
 
+    # A pinned beta keeps its column: clipping to the bounds undoes its
+    # share of each step, and nonlinear_ls leaves it out of the covariance.
+    def jac(p):
+        out = tan_delta_jacobian(ns, th, p[0] * scale, p[1], p[2])
+        out[:, 0] *= scale
+        out[:, 3] = scale
+        return out
+
     lo_beta, hi_beta = (1e-2, 1.0) if fit_beta else (DEFAULT_BETA, DEFAULT_BETA)
     problem = fitting.FitProblem(
         residual=resid,
         initial_params=np.array([tls00 / scale, n_c0, DEFAULT_BETA,
                                  other0 / scale]),
-        # n_c floor sits above the Jacobian differencing step so the
-        # saturation term stays evaluable at the bound.
+        # A positive n_c floor keeps the saturation term finite at the
+        # bound; a different floor would move the fits that reach it.
         bounds=[(0.0, math.inf), (max(1e-3, 1e-6 * ns[0]), 1e6 * ns[-1]),
                 (lo_beta, hi_beta), (0.0, math.inf)],
         weights=weights,
+        jacobian=jac,
     )
     res = fitting.nonlinear_ls(problem)
     tls0, n_c, beta, other = res.params * np.array([scale, 1.0, 1.0, scale])

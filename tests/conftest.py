@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -8,6 +9,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 import resokit as rk
+from resokit import fitting
 
 
 def draw_notch_params(rng, q_in_range=(1e3, 1e5), q_e_range=(6e3, 9e3),
@@ -22,6 +24,20 @@ def draw_notch_params(rng, q_in_range=(1e3, 1e5), q_e_range=(6e3, 9e3),
         mismatch_phi=phi, env_gain=rng.uniform(0.5, 2.0),
         env_phase=rng.uniform(-3.0, 3.0),
         cable_delay=rng.uniform(*tau_range)), q_in
+
+
+def forbid_numeric_jacobian(monkeypatch):
+    """Make any call of fitting.numeric_jacobian fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numeric_jacobian called")
+    monkeypatch.setattr(fitting, "numeric_jacobian", forbidden)
+
+
+def drop_exact_jacobians(monkeypatch):
+    """Make every nonlinear_ls call differentiate by central differences."""
+    solve = fitting.nonlinear_ls
+    monkeypatch.setattr(fitting, "nonlinear_ls", lambda problem: solve(
+        dataclasses.replace(problem, jacobian=None)))
 
 
 @pytest.fixture

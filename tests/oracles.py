@@ -1,8 +1,8 @@
 """Hand-derived analytic gradients used as independent oracles.
 
 Each function was worked out on paper from the closed-form models and
-is kept free of any code path it checks: the library differentiates
-numerically, these differentiate symbolically.
+is kept free of any code path it checks: they hold the library's
+central differences and its exact Jacobians to a symbolic reference.
 """
 
 import numpy as np

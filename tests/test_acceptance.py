@@ -187,10 +187,11 @@ def jacobian_agreement(numeric, analytic):
 def test_09_numerics_hygiene():
     """Numeric Jacobians match hand-derived analytic gradients within
     1e-5 relative at 100 random points for every bundled model, and so
-    does the library's exact notch Jacobian."""
+    do the library's exact notch, area and TLS Jacobians."""
     rng = np.random.default_rng(777)
     worst = {"notch": 0.0, "notch_exact": 0.0, "freq_vs_area": 0.0,
-             "tls": 0.0, "debye": 0.0}
+             "freq_vs_area_exact": 0.0, "tls": 0.0, "tls_exact": 0.0,
+             "debye": 0.0}
 
     for _ in range(100):
         # notch transmission model, stacked real residuals
@@ -229,6 +230,10 @@ def test_09_numerics_hygiene():
                                                  cg_ff * FF) * FF
         worst["freq_vs_area"] = max(worst["freq_vs_area"],
                                     jacobian_agreement(numeric, analytic))
+        exact = extraction.frequency_area_jacobian(areas, ind, c_ff * FF,
+                                                   cg_ff * FF) * FF
+        worst["freq_vs_area_exact"] = max(worst["freq_vs_area_exact"],
+                                          jacobian_agreement(exact, analytic))
 
         # TLS saturation model
         tp = np.array([rng.uniform(1e-5, 1e-3), rng.uniform(0.5, 1e3),
@@ -243,6 +248,9 @@ def test_09_numerics_hygiene():
             tls_resid, tp, scale=np.array([1e-2, 1.0, 1.0, 1e-2]))
         analytic = oracles.tls_gradient(ns, th, *tp)
         worst["tls"] = max(worst["tls"], jacobian_agreement(numeric, analytic))
+        exact = tls.tan_delta_jacobian(ns, th, *tp[:3])
+        worst["tls_exact"] = max(worst["tls_exact"],
+                                 jacobian_agreement(exact, analytic))
 
         # Debye dispersion
         dp = np.array([rng.uniform(20.0, 40.0), rng.uniform(5.0, 19.0),

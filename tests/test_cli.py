@@ -218,7 +218,8 @@ class TestSimulateFit:
 
 
 class TestSweepCommand:
-    def test_fit_from_file(self, capsys, tmp_path):
+    def write_sweep(self, tmp_path):
+        """The acceptance-06 sweep as a sweep file."""
         from resokit.tls import PowerSweep, solve_endpoint_params, tls_tan_delta
         gen = solve_endpoint_params(4.5e3, 1.0, 45.5e3, 1e5, 10.0, 0.5,
                                     7.3e9, 0.01)
@@ -231,6 +232,10 @@ class TestSweepCommand:
                            resonator_freq=7.3e9, temperature=0.01)
         path = tmp_path / "sweep.csv"
         traceio.write_power_sweep(sweep, str(path))
+        return gen, path
+
+    def test_fit_from_file(self, capsys, tmp_path):
+        gen, path = self.write_sweep(tmp_path)
         code, out, err = run(capsys, "sweep", "--input", str(path),
                              "--out", str(tmp_path / "rep"))
         assert code == 0
@@ -238,6 +243,14 @@ class TestSweepCommand:
         tls0 = float(values["tan_delta_tls0"].split(" +- ")[0])
         assert abs(tls0 / gen.tan_delta_tls0 - 1.0) < 0.1
         assert os.path.exists(tmp_path / "rep" / "qin_vs_photons_sweep.svg")
+
+    def test_fixed_beta_has_no_uncertainty(self, capsys, tmp_path):
+        _, path = self.write_sweep(tmp_path)
+        code, out, err = run(capsys, "sweep", "--input", str(path),
+                             "--fix-beta")
+        # A pinned sweep can still end at the iteration cap: exit 2.
+        assert code in (0, 2)
+        assert "beta = 0.5 +- 0\n" in out
 
     @pytest.mark.parametrize("sigma", [1e300, 1e-200])
     def test_extreme_sigma_is_input_error(self, capsys, tmp_path, sigma):

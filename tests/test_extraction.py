@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 import resokit as rk
-from conftest import draw_notch_params
+from conftest import (draw_notch_params, drop_exact_jacobians,
+                      forbid_numeric_jacobian)
 from resokit import extraction as ex
 from resokit.constants import FF, NH, TWO_PI
 from resokit.errors import (DegenerateGeometryError, DomainError,
@@ -616,6 +617,19 @@ class TestFrequencyVsArea:
                                                    rel=1e-10)
         assert fit_a.cap_to_ground == pytest.approx(fit_b.cap_to_ground,
                                                     rel=1e-10)
+
+    def test_no_numeric_jacobian(self, monkeypatch):
+        forbid_numeric_jacobian(monkeypatch)
+        assert ex.fit_frequency_vs_area(self.reference_dataset()).converged
+
+    def test_matches_numeric_derivative_solve(self, monkeypatch):
+        exact = ex.fit_frequency_vs_area(self.reference_dataset())
+        drop_exact_jacobians(monkeypatch)
+        numeric = ex.fit_frequency_vs_area(self.reference_dataset())
+        for name in ("cap_per_area", "cap_to_ground", "cap_per_area_err",
+                     "cap_to_ground_err"):
+            assert getattr(exact, name) == pytest.approx(
+                getattr(numeric, name), rel=1e-7)
 
     def test_duplicate_areas_rejected(self):
         with pytest.raises(DomainError):

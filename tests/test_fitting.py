@@ -254,6 +254,38 @@ class TestNonlinearLs:
         assert np.allclose(exact.covariance, numeric.covariance,
                            rtol=1e-6, atol=0.0)
 
+    def test_pinned_parameter_has_zero_covariance(self):
+        # y = a + b x with b pinned by its bounds: b has a zero row and
+        # column, a the variance of a fit of a alone, 1 / sum(w) weighted
+        # and chi^2 / (n - 1) / n unweighted (b is no degree of freedom).
+        # A linear model's covariance does not depend on where the run
+        # stops, so the test holds whatever the stop.
+        rng = np.random.default_rng(4)
+        x = np.linspace(0.0, 1.0, 20)
+        sigma = np.full(20, 0.05)
+        y = 1.0 + 2.0 * x + sigma * rng.standard_normal(20)
+
+        def fit(weights):
+            return fitting.nonlinear_ls(fitting.FitProblem(
+                residual=lambda p: p[0] + p[1] * x - y,
+                initial_params=np.array([0.0, 2.0]),
+                bounds=[(-math.inf, math.inf), (2.0, 2.0)],
+                weights=weights,
+                jacobian=lambda p: np.column_stack([np.ones_like(x), x])))
+
+        weighted = fit(1.0 / sigma ** 2)
+        assert weighted.params[1] == 2.0
+        assert weighted.covariance[0, 0] == pytest.approx(
+            1.0 / np.sum(1.0 / sigma ** 2), rel=1e-12)
+        assert np.all(weighted.covariance[1, :] == 0.0)
+        assert np.all(weighted.covariance[:, 1] == 0.0)
+        assert weighted.stderr[1] == 0.0
+
+        plain = fit(None)
+        assert plain.covariance[0, 0] == pytest.approx(
+            plain.residual_norm ** 2 / (x.size - 1) / x.size, rel=1e-12)
+        assert plain.stderr[1] == 0.0
+
     def test_optimum_stop_reuses_last_jacobian(self):
         # The run ends at a point it has already differentiated (no step
         # accepted in the last iteration), so the covariance reuses that

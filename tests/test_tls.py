@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drop_exact_jacobians, forbid_numeric_jacobian
 from resokit import tls
 from resokit.errors import DomainError, InsufficientDataError
 from resokit.tls import PowerSweep, TlsFitParams
@@ -190,3 +192,42 @@ class TestFitPowerSweep:
         with pytest.raises(DomainError):
             PowerSweep(points=((1.0, 1e4, 10.0), (0.5, 2e4, 10.0)),
                        resonator_freq=F_R, temperature=TEMP)
+
+
+def acceptance_06_sweep():
+    return synth_sweep(reference_generator(), noise=0.03, seed=24)
+
+
+class TestExactJacobian:
+    @pytest.mark.parametrize("fit_beta", [True, False])
+    def test_no_numeric_jacobian(self, monkeypatch, fit_beta):
+        forbid_numeric_jacobian(monkeypatch)
+        fit = tls.fit_power_sweep(acceptance_06_sweep(), fit_beta=fit_beta)
+        assert math.isfinite(fit.stderr["n_critical"])
+
+    def test_matches_numeric_derivative_solve(self, monkeypatch):
+        exact = tls.fit_power_sweep(acceptance_06_sweep())
+        drop_exact_jacobians(monkeypatch)
+        numeric = tls.fit_power_sweep(acceptance_06_sweep())
+        assert exact.converged and numeric.converged
+        for name, value in dataclasses.asdict(numeric.params).items():
+            assert getattr(exact.params, name) == pytest.approx(value, rel=1e-7)
+            assert exact.stderr[name] == pytest.approx(numeric.stderr[name],
+                                                       rel=1e-7)
+
+    def test_pinned_beta_covariance_is_conditional(self):
+        # beta has no uncertainty, and the other three get the inverse of
+        # their own weighted normal block at the fitted point.
+        sweep = acceptance_06_sweep()
+        fit = tls.fit_power_sweep(sweep, fit_beta=False)
+        p = fit.params
+        assert p.beta == tls.DEFAULT_BETA and fit.stderr["beta"] == 0.0
+        ns = np.array([n for n, _, _ in sweep.points])
+        sigma_tan = np.array([s / q ** 2 for _, q, s in sweep.points])
+        jac = tls.tan_delta_jacobian(ns, tls.thermal_factor(F_R, TEMP),
+                                     p.tan_delta_tls0, p.n_critical, p.beta)
+        free = jac[:, [0, 1, 3]] / sigma_tan[:, None]
+        expected = np.sqrt(np.diag(np.linalg.inv(free.T @ free)))
+        got = [fit.stderr[k] for k in ("tan_delta_tls0", "n_critical",
+                                       "tan_delta_other")]
+        assert np.allclose(got, expected, rtol=1e-6, atol=0.0)
