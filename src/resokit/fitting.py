@@ -157,13 +157,6 @@ def _normal_matrix(J) -> np.ndarray:
     return J.T @ np.array(J, order="K")
 
 
-def _inverse(normal) -> np.ndarray:
-    try:
-        return np.linalg.inv(normal)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(normal)
-
-
 def nonlinear_ls(problem: FitProblem) -> FitResult:
     """Damped Gauss-Newton descent on a FitProblem.
 
@@ -295,19 +288,20 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     # A stop at the point the loop last differentiated reuses its Jacobian.
     if J is None:
         J = eval_jac(p)
-    n_pts, n_par = J.shape
     # A pinned parameter (lo == hi) was never fitted: it gets a zero row
     # and column, and the others the inverse of their own block, the
-    # covariance conditional on the pinned value.
+    # covariance conditional on the pinned value. With nothing pinned the
+    # block is the whole normal matrix.
     free = np.broadcast_to(lo != hi, p.shape)
-    if free.all():
-        cov = _inverse(_normal_matrix(J))
-    else:
-        cov = np.zeros((n_par, n_par))
-        cov[np.ix_(free, free)] = _inverse(_normal_matrix(J[:, free]))
-        n_par = int(free.sum())
+    block = np.ix_(free, free)
+    normal = _normal_matrix(J)
+    cov = np.zeros_like(normal)
+    try:
+        cov[block] = np.linalg.inv(normal[block])
+    except np.linalg.LinAlgError:
+        cov[block] = np.linalg.pinv(normal[block])
     if sw is None:
-        dof = n_pts - n_par
+        dof = J.shape[0] - int(free.sum())
         cov = cov * (norm ** 2 / dof if dof > 0 else 0.0)
     return FitResult(params=p, covariance=cov, residual_norm=norm,
                      iterations=iterations, status=status,
