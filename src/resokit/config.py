@@ -55,17 +55,15 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def config_hash(physics: PhysicsOverrides) -> str:
-    """Digest of the physics overrides and six solver constants.
+    """Digest of the physics overrides and the solver's constants.
 
-    The constants are read from resokit.fitting at call time and hashed
-    as tolerances.<lower-case name>. The digest does not cover all that
-    can change numeric results: STEP_FLOOR, STALL_STEPS and DAMPING_MAX
-    are not hashed.
+    Every upper-case numeric constant of resokit.fitting is read at call
+    time and hashed as tolerances.<lower-case name>.
     """
     fields: dict[str, object] = {}
     fields.update({f"physics.{k}": v for k, v in asdict(physics).items()})
-    fields.update({f"tolerances.{name.lower()}": getattr(fitting, name)
-                   for name in ("STEP_RTOL", "RESIDUAL_RTOL", "MAX_ITERATIONS",
-                                "DAMPING_INIT", "DAMPING_UP", "DAMPING_DOWN")})
+    fields.update({f"tolerances.{name.lower()}": value
+                   for name, value in vars(fitting).items()
+                   if name.isupper() and isinstance(value, (int, float))})
     canonical = "\n".join(f"{k} = {fields[k]!r}" for k in sorted(fields))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

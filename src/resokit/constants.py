@@ -31,9 +31,3 @@ def dbm_to_watt(p_dbm: float) -> float:
     """Convert power in dBm to watt."""
     return 1e-3 * 10.0 ** (p_dbm / 10.0)
 
-
-def watt_to_dbm(p_watt: float) -> float:
-    """Convert power in watt to dBm."""
-    if p_watt <= 0.0:
-        raise ValueError("power must be positive for dBm conversion")
-    return 10.0 * math.log10(p_watt / 1e-3)

@@ -457,7 +457,6 @@ def _refine_notch(trace: Trace, p0: NotchParams) -> NotchFitResult:
                 (-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9),
                 (1e-12, math.inf), (-2.0 * math.pi, 2.0 * math.pi),
                 (-1e-4, 1e-4)],
-        step_scale=np.array([2e-2, 1.0, 1.0, 1.0, 1.0, 1.0, 2e-8]),
         jacobian=jac,
     )
     res = fitting.nonlinear_ls(problem)
@@ -482,7 +481,7 @@ def _refine_notch(trace: Trace, p0: NotchParams) -> NotchFitResult:
         grad[2] = -q_in ** 2 * math.cos(phi) / q_e ** 2
         grad[3] = -q_in ** 2 * math.sin(phi) / q_e
     var_qin = float(grad @ cov @ grad)
-    err = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    err = res.stderr
     uncertainties = {
         "f_r": float(err[0]),
         "q_loaded": float(err[1]),
@@ -621,29 +620,23 @@ def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
         init = fitting.linear_wls(design, y)
     except RankDeficiencyError as exc:
         raise DegenerateDataError("area-frequency system is singular") from exc
-    c0_ff = max(init.params[0], 1e-6 * FF) / FF
-    cg0_ff = max(init.params[1], 1e-6 * FF) / FF
 
     def resid(p):
-        c_total = (p[1] + p[0] * areas) * FF
+        c_total = p[1] + p[0] * areas
         return 1.0 / (TWO_PI * np.sqrt(l_eff * c_total)) - freqs
-
-    def jac(p):
-        return frequency_area_jacobian(areas, l_eff, p[0] * FF,
-                                       p[1] * FF) * FF
 
     problem = fitting.FitProblem(
         residual=resid,
-        initial_params=np.array([c0_ff, cg0_ff]),
-        bounds=[(1e-9, math.inf), (1e-9, math.inf)],
-        jacobian=jac,
+        initial_params=np.maximum(init.params, 1e-6 * FF),
+        bounds=[(1e-9 * FF, math.inf), (1e-9 * FF, math.inf)],
+        scale=FF,
+        jacobian=lambda p: frequency_area_jacobian(areas, l_eff, *p),
     )
     res = fitting.nonlinear_ls(problem)
-    cov = res.covariance * FF ** 2
-    err = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return AreaFitResult(cap_per_area=float(res.params[0] * FF),
-                         cap_to_ground=float(res.params[1] * FF),
-                         covariance=cov,
+    err = res.stderr
+    return AreaFitResult(cap_per_area=float(res.params[0]),
+                         cap_to_ground=float(res.params[1]),
+                         covariance=res.covariance,
                          cap_per_area_err=float(err[0]),
                          cap_to_ground_err=float(err[1]),
                          converged=res.converged,
@@ -686,18 +679,11 @@ def fit_capacitance_vs_area(rows, sigma=None) -> CapAreaFitResult:
     for j, lab in enumerate(labels):
         design[:, 1 + j] = [1.0 if g == lab else 0.0 for g in groups]
 
-    sig_ff = None if sigma is None else np.asarray(sigma, dtype=float) / FF
-    res = fitting.linear_wls(design, caps / FF, sigma=sig_ff)
-    if sigma is None:
-        dof = len(rows) - (1 + len(labels))
-        scale = (res.residual_norm ** 2 / dof) if dof > 0 else 0.0
-        cov = res.covariance * scale * FF ** 2
-    else:
-        cov = res.covariance * FF ** 2
-    err = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    offsets = {lab: float(res.params[1 + j] * FF) for j, lab in enumerate(labels)}
+    res = fitting.linear_wls(design, caps, sigma=sigma)
+    err = res.stderr
+    offsets = {lab: float(res.params[1 + j]) for j, lab in enumerate(labels)}
     offset_errs = {lab: float(err[1 + j]) for j, lab in enumerate(labels)}
-    return CapAreaFitResult(cap_per_area=float(res.params[0] * FF),
-                            offsets=offsets, covariance=cov,
+    return CapAreaFitResult(cap_per_area=float(res.params[0]),
+                            offsets=offsets, covariance=res.covariance,
                             cap_per_area_err=float(err[0]),
                             offset_errs=offset_errs)

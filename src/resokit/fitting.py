@@ -5,11 +5,13 @@ All model-specific fitters in the toolkit sit on these three entry
 points. Every fitter that calls the solver (the notch refinement, the
 phase-winding fit, the power-sweep fit and the area fit) supplies an
 exact Jacobian; central differences serve only a FitProblem without
-one. A run that stops at the point it last differentiated reuses that
-Jacobian for the covariance. It keeps a per-run trace of accepted
-residual norms so callers can assert monotone descent. Its one stop
-rule, a model test and a count of negligible steps, is stated in
-nonlinear_ls; the constants below are its settings.
+one. A fitter states its problem and reads its result in its own units;
+FitProblem.scale names the unit of each parameter, and the settings
+below hold in those units. A run that stops at the point it last
+differentiated reuses that Jacobian for the covariance. It keeps a
+per-run trace of accepted residual norms so callers can assert monotone
+descent. Its one stop rule, a model test and a count of negligible
+steps, is stated in nonlinear_ls; the constants below are its settings.
 """
 
 import math
@@ -46,21 +48,21 @@ class FitProblem:
     residual maps a parameter vector to a residual vector (data minus
     model or any stacking thereof). weights, when given, are 1/sigma^2
     per residual entry. bounds are (lo, hi) pairs per parameter, np.inf
-    allowed; steps are projected back into the box. step_scale is the
-    typical magnitude of each parameter, for quantities far from 1 (for
-    example delays in seconds). It has two roles: it rescales the
-    numeric-Jacobian step, and it is the reference scale of the
-    negligible-step test for parameters near zero (see nonlinear_ls).
-    Only the notch refinement sets it. jacobian, when given, maps a
-    parameter vector to the exact (n, p) derivative of the unweighted
-    residual and replaces the numeric Jacobian.
+    allowed; steps are projected back into the box. scale is the unit of
+    each parameter, a scalar or one positive value per parameter, for
+    quantities far from 1 such as a capacitance in farads: the solver
+    works on params / scale, so its step tests and numeric-Jacobian step
+    are measured in that unit. Everything else, the returned params and
+    covariance included, is in the caller's units. jacobian, when given,
+    maps a parameter vector to the exact (n, p) derivative of the
+    unweighted residual and replaces the numeric Jacobian.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     initial_params: np.ndarray
     bounds: Sequence[tuple[float, float]] | None = None
     weights: np.ndarray | None = None
-    step_scale: np.ndarray | float = 1.0
+    scale: np.ndarray | float = 1.0
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
@@ -117,7 +119,8 @@ def linear_wls(design, y, sigma=None) -> FitResult:
 
     design is the (n, p) design matrix, one column per parameter. sigma,
     when given, are per-point standard deviations; the covariance is
-    then (X^T W X)^-1 with W = diag(1/sigma^2).
+    then (X^T W X)^-1 with W = diag(1/sigma^2). Without sigma it is
+    (X^T X)^-1 scaled by the reduced chi-square, as in nonlinear_ls.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(design, dtype=float)
@@ -141,6 +144,8 @@ def linear_wls(design, y, sigma=None) -> FitResult:
     cov = np.linalg.inv(normal)
     resid = yw - Xw @ beta
     norm = float(np.linalg.norm(resid))
+    if sigma is None:
+        cov *= norm ** 2 / (n - p) if n > p else 0.0
     return FitResult(params=beta, covariance=cov, residual_norm=norm,
                      iterations=0, converged=True, status="closed_form",
                      residual_trace=(norm,))
@@ -160,30 +165,37 @@ def _normal_matrix(J) -> np.ndarray:
 def nonlinear_ls(problem: FitProblem) -> FitResult:
     """Damped Gauss-Newton descent on a FitProblem.
 
-    Accepted steps never increase the residual norm. A run converges by
-    Moré's two tests (LNM 630, 1978): (a) at relaxed damping (lam <=
+    The run iterates on x = params / problem.scale: the start point and
+    the bounds are divided by the unit once, the residual and Jacobian
+    are called at x * scale, and the unit enters only the p-sized
+    gradient and normal matrix, so every test below reads x. Accepted
+    steps never increase the residual norm. A run converges by Moré's
+    two tests (LNM 630, 1978): (a) at relaxed damping (lam <=
     DAMPING_INIT) the damped step predicts a decrease of at most
     RESIDUAL_RTOL * |r|^2, status "stationary_point" at iteration 0 and
     "converged" after; (b) negligible accepted steps, which lower the
-    residual norm by less than RESIDUAL_RTOL relative or move no
-    parameter by more than STEP_RTOL relative (STEP_FLOOR at inflated
-    damping): one at relaxed damping, or STALL_STEPS in a row, ends the
-    run as "converged". It fails with "damping_overflow" when damping
-    passes DAMPING_MAX before a step is accepted, or "max_iterations".
-    The Jacobian is problem.jacobian when set, scaled like the residual
-    by sqrt(weights), and numeric_jacobian otherwise. Only the final
-    covariance leaves pinned parameters (lo == hi) out; the iterations
-    still carry their columns.
+    residual norm by less than RESIDUAL_RTOL relative or move no x by
+    more than STEP_RTOL (STEP_FLOOR at inflated damping) times
+    max(|x|, 1): one at relaxed damping, or STALL_STEPS in a row, ends
+    the run as "converged". It fails with "damping_overflow" when
+    damping passes DAMPING_MAX before a step is accepted, or
+    "max_iterations". The Jacobian is problem.jacobian when set, scaled
+    like the residual by sqrt(weights), and numeric_jacobian in x
+    otherwise. Only the final covariance leaves pinned parameters (lo
+    == hi) out; the iterations still carry their columns. params and
+    covariance are returned in the caller's units.
     """
+    p0 = np.asarray(problem.initial_params, dtype=float)
+    unit = np.broadcast_to(np.asarray(problem.scale, dtype=float), p0.shape)
+    if not np.all((unit > 0) & np.isfinite(unit)):
+        raise DomainError("parameter scale must be positive and finite")
     if problem.bounds is None:
         lo, hi = -math.inf, math.inf
     else:
-        lo = np.array([b[0] for b in problem.bounds], dtype=float)
-        hi = np.array([b[1] for b in problem.bounds], dtype=float)
-    p = np.clip(np.asarray(problem.initial_params, dtype=float), lo, hi)
-    typical = np.maximum(
-        np.broadcast_to(np.asarray(problem.step_scale, dtype=float), p.shape),
-        1e-300)
+        lo = np.array([b[0] for b in problem.bounds], dtype=float) / unit
+        hi = np.array([b[1] for b in problem.bounds], dtype=float) / unit
+    x = np.clip(p0 / unit, lo, hi)
+    outer = np.outer(unit, unit)
     if problem.weights is None:
         sw = None
     else:
@@ -193,22 +205,23 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
         sw = np.sqrt(w)
 
     def eval_resid(q):
-        r = np.asarray(problem.residual(q), dtype=float)
+        r = np.asarray(problem.residual(q * unit), dtype=float)
         if not np.all(np.isfinite(r)):
             raise ModelEvaluationError("model returned non-finite residuals")
         return r if sw is None else r * sw
 
+    # Both return the derivative with respect to the caller's params.
     if problem.jacobian is None:
         def eval_jac(q):
-            return numeric_jacobian(eval_resid, q, problem.step_scale)
+            return numeric_jacobian(eval_resid, q) / unit
     else:
         def eval_jac(q):
-            jac = np.asarray(problem.jacobian(q), dtype=float)
+            jac = np.asarray(problem.jacobian(q * unit), dtype=float)
             if not np.all(np.isfinite(jac)):
                 raise ModelEvaluationError("jacobian returned non-finite values")
             return jac if sw is None else jac * sw[:, None]
 
-    r = eval_resid(p)
+    r = eval_resid(x)
     norm = float(np.linalg.norm(r))
     trace = [norm]
     lam = DAMPING_INIT
@@ -218,9 +231,10 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     J = None
 
     while iterations < MAX_ITERATIONS:
-        J = eval_jac(p)
-        g = J.T @ r
+        J = eval_jac(x)
+        g = (J.T @ r) * unit
         normal = _normal_matrix(J)
+        normal *= outer
         diag = np.diag(normal).copy()
         # Flat directions (zero diagonal) have zero gradient; give them
         # a positive damping entry only so the solve stays nonsingular.
@@ -232,7 +246,7 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
 
         accepted = False
         while lam <= DAMPING_MAX:
-            damped.flat[::p.size + 1] = normal_diag + lam * diag
+            damped.flat[::x.size + 1] = normal_diag + lam * diag
             try:
                 step = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
@@ -245,10 +259,10 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
             relaxed = lam <= DAMPING_INIT
             if relaxed and float(-g @ step) <= RESIDUAL_RTOL * norm * norm:
                 break
-            p_trial = np.clip(p + step, lo, hi)
-            moved = p_trial - p
+            x_trial = np.clip(x + step, lo, hi)
+            moved = x_trial - x
             try:
-                r_trial = eval_resid(p_trial)
+                r_trial = eval_resid(x_trial)
             except ModelEvaluationError:
                 lam *= DAMPING_UP
                 continue
@@ -267,13 +281,11 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
         lam = max(lam / DAMPING_DOWN, 1e-300)
         # Relative step per parameter: a global vector norm would let
         # the largest-magnitude parameter mask motion in the others.
-        # Parameters hovering at zero are referenced to their typical
-        # scale (the Jacobian step_scale) instead.
-        scale_ref = np.maximum(np.maximum(np.abs(p), np.abs(p_trial)),
-                               typical)
+        # Parameters hovering at zero are referenced to their unit.
+        scale_ref = np.maximum(np.maximum(np.abs(x), np.abs(x_trial)), 1.0)
         step_rel = float(np.max(np.abs(moved) / scale_ref))
         res_rel = (norm - norm_trial) / max(norm, 1e-300)
-        p, r, norm = p_trial, r_trial, norm_trial
+        x, r, norm = x_trial, r_trial, norm_trial
         J = None
         trace.append(norm)
         iterations += 1
@@ -287,14 +299,15 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
 
     # A stop at the point the loop last differentiated reuses its Jacobian.
     if J is None:
-        J = eval_jac(p)
+        J = eval_jac(x)
     # A pinned parameter (lo == hi) was never fitted: it gets a zero row
     # and column, and the others the inverse of their own block, the
     # covariance conditional on the pinned value. With nothing pinned the
     # block is the whole normal matrix.
-    free = np.broadcast_to(lo != hi, p.shape)
+    free = np.broadcast_to(lo != hi, x.shape)
     block = np.ix_(free, free)
     normal = _normal_matrix(J)
+    normal *= outer
     cov = np.zeros_like(normal)
     try:
         cov[block] = np.linalg.inv(normal[block])
@@ -302,8 +315,9 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
         cov[block] = np.linalg.pinv(normal[block])
     if sw is None:
         dof = J.shape[0] - int(free.sum())
-        cov = cov * (norm ** 2 / dof if dof > 0 else 0.0)
-    return FitResult(params=p, covariance=cov, residual_norm=norm,
+        cov *= norm ** 2 / dof if dof > 0 else 0.0
+    cov *= outer
+    return FitResult(params=x * unit, covariance=cov, residual_norm=norm,
                      iterations=iterations, status=status,
                      converged=status in ("converged", "stationary_point"),
                      residual_trace=tuple(trace))

@@ -147,10 +147,9 @@ def emit_report(bundle: ReportBundle, out_dir: str,
 
     Returns the list of written paths. Output is deterministic for
     fixed inputs: stable ordering, no timestamps, atomic writes. The
-    manifest's config_hash covers the physics and six of the solver's
-    constants (see config.config_hash), not every setting that can
-    change numeric results. Plot names must be distinct: a repeated one
-    raises ConfigError before anything is created.
+    manifest's config_hash covers the physics and the solver's
+    constants (see config.config_hash). Plot names must be distinct: a
+    repeated one raises ConfigError before anything is created.
     """
     plots = [(f"trace_{name}.svg", _trace_plot,
               (trace.metadata.get("label") or name, trace))

@@ -205,38 +205,32 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
     mid = 0.5 * (tan_d[0] + tan_d[-1])
     n_c0 = float(ns[np.argmin(np.abs(tan_d - mid))])
     n_c0 = min(max(n_c0, ns[0]), ns[-1])
-    scale = tan_d.mean()
 
     def resid(p):
-        tls0, n_c, beta, other = p * np.array([scale, 1.0, 1.0, scale])
+        tls0, n_c, beta, other = p
         model = tls0 * th / (1.0 + ns / n_c) ** beta + other
         return model - tan_d
 
-    # A pinned beta keeps its column: clipping to the bounds undoes its
-    # share of each step, and nonlinear_ls leaves it out of the covariance.
-    def jac(p):
-        out = tan_delta_jacobian(ns, th, p[0] * scale, p[1], p[2])
-        out[:, 0] *= scale
-        out[:, 3] = scale
-        return out
-
     lo_beta, hi_beta = (1e-2, 1.0) if fit_beta else (DEFAULT_BETA, DEFAULT_BETA)
+    # The solver works on loss tangents in units of the mean measured one.
+    unit = tan_d.mean()
     problem = fitting.FitProblem(
         residual=resid,
-        initial_params=np.array([tls00 / scale, n_c0, DEFAULT_BETA,
-                                 other0 / scale]),
+        initial_params=np.array([tls00, n_c0, DEFAULT_BETA, other0]),
         # A positive n_c floor keeps the saturation term finite at the
         # bound; a different floor would move the fits that reach it.
         bounds=[(0.0, math.inf), (max(1e-3, 1e-6 * ns[0]), 1e6 * ns[-1]),
                 (lo_beta, hi_beta), (0.0, math.inf)],
         weights=weights,
-        jacobian=jac,
+        scale=np.array([unit, 1.0, 1.0, unit]),
+        # A pinned beta keeps its column: clipping to the bounds undoes
+        # its share of each step, and nonlinear_ls leaves it out of the
+        # covariance.
+        jacobian=lambda p: tan_delta_jacobian(ns, th, *p[:3]),
     )
     res = fitting.nonlinear_ls(problem)
-    tls0, n_c, beta, other = res.params * np.array([scale, 1.0, 1.0, scale])
-    jac_scale = np.array([scale, 1.0, 1.0, scale])
-    cov = res.covariance * np.outer(jac_scale, jac_scale)
-    err = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    tls0, n_c, beta, other = res.params
+    err = res.stderr
 
     params = TlsFitParams(tan_delta_tls0=float(tls0), n_critical=float(n_c),
                           beta=float(beta), tan_delta_other=float(other))
@@ -253,6 +247,6 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
 
     stderr = {"tan_delta_tls0": float(err[0]), "n_critical": float(err[1]),
               "beta": float(err[2]), "tan_delta_other": float(err[3])}
-    return PowerSweepFit(params=params, covariance=cov, stderr=stderr,
-                         converged=res.converged,
+    return PowerSweepFit(params=params, covariance=res.covariance,
+                         stderr=stderr, converged=res.converged,
                          residual_norm=res.residual_norm, warnings=warnings)

@@ -7,7 +7,8 @@ import oracles
 from resokit import fitting, notch
 from resokit.circuit import ResonatorDesign, resonance_frequency
 from resokit.constants import TWO_PI
-from resokit.errors import ModelEvaluationError, RankDeficiencyError
+from resokit.errors import (DomainError, ModelEvaluationError,
+                            RankDeficiencyError)
 
 
 def line(x):
@@ -43,6 +44,21 @@ class TestLinearWls:
         reported = res.stderr[1]
         empirical = np.std(slopes)
         assert abs(empirical / reported - 1.0) < 0.1
+
+    def test_unweighted_stderr_matches_monte_carlo(self):
+        # Without sigma the covariance is scaled by the reduced
+        # chi-square, so the reported standard error still matches the
+        # scatter of repeated fits.
+        rng = np.random.default_rng(11)
+        sigma, n = 0.1, 50
+        x = np.linspace(0.0, 1.0, n)
+        slopes, reported = [], []
+        for _ in range(500):
+            y = 2.0 * x + 1.0 + sigma * rng.standard_normal(n)
+            res = fitting.linear_wls(line(x), y)
+            slopes.append(res.params[1])
+            reported.append(res.stderr[1])
+        assert abs(np.std(slopes) / np.median(reported) - 1.0) < 0.1
 
     def test_stderr_scales_inverse_sqrt_n(self):
         sigma = 0.2
@@ -93,6 +109,47 @@ class TestNonlinearLs:
         assert res.converged
         assert abs(res.params[0] / 3.0 - 1.0) < 0.03
         assert abs(res.params[1] / 0.7 - 1.0) < 0.03
+
+    def test_scale_is_the_parameter_unit(self):
+        # The decay amplitude stated in units of 2**-50, with that unit
+        # as its scale, is the unit-1 run: a power of two rescales
+        # without rounding, so params, covariance, iterations and status
+        # agree bit for bit, with the exact and the numeric Jacobian. The
+        # amplitude's bounds clip the start point, so they must be
+        # rescaled too.
+        rng = np.random.default_rng(5)
+        x = np.linspace(0.0, 2.0, 200)
+        y = 3.0 * np.exp(-x / 0.7) * (1.0 + 0.01 * rng.standard_normal(200))
+
+        def fit(unit, exact):
+            def jac(p):
+                e = np.exp(-x / p[1])
+                return np.column_stack([e / unit[0],
+                                        p[0] / unit[0] * x / p[1] ** 2 * e])
+
+            return fitting.nonlinear_ls(fitting.FitProblem(
+                residual=lambda p: p[0] / unit[0] * np.exp(-x / p[1]) - y,
+                initial_params=np.array([1.0, 1.0]) * unit,
+                bounds=[(1.5 * unit[0], 10.0 * unit[0]), (1e-6, math.inf)],
+                scale=unit, jacobian=jac if exact else None))
+
+        unit = np.array([2.0 ** -50, 1.0])
+        for exact in (False, True):
+            base, scaled = fit(np.ones(2), exact), fit(unit, exact)
+            assert base.converged
+            assert np.array_equal(scaled.params, base.params * unit)
+            assert np.array_equal(scaled.covariance,
+                                  base.covariance * np.outer(unit, unit))
+            assert scaled.iterations == base.iterations
+            assert scaled.status == base.status
+            assert scaled.residual_trace == base.residual_trace
+
+    def test_scale_must_be_positive(self):
+        for bad in (0.0, -1.0, math.inf):
+            with pytest.raises(DomainError):
+                fitting.nonlinear_ls(fitting.FitProblem(
+                    residual=lambda p: p - 1.0,
+                    initial_params=np.array([3.0]), scale=bad))
 
     def test_plateau_zero_gradient_is_stationary(self):
         problem = fitting.FitProblem(
@@ -215,8 +272,7 @@ class TestNonlinearLs:
         start = truth * (1.0 + 1e-7 * np.random.default_rng(34).standard_normal(7))
         scale = np.array([2e-2, 1.0, 1.0, 1.0, 1.0, 1.0, 2e-8])
         res = fitting.nonlinear_ls(fitting.FitProblem(
-            residual=resid, initial_params=start, step_scale=scale,
-            jacobian=jac))
+            residual=resid, initial_params=start, jacobian=jac))
         assert res.converged
         assert res.status == "converged"
         assert res.iterations < fitting.MAX_ITERATIONS // 4

@@ -94,10 +94,18 @@ class TestManifest:
         tol = config_hash(PhysicsOverrides())
         assert tol != base
 
+    def test_hash_covers_every_solver_constant(self, monkeypatch):
+        base = config_hash(PhysicsOverrides())
+        for name in ("STEP_FLOOR", "STALL_STEPS", "DAMPING_MAX",
+                     "JACOBIAN_STEP_REL"):
+            with monkeypatch.context() as patch:
+                patch.setattr(fitting, name, 2 * getattr(fitting, name))
+                assert config_hash(PhysicsOverrides()) != base, name
+
     def test_default_hash_pinned(self, tmp_path):
         # The manifest hashes the physics and the solver's constants;
         # this digest must not move.
-        pinned = "0c245446e006d49fbe2d043937215ca79266679d6c32f3f042fd14177dc46d31"
+        pinned = "8ed41852f8cffd27684906474134d5f69672783af5b2c388ce6b073dcc0c0795"
         assert config_hash(PhysicsOverrides()) == pinned
         emit_report(ReportBundle(), str(tmp_path))
         manifest = json.loads((tmp_path / "report.json").read_text())
