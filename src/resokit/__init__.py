@@ -15,9 +15,8 @@ from .circuit import (DielectricSpec, DispersiveBudget, DispersiveReport,
                       junction_shunt_inductance, resonance_frequency,
                       tls_noise_weight)
 from .extraction import (AreaFrequencyDataset, AreaFitResult, CapAreaFitResult,
-                         CircleFit, EnvironmentParams, NotchFitResult, PhaseFit,
-                         estimate_delay, extract_qfactors,
-                         fit_capacitance_vs_area, fit_circle,
+                         CircleFit, NotchFitResult, PhaseFit, estimate_delay,
+                         extract_qfactors, fit_capacitance_vs_area, fit_circle,
                          fit_frequency_vs_area, fit_notch, fit_phase)
 from .fitting import (FitProblem, FitResult, linear_wls, nonlinear_ls,
                       numeric_jacobian)

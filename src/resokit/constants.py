@@ -20,7 +20,6 @@ TWO_PI = 2.0 * math.pi
 GHZ = 1e9                # Hz per GHz
 NH = 1e-9                # H per nH
 FF = 1e-15               # F per fF
-PF = 1e-12               # F per pF
 NS = 1e-9                # s per ns
 NM = 1e-9                # m per nm
 UM2_PER_M2 = 1e12        # um^2 per m^2

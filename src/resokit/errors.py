@@ -22,14 +22,6 @@ class SchemaError(ResokitError):
     """A file does not match any supported column schema."""
 
 
-class TraceOrderError(SchemaError):
-    """Trace frequencies are not strictly increasing."""
-
-    def __init__(self, row_index: int, message: str | None = None):
-        self.row_index = row_index
-        super().__init__(message or f"non-monotonic frequency at data row {row_index}")
-
-
 class TouchstoneFormatError(SchemaError):
     """Touchstone file is missing or has a malformed option line."""
 

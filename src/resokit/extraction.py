@@ -19,11 +19,10 @@ from .errors import (DegenerateDataError, DegenerateGeometryError, DomainError,
                      ExtractionError, FitInstabilityError,
                      InsufficientDataError, NonphysicalMismatchError,
                      NonphysicalQinError, RankDeficiencyError)
-from .notch import (NotchParams, Trace, _jacobian_rows, _model_terms,
-                    s21_model)
+from .notch import NotchParams, Trace, _jacobian_rows, _model_terms, s21_at
 
 __all__ = [
-    "CircleFit", "PhaseFit", "EnvironmentParams", "NotchFitResult",
+    "CircleFit", "PhaseFit", "NotchFitResult",
     "AreaFrequencyDataset", "AreaFitResult", "CapAreaFitResult",
     "estimate_delay", "fit_circle", "fit_phase", "extract_qfactors",
     "fit_notch", "frequency_area_jacobian", "fit_frequency_vs_area",
@@ -62,31 +61,27 @@ class PhaseFit:
     f_r: float
     q_loaded: float
     theta0: float
-    residual_norm: float
-
-
-@dataclass(frozen=True)
-class EnvironmentParams:
-    """Instrument environment stripped before the canonical frame."""
-
-    gain: float
-    phase: float
-    delay: float
 
 
 @dataclass
 class NotchFitResult:
     """Refined resonance parameters with their uncertainties.
 
-    q_internal always satisfies 1/q_internal = 1/q_loaded -
-    cos(phi)/q_ext_mag exactly for the reported parameter values.
+    q_internal is params.q_internal, so 1/q_internal = 1/q_loaded -
+    cos(phi)/q_ext_mag holds exactly for the reported parameter values.
+    uncertainties holds one standard error per key: the four fitted
+    NotchParams fields f_r, q_loaded, q_ext_mag and mismatch_phi, and
+    q_internal.
     """
 
     params: NotchParams
-    q_internal: float
     uncertainties: dict[str, float]
     residual_rms: float
     converged: bool
+
+    @property
+    def q_internal(self) -> float:
+        return self.params.q_internal
 
 
 def _unwrap_from_mid(theta: np.ndarray) -> np.ndarray:
@@ -366,25 +361,32 @@ def fit_phase(trace: Trace, center: complex) -> PhaseFit:
     if not res.converged:
         raise FitInstabilityError("phase fit did not converge")
     return PhaseFit(f_r=float(res.params[0]), q_loaded=float(res.params[1]),
-                    theta0=float(res.params[2]),
-                    residual_norm=res.residual_norm)
+                    theta0=float(res.params[2]))
 
 
 def extract_qfactors(circle: CircleFit, phase: PhaseFit,
-                     env: EnvironmentParams) -> NotchParams:
+                     delay: float) -> NotchParams:
     """Seed parameters for the global refinement from canonical-frame
-    circle geometry.
+    circle geometry, for a locus whose cable delay `delay` is removed.
 
-    |Q_e| = Q_l / (2 r) with r the normalized circle radius, phi from
-    the center position relative to the off-resonant point, and
-    1/Q_in = 1/Q_l - cos(phi)/|Q_e| (diameter corrected). Raises
-    NonphysicalMismatchError when the center lies past the off-resonant
-    point (|phi| >= pi/2) and NonphysicalQinError when the coupling loss
-    exceeds the loaded loss: fit failures, not input errors.
+    The off-resonant point is the circle point at the phase fit's
+    theta0 + pi. Dividing by it gives the canonical frame, where that
+    point is 1: |Q_e| = Q_l / (2 r) with r the normalized circle radius,
+    phi from the normalized center relative to 1, and 1/Q_in = 1/Q_l -
+    cos(phi)/|Q_e| (diameter corrected). Raises NonphysicalMismatchError
+    when the center lies past the off-resonant point (|phi| >= pi/2) and
+    NonphysicalQinError when the coupling loss exceeds the loaded loss:
+    fit failures, not input errors.
     """
-    amp = env.gain * np.exp(1j * env.phase)
+    beta = phase.theta0 + math.pi
+    offres = circle.center + circle.radius * np.exp(1j * beta)
+    gain = float(np.abs(offres))
+    env_phase = float(np.angle(offres))
+    # The seed's env_gain and env_phase describe that frame: amp is the
+    # off-resonant point rebuilt from them.
+    amp = gain * np.exp(1j * env_phase)
     center_n = complex(circle.center / amp)
-    radius_n = circle.radius / env.gain
+    radius_n = circle.radius / gain
     phi = math.atan2(-center_n.imag, 1.0 - center_n.real)
     if abs(phi) >= math.pi / 2:
         raise NonphysicalMismatchError(
@@ -396,8 +398,8 @@ def extract_qfactors(circle: CircleFit, phase: PhaseFit,
         raise NonphysicalQinError(
             "coupling loss cos(phi)/|Q_e| is not below the loaded loss 1/Q_l")
     return NotchParams(f_r=phase.f_r, q_loaded=q_l, q_ext_mag=q_e,
-                       mismatch_phi=phi, env_gain=env.gain,
-                       env_phase=env.phase, cable_delay=env.delay)
+                       mismatch_phi=phi, env_gain=gain,
+                       env_phase=env_phase, cable_delay=delay)
 
 
 def _wrap_angle(angle: float) -> float:
@@ -462,17 +464,16 @@ def _refine_notch(trace: Trace, p0: NotchParams) -> NotchFitResult:
     res = fitting.nonlinear_ls(problem)
     f_r, q_l, q_e, phi, gain, alpha_c_fit, tau = res.params
     phase_env = _wrap_angle(alpha_c_fit + TWO_PI * f_mid * tau)
-    inv_qin = 1.0 / q_l - math.cos(phi) / q_e
-    if inv_qin <= 0:
-        if inv_qin < -1e-12 / q_l:
-            raise NonphysicalQinError(
-                "refined coupling loss exceeds the loaded loss: bad fit")
-        q_in = math.inf
-    else:
-        q_in = 1.0 / inv_qin
-    params = NotchParams(f_r=f_r, q_loaded=q_l, q_ext_mag=q_e,
-                         mismatch_phi=phi, env_gain=gain,
-                         env_phase=phase_env, cable_delay=tau)
+    # The bounds keep every other NotchParams check satisfied, so a
+    # DomainError here is a negative internal loss: a failed fit.
+    try:
+        params = NotchParams(f_r=f_r, q_loaded=q_l, q_ext_mag=q_e,
+                             mismatch_phi=phi, env_gain=gain,
+                             env_phase=phase_env, cable_delay=tau)
+    except DomainError as exc:
+        raise NonphysicalQinError(
+            "refined coupling loss exceeds the loaded loss: bad fit") from exc
+    q_in = params.q_internal
 
     cov = res.covariance
     grad = np.zeros(7)
@@ -490,9 +491,8 @@ def _refine_notch(trace: Trace, p0: NotchParams) -> NotchFitResult:
         "q_internal": math.sqrt(max(var_qin, 0.0)),
     }
     rms = res.residual_norm / math.sqrt(len(trace)) / gain
-    return NotchFitResult(params=params, q_internal=q_in,
-                          uncertainties=uncertainties, residual_rms=float(rms),
-                          converged=res.converged)
+    return NotchFitResult(params=params, uncertainties=uncertainties,
+                          residual_rms=float(rms), converged=res.converged)
 
 
 def fit_notch(trace: Trace, mc_draws: int = 0,
@@ -516,11 +516,7 @@ def fit_notch(trace: Trace, mc_draws: int = 0,
     z1 = trace.s21 * np.exp(1j * TWO_PI * trace.freqs_hz * tau)
     circle = fit_circle(z1)
     phase = fit_phase(Trace(freqs_hz=trace.freqs_hz, s21=z1), circle.center)
-    beta = phase.theta0 + math.pi
-    offres = circle.center + circle.radius * np.exp(1j * beta)
-    env = EnvironmentParams(gain=float(np.abs(offres)),
-                            phase=float(np.angle(offres)), delay=tau)
-    result = _refine_notch(trace, extract_qfactors(circle, phase, env))
+    result = _refine_notch(trace, extract_qfactors(circle, phase, tau))
     if mc_draws > 0:
         _bootstrap_uncertainties(trace, result, mc_draws, mc_seed)
     return result
@@ -529,13 +525,10 @@ def fit_notch(trace: Trace, mc_draws: int = 0,
 def _bootstrap_uncertainties(trace: Trace, result: NotchFitResult,
                              draws: int, seed: int) -> None:
     sigma = result.residual_rms * result.params.env_gain / math.sqrt(2.0)
-    model = s21_model(trace.freqs_hz, result.params.f_r,
-                      result.params.q_loaded, result.params.q_ext_mag,
-                      result.params.mismatch_phi, result.params.env_gain,
-                      result.params.env_phase, result.params.cable_delay)
+    model = s21_at(result.params, trace.freqs_hz)
     rng = np.random.default_rng(seed)
-    samples: dict[str, list[float]] = {k: [] for k in (
-        "f_r", "q_loaded", "q_ext_mag", "mismatch_phi", "q_internal")}
+    # Every uncertainty key names a NotchParams field or property.
+    samples: dict[str, list[float]] = {k: [] for k in result.uncertainties}
     for _ in range(draws):
         quad = rng.standard_normal((len(trace), 2))
         resampled = Trace(freqs_hz=trace.freqs_hz,
@@ -544,11 +537,8 @@ def _bootstrap_uncertainties(trace: Trace, result: NotchFitResult,
             draw = fit_notch(resampled)
         except ExtractionError:
             continue
-        samples["f_r"].append(draw.params.f_r)
-        samples["q_loaded"].append(draw.params.q_loaded)
-        samples["q_ext_mag"].append(draw.params.q_ext_mag)
-        samples["mismatch_phi"].append(draw.params.mismatch_phi)
-        samples["q_internal"].append(draw.q_internal)
+        for key, vals in samples.items():
+            vals.append(getattr(draw.params, key))
     if len(samples["f_r"]) >= max(2, draws // 2):
         result.uncertainties = {key: float(np.std(vals, ddof=1))
                                 for key, vals in samples.items()}

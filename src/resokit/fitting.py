@@ -74,7 +74,10 @@ class FitResult:
     weights (1/sigma^2) it is (J^T W J)^-1; unweighted it is scaled by
     the reduced chi-square so standard errors stay meaningful. A
     parameter pinned by its bounds (lo == hi) has a zero row and column
-    and counts as no degree of freedom.
+    and counts as no degree of freedom. A free parameter that the
+    residual does not depend on at the solution (a zero Jacobian
+    column) has an infinite variance and zeros elsewhere in its row and
+    column.
     """
 
     params: np.ndarray
@@ -182,8 +185,9 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     "max_iterations". The Jacobian is problem.jacobian when set, scaled
     like the residual by sqrt(weights), and numeric_jacobian in x
     otherwise. Only the final covariance leaves pinned parameters (lo
-    == hi) out; the iterations still carry their columns. params and
-    covariance are returned in the caller's units.
+    == hi) out, and gives a free parameter with a zero Jacobian column
+    an infinite variance; the iterations still carry their columns.
+    params and covariance are returned in the caller's units.
     """
     p0 = np.asarray(problem.initial_params, dtype=float)
     unit = np.broadcast_to(np.asarray(problem.scale, dtype=float), p0.shape)
@@ -302,12 +306,17 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
         J = eval_jac(x)
     # A pinned parameter (lo == hi) was never fitted: it gets a zero row
     # and column, and the others the inverse of their own block, the
-    # covariance conditional on the pinned value. With nothing pinned the
-    # block is the whole normal matrix.
+    # covariance conditional on the pinned value. A free parameter whose
+    # Jacobian column is zero (a zero diagonal of the normal matrix) is
+    # not determined by the data at all: it stays out of the block too
+    # and gets an infinite variance, with zeros in the rest of its row
+    # and column. With neither the block is the whole normal matrix.
     free = np.broadcast_to(lo != hi, x.shape)
-    block = np.ix_(free, free)
     normal = _normal_matrix(J)
     normal *= outer
+    unseen = free & (np.diag(normal) == 0.0)
+    fitted = free & ~unseen
+    block = np.ix_(fitted, fitted)
     cov = np.zeros_like(normal)
     try:
         cov[block] = np.linalg.inv(normal[block])
@@ -317,6 +326,7 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
         dof = J.shape[0] - int(free.sum())
         cov *= norm ** 2 / dof if dof > 0 else 0.0
     cov *= outer
+    cov[unseen, unseen] = math.inf
     return FitResult(params=x * unit, covariance=cov, residual_norm=norm,
                      iterations=iterations, status=status,
                      converged=status in ("converged", "stationary_point"),

@@ -63,7 +63,13 @@ class NotchParams:
 
 @dataclass
 class Trace:
-    """An ordered frequency sweep of complex transmission samples."""
+    """An ordered frequency sweep of complex transmission samples.
+
+    Construction checks the data: equal-length 1-D arrays, at least one
+    point, finite values and strictly increasing frequencies. Each check
+    raises DomainError; the finite and ordering checks name the first
+    bad point. The file readers rely on these checks and repeat none.
+    """
 
     freqs_hz: np.ndarray
     s21: np.ndarray
@@ -83,9 +89,13 @@ class Trace:
             raise DomainError(
                 f"trace point {i} is not finite: frequency "
                 f"{float(self.freqs_hz[i])!r} Hz, sample {complex(self.s21[i])!r}")
-        diffs = np.diff(self.freqs_hz)
-        if diffs.size and not np.all(diffs > 0):
-            raise DomainError("trace frequencies must be strictly increasing")
+        bad = self.freqs_hz[1:] <= self.freqs_hz[:-1]
+        if bad.any():
+            i = int(np.argmax(bad)) + 1
+            raise DomainError(
+                "trace frequencies must be strictly increasing: point "
+                f"{i} at {float(self.freqs_hz[i])!r} Hz follows point "
+                f"{i - 1} at {float(self.freqs_hz[i - 1])!r} Hz")
 
     def __len__(self) -> int:
         return self.freqs_hz.size

@@ -9,7 +9,7 @@ frequency proximity.
 import json
 import math
 import os
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -27,11 +27,6 @@ __all__ = ["ReportRow", "SessionDelta", "ReportBundle", "compare_sessions",
            "RESONATOR_SCHEMA"]
 
 RESONATOR_SCHEMA = "resonators-v1"
-RESONATOR_COLUMNS = ("label", "freq_hz", "area_um2", "capacitance_f",
-                     "q_ext_mag", "q_in_high_power", "q_in_single_photon",
-                     "tan_delta")
-DELTA_COLUMNS = ("label", "delta_freq_hz", "delta_q_in_high_power",
-                 "delta_q_in_single_photon", "delta_tan_delta")
 
 
 @dataclass(frozen=True)
@@ -57,6 +52,10 @@ class SessionDelta:
     delta_q_in_high_power: float
     delta_q_in_single_photon: float
     delta_tan_delta: float
+
+
+RESONATOR_COLUMNS = tuple(f.name for f in fields(ReportRow))
+DELTA_COLUMNS = tuple(f.name for f in fields(SessionDelta))
 
 
 @dataclass

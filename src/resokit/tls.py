@@ -164,10 +164,6 @@ def solve_endpoint_params(q_low: float, n_low: float, q_high: float,
                         beta=beta, tan_delta_other=other)
 
 
-def _sweep_decades(ns: np.ndarray) -> float:
-    return math.log10(ns[-1] / ns[0])
-
-
 def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
                     n_max: float | None = None) -> PowerSweepFit:
     """Weighted nonlinear fit of tan d(n) = 1/Q_in(n) over a sweep.
@@ -196,7 +192,7 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
     th = thermal_factor(sweep.resonator_freq, sweep.temperature)
 
     warnings: list[str] = []
-    if _sweep_decades(ns) < 3.0:
+    if math.log10(ns[-1] / ns[0]) < 3.0:
         warnings.append("ill-conditioned fit: photon numbers span fewer "
                         "than 3 decades")
 

@@ -13,8 +13,7 @@ import tempfile
 import numpy as np
 
 from .circuit import ResonatorDesign
-from .errors import (SchemaError, TouchstoneFormatError, TraceOrderError,
-                     UnsupportedFormatError)
+from .errors import SchemaError, TouchstoneFormatError, UnsupportedFormatError
 from .notch import Trace
 from .tls import PowerSweep
 
@@ -164,14 +163,6 @@ def _samples(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return mag * np.cos(b) + 1j * mag * np.sin(b)
 
 
-def _check_increasing(freqs: np.ndarray) -> None:
-    """Raise TraceOrderError at the first frequency that does not exceed
-    the one before it."""
-    bad = np.flatnonzero(freqs[1:] <= freqs[:-1])
-    if bad.size:
-        raise TraceOrderError(int(bad[0]) + 1)
-
-
 def parse_trace_csv(path: str) -> Trace:
     """Read a trace from CSV.
 
@@ -185,7 +176,6 @@ def parse_trace_csv(path: str) -> Trace:
         raise SchemaError(f"{path}: trace file contains no data rows")
     freqs, a, b = map(np.array, zip(*(float_row(cells, path, lineno)
                                         for lineno, cells in rows)))
-    _check_increasing(freqs)
     z = _samples("ri" if header == TRACE_COLUMNS_RI else "db", a, b)
     power = None
     if "power_w" in directives:
@@ -255,7 +245,6 @@ def parse_touchstone(path: str) -> Trace:
         values.append(float_row(parts, path, lineno, sep=" "))
     data = np.array(values)
     freqs = data[:, 0] * _TS_UNIT[unit]
-    _check_increasing(freqs)
     a, b = data[:, 3], data[:, 4]
     return Trace(freqs_hz=freqs,
                  s21=_samples(fmt, a, b if fmt == "ri" else np.radians(b)))

@@ -342,6 +342,28 @@ class TestNonlinearLs:
             plain.residual_norm ** 2 / (x.size - 1) / x.size, rel=1e-12)
         assert plain.stderr[1] == 0.0
 
+    def test_unseen_parameter_has_infinite_variance(self):
+        # y = a + b x, and a third parameter the residual ignores: its
+        # Jacobian column is zero, so it gets an infinite variance and
+        # zeros elsewhere, and (a, b) the inverse of their own block.
+        x = np.linspace(0.0, 1.0, 20)
+        sigma = np.full(20, 0.05)
+        y = 1.0 + 2.0 * x + sigma * np.random.default_rng(4).standard_normal(20)
+        design = np.column_stack([np.ones_like(x), x, np.zeros_like(x)])
+        res = fitting.nonlinear_ls(fitting.FitProblem(
+            residual=lambda p: design @ p - y,
+            initial_params=np.array([0.0, 0.0, 0.3]),
+            weights=1.0 / sigma ** 2,
+            jacobian=lambda p: design))
+        assert res.converged and res.params[2] == 0.3
+        assert res.covariance[2, 2] == math.inf
+        assert np.all(res.covariance[2, :2] == 0.0)
+        assert np.all(res.covariance[:2, 2] == 0.0)
+        seen = design[:, :2] / sigma[:, None]
+        assert np.allclose(res.covariance[:2, :2],
+                           np.linalg.inv(seen.T @ seen), rtol=1e-12, atol=0.0)
+        assert res.stderr[2] == math.inf
+
     def test_optimum_stop_reuses_last_jacobian(self):
         # The run ends at a point it has already differentiated (no step
         # accepted in the last iteration), so the covariance reuses that

@@ -151,6 +151,21 @@ class TestFitPowerSweep:
         assert abs(fit.params.tan_delta_tls0) \
             <= 3.0 * fit.stderr["tan_delta_tls0"] + 1e-12
 
+    def test_exactly_flat_sweep_leaves_saturation_undetermined(self):
+        # Q_in = 5e3 at every acceptance-06 photon number: tls0 fits to 0,
+        # so the model does not depend on n_c or beta and neither gets a
+        # finite uncertainty.
+        ns = np.geomspace(0.1, 1e6, 15)
+        sweep = PowerSweep(points=tuple((n, 5e3, 0.03 * 5e3) for n in ns),
+                           resonator_freq=F_R, temperature=TEMP)
+        fit = tls.fit_power_sweep(sweep)
+        assert fit.params.tan_delta_tls0 == 0.0
+        assert fit.stderr["n_critical"] == math.inf
+        assert fit.stderr["beta"] == math.inf
+        assert fit.params.tan_delta_other == pytest.approx(2e-4, rel=1e-12)
+        assert math.isfinite(fit.stderr["tan_delta_tls0"])
+        assert math.isfinite(fit.stderr["tan_delta_other"])
+
     def test_narrow_range_warns(self):
         gen = reference_generator()
         fit = tls.fit_power_sweep(synth_sweep(gen, n_lo=10.0, n_hi=1e3,

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import resokit as rk
 from resokit import traceio
 from resokit.config import load_config_file
-from resokit.errors import (ConfigError, SchemaError, TouchstoneFormatError,
-                            TraceOrderError, UnsupportedFormatError)
+from resokit.errors import (ConfigError, DomainError, SchemaError,
+                            TouchstoneFormatError, UnsupportedFormatError)
 from resokit.tls import PowerSweep
 
 
@@ -69,9 +69,10 @@ class TestTraceCsv:
     def test_non_monotonic_reports_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("freq_hz,re,im\n1e9,1,0\n3e9,1,0\n2e9,1,0\n")
-        with pytest.raises(TraceOrderError) as err:
+        with pytest.raises(DomainError) as err:
             traceio.parse_trace_csv(str(path))
-        assert err.value.row_index == 2
+        assert "point 2 at 2000000000.0 Hz follows point 1 at " \
+            "3000000000.0 Hz" in str(err.value)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
