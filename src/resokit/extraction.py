@@ -588,8 +588,10 @@ def frequency_area_jacobian(areas, inductance: float, cap_per_area: float,
     SI units: areas in um^2, c in F/um^2, C_g in F.
     """
     c_total = cap_to_ground + cap_per_area * areas
-    half_f_per_c = -0.5 / (TWO_PI * np.sqrt(inductance * c_total) * c_total)
-    return np.column_stack([half_f_per_c * areas, half_f_per_c])
+    out = np.empty((c_total.size, 2))
+    out[:, 1] = -0.5 / (TWO_PI * np.sqrt(inductance * c_total) * c_total)
+    out[:, 0] = out[:, 1] * areas
+    return out
 
 
 def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
@@ -605,7 +607,8 @@ def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
 
     # 1/f^2 = 4 pi^2 L (C_g + c S) is linear in S: exact on clean data.
     y = 1.0 / freqs ** 2 / (TWO_PI ** 2 * l_eff)
-    design = np.column_stack([areas, np.ones_like(areas)])
+    design = np.ones((areas.size, 2))
+    design[:, 0] = areas
     try:
         init = fitting.linear_wls(design, y)
     except RankDeficiencyError as exc:

@@ -90,7 +90,7 @@ class FitResult:
 
     @property
     def stderr(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+        return np.sqrt(np.clip(self.covariance.diagonal(), 0.0, None))
 
 
 def numeric_jacobian(model, params, scale=1.0) -> np.ndarray:
@@ -134,7 +134,7 @@ def linear_wls(design, y, sigma=None) -> FitResult:
         sw = np.ones(n)
     else:
         sigma = np.asarray(sigma, dtype=float)
-        if np.any(sigma <= 0):
+        if (sigma <= 0).any():
             raise DomainError("sigmas must be positive")
         sw = 1.0 / sigma
     Xw = X * sw[:, None]
@@ -146,7 +146,7 @@ def linear_wls(design, y, sigma=None) -> FitResult:
     beta = np.linalg.solve(normal, Xw.T @ yw)
     cov = np.linalg.inv(normal)
     resid = yw - Xw @ beta
-    norm = float(np.linalg.norm(resid))
+    norm = math.sqrt(resid @ resid)
     if sigma is None:
         cov *= norm ** 2 / (n - p) if n > p else 0.0
     return FitResult(params=beta, covariance=cov, residual_norm=norm,
@@ -189,28 +189,36 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     an infinite variance; the iterations still carry their columns.
     params and covariance are returned in the caller's units.
     """
+    # A pinned power sweep runs 200 iterations on 4 parameters, where a
+    # numpy wrapper costs more than its arithmetic. So this function
+    # calls methods and ufuncs instead: a.all() for np.all, a.diagonal()
+    # for np.diag, minimum(maximum()) for np.clip and sqrt(r @ r) for the
+    # 2-norm, each with the same bits as the wrapper.
     p0 = np.asarray(problem.initial_params, dtype=float)
-    unit = np.broadcast_to(np.asarray(problem.scale, dtype=float), p0.shape)
-    if not np.all((unit > 0) & np.isfinite(unit)):
+    unit = np.empty_like(p0)
+    unit[...] = problem.scale
+    if not ((unit > 0) & np.isfinite(unit)).all():
         raise DomainError("parameter scale must be positive and finite")
     if problem.bounds is None:
-        lo, hi = -math.inf, math.inf
+        lo = np.full(p0.shape, -math.inf)
+        hi = np.full(p0.shape, math.inf)
     else:
         lo = np.array([b[0] for b in problem.bounds], dtype=float) / unit
         hi = np.array([b[1] for b in problem.bounds], dtype=float) / unit
-    x = np.clip(p0 / unit, lo, hi)
-    outer = np.outer(unit, unit)
+    x = np.minimum(np.maximum(p0 / unit, lo), hi)
+    outer = unit[:, None] * unit
     if problem.weights is None:
         sw = None
     else:
         w = np.asarray(problem.weights, dtype=float)
-        if not np.all((w > 0) & np.isfinite(w)):
+        if not ((w > 0) & np.isfinite(w)).all():
             raise DomainError("weights must be positive and finite")
         sw = np.sqrt(w)
+        sw_rows = sw[:, None]
 
     def eval_resid(q):
         r = np.asarray(problem.residual(q * unit), dtype=float)
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise ModelEvaluationError("model returned non-finite residuals")
         return r if sw is None else r * sw
 
@@ -221,12 +229,12 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     else:
         def eval_jac(q):
             jac = np.asarray(problem.jacobian(q * unit), dtype=float)
-            if not np.all(np.isfinite(jac)):
+            if not np.isfinite(jac).all():
                 raise ModelEvaluationError("jacobian returned non-finite values")
-            return jac if sw is None else jac * sw[:, None]
+            return jac if sw is None else jac * sw_rows
 
     r = eval_resid(x)
-    norm = float(np.linalg.norm(r))
+    norm = math.sqrt(r @ r)
     trace = [norm]
     lam = DAMPING_INIT
     iterations = 0
@@ -236,41 +244,45 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
 
     while iterations < MAX_ITERATIONS:
         J = eval_jac(x)
-        g = (J.T @ r) * unit
+        # The negative gradient in x: the right-hand side of each solve.
+        descent = (J.T @ r) * -unit
         normal = _normal_matrix(J)
         normal *= outer
-        diag = np.diag(normal).copy()
+        normal_diag = normal.diagonal()
+        diag = normal_diag.copy()
         # Flat directions (zero diagonal) have zero gradient; give them
         # a positive damping entry only so the solve stays nonsingular.
         flat = diag <= 0.0
-        if np.any(flat):
+        if flat.any():
             diag[flat] = max(float(diag.max(initial=0.0)), 1.0)
-        normal_diag = np.diag(normal)
         damped = normal.copy()
+        # A writable view: each damping level is written into damped.
+        damped_diag = damped.reshape(-1)[::x.size + 1]
 
         accepted = False
         while lam <= DAMPING_MAX:
-            damped.flat[::x.size + 1] = normal_diag + lam * diag
+            damped_diag[:] = normal_diag + lam * diag
             try:
-                step = np.linalg.solve(damped, -g)
+                step = np.linalg.solve(damped, descent)
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(damped, -g, rcond=None)[0]
+                step = np.linalg.lstsq(damped, descent, rcond=None)[0]
             # Even a model-perfect step would not reduce the cost
             # measurably: the current point is the minimum to within
             # arithmetic noise (a zero gradient included). Only
             # meaningful while damping is relaxed; inflated lambda
             # shrinks the prediction by itself.
             relaxed = lam <= DAMPING_INIT
-            if relaxed and float(-g @ step) <= RESIDUAL_RTOL * norm * norm:
+            if relaxed and float(descent @ step) \
+                    <= RESIDUAL_RTOL * norm * norm:
                 break
-            x_trial = np.clip(x + step, lo, hi)
+            x_trial = np.minimum(np.maximum(x + step, lo), hi)
             moved = x_trial - x
             try:
                 r_trial = eval_resid(x_trial)
             except ModelEvaluationError:
                 lam *= DAMPING_UP
                 continue
-            norm_trial = float(np.linalg.norm(r_trial))
+            norm_trial = math.sqrt(r_trial @ r_trial)
             if norm_trial <= norm:
                 accepted = True
                 break
@@ -287,7 +299,7 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
         # the largest-magnitude parameter mask motion in the others.
         # Parameters hovering at zero are referenced to their unit.
         scale_ref = np.maximum(np.maximum(np.abs(x), np.abs(x_trial)), 1.0)
-        step_rel = float(np.max(np.abs(moved) / scale_ref))
+        step_rel = float((np.abs(moved) / scale_ref).max())
         res_rel = (norm - norm_trial) / max(norm, 1e-300)
         x, r, norm = x_trial, r_trial, norm_trial
         J = None
@@ -311,13 +323,13 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     # not determined by the data at all: it stays out of the block too
     # and gets an infinite variance, with zeros in the rest of its row
     # and column. With neither the block is the whole normal matrix.
-    free = np.broadcast_to(lo != hi, x.shape)
+    free = lo != hi
     normal = _normal_matrix(J)
     normal *= outer
-    unseen = free & (np.diag(normal) == 0.0)
-    fitted = free & ~unseen
-    block = np.ix_(fitted, fitted)
-    cov = np.zeros_like(normal)
+    unseen = free & (normal.diagonal() == 0.0)
+    fitted = np.flatnonzero(free & ~unseen)
+    block = (fitted[:, None], fitted)
+    cov = np.zeros(normal.shape)
     try:
         cov[block] = np.linalg.inv(normal[block])
     except np.linalg.LinAlgError:

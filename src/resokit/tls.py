@@ -118,7 +118,7 @@ def tls_tan_delta(n, p: TlsFitParams, f: float, temperature: float):
     other at n -> 0 and to tan_delta_other at full saturation.
     """
     n = np.asarray(n, dtype=float)
-    if np.any(n < 0):
+    if (n < 0).any():
         raise DomainError("photon number must be non-negative")
     th = thermal_factor(f, temperature)
     out = p.tan_delta_tls0 * th / (1.0 + n / p.n_critical) ** p.beta \
@@ -184,7 +184,7 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
         sigma_tan = np.array([s / np.float64(q) ** 2 for _, q, s in pts])
         weights = 1.0 / sigma_tan ** 2
     usable = np.isfinite(weights) & (weights > 0.0)
-    if not np.all(usable):
+    if not usable.all():
         n, q, s = pts[int(np.argmin(usable))]
         raise DomainError(
             f"power-sweep point at photon number {n:g} (q_internal {q:g}, "
@@ -199,7 +199,7 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
     other0 = float(tan_d.min())
     tls00 = max(float(tan_d[0] / th - other0), 0.1 * other0 + 1e-12)
     mid = 0.5 * (tan_d[0] + tan_d[-1])
-    n_c0 = float(ns[np.argmin(np.abs(tan_d - mid))])
+    n_c0 = float(ns[np.abs(tan_d - mid).argmin()])
     n_c0 = min(max(n_c0, ns[0]), ns[-1])
 
     def resid(p):
@@ -235,9 +235,9 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
     # when the top decade sits systematically above the fit.
     model = tls_tan_delta(ns, params, sweep.resonator_freq, sweep.temperature)
     tail = ns >= ns[-1] / 10.0
-    if np.any(tail):
+    if tail.any():
         excess = (tan_d[tail] - model[tail]) / sigma_tan[tail]
-        if float(np.mean(excess)) > 2.0:
+        if float(excess.mean()) > 2.0:
             warnings.append("high-power tail rises above the saturable "
                             "model: non-TLS loss suspected")
 

@@ -13,7 +13,8 @@ import tempfile
 import numpy as np
 
 from .circuit import ResonatorDesign
-from .errors import SchemaError, TouchstoneFormatError, UnsupportedFormatError
+from .errors import (DomainError, SchemaError, TouchstoneFormatError,
+                     UnsupportedFormatError)
 from .notch import Trace
 from .tls import PowerSweep
 
@@ -147,6 +148,15 @@ def _float_directive(path: str, directives, key: str) -> float:
                           f"{directives[key]!r}") from exc
 
 
+def _from_file(path: str, build, **fields):
+    """build(**fields) for an object read from path: a DomainError from
+    its own checks keeps its class and gains the path in front."""
+    try:
+        return build(**fields)
+    except DomainError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _samples(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Complex samples from two columns: real and imaginary parts ("ri"),
     or a magnitude ("ma") or dB magnitude ("db") and a phase in radians.
@@ -182,8 +192,8 @@ def parse_trace_csv(path: str) -> Trace:
         power = _float_directive(path, directives, "power_w")
     metadata = {k[len("meta."):]: v for k, v in directives.items()
                 if k.startswith("meta.")}
-    return Trace(freqs_hz=freqs, s21=z, applied_power_w=power,
-                 metadata=metadata)
+    return _from_file(path, Trace, freqs_hz=freqs, s21=z,
+                      applied_power_w=power, metadata=metadata)
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
@@ -246,8 +256,8 @@ def parse_touchstone(path: str) -> Trace:
     data = np.array(values)
     freqs = data[:, 0] * _TS_UNIT[unit]
     a, b = data[:, 3], data[:, 4]
-    return Trace(freqs_hz=freqs,
-                 s21=_samples(fmt, a, b if fmt == "ri" else np.radians(b)))
+    z = _samples(fmt, a, b if fmt == "ri" else np.radians(b))
+    return _from_file(path, Trace, freqs_hz=freqs, s21=z)
 
 
 def read_power_sweep(path: str) -> PowerSweep:
@@ -256,7 +266,8 @@ def read_power_sweep(path: str) -> PowerSweep:
     if "resonator_freq_hz" not in directives or "temperature_k" not in directives:
         raise SchemaError(f"{path}: sweep file must carry resonator_freq_hz "
                           "and temperature_k directives")
-    return PowerSweep(
+    return _from_file(
+        path, PowerSweep,
         points=tuple(float_row(cells, path, lineno) for lineno, cells in rows),
         resonator_freq=_float_directive(path, directives, "resonator_freq_hz"),
         temperature=_float_directive(path, directives, "temperature_k"))
@@ -290,7 +301,8 @@ def read_design(path: str) -> ResonatorDesign:
     missing = [key for key in _DESIGN_KEYS if key not in values]
     if missing:
         raise SchemaError(f"design file is missing keys: {', '.join(missing)}")
-    return ResonatorDesign(
+    return _from_file(
+        path, ResonatorDesign,
         inductance_geometric=float(values["inductance-geometric-h"]),
         cap_area=float(values["cap-area-um2"]),
         cap_per_area=float(values["cap-per-area-f-um2"]),

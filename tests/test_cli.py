@@ -564,7 +564,8 @@ class TestNonFiniteSamples:
         assert code == 1
         lines = err.strip().splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: trace point 1 is not finite")
+        assert lines[0].startswith(
+            f"error: {args[-1]}: trace point 1 is not finite")
 
     def test_csv_trace(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
@@ -595,6 +596,47 @@ class TestNonFiniteSamples:
         rows[1] = "7291000000.0 0.9 0.0 1e6 10.0 -1.0 10.0 0.9 0.0"
         path.write_text("# HZ S DB R 50\n" + "\n".join(rows) + "\n")
         self.assert_input_error(capsys, "fit", str(path))
+
+
+class TestDomainErrorNamesFile:
+    """A file that parses but fails a Trace or PowerSweep check ends in
+    exit 1 and one `error:` line that names the file."""
+
+    def assert_input_error(self, capsys, path, *args):
+        code, out, err = run(capsys, *args)
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}: ")
+
+    def test_report_unordered_trace(self, capsys, tmp_path):
+        paths = write_inputs(tmp_path)
+        path = tmp_path / "order.csv"
+        path.write_text("freq_hz,re,im\n1e9,1,0\n3e9,1,0\n2e9,1,0\n")
+        self.assert_input_error(capsys, path, "report", "--input",
+                                paths["table"], "--traces", paths["trace"],
+                                str(path), "--out", str(tmp_path / "rep"))
+        assert not (tmp_path / "rep").exists()
+
+    def test_sweep_unordered_photons(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("# resonator_freq_hz = 7.3e9\n# temperature_k = 0.01\n"
+                        "photon_number,q_internal,sigma\n"
+                        "10,9e3,270\n1,4.5e3,135\n")
+        self.assert_input_error(capsys, path, "sweep", "--input", str(path))
+
+    def test_fit_batch_stops_at_input_error(self, capsys, tmp_path):
+        good = write_inputs(tmp_path)["trace"]
+        path = tmp_path / "order.csv"
+        path.write_text("freq_hz,re,im\n1e9,1,0\n3e9,1,0\n2e9,1,0\n")
+        code, out, err = run(capsys, "fit", good, str(path), good,
+                             "--out", str(tmp_path / "batch"))
+        assert code == 1
+        assert out.count("label = ") == 1
+        assert err.strip().splitlines() == [
+            f"error: {path}: trace frequencies must be strictly increasing: "
+            "point 2 at 2000000000.0 Hz follows point 1 at 3000000000.0 Hz"]
+        assert not (tmp_path / "batch").exists()
 
 
 def write_inputs(tmp_path):

@@ -237,6 +237,38 @@ class TestPowerSweepIo:
             traceio.read_power_sweep(str(path))
 
 
+UNORDERED_CSV = "freq_hz,re,im\n1e9,1,0\n3e9,1,0\n2e9,1,0\n"
+NON_FINITE_S2P = "# HZ S RI R 50\n1e9 0 0 1 0 0 0 0 0\n2e9 0 0 nan 0 0 0 0 0\n"
+UNORDERED_SWEEP = ("# resonator_freq_hz = 7.3e9\n# temperature_k = 0.01\n"
+                   "photon_number,q_internal,sigma\n10,9e3,270\n1,4.5e3,135\n")
+NEGATIVE_DESIGN = ("inductance-geometric-h = -3e-10\ncap-area-um2 = 113.0\n"
+                   "cap-per-area-f-um2 = 1.386e-14\n"
+                   "cap-to-ground-f = 3.365e-14\nkinetic-fraction = 0.06\n")
+
+
+class TestDomainErrorNamesFile:
+    """A DomainError from the checks of the object a reader builds keeps
+    its class and message, with the file's path in front."""
+
+    @pytest.mark.parametrize("reader, name, text, message", [
+        (traceio.parse_trace_csv, "order.csv", UNORDERED_CSV,
+         "trace frequencies must be strictly increasing: point 2"),
+        (traceio.parse_touchstone, "nan.s2p", NON_FINITE_S2P,
+         "trace point 1 is not finite"),
+        (traceio.read_power_sweep, "sweep.csv", UNORDERED_SWEEP,
+         "photon numbers must be strictly increasing"),
+        (traceio.read_design, "design.cfg", NEGATIVE_DESIGN,
+         "inductance must be positive"),
+    ], ids=["trace_csv", "touchstone", "power_sweep", "design"])
+    def test_message_names_file(self, tmp_path, reader, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(DomainError) as err:
+            reader(str(path))
+        assert type(err.value) is DomainError
+        assert str(err.value).startswith(f"{path}: {message}")
+
+
 class TestDesignFile:
     def test_roundtrip_bit_identical(self, tmp_path):
         design = rk.ResonatorDesign(
