@@ -9,6 +9,8 @@ their product is plain farads). All functions are pure and thread-safe.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import E_CHARGE, EPS_0, K_B, PHI_0, TWO_PI, UM2_PER_M2
 from .errors import DomainError, UnreachableFrequencyError
 
@@ -18,6 +20,8 @@ __all__ = [
     "JunctionLeakageSpec",
     "DispersiveBudget",
     "DispersiveReport",
+    "effective_inductance",
+    "lc_frequency",
     "resonance_frequency",
     "area_for_frequency",
     "ceiling_frequency",
@@ -69,14 +73,6 @@ class ResonatorDesign:
             raise DomainError("ground capacitance must be positive")
         if not 0.0 <= self.kinetic_fraction < 1.0:
             raise DomainError("kinetic fraction must lie in [0, 1)")
-
-    @property
-    def inductance_effective(self) -> float:
-        return self.inductance_geometric * (1.0 + self.kinetic_fraction)
-
-    @property
-    def capacitance_total(self) -> float:
-        return self.cap_to_ground + self.cap_per_area * self.cap_area
 
 
 @dataclass(frozen=True)
@@ -146,24 +142,37 @@ class DispersiveReport:
     linewidth_at_min_q: float  # Hz
 
 
-def resonance_frequency(design: ResonatorDesign) -> float:
-    """Resonance frequency 1/(2 pi sqrt(L_eff (C_g + c S))), Hz.
+def effective_inductance(inductance_geometric, kinetic_fraction):
+    """Geometric plus kinetic inductance L (1 + k), H, unchecked."""
+    return inductance_geometric * (1.0 + kinetic_fraction)
 
-    Strictly decreasing in area, inductance and ground capacitance.
-    """
-    lc = design.inductance_effective * design.capacitance_total
-    if lc <= 0:
-        raise DomainError("non-positive LC product")
-    return 1.0 / (TWO_PI * math.sqrt(lc))
+
+def lc_frequency(area, inductance_geometric, cap_per_area, cap_to_ground,
+                 kinetic_fraction=0.0):
+    """The LC law 1/(2 pi sqrt(L (1 + k) (C_g + c S))), Hz, on unchecked
+    inputs, the area S a scalar or an array; resonance_frequency is its
+    checked form."""
+    c_total = cap_to_ground + cap_per_area * area
+    l_eff = effective_inductance(inductance_geometric, kinetic_fraction)
+    return 1.0 / (TWO_PI * np.sqrt(l_eff * c_total))
+
+
+def resonance_frequency(design: ResonatorDesign) -> float:
+    """Resonance frequency of a design by lc_frequency, Hz; strictly
+    decreasing in area, inductance and ground capacitance."""
+    return float(lc_frequency(design.cap_area, design.inductance_geometric,
+                              design.cap_per_area, design.cap_to_ground,
+                              design.kinetic_fraction))
 
 
 def ceiling_frequency(inductance_geometric: float, cap_to_ground: float,
                       kinetic_fraction: float = 0.0) -> float:
     """Zero-area frequency ceiling of a design family, Hz."""
-    l_eff = inductance_geometric * (1.0 + kinetic_fraction)
-    if l_eff <= 0 or cap_to_ground <= 0:
+    if (effective_inductance(inductance_geometric, kinetic_fraction) <= 0
+            or cap_to_ground <= 0):
         raise DomainError("inductance and ground capacitance must be positive")
-    return 1.0 / (TWO_PI * math.sqrt(l_eff * cap_to_ground))
+    return float(lc_frequency(0.0, inductance_geometric, 0.0, cap_to_ground,
+                              kinetic_fraction))
 
 
 def area_for_frequency(target: float, inductance_geometric: float,
@@ -185,7 +194,7 @@ def area_for_frequency(target: float, inductance_geometric: float,
         raise UnreachableFrequencyError(
             f"target {target:.6g} Hz is at or above the zero-area ceiling "
             f"{ceiling:.6g} Hz")
-    l_eff = inductance_geometric * (1.0 + kinetic_fraction)
+    l_eff = effective_inductance(inductance_geometric, kinetic_fraction)
     c_total = 1.0 / (l_eff * (TWO_PI * target) ** 2)
     return (c_total - cap_to_ground) / cap_per_area
 

@@ -6,6 +6,7 @@ and files; diagnostics go to stderr.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -16,7 +17,7 @@ from .constants import FF, GHZ, NH, NS, dbm_to_watt
 from .errors import ConfigError, DomainError, ExtractionError, SchemaError
 from .report import (ReportBundle, compare_sessions, emit_report,
                      read_report_rows)
-from .traceio import (parse_touchstone, parse_trace_csv, read_area_rows,
+from .traceio import (parse_touchstone, parse_trace_csv, read_area_dataset,
                       read_power_sweep, write_design, write_power_sweep,
                       write_table, write_trace_csv)
 
@@ -206,7 +207,7 @@ def _fit_one(path: str, fmt: str | None, mc_draws: int = 0, seed: int = 0):
     if trace.applied_power_w is not None:
         photons = notch.photons_from_power(result.params,
                                            trace.applied_power_w)
-    return label, trace, result, photons
+    return label, result, photons
 
 
 def _cmd_fit(args) -> int:
@@ -214,7 +215,7 @@ def _cmd_fit(args) -> int:
     any_failed = False
     for path in args.inputs:
         try:
-            label, trace, result, photons = _fit_one(
+            label, result, photons = _fit_one(
                 path, args.format, args.mc_draws, args.seed or 0)
         except ExtractionError as exc:
             print(f"{path}: fit failed: {exc}", file=sys.stderr)
@@ -293,13 +294,8 @@ def _cmd_sweep(args) -> int:
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     p = result.params
-    err = result.stderr
-    print(f"tan_delta_tls0 = {p.tan_delta_tls0:.6g} "
-          f"+- {err['tan_delta_tls0']:.3g}")
-    print(f"n_critical = {p.n_critical:.6g} +- {err['n_critical']:.3g}")
-    print(f"beta = {p.beta:.6g} +- {err['beta']:.3g}")
-    print(f"tan_delta_other = {p.tan_delta_other:.6g} "
-          f"+- {err['tan_delta_other']:.3g}")
+    for name, err in result.stderr.items():
+        print(f"{name} = {getattr(p, name):.6g} +- {err:.3g}")
     print(f"single_photon_tan_delta = "
           f"{tls.tls_tan_delta(1.0, p, sweep.resonator_freq, sweep.temperature):.6g}")
     print(f"converged = {result.converged}")
@@ -314,19 +310,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_area_fit(args) -> int:
     physics = _physics(args)
     if args.input:
-        rows, file_inductance = read_area_rows(args.input)
+        ds = read_area_dataset(args.input)
     else:
-        rows = [(r.area_um2, r.freq_hz) for r in refdata.REFERENCE_RESONATORS]
-        file_inductance = None
-    if args.l_nh is not None:
-        inductance = args.l_nh * NH
-    elif file_inductance is not None:
-        inductance = file_inductance
-    else:
-        inductance = refdata.INDUCTANCE_GEOMETRIC
-    ds = extraction.AreaFrequencyDataset(
-        rows=tuple(rows), inductance=inductance,
-        kinetic_fraction=physics.kinetic_fraction)
+        ds = extraction.AreaFrequencyDataset(
+            rows=tuple((r.area_um2, r.freq_hz)
+                       for r in refdata.REFERENCE_RESONATORS),
+            inductance=refdata.INDUCTANCE_GEOMETRIC)
+    ds = dataclasses.replace(
+        ds, kinetic_fraction=physics.kinetic_fraction,
+        inductance=ds.inductance if args.l_nh is None else args.l_nh * NH)
     fit = extraction.fit_frequency_vs_area(ds)
     print(f"cap_per_area_ff_um2 = {fit.cap_per_area / FF:.6g} "
           f"+- {fit.cap_per_area_err / FF:.3g}")
@@ -338,7 +330,7 @@ def _cmd_area_fit(args) -> int:
     print(f"converged = {fit.converged}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        bundle = ReportBundle(area_fit=(rows, fit, inductance))
+        bundle = ReportBundle(area_fit=(ds, fit))
         emit_report(bundle, args.out, physics=physics,
                     inputs=[args.input] if args.input else [],
                     seed=args.seed)

@@ -9,17 +9,19 @@ one global complex least-squares pass.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import fitting
+from .circuit import effective_inductance, lc_frequency
 from .constants import FF, TWO_PI
 from .errors import (DegenerateDataError, DegenerateGeometryError, DomainError,
                      ExtractionError, FitInstabilityError,
                      InsufficientDataError, NonphysicalMismatchError,
                      NonphysicalQinError, RankDeficiencyError)
-from .notch import NotchParams, Trace, _jacobian_rows, _model_terms, s21_at
+from .notch import (NotchParams, Trace, _jacobian_rows, _model_terms,
+                    internal_loss, s21_at)
 
 __all__ = [
     "CircleFit", "PhaseFit", "NotchFitResult",
@@ -394,7 +396,7 @@ def extract_qfactors(circle: CircleFit, phase: PhaseFit,
             f"mismatch angle {phi:.4g} rad is outside |phi| < pi/2")
     q_l = phase.q_loaded
     q_e = q_l / (2.0 * radius_n)
-    if 1.0 / q_l - math.cos(phi) / q_e <= 0:
+    if internal_loss(q_l, q_e, phi) <= 0:
         raise NonphysicalQinError(
             "coupling loss cos(phi)/|Q_e| is not below the loaded loss 1/Q_l")
     return NotchParams(f_r=phase.f_r, q_loaded=q_l, q_ext_mag=q_e,
@@ -482,14 +484,9 @@ def _refine_notch(trace: Trace, p0: NotchParams) -> NotchFitResult:
         grad[2] = -q_in ** 2 * math.cos(phi) / q_e ** 2
         grad[3] = -q_in ** 2 * math.sin(phi) / q_e
     var_qin = float(grad @ cov @ grad)
-    err = res.stderr
-    uncertainties = {
-        "f_r": float(err[0]),
-        "q_loaded": float(err[1]),
-        "q_ext_mag": float(err[2]),
-        "mismatch_phi": float(err[3]),
-        "q_internal": math.sqrt(max(var_qin, 0.0)),
-    }
+    uncertainties = {f.name: float(e)
+                     for f, e in zip(fields(NotchParams)[:4], res.stderr)}
+    uncertainties["q_internal"] = math.sqrt(max(var_qin, 0.0))
     rms = res.residual_norm / math.sqrt(len(trace)) / gain
     return NotchFitResult(params=params, uncertainties=uncertainties,
                           residual_rms=float(rms), converged=res.converged)
@@ -595,7 +592,7 @@ def frequency_area_jacobian(areas, inductance: float, cap_per_area: float,
 
 
 def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
-    """Least-squares fit of f = 1/(2 pi sqrt(L (C_g + c S))).
+    """Least-squares fit of circuit.lc_frequency to the dataset's rows.
 
     Linearized in 1/f^2 for the starting point, then refined on the
     frequency residuals. Standard errors come from the refinement
@@ -603,7 +600,7 @@ def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
     """
     areas = np.array([s for s, _ in ds.rows])
     freqs = np.array([f for _, f in ds.rows])
-    l_eff = ds.inductance * (1.0 + ds.kinetic_fraction)
+    l_eff = effective_inductance(ds.inductance, ds.kinetic_fraction)
 
     # 1/f^2 = 4 pi^2 L (C_g + c S) is linear in S: exact on clean data.
     y = 1.0 / freqs ** 2 / (TWO_PI ** 2 * l_eff)
@@ -615,8 +612,8 @@ def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
         raise DegenerateDataError("area-frequency system is singular") from exc
 
     def resid(p):
-        c_total = p[1] + p[0] * areas
-        return 1.0 / (TWO_PI * np.sqrt(l_eff * c_total)) - freqs
+        return lc_frequency(areas, ds.inductance, p[0], p[1],
+                            ds.kinetic_fraction) - freqs
 
     problem = fitting.FitProblem(
         residual=resid,

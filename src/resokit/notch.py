@@ -19,7 +19,7 @@ from .errors import DomainError
 
 __all__ = ["NotchParams", "Trace", "s21_at", "s21_model", "s21_jacobian",
            "synthesize_trace", "linewidth_grid", "photons_from_power",
-           "q_internal_of"]
+           "internal_loss", "q_internal_of"]
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class NotchParams:
             raise DomainError("environment gain must be positive")
         # Loaded loss must include the coupling loss: derived Q_in > 0
         # (equality, a lossless resonator, is allowed).
-        inv_qin = 1.0 / self.q_loaded - math.cos(self.mismatch_phi) / self.q_ext_mag
-        if inv_qin < -1e-12 / self.q_loaded:
+        if (internal_loss(self.q_loaded, self.q_ext_mag, self.mismatch_phi)
+                < -1e-12 / self.q_loaded):
             raise DomainError("q_loaded exceeds q_ext_mag/cos(phi): "
                               "internal loss would be negative")
 
@@ -220,9 +220,15 @@ def photons_from_power(params: NotchParams, power_on_chip: float) -> float:
         / (params.q_ext_mag * HBAR * omega ** 2)
 
 
+def internal_loss(q_loaded, q_ext_mag, mismatch_phi=0.0) -> float:
+    """Internal loss 1/Q_in = 1/Q_l - cos(phi)/|Q_e| (diameter corrected)
+    on unchecked scalars; negative when coupling exceeds loaded loss."""
+    return 1.0 / q_loaded - math.cos(mismatch_phi) / q_ext_mag
+
+
 def q_internal_of(q_loaded: float, q_ext_mag: float,
                   mismatch_phi: float = 0.0) -> float:
-    """Internal Q from loaded and coupling quantities (diameter
-    corrected): 1/Q_in = 1/Q_l - cos(phi)/|Q_e|."""
-    inv = 1.0 / q_loaded - math.cos(mismatch_phi) / q_ext_mag
+    """Internal Q from loaded and coupling quantities by internal_loss;
+    inf for a lossless resonator."""
+    inv = internal_loss(q_loaded, q_ext_mag, mismatch_phi)
     return math.inf if inv <= 0 else 1.0 / inv

@@ -7,16 +7,16 @@ frequency proximity.
 """
 
 import json
-import math
 import os
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
+from .circuit import lc_frequency
 from .config import PhysicsOverrides, config_hash
 from .errors import ConfigError
-from .extraction import AreaFitResult
+from .extraction import AreaFitResult, AreaFrequencyDataset
 from .notch import Trace
 from .svgplot import Series, line_plot_svg
 from .tls import PowerSweep, TlsFitParams, tls_tan_delta
@@ -72,7 +72,7 @@ class ReportBundle:
     traces: list[tuple[str, Trace]] = field(default_factory=list)
     sweeps: list[tuple[str, PowerSweep, TlsFitParams | None]] = \
         field(default_factory=list)
-    area_fit: tuple[list[tuple[float, float]], AreaFitResult, float] | None = None
+    area_fit: tuple[AreaFrequencyDataset, AreaFitResult] | None = None
 
 
 def compare_sessions(rows_a, rows_b) -> list[SessionDelta]:
@@ -125,12 +125,12 @@ def _sweep_plot(name: str, sweep: PowerSweep,
                          xlabel="photon number", ylabel="Q_in", logx=True)
 
 
-def _area_plot(points, fit: AreaFitResult, inductance: float) -> str:
-    areas = [p[0] for p in points]
-    freqs = [p[1] / 1e9 for p in points]
+def _area_plot(ds: AreaFrequencyDataset, fit: AreaFitResult) -> str:
+    areas = [s for s, _ in ds.rows]
+    freqs = [f / 1e9 for _, f in ds.rows]
     grid = np.linspace(min(areas), max(areas), 200)
-    c_total = fit.cap_to_ground + fit.cap_per_area * grid
-    model = 1.0 / (2.0 * math.pi * np.sqrt(inductance * c_total)) / 1e9
+    model = lc_frequency(grid, ds.inductance, fit.cap_per_area,
+                         fit.cap_to_ground, ds.kinetic_fraction) / 1e9
     return line_plot_svg(
         [Series(x=areas, y=freqs, label="data", markers=True),
          Series(x=list(grid), y=list(model), label="fit")],

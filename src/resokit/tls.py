@@ -14,7 +14,7 @@ flagged through elevated tail residuals instead.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from .constants import H_PLANCK, K_B
 from .errors import DomainError, InsufficientDataError
 
 __all__ = ["TlsFitParams", "PowerSweep", "PowerSweepFit",
-           "tan_delta_from_q", "thermal_factor", "tls_tan_delta",
-           "tan_delta_jacobian", "fit_power_sweep", "solve_endpoint_params"]
+           "tan_delta_from_q", "thermal_factor", "tan_delta_model",
+           "tls_tan_delta", "tan_delta_jacobian", "fit_power_sweep",
+           "solve_endpoint_params"]
 
 DEFAULT_BETA = 0.5
 
@@ -111,6 +112,12 @@ def thermal_factor(f: float, temperature: float) -> float:
     return math.tanh(H_PLANCK * f / (2.0 * K_B * temperature))
 
 
+def tan_delta_model(n, thermal, tls0, n_critical, beta, other):
+    """The loss law tls0 thermal / (1 + n/n_c)^beta + other on unchecked
+    inputs, n a scalar or an array; tls_tan_delta is its checked form."""
+    return tls0 * thermal / (1.0 + n / n_critical) ** beta + other
+
+
 def tls_tan_delta(n, p: TlsFitParams, f: float, temperature: float):
     """Loss tangent at mean photon number n (scalar or array).
 
@@ -120,9 +127,8 @@ def tls_tan_delta(n, p: TlsFitParams, f: float, temperature: float):
     n = np.asarray(n, dtype=float)
     if (n < 0).any():
         raise DomainError("photon number must be non-negative")
-    th = thermal_factor(f, temperature)
-    out = p.tan_delta_tls0 * th / (1.0 + n / p.n_critical) ** p.beta \
-        + p.tan_delta_other
+    out = tan_delta_model(n, thermal_factor(f, temperature), p.tan_delta_tls0,
+                          p.n_critical, p.beta, p.tan_delta_other)
     return out if out.ndim else float(out)
 
 
@@ -154,8 +160,8 @@ def solve_endpoint_params(q_low: float, n_low: float, q_high: float,
     (tan_delta_tls0, tan_delta_other), so the anchors determine them.
     """
     th = thermal_factor(f, temperature)
-    g_low = th / (1.0 + n_low / n_critical) ** beta
-    g_high = th / (1.0 + n_high / n_critical) ** beta
+    g_low = tan_delta_model(n_low, th, 1.0, n_critical, beta, 0.0)
+    g_high = tan_delta_model(n_high, th, 1.0, n_critical, beta, 0.0)
     t_low = 1.0 / q_low
     t_high = 1.0 / q_high
     tls0 = (t_low - t_high) / (g_low - g_high)
@@ -203,9 +209,7 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
     n_c0 = min(max(n_c0, ns[0]), ns[-1])
 
     def resid(p):
-        tls0, n_c, beta, other = p
-        model = tls0 * th / (1.0 + ns / n_c) ** beta + other
-        return model - tan_d
+        return tan_delta_model(ns, th, *p) - tan_d
 
     lo_beta, hi_beta = (1e-2, 1.0) if fit_beta else (DEFAULT_BETA, DEFAULT_BETA)
     # The solver works on loss tangents in units of the mean measured one.
@@ -225,11 +229,7 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
         jacobian=lambda p: tan_delta_jacobian(ns, th, *p[:3]),
     )
     res = fitting.nonlinear_ls(problem)
-    tls0, n_c, beta, other = res.params
-    err = res.stderr
-
-    params = TlsFitParams(tan_delta_tls0=float(tls0), n_critical=float(n_c),
-                          beta=float(beta), tan_delta_other=float(other))
+    params = TlsFitParams(*map(float, res.params))
 
     # Rising high-power tail cannot be produced by this model; flag it
     # when the top decade sits systematically above the fit.
@@ -241,8 +241,8 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
             warnings.append("high-power tail rises above the saturable "
                             "model: non-TLS loss suspected")
 
-    stderr = {"tan_delta_tls0": float(err[0]), "n_critical": float(err[1]),
-              "beta": float(err[2]), "tan_delta_other": float(err[3])}
+    stderr = {f.name: float(e)
+              for f, e in zip(fields(TlsFitParams), res.stderr)}
     return PowerSweepFit(params=params, covariance=res.covariance,
                          stderr=stderr, converged=res.converged,
                          residual_norm=res.residual_norm, warnings=warnings)

@@ -9,17 +9,21 @@ two-port files are read-only, and only their S21 column is read.
 
 import os
 import tempfile
+from dataclasses import astuple
 
 import numpy as np
 
 from .circuit import ResonatorDesign
+from .config import load_config_file
 from .errors import (DomainError, SchemaError, TouchstoneFormatError,
                      UnsupportedFormatError)
+from .extraction import AreaFrequencyDataset
 from .notch import Trace
+from .refdata import INDUCTANCE_GEOMETRIC
 from .tls import PowerSweep
 
 __all__ = ["parse_trace_csv", "write_trace_csv", "parse_touchstone",
-           "read_power_sweep", "write_power_sweep", "read_area_rows",
+           "read_power_sweep", "write_power_sweep", "read_area_dataset",
            "write_design", "read_design", "atomic_write_text",
            "write_table"]
 
@@ -140,19 +144,23 @@ def float_row(cells, path: str, lineno: int, start: int = 0,
                           f"{sep.join(cells)!r}") from exc
 
 
-def _float_directive(path: str, directives, key: str) -> float:
+def _float_value(path: str, values, key: str) -> float:
+    """The float of a directive or config value; a missing or non-numeric
+    one raises a SchemaError that names the file and the key."""
+    if key not in values:
+        raise SchemaError(f"{path}: missing {key} value")
     try:
-        return float(directives[key])
+        return float(values[key])
     except ValueError as exc:
-        raise SchemaError(f"{path}: non-numeric {key} directive: "
-                          f"{directives[key]!r}") from exc
+        raise SchemaError(f"{path}: non-numeric {key} value: "
+                          f"{values[key]!r}") from exc
 
 
-def _from_file(path: str, build, **fields):
-    """build(**fields) for an object read from path: a DomainError from
-    its own checks keeps its class and gains the path in front."""
+def _from_file(path: str, build, *args, **fields):
+    """build(*args, **fields) for an object read from path: a DomainError
+    from its own checks keeps its class and gains the path in front."""
     try:
-        return build(**fields)
+        return build(*args, **fields)
     except DomainError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -187,9 +195,8 @@ def parse_trace_csv(path: str) -> Trace:
     freqs, a, b = map(np.array, zip(*(float_row(cells, path, lineno)
                                         for lineno, cells in rows)))
     z = _samples("ri" if header == TRACE_COLUMNS_RI else "db", a, b)
-    power = None
-    if "power_w" in directives:
-        power = _float_directive(path, directives, "power_w")
+    power = _float_value(path, directives, "power_w") \
+        if "power_w" in directives else None
     metadata = {k[len("meta."):]: v for k, v in directives.items()
                 if k.startswith("meta.")}
     return _from_file(path, Trace, freqs_hz=freqs, s21=z,
@@ -263,14 +270,11 @@ def parse_touchstone(path: str) -> Trace:
 def read_power_sweep(path: str) -> PowerSweep:
     """Read a power sweep CSV written by write_power_sweep."""
     _, directives, rows = _read_table(path, "sweep", (SWEEP_COLUMNS,))
-    if "resonator_freq_hz" not in directives or "temperature_k" not in directives:
-        raise SchemaError(f"{path}: sweep file must carry resonator_freq_hz "
-                          "and temperature_k directives")
     return _from_file(
         path, PowerSweep,
         points=tuple(float_row(cells, path, lineno) for lineno, cells in rows),
-        resonator_freq=_float_directive(path, directives, "resonator_freq_hz"),
-        temperature=_float_directive(path, directives, "temperature_k"))
+        resonator_freq=_float_value(path, directives, "resonator_freq_hz"),
+        temperature=_float_value(path, directives, "temperature_k"))
 
 
 def write_power_sweep(sweep: PowerSweep, path: str) -> None:
@@ -279,42 +283,34 @@ def write_power_sweep(sweep: PowerSweep, path: str) -> None:
                  ("temperature_k", sweep.temperature)])
 
 
+# The design-file keys, in ResonatorDesign field order.
 _DESIGN_KEYS = ("inductance-geometric-h", "cap-area-um2", "cap-per-area-f-um2",
                 "cap-to-ground-f", "kinetic-fraction")
 
 
 def write_design(design: ResonatorDesign, path: str) -> None:
     """Serialize a resonator design as a key = value config file."""
-    values = (design.inductance_geometric, design.cap_area,
-              design.cap_per_area, design.cap_to_ground,
-              design.kinetic_fraction)
     lines = [f"{key} = {float(value)!r}"
-             for key, value in zip(_DESIGN_KEYS, values)]
+             for key, value in zip(_DESIGN_KEYS, astuple(design))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_design(path: str) -> ResonatorDesign:
     """Read a resonator design written by write_design."""
-    from .config import load_config_file
-
     values = load_config_file(path)
-    missing = [key for key in _DESIGN_KEYS if key not in values]
-    if missing:
-        raise SchemaError(f"design file is missing keys: {', '.join(missing)}")
-    return _from_file(
-        path, ResonatorDesign,
-        inductance_geometric=float(values["inductance-geometric-h"]),
-        cap_area=float(values["cap-area-um2"]),
-        cap_per_area=float(values["cap-per-area-f-um2"]),
-        cap_to_ground=float(values["cap-to-ground-f"]),
-        kinetic_fraction=float(values["kinetic-fraction"]))
+    return _from_file(path, ResonatorDesign,
+                      *(_float_value(path, values, key)
+                        for key in _DESIGN_KEYS))
 
 
-def read_area_rows(path: str):
-    """Read (area_um2, freq_hz) rows plus an optional inductance_h
-    directive; returns (rows, inductance_or_None)."""
+def read_area_dataset(path: str) -> AreaFrequencyDataset:
+    """Read (area_um2, freq_hz) rows as an AreaFrequencyDataset whose
+    inductance is the file's inductance_h directive, else the reference
+    design's."""
     _, directives, rows = _read_table(path, "area", (AREA_COLUMNS,))
-    inductance = _float_directive(path, directives, "inductance_h") \
-        if "inductance_h" in directives else None
-    return [float_row(cells, path, lineno) for lineno, cells in rows], \
-        inductance
+    inductance = _float_value(path, directives, "inductance_h") \
+        if "inductance_h" in directives else INDUCTANCE_GEOMETRIC
+    return _from_file(
+        path, AreaFrequencyDataset,
+        rows=tuple(float_row(cells, path, lineno) for lineno, cells in rows),
+        inductance=inductance)

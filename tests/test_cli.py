@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -368,6 +369,44 @@ class TestAreaFitCommand:
                            "--l-nh", "0.3")
         assert code == 0
 
+    def test_plot_follows_fit_with_kinetic_fraction(self, capsys, tmp_path):
+        # The fit curve of freq_vs_area.svg, read back through the tick
+        # labels, passes through the fitted model at the data areas.
+        from resokit import svgplot
+        from resokit.refdata import INDUCTANCE_GEOMETRIC, REFERENCE_RESONATORS
+        code, _, _ = run(capsys, "area-fit", "--kinetic-fraction", "0.06",
+                         "--out", str(tmp_path))
+        assert code == 0
+        svg = (tmp_path / "freq_vs_area.svg").read_text()
+
+        def axis(pattern, offset=0.0):
+            # The linear map through the first and last tick label; a
+            # label sits `offset` px from its tick.
+            ticks = [(float(p) - offset, float(v))
+                     for p, v in re.findall(pattern, svg)]
+            (p0, v0), (p1, v1) = ticks[0], ticks[-1]
+            return lambda p: v0 + (np.asarray(p) - p0) * (v1 - v0) / (p1 - p0)
+
+        x_tick_y = svgplot.HEIGHT - svgplot.MARGIN_B + 20
+        to_area = axis(rf'<text x="([\d.]+)" y="{x_tick_y}" '
+                       r'text-anchor="middle"[^>]*>([^<]+)</text>')
+        to_ghz = axis(rf'<text x="{svgplot.MARGIN_L - 8}" y="([\d.]+)" '
+                      r'text-anchor="end"[^>]*>([^<]+)</text>', offset=4.0)
+        points = re.search(r'<polyline points="([^"]+)"', svg).group(1)
+        px, py = np.array([p.split(",") for p in points.split()],
+                          dtype=float).T
+        curve_area, curve_ghz = to_area(px), to_ghz(py)
+
+        rows = tuple((r.area_um2, r.freq_hz) for r in REFERENCE_RESONATORS)
+        fit = rk.fit_frequency_vs_area(rk.AreaFrequencyDataset(
+            rows=rows, inductance=INDUCTANCE_GEOMETRIC, kinetic_fraction=0.06))
+        for area, _ in rows:
+            expected = rk.resonance_frequency(rk.ResonatorDesign(
+                INDUCTANCE_GEOMETRIC, area, fit.cap_per_area,
+                fit.cap_to_ground, 0.06)) / 1e9
+            drawn = np.interp(area, curve_area, curve_ghz)
+            assert drawn == pytest.approx(expected, rel=1e-3)
+
 
 class TestReportCommand:
     def test_compare_sessions(self, capsys, tmp_path):
@@ -624,6 +663,17 @@ class TestDomainErrorNamesFile:
                         "photon_number,q_internal,sigma\n"
                         "10,9e3,270\n1,4.5e3,135\n")
         self.assert_input_error(capsys, path, "sweep", "--input", str(path))
+
+    @pytest.mark.parametrize("row, message", [
+        ("-120.0,7.1e9", "areas and frequencies must be positive"),
+        ("100.0,7.1e9", "areas must be distinct"),
+    ], ids=["negative_area", "repeated_area"])
+    def test_area_fit_bad_rows(self, capsys, tmp_path, row, message):
+        path = tmp_path / "areas.csv"
+        path.write_text(f"area_um2,freq_hz\n100.0,7.3e9\n{row}\n")
+        code, _, err = run(capsys, "area-fit", "--input", str(path))
+        assert code == 1
+        assert err.splitlines() == [f"error: {path}: {message}"]
 
     def test_fit_batch_stops_at_input_error(self, capsys, tmp_path):
         good = write_inputs(tmp_path)["trace"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -10,6 +11,7 @@ import oracles
 import resokit as rk
 from conftest import (draw_notch_params, drop_exact_jacobians,
                       forbid_numeric_jacobian)
+from resokit import circuit
 from resokit import extraction as ex
 from resokit.constants import FF, NH, TWO_PI
 from resokit.errors import (DegenerateGeometryError, DomainError,
@@ -741,6 +743,25 @@ class TestFrequencyVsArea:
         with pytest.raises(DomainError):
             ex.AreaFrequencyDataset(rows=((30.0, 9e9), (30.0, 8e9)),
                                     inductance=0.3 * NH)
+
+    def test_design_agrees_with_fit_model(self):
+        # A design built from the fit's constants predicts, bit for bit,
+        # the frequency the fit's residual compares with the data.
+        ds = dataclasses.replace(self.reference_dataset(),
+                                 kinetic_fraction=0.06)
+        fit = ex.fit_frequency_vs_area(ds)
+        areas = np.array([s for s, _ in ds.rows])
+        freqs = np.array([f for _, f in ds.rows])
+        model = circuit.lc_frequency(areas, ds.inductance, fit.cap_per_area,
+                                     fit.cap_to_ground, ds.kinetic_fraction)
+        resid = model - freqs
+        assert math.sqrt(resid @ resid) == fit.residual_norm
+        for area, f in zip(areas, model):
+            design = rk.ResonatorDesign(
+                inductance_geometric=ds.inductance, cap_area=float(area),
+                cap_per_area=fit.cap_per_area,
+                cap_to_ground=fit.cap_to_ground, kinetic_fraction=0.06)
+            assert circuit.resonance_frequency(design) == f
 
 
 class TestCapacitanceVsArea:

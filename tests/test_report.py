@@ -138,7 +138,7 @@ class TestPlots:
         return ReportBundle(rows=reference_rows(),
                             traces=[("r01", trace)],
                             sweeps=[("r01", sweep, params)],
-                            area_fit=(rows, fit, 0.3e-9))
+                            area_fit=(ds, fit))
 
     def test_artifacts_written(self, tmp_path):
         written = emit_report(self.bundle(), str(tmp_path))

@@ -282,8 +282,18 @@ class TestDesignFile:
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "design.cfg"
         path.write_text("cap-area-um2 = 113.0\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             traceio.read_design(str(path))
+        assert str(err.value) == \
+            f"{path}: missing inductance-geometric-h value"
+
+    def test_non_numeric_value_rejected(self, tmp_path):
+        path = tmp_path / "design.cfg"
+        path.write_text(NEGATIVE_DESIGN.replace("113.0", "abc"))
+        with pytest.raises(SchemaError) as err:
+            traceio.read_design(str(path))
+        assert str(err.value) == \
+            f"{path}: non-numeric cap-area-um2 value: 'abc'"
 
 
 class TestConfigFile:
