@@ -167,12 +167,11 @@ def resonance_frequency(design: ResonatorDesign) -> float:
 
 def ceiling_frequency(inductance_geometric: float, cap_to_ground: float,
                       kinetic_fraction: float = 0.0) -> float:
-    """Zero-area frequency ceiling of a design family, Hz."""
-    if (effective_inductance(inductance_geometric, kinetic_fraction) <= 0
-            or cap_to_ground <= 0):
-        raise DomainError("inductance and ground capacitance must be positive")
-    return float(lc_frequency(0.0, inductance_geometric, 0.0, cap_to_ground,
-                              kinetic_fraction))
+    """Zero-area frequency ceiling of a design family, Hz. The inputs are
+    checked as ResonatorDesign checks them; at zero area the plate's
+    capacitance per area drops out."""
+    return resonance_frequency(ResonatorDesign(
+        inductance_geometric, 0.0, 1.0, cap_to_ground, kinetic_fraction))
 
 
 def area_for_frequency(target: float, inductance_geometric: float,

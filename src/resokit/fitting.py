@@ -3,12 +3,12 @@ Gauss-Newton solver.
 
 All model-specific fitters in the toolkit sit on these three entry
 points. Every fitter that calls the solver (the notch refinement, the
-phase-winding fit, the power-sweep fit and the area fit) supplies an
-exact Jacobian; central differences serve only a FitProblem without
-one. A fitter states its problem and reads its result in its own units;
-FitProblem.scale names the unit of each parameter, and the settings
-below hold in those units. A run that stops at the point it last
-differentiated reuses that Jacobian for the covariance. It keeps a
+power-sweep fit and the area fit) supplies an exact Jacobian; central
+differences serve only a FitProblem without one. A fitter states its
+problem and reads its result in its own units; FitProblem.scale names
+the unit of each parameter, and the settings below hold in those units.
+A run that stops at the point it last differentiated reuses that
+Jacobian and its normal matrix for the covariance. It keeps a
 per-run trace of accepted residual norms so callers can assert monotone
 descent. Its one stop rule, a model test and a count of negligible
 steps, is stated in nonlinear_ls; the constants below are its settings.
@@ -313,9 +313,12 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
             status = "converged"
             break
 
-    # A stop at the point the loop last differentiated reuses its Jacobian.
+    # A stop at the point the loop last differentiated reuses its
+    # Jacobian and its normal matrix.
     if J is None:
         J = eval_jac(x)
+        normal = _normal_matrix(J)
+        normal *= outer
     # A pinned parameter (lo == hi) was never fitted: it gets a zero row
     # and column, and the others the inverse of their own block, the
     # covariance conditional on the pinned value. A free parameter whose
@@ -324,8 +327,6 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     # and gets an infinite variance, with zeros in the rest of its row
     # and column. With neither the block is the whole normal matrix.
     free = lo != hi
-    normal = _normal_matrix(J)
-    normal *= outer
     unseen = free & (normal.diagonal() == 0.0)
     fitted = np.flatnonzero(free & ~unseen)
     block = (fitted[:, None], fitted)

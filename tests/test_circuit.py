@@ -81,6 +81,25 @@ class TestAreaForFrequency:
             circuit.area_for_frequency(ceiling, 0.3 * NH, 13.86 * FF,
                                        33.65 * FF)
 
+    @pytest.mark.parametrize("ind, kin, message", [
+        (-0.3 * NH, -2.0, "inductance must be positive"),
+        (0.3 * NH, -0.5, "kinetic fraction must lie in [0, 1)"),
+        (0.3 * NH, 1.0, "kinetic fraction must lie in [0, 1)"),
+    ])
+    def test_inductance_checked_as_design(self, ind, kin, message):
+        # L and k are checked one by one, as ResonatorDesign checks them:
+        # a positive product L (1 + k) does not let either through.
+        with pytest.raises(DomainError) as raised:
+            ResonatorDesign(**{**ROW1, "inductance_geometric": ind},
+                            kinetic_fraction=kin)
+        assert str(raised.value) == message
+        with pytest.raises(DomainError) as raised:
+            circuit.ceiling_frequency(ind, 33 * FF, kin)
+        assert str(raised.value) == message
+        with pytest.raises(DomainError) as raised:
+            circuit.area_for_frequency(5 * GHZ, ind, 13.86 * FF, 33 * FF, kin)
+        assert str(raised.value) == message
+
     @given(target=st.floats(min_value=0.5, max_value=45.0), ind=positive,
            cg=positive, c=positive, kin=st.floats(min_value=0.0, max_value=0.5))
     @settings(max_examples=100, deadline=None)
