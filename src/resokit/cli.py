@@ -93,13 +93,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--label", default="sim")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", parents=[common, seeded, formatted],
+    p = sub.add_parser("fit", parents=[common, formatted],
                        help="circle-fit notch traces")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--temperature-k", type=float, default=0.01)
-    p.add_argument("--mc-draws", type=int, default=0,
-                   help="bootstrap error bars from this many refits "
-                        "instead of the first-order covariance")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("sweep", parents=[common, seeded, physics],
@@ -198,11 +195,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_one(path: str, fmt: str | None, mc_draws: int = 0, seed: int = 0):
+def _fit_one(path: str, fmt: str | None):
     trace = _load_trace(path, fmt)
     label = trace.metadata.get("label") or \
         os.path.splitext(os.path.basename(path))[0]
-    result = extraction.fit_notch(trace, mc_draws=mc_draws, mc_seed=seed)
+    result = extraction.fit_notch(trace)
     photons = None
     if trace.applied_power_w is not None:
         photons = notch.photons_from_power(result.params,
@@ -215,8 +212,7 @@ def _cmd_fit(args) -> int:
     any_failed = False
     for path in args.inputs:
         try:
-            label, result, photons = _fit_one(
-                path, args.format, args.mc_draws, args.seed or 0)
+            label, result, photons = _fit_one(path, args.format)
         except ExtractionError as exc:
             print(f"{path}: fit failed: {exc}", file=sys.stderr)
             any_failed = True

@@ -1,12 +1,14 @@
 """Inverse problems: recover notch parameters from measured traces and
 capacitor constants from resonator ensembles.
 
-The trace pipeline follows the standard circle-fit sequence: estimate
-and remove the cable delay, fit an algebraic circle to the locus, seed
-f_r, Q_l and the off-resonant point in closed form from the locus as a
-linear-fractional image of frequency, read the coupling quantities off
-the canonical-frame geometry, then refine everything in one global
-complex least-squares pass.
+The trace pipeline follows the circle-fit sequence: estimate and remove
+the cable delay, fit an algebraic circle to the locus (the
+resonance-free check), seed f_r and Q_l in closed form from the locus as
+a linear-fractional image of frequency (the winding check), then refine
+f_r, Q_l and the delay in one complex least-squares pass by variable
+projection: the model is linear in the off-resonant point and the
+resonant amplitude, which give the gain, environment phase, |Q_e| and
+phi.
 """
 
 import math
@@ -18,11 +20,10 @@ from . import fitting
 from .circuit import effective_inductance, lc_frequency
 from .constants import FF, TWO_PI
 from .errors import (DegenerateDataError, DegenerateGeometryError, DomainError,
-                     ExtractionError, FitInstabilityError,
+                     FitInstabilityError,
                      InsufficientDataError, NonphysicalMismatchError,
                      NonphysicalQinError, RankDeficiencyError)
-from .notch import (NotchParams, Trace, _jacobian_rows, _model_terms,
-                    internal_loss, s21_at)
+from .notch import NotchParams, Trace, _jacobian_rows, internal_loss
 
 __all__ = [
     "CircleFit", "PhaseFit", "NotchFitResult",
@@ -59,11 +60,10 @@ class CircleFit:
 
 @dataclass(frozen=True)
 class PhaseFit:
-    """Phase-winding fit theta(f) = theta0 + 2 arctan(2 Q_l (1 - f/f_r))."""
+    """Resonance seed f_r, Q_l from the phase winding about a circle."""
 
     f_r: float
     q_loaded: float
-    theta0: float
 
 
 @dataclass
@@ -308,20 +308,17 @@ def _grid_criterion(z, phasor, rotate, points, stacked, p2, p4) -> np.ndarray:
 
 
 def fit_phase(trace: Trace, center: complex) -> PhaseFit:
-    """Phase-winding parameters of a delay-corrected trace about a circle
-    center, theta(f) = theta0 + 2 arctan(2 Q_l (1 - f/f_r)), in closed
-    form.
+    """Resonance f_r and Q_l of a delay-corrected trace whose phase
+    winds about a circle center, in closed form: the refinement's seed.
 
     The notch locus s is a linear-fractional image of the reduced
     frequency x = (f - f_mid) / span, f_mid the middle sample, so
     s (x - c) = a x + d for complex a, d and c (Kajfez, IEEE Trans. MTT
     42, 1149, 1994). One 3x3 least-squares solve gives the pole
     f_mid + span c, whose real part is f_r and whose imaginary part is
-    f_r / (2 Q_l) in magnitude, and the off-resonant point a, at
-    theta0 + pi about the center. The global refinement fits f_r and Q_l
-    again, so this is its seed. Raises FitInstabilityError when the
-    unwrapped phase does not wind through the resonance or the solve
-    finds no resonance.
+    f_r / (2 Q_l) in magnitude. Raises FitInstabilityError when the
+    unwrapped phase about the center does not wind through the resonance
+    or the solve finds no resonance.
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
@@ -345,163 +342,165 @@ def fit_phase(trace: Trace, center: complex) -> PhaseFit:
     normal = np.array([[sxx, sx, s1], [sx, n, s0],
                        [s1.conjugate(), s0.conjugate(), m[0, 3]]])
     try:
-        a, _, c = np.linalg.solve(normal, np.array([s2, s1, m[1, 3]])).tolist()
+        c = np.linalg.solve(normal, np.array([s2, s1, m[1, 3]]))[2].item()
     except np.linalg.LinAlgError as exc:
         raise FitInstabilityError("phase seed system is singular") from exc
     pole = f_mid + span * c
-    if not (np.isfinite([a, pole]).all() and pole.real > 0):
+    if not (np.isfinite(pole) and pole.real > 0):
         raise FitInstabilityError("phase seed found no resonance")
     f_r = pole.real
     q_l = min(f_r / (2.0 * abs(pole.imag)), 1e12) if pole.imag else 1e12
     q_l = max(q_l, 1.0)
-    # theta0 on the unwrapped branch nearest the mid-level phase.
-    mid_level = 0.5 * float(theta[0] + theta[-1])
-    offres = a - center
-    theta0 = math.atan2(offres.imag, offres.real) - math.pi
-    theta0 += TWO_PI * round((mid_level - theta0) / TWO_PI)
-    return PhaseFit(f_r=f_r, q_loaded=q_l, theta0=theta0)
+    return PhaseFit(f_r=f_r, q_loaded=q_l)
 
 
-def extract_qfactors(circle: CircleFit, phase: PhaseFit,
-                     delay: float) -> NotchParams:
-    """Seed parameters for the global refinement from canonical-frame
-    circle geometry, for a locus whose cable delay `delay` is removed.
+def extract_qfactors(f_r: float, q_loaded: float, delay: float, a: complex,
+                     b: complex, f_mid: float) -> NotchParams:
+    """NotchParams of the refined notch model
 
-    The off-resonant point is the circle point at the phase fit's
-    theta0 + pi. Dividing by it gives the canonical frame, where that
-    point is 1: |Q_e| = Q_l / (2 r) with r the normalized circle radius,
-    phi from the normalized center relative to 1, and 1/Q_in = 1/Q_l -
+        S21(f) = e^(-2 pi i (f - f_mid) delay) [a - b / detune(f)],
+        detune(f) = 1 + 2 i Q_l (f/f_r - 1),
+
+    with a = g e^(i alpha_c) the off-resonant point and b = a (Q_l/|Q_e|)
+    e^(i phi): env_gain |a|, env_phase arg(a) + 2 pi f_mid delay,
+    |Q_e| = Q_l |a| / |b| and phi = arg(b / a), and 1/Q_in = 1/Q_l -
     cos(phi)/|Q_e| (diameter corrected). Raises NonphysicalMismatchError
-    when the center lies past the off-resonant point (|phi| >= pi/2) and
-    NonphysicalQinError when the coupling loss exceeds the loaded loss:
-    fit failures, not input errors.
+    when the circle center lies past the off-resonant point (|phi| >=
+    pi/2) and NonphysicalQinError when the coupling loss is not below
+    the loaded loss: fit failures, not input errors.
     """
-    beta = phase.theta0 + math.pi
-    offres = circle.center + circle.radius * np.exp(1j * beta)
-    gain = float(np.abs(offres))
-    env_phase = float(np.angle(offres))
-    # The seed's env_gain and env_phase describe that frame: amp is the
-    # off-resonant point rebuilt from them.
-    amp = gain * np.exp(1j * env_phase)
-    center_n = complex(circle.center / amp)
-    radius_n = circle.radius / gain
-    phi = math.atan2(-center_n.imag, 1.0 - center_n.real)
+    ratio = b / a
+    phi = math.atan2(ratio.imag, ratio.real)
     if abs(phi) >= math.pi / 2:
         raise NonphysicalMismatchError(
             "fitted circle center lies past the off-resonant point: "
             f"mismatch angle {phi:.4g} rad is outside |phi| < pi/2")
-    q_l = phase.q_loaded
-    q_e = q_l / (2.0 * radius_n)
-    if internal_loss(q_l, q_e, phi) <= 0:
+    q_e = q_loaded / abs(ratio)
+    if internal_loss(q_loaded, q_e, phi) <= 0:
         raise NonphysicalQinError(
             "coupling loss cos(phi)/|Q_e| is not below the loaded loss 1/Q_l")
-    return NotchParams(f_r=phase.f_r, q_loaded=q_l, q_ext_mag=q_e,
-                       mismatch_phi=phi, env_gain=gain,
-                       env_phase=env_phase, cable_delay=delay)
+    alpha = math.atan2(a.imag, a.real) + TWO_PI * f_mid * delay
+    return NotchParams(f_r=f_r, q_loaded=q_loaded, q_ext_mag=q_e,
+                       mismatch_phi=phi, env_gain=abs(a),
+                       env_phase=_wrap_angle(alpha), cable_delay=delay)
 
 
 def _wrap_angle(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _refine_notch(trace: Trace, p0: NotchParams) -> NotchFitResult:
+def _refine_notch(trace: Trace, seed: PhaseFit,
+                  delay: float) -> NotchFitResult:
     freqs, z = trace.freqs_hz, trace.s21
     span = freqs[-1] - freqs[0]
     f_mid = float(freqs[freqs.size // 2])
+    n = float(freqs.size)
+    # d rot / d tau = lever rot.
+    lever = (-1j * TWO_PI) * (freqs - f_mid)
 
-    # The environment phase is referenced to the band center inside the
-    # fit: alpha_c = alpha - 2 pi f_mid tau. Otherwise alpha and tau are
-    # nearly degenerate and a small delay-seed error puts the optimum
-    # many radians of alpha away. The solver differentiates the point
-    # whose residual it evaluated last, so one cached entry lets the
-    # residual and the Jacobian share that point's model terms and its
-    # unit-gain model rotor (1 - dip).
+    # Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
+    # 1973): the model rot (a + c v), with rot = e^(-2 pi i (f - f_mid)
+    # tau) and v = 1 / (1 + 2 i Q_l (f/f_r - 1)), is linear in a and
+    # c = -b, so at each (f_r, Q_l, tau) they are the least-squares
+    # solution and the solver runs on those three alone. |rot| = 1, so
+    # the residual and Jacobian are written divided by rot: the norms and
+    # inner products the solver reads stay the same. There the columns
+    # are 1 and v, and the 2x2 Gram solve is elimination against 1 and
+    # vc = v - mean(v). The solver differentiates the point whose
+    # residual it evaluated last, so one cached entry lets the residual
+    # and the Jacobian share that point's solve.
     cached = [None, None]
 
-    def terms(p):
+    def projection(p):
         key = p.tobytes()
         if key != cached[0]:
-            rotor, detune, dip = _model_terms(
-                freqs, p[0], p[1], p[2], p[3], p[5] + TWO_PI * f_mid * p[6],
-                p[6])
-            shape = np.subtract(1.0, dip)
-            shape *= rotor
-            cached[:] = key, ((rotor, detune, dip), shape)
+            detune = 1.0 + 2j * p[1] * (freqs / p[0] - 1.0)
+            v = 1.0 / detune
+            w = z * np.exp(lever * -p[2])
+            v_mean = v.sum() / n
+            vc = v - v_mean
+            vc_norm2 = np.vdot(vc, vc).real
+            c = np.vdot(vc, w) / vc_norm2
+            a = w.sum() / n - c * v_mean
+            # Model minus data; rows interleave the real and imaginary
+            # parts (views of the complex arrays, no copies).
+            out = v * c
+            out += a
+            out -= w
+            cached[:] = key, (detune, v, vc, vc_norm2, a, c,
+                              out.view(float))
         return cached[1]
 
-    # Residual and Jacobian rows interleave the real and imaginary parts
-    # (views of the complex arrays, no copies).
-    def resid(p):
-        _, shape = terms(p)
-        out = shape * p[4]
-        out -= z
-        return out.view(float)
-
-    # Chain rule through env_phase = alpha_c + 2 pi f_mid tau: the tau
-    # row's lever arm is 2 pi (f_mid - f) instead of -2 pi f.
-    delay_lever = TWO_PI * (f_mid - freqs)
-
+    # Kaufman's Jacobian (BIT 15, 49, 1975): the model's partials at
+    # fixed a and c, each projected off span{1, v} like the residual.
+    # With v^2 d = v, d v / d Q_l = (v^2 - v) / Q_l and d v / d f_r =
+    # (v + (2 i Q_l - 1) v^2) / f_r; v projects to 0, so the f_r and Q_l
+    # columns are both multiples of the projected v^2.
     def jac(p):
-        rows = _jacobian_rows(freqs, p[0], p[1], p[2], p[4], *terms(p),
-                              delay_lever)
-        return rows.view(float).T
+        _, v, vc, vc_norm2, a, c, _ = projection(p)
+        cols = np.empty((3, freqs.size), dtype=complex)
+        np.multiply(v, v, out=cols[0])
+        np.multiply(v * c + a, lever, out=cols[2])
+        projected = cols[::2]
+        projected -= projected.sum(axis=1, keepdims=True) / n
+        projected -= (projected @ vc.conj() / vc_norm2)[:, None] * vc
+        np.multiply(cols[0], c / p[1], out=cols[1])
+        cols[0] *= c * (2j * p[1] - 1.0) / p[0]
+        return cols.view(float).T
 
-    alpha_c = _wrap_angle(p0.env_phase - TWO_PI * f_mid * p0.cable_delay)
     problem = fitting.FitProblem(
-        residual=resid,
-        initial_params=np.array([p0.f_r, p0.q_loaded, p0.q_ext_mag,
-                                 p0.mismatch_phi, p0.env_gain, alpha_c,
-                                 p0.cable_delay]),
+        residual=lambda p: projection(p)[6],
+        initial_params=np.array([seed.f_r, seed.q_loaded, delay]),
         bounds=[(max(freqs[0] - span, 1.0), freqs[-1] + span),
-                (1.0, 1e12), (1.0, 1e15),
-                (-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9),
-                (1e-12, math.inf), (-2.0 * math.pi, 2.0 * math.pi),
-                (-1e-4, 1e-4)],
+                (1.0, 1e12), (-1e-4, 1e-4)],
         jacobian=jac,
     )
     res = fitting.nonlinear_ls(problem)
-    f_r, q_l, q_e, phi, gain, alpha_c_fit, tau = res.params
-    phase_env = _wrap_angle(alpha_c_fit + TWO_PI * f_mid * tau)
-    # The bounds keep every other NotchParams check satisfied, so a
-    # DomainError here is a negative internal loss: a failed fit.
-    try:
-        params = NotchParams(f_r=f_r, q_loaded=q_l, q_ext_mag=q_e,
-                             mismatch_phi=phi, env_gain=gain,
-                             env_phase=phase_env, cable_delay=tau)
-    except DomainError as exc:
-        raise NonphysicalQinError(
-            "refined coupling loss exceeds the loaded loss: bad fit") from exc
-    q_in = params.q_internal
+    f_r, q_l, tau = res.params
+    detune, v, _, _, a, c, _ = projection(res.params)
+    params = extract_qfactors(f_r, q_l, tau, complex(a), complex(-c), f_mid)
+    q_e, phi, gain = params.q_ext_mag, params.mismatch_phi, params.env_gain
 
-    cov = res.covariance
+    # The covariance of all seven parameters from the full model's
+    # Jacobian at the optimum, with the environment phase referenced to
+    # the band center (alpha_c = alpha - 2 pi f_mid tau): the tau row's
+    # lever arm is 2 pi (f_mid - f) instead of -2 pi f. Its rows are
+    # taken divided by rot, like the refinement's, so the environment
+    # factor is the constant e^(i alpha_c) = a / g; J^T J is unchanged.
+    rotor = complex(a) / gain
+    dip = v * (-c / a)
+    rows = _jacobian_rows(freqs, f_r, q_l, q_e, gain, (rotor, detune, dip),
+                          rotor * (1.0 - dip),
+                          TWO_PI * (f_mid - freqs)).view(float)
+    cov = fitting.covariance(rows @ rows.T, rows.shape[1], res.residual_norm)
+    q_in = params.q_internal
     grad = np.zeros(7)
     if math.isfinite(q_in):
         grad[1] = q_in ** 2 / q_l ** 2
         grad[2] = -q_in ** 2 * math.cos(phi) / q_e ** 2
         grad[3] = -q_in ** 2 * math.sin(phi) / q_e
     var_qin = float(grad @ cov @ grad)
+    stderr = np.sqrt(np.clip(cov.diagonal(), 0.0, None))
     uncertainties = {f.name: float(e)
-                     for f, e in zip(fields(NotchParams)[:4], res.stderr)}
+                     for f, e in zip(fields(NotchParams)[:4], stderr)}
     uncertainties["q_internal"] = math.sqrt(max(var_qin, 0.0))
     rms = res.residual_norm / math.sqrt(len(trace)) / gain
     return NotchFitResult(params=params, uncertainties=uncertainties,
                           residual_rms=float(rms), converged=res.converged)
 
 
-def fit_notch(trace: Trace, mc_draws: int = 0,
-              mc_seed: int = 0) -> NotchFitResult:
+def fit_notch(trace: Trace) -> NotchFitResult:
     """Full notch extraction pipeline on a raw trace.
 
-    Delay estimation, environment normalization, circle fit, the
-    closed-form phase seed and Q-factor extraction give a seed; one
-    global nonlinear refinement of all seven model parameters against
-    the complex data, the pipeline's only solver run, gives the result.
-    Non-convergence is reported, never silent: degenerate inputs
-    raise and the converged flag reflects the final optimizer state.
-
-    Uncertainties are first-order from the refinement covariance by
-    default; mc_draws > 0 switches to a parametric bootstrap (refit of
-    mc_draws noise-resampled traces) at proportional runtime cost.
+    Delay estimation, circle fit and the closed-form phase seed give
+    f_r, Q_l and the delay; one variable-projection refinement of those
+    three against the complex data, with the gain, environment phase,
+    |Q_e| and phi solved linearly at each step, gives the result. It is
+    the pipeline's only solver run, and extract_qfactors maps its linear
+    amplitudes to NotchParams. Non-convergence is reported, never
+    silent: degenerate inputs raise and the converged flag reflects the
+    final optimizer state. Uncertainties are first-order, from the
+    covariance of all seven model parameters at the optimum.
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
@@ -510,32 +509,7 @@ def fit_notch(trace: Trace, mc_draws: int = 0,
     z1 = trace.s21 * np.exp(1j * TWO_PI * trace.freqs_hz * tau)
     circle = fit_circle(z1)
     phase = fit_phase(Trace(freqs_hz=trace.freqs_hz, s21=z1), circle.center)
-    result = _refine_notch(trace, extract_qfactors(circle, phase, tau))
-    if mc_draws > 0:
-        _bootstrap_uncertainties(trace, result, mc_draws, mc_seed)
-    return result
-
-
-def _bootstrap_uncertainties(trace: Trace, result: NotchFitResult,
-                             draws: int, seed: int) -> None:
-    sigma = result.residual_rms * result.params.env_gain / math.sqrt(2.0)
-    model = s21_at(result.params, trace.freqs_hz)
-    rng = np.random.default_rng(seed)
-    # Every uncertainty key names a NotchParams field or property.
-    samples: dict[str, list[float]] = {k: [] for k in result.uncertainties}
-    for _ in range(draws):
-        quad = rng.standard_normal((len(trace), 2))
-        resampled = Trace(freqs_hz=trace.freqs_hz,
-                          s21=model + sigma * (quad[:, 0] + 1j * quad[:, 1]))
-        try:
-            draw = fit_notch(resampled)
-        except ExtractionError:
-            continue
-        for key, vals in samples.items():
-            vals.append(getattr(draw.params, key))
-    if len(samples["f_r"]) >= max(2, draws // 2):
-        result.uncertainties = {key: float(np.std(vals, ddof=1))
-                                for key, vals in samples.items()}
+    return _refine_notch(trace, phase, tau)
 
 
 @dataclass(frozen=True)
@@ -559,6 +533,8 @@ class AreaFrequencyDataset:
             raise DomainError("areas and frequencies must be positive")
         if self.inductance <= 0:
             raise DomainError("inductance must be positive")
+        if not 0.0 <= self.kinetic_fraction < 1.0:
+            raise DomainError("kinetic fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

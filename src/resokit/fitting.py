@@ -1,8 +1,8 @@
 """Least-squares substrate: weighted linear fits and a damped
 Gauss-Newton solver.
 
-All model-specific fitters in the toolkit sit on these three entry
-points. Every fitter that calls the solver (the notch refinement, the
+All model-specific fitters in the toolkit sit on these entry points.
+Every fitter that calls the solver (the notch refinement, the
 power-sweep fit and the area fit) supplies an exact Jacobian; central
 differences serve only a FitProblem without one. A fitter states its
 problem and reads its result in its own units; FitProblem.scale names
@@ -165,6 +165,37 @@ def _normal_matrix(J) -> np.ndarray:
     return J.T @ np.array(J, order="K")
 
 
+def covariance(normal, rows, residual_norm=None, free=None) -> np.ndarray:
+    """Parameter covariance from the normal matrix J^T J of a least-squares
+    solution with `rows` residuals.
+
+    With residual_norm (unweighted residuals) it is scaled by the reduced
+    chi-square residual_norm^2 / (rows - free parameters). free marks the
+    fitted parameters (all by default). A parameter that is not free was
+    never fitted: it gets a zero row and column, and the others the
+    inverse of their own block, the covariance conditional on its value.
+    A free parameter whose Jacobian column is zero (a zero diagonal of
+    the normal matrix) is not determined by the data at all: it stays
+    out of the block too and gets an infinite variance, with zeros in
+    the rest of its row and column.
+    """
+    if free is None:
+        free = np.ones(normal.shape[0], dtype=bool)
+    unseen = free & (normal.diagonal() == 0.0)
+    fitted = np.flatnonzero(free & ~unseen)
+    block = (fitted[:, None], fitted)
+    cov = np.zeros(normal.shape)
+    try:
+        cov[block] = np.linalg.inv(normal[block])
+    except np.linalg.LinAlgError:
+        cov[block] = np.linalg.pinv(normal[block])
+    if residual_norm is not None:
+        dof = rows - int(free.sum())
+        cov *= residual_norm ** 2 / dof if dof > 0 else 0.0
+    cov[unseen, unseen] = math.inf
+    return cov
+
+
 def nonlinear_ls(problem: FitProblem) -> FitResult:
     """Damped Gauss-Newton descent on a FitProblem.
 
@@ -184,10 +215,10 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     damping passes DAMPING_MAX before a step is accepted, or
     "max_iterations". The Jacobian is problem.jacobian when set, scaled
     like the residual by sqrt(weights), and numeric_jacobian in x
-    otherwise. Only the final covariance leaves pinned parameters (lo
-    == hi) out, and gives a free parameter with a zero Jacobian column
-    an infinite variance; the iterations still carry their columns.
-    params and covariance are returned in the caller's units.
+    otherwise. The final covariance is `covariance` of the last normal
+    matrix, with a pinned parameter (lo == hi) not free; the iterations
+    still carry its column. params and covariance are returned in the
+    caller's units.
     """
     # A pinned power sweep runs 200 iterations on 4 parameters, where a
     # numpy wrapper costs more than its arithmetic. So this function
@@ -319,27 +350,9 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
         J = eval_jac(x)
         normal = _normal_matrix(J)
         normal *= outer
-    # A pinned parameter (lo == hi) was never fitted: it gets a zero row
-    # and column, and the others the inverse of their own block, the
-    # covariance conditional on the pinned value. A free parameter whose
-    # Jacobian column is zero (a zero diagonal of the normal matrix) is
-    # not determined by the data at all: it stays out of the block too
-    # and gets an infinite variance, with zeros in the rest of its row
-    # and column. With neither the block is the whole normal matrix.
-    free = lo != hi
-    unseen = free & (normal.diagonal() == 0.0)
-    fitted = np.flatnonzero(free & ~unseen)
-    block = (fitted[:, None], fitted)
-    cov = np.zeros(normal.shape)
-    try:
-        cov[block] = np.linalg.inv(normal[block])
-    except np.linalg.LinAlgError:
-        cov[block] = np.linalg.pinv(normal[block])
-    if sw is None:
-        dof = J.shape[0] - int(free.sum())
-        cov *= norm ** 2 / dof if dof > 0 else 0.0
+    cov = covariance(normal, J.shape[0], norm if sw is None else None,
+                     free=lo != hi)
     cov *= outer
-    cov[unseen, unseen] = math.inf
     return FitResult(params=x * unit, covariance=cov, residual_norm=norm,
                      iterations=iterations, status=status,
                      converged=status in ("converged", "stationary_point"),

@@ -163,19 +163,20 @@ class TestSimulateFit:
 
 
     def test_mismatch_failure_keeps_batch(self, capsys, tmp_path):
-        # 169 points over 1.5 linewidths, off centre: the fitted circle
-        # center lands past the off-resonant point. That file fails as a
-        # fit; the good files around it are fitted and written.
-        q_in, q_e, phi = 4010.0, 55960.0, 0.643
-        p = rk.NotchParams(f_r=7.647e9, q_ext_mag=q_e, mismatch_phi=phi,
+        # 146 points over 52 linewidths of a circle 0.0044 across under
+        # 0.0019 noise: the fitted circle center lands past the
+        # off-resonant point. That file fails as a fit; the good files
+        # around it are fitted and written.
+        q_in, q_e, phi = 134.9, 30710.0, 0.988
+        p = rk.NotchParams(f_r=5.5488e9, q_ext_mag=q_e, mismatch_phi=phi,
                            q_loaded=1.0 / (1.0 / q_in + np.cos(phi) / q_e),
-                           env_gain=1.524, env_phase=0.573,
-                           cable_delay=59.66e-9)
-        half = 1.474 * p.f_r / p.q_loaded / 2.0
-        grid = np.linspace(p.f_r - 1.39 * half, p.f_r + 0.61 * half, 169)
+                           env_gain=1.020, env_phase=-0.910,
+                           cable_delay=40.78e-9)
+        half = 51.69 * p.f_r / p.q_loaded / 2.0
+        grid = np.linspace(p.f_r - 1.057 * half, p.f_r + 0.943 * half, 146)
         hard = tmp_path / "hard.csv"
         traceio.write_trace_csv(rk.synthesize_trace(
-            p, grid, noise_sigma=2.24e-5, seed=641), str(hard))
+            p, grid, noise_sigma=1.874e-3, seed=1316644457), str(hard))
         good = write_inputs(tmp_path)["trace"]
         out_dir = tmp_path / "fit"
         code, out, err = run(capsys, "fit", good, str(hard), good,
@@ -488,6 +489,8 @@ class TestErrors:
     @pytest.mark.parametrize("command", [
         ("design", "--target-ghz", "7.3", "--seed", "5"),
         ("design", "--target-ghz", "7.3", "--format", "csv"),
+        ("fit", "t.csv", "--seed", "1"),
+        ("fit", "t.csv", "--mc-draws", "3"),
         ("simulate", "--format", "csv"),
         ("sweep", "--input", "s.csv", "--format", "csv"),
         ("area-fit", "--format", "csv"),
@@ -690,12 +693,13 @@ class TestDomainErrorNamesFile:
 
 
 def write_inputs(tmp_path):
-    """A notch trace, a power sweep and a resonator table to run the
-    subcommands on; returns their paths by kind."""
+    """A notch trace, two traces of one label at two drive powers, a
+    power sweep and a resonator table to run the subcommands on; returns
+    their paths by kind."""
     from resokit.tls import PowerSweep, solve_endpoint_params, tls_tan_delta
     params = rk.NotchParams(f_r=7.3e9, q_loaded=3000.0, q_ext_mag=9000.0)
-    trace = rk.synthesize_trace(params, rk.linewidth_grid(params, 8.0, 401),
-                                noise_sigma=0.003, seed=2,
+    grid = rk.linewidth_grid(params, 8.0, 401)
+    trace = rk.synthesize_trace(params, grid, noise_sigma=0.003, seed=2,
                                 metadata={"label": "sim"})
     gen = solve_endpoint_params(4.5e3, 1.0, 45.5e3, 1e5, 10.0, 0.5,
                                 7.3e9, 0.01)
@@ -706,8 +710,13 @@ def write_inputs(tmp_path):
                        resonator_freq=7.3e9, temperature=0.01)
     paths = {kind: str(tmp_path / name) for kind, name in (
         ("trace", "trace.csv"), ("sweep", "sweep.csv"),
-        ("table", "resonators.csv"))}
+        ("table", "resonators.csv"), ("low", "low.csv"),
+        ("high", "high.csv"))}
     traceio.write_trace_csv(trace, paths["trace"])
+    for seed, (kind, power) in enumerate((("low", 1e-17), ("high", 1e-16))):
+        traceio.write_trace_csv(rk.synthesize_trace(
+            params, grid, noise_sigma=0.003, seed=seed, applied_power_w=power,
+            metadata={"label": "pwr"}), paths[kind])
     traceio.write_power_sweep(sweep, paths["sweep"])
     write_report_rows([ReportRow("r01", 7.3e9, 113.2, 1.56e-12, 9e3, 45.5e3,
                                  4.5e3, 2.22e-4)], paths["table"])
@@ -737,7 +746,8 @@ CONFIG_CASES = {
                ("--l-nh", "0.35")),
     "simulate": (("simulate", "--points", "301"), "seed = 5\nnoise = 0.01\n",
                  ("--seed", "5", "--noise", "0.01")),
-    "fit": (("fit", "{trace}"), "mc_draws = 3\n", ("--mc-draws", "3")),
+    "fit": (("fit", "{low}", "{high}"), "temperature_k = 0.05\n",
+            ("--temperature-k", "0.05")),
     "sweep": (("sweep", "--input", "{sweep}"), "n_max = 1e3\n",
               ("--n-max", "1e3")),
     "area-fit": (("area-fit",), "l_nh = 0.35\n", ("--l-nh", "0.35")),
