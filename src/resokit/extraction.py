@@ -23,7 +23,7 @@ from .errors import (DegenerateDataError, DegenerateGeometryError, DomainError,
                      FitInstabilityError,
                      InsufficientDataError, NonphysicalMismatchError,
                      NonphysicalQinError, RankDeficiencyError)
-from .notch import NotchParams, Trace, _jacobian_rows, internal_loss
+from .notch import NotchParams, Trace, internal_loss
 
 __all__ = [
     "CircleFit", "PhaseFit", "NotchFitResult",
@@ -209,18 +209,19 @@ def estimate_delay(trace: Trace) -> float:
     across the best point's bracket; then the vertex of the parabola
     through the finer grid's best point and its two neighbours. That is
     one circle fit per trace, for the resonance-free check, and one
-    complex exp per grid pair, of the finer grid's step. The global
-    refinement in fit_notch fits the delay itself, so this only has to
-    land in its basin. When the circle residual carries no delay
-    information (resonance-free or already-corrected data) the
-    phase-slope estimate is returned directly.
+    band-centred phasor (_delay_phasor) for the start and one for the
+    finer grid's step. The global refinement in fit_notch fits the delay
+    itself, so this only has to land in its basin. When the circle
+    residual carries no delay information (resonance-free or
+    already-corrected data) the phase-slope estimate is returned
+    directly.
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
             f"delay estimation needs at least {MIN_TRACE_POINTS} points")
     freqs, z = trace.freqs_hz, trace.s21
     tau0 = _phase_slope_delay(freqs, z)
-    phasor = np.exp(1j * TWO_PI * freqs * tau0)
+    phasor = _delay_phasor(freqs, tau0)
 
     # Already-circular data (resonance-free, or delay fully absorbed by
     # the phase slope): the residual carries no delay information and
@@ -245,12 +246,32 @@ def estimate_delay(trace: Trace) -> float:
     return float(taus[best])
 
 
+def _delay_phasor(freqs, tau) -> np.ndarray:
+    """e^(2 pi i (f - f_mid) tau), f_mid the middle sample: the delay
+    correction referenced to the band center.
+
+    It differs from e^(2 pi i f tau) by the constant e^(2 pi i f_mid tau),
+    which rotates a locus as a whole and changes no circle, criterion or
+    pole fitted to it. The phase stays within pi tau span, where the
+    absolute one reaches thousands of rad, and its cos and sin cost less
+    than the exp of an imaginary argument.
+    """
+    phase = freqs - freqs[freqs.size // 2]
+    phase *= TWO_PI * tau
+    out = np.empty(freqs.size, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def _delay_grids(freqs, z, tau0, phasor):
     """(taus, criterion) of the DELAY_GRID_POINTS grid over +-2/span
     around tau0, then of the 2 DELAY_ZOOM + 1 grid across the first
-    grid's best point's bracket; phasor is e^(2 pi i f tau0).
+    grid's best point's bracket; phasor is _delay_phasor(freqs, tau0),
+    or that times any unit constant, which rotates every grid locus
+    alike.
 
-    Every grid phasor comes from phasor and one exp, the rotation by
+    Every grid phasor comes from phasor and one more, the rotation by
     the zoom step: its DELAY_ZOOM-th power steps the first grid, which
     starts DELAY_GRID_POINTS // 2 steps below tau0, and the zoom grid
     starts one step below the first grid's best point.
@@ -259,16 +280,19 @@ def _delay_grids(freqs, z, tau0, phasor):
     window = 2.0 / span
     taus = np.linspace(tau0 - window, tau0 + window, DELAY_GRID_POINTS)
     step = taus[1] - taus[0]
-    zoom_rotate = np.exp(1j * TWO_PI * freqs * (step / DELAY_ZOOM))
+    zoom_rotate = _delay_phasor(freqs, step / DELAY_ZOOM)
     rotate = _rotated(zoom_rotate, zoom_rotate, DELAY_ZOOM - 1)
     start = _rotated(phasor, rotate, -(DELAY_GRID_POINTS // 2))
-    abs2 = (z * z.conj()).real
-    sums = (np.stack([z, abs2 * z]), abs2.sum(), abs2 @ abs2)
-    crit = _grid_criterion(z, start.copy(), rotate, taus.size, *sums)
+    start *= z
+    weights = np.ones((2, z.size))
+    weights[1] = (z * z.conj()).real
+    abs2 = weights[1]
+    sums = (weights, abs2.sum(), abs2 @ abs2)
+    crit = _grid_criterion(start.copy(), rotate, taus.size, *sums)
     best = int(np.argmin(crit))
     zoom_taus = np.linspace(taus[best] - step, taus[best] + step,
                             2 * DELAY_ZOOM + 1)
-    zoom_crit = _grid_criterion(z, _rotated(start, rotate, best - 1),
+    zoom_crit = _grid_criterion(_rotated(start, rotate, best - 1),
                                 zoom_rotate, zoom_taus.size, *sums)
     return (taus, crit), (zoom_taus, zoom_crit)
 
@@ -288,23 +312,23 @@ def _rotated(phasor, rotate, power):
     return out
 
 
-def _grid_criterion(z, phasor, rotate, points, stacked, p2, p4) -> np.ndarray:
-    """_taubin_criterion of z * phasor * rotate**k for k < points, with
-    stacked = [z, |z|^2 z], p2 = sum |z|^2 and p4 = sum |z|^4; phasor is
-    rotated in place."""
-    # Each grid point's phasor is the previous one rotated by one grid
-    # step, so a point costs one complex multiply instead of an exp, one
-    # product with the stacked rows for s1 and s3, and s2.
-    w = np.empty_like(z)
-    s13 = np.empty((points, 2), dtype=complex)
+def _grid_criterion(q, rotate, points, weights, p2, p4) -> np.ndarray:
+    """_taubin_criterion of the loci q * rotate**k for k < points, q = z
+    times the first grid phasor, with weights = [1, |z|^2] as (2, N)
+    reals, p2 = sum |z|^2 and p4 = sum |z|^4; q is rotated in place."""
+    # Each grid point's locus is the previous one rotated by one grid
+    # step, so a point costs three passes: the rotation, one real product
+    # of the weights with q's (Re, Im) pairs for s1 and s3, and s2.
+    sums = np.empty((points, 2, 2))
     s2 = np.empty(points, dtype=complex)
+    pairs = q.view(float).reshape(-1, 2)
     for k in range(points):
         if k:
-            phasor *= rotate
-        s13[k] = stacked @ phasor
-        np.multiply(z, phasor, out=w)
-        s2[k] = w @ w
-    return _taubin_criterion(z.size, p2, p4, s13[:, 0], s2, s13[:, 1])
+            q *= rotate
+        np.matmul(weights, pairs, out=sums[k])
+        s2[k] = q @ q
+    s13 = sums.view(complex)[..., 0]
+    return _taubin_criterion(q.size, p2, p4, s13[:, 0], s2, s13[:, 1])
 
 
 def fit_phase(trace: Trace, center: complex) -> PhaseFit:
@@ -414,9 +438,19 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     def projection(p):
         key = p.tobytes()
         if key != cached[0]:
-            detune = 1.0 + 2j * p[1] * (freqs / p[0] - 1.0)
-            v = 1.0 / detune
-            w = z * np.exp(lever * -p[2])
+            # v = (1 - i x) / (1 + x^2), x = 2 Q_l (f/f_r - 1), in real
+            # arithmetic: t = -x, Re v = 1 / (1 + t^2) and Im v = t Re v.
+            v = np.empty(freqs.size, dtype=complex)
+            v_re = v.real
+            t = freqs / p[0]
+            t -= 1.0
+            t *= -2.0 * p[1]
+            np.multiply(t, t, out=v_re)
+            v_re += 1.0
+            np.divide(1.0, v_re, out=v_re)
+            np.multiply(t, v_re, out=v.imag)
+            w = _delay_phasor(freqs, p[2])
+            w *= z
             v_mean = v.sum() / n
             vc = v - v_mean
             vc_norm2 = np.vdot(vc, vc).real
@@ -427,8 +461,7 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
             out = v * c
             out += a
             out -= w
-            cached[:] = key, (detune, v, vc, vc_norm2, a, c,
-                              out.view(float))
+            cached[:] = key, (v, vc, vc_norm2, a, c, out.view(float))
         return cached[1]
 
     # Kaufman's Jacobian (BIT 15, 49, 1975): the model's partials at
@@ -437,7 +470,7 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     # (v + (2 i Q_l - 1) v^2) / f_r; v projects to 0, so the f_r and Q_l
     # columns are both multiples of the projected v^2.
     def jac(p):
-        _, v, vc, vc_norm2, a, c, _ = projection(p)
+        v, vc, vc_norm2, a, c, _ = projection(p)
         cols = np.empty((3, freqs.size), dtype=complex)
         np.multiply(v, v, out=cols[0])
         np.multiply(v * c + a, lever, out=cols[2])
@@ -449,7 +482,7 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
         return cols.view(float).T
 
     problem = fitting.FitProblem(
-        residual=lambda p: projection(p)[6],
+        residual=lambda p: projection(p)[5],
         initial_params=np.array([seed.f_r, seed.q_loaded, delay]),
         bounds=[(max(freqs[0] - span, 1.0), freqs[-1] + span),
                 (1.0, 1e12), (-1e-4, 1e-4)],
@@ -457,22 +490,39 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     )
     res = fitting.nonlinear_ls(problem)
     f_r, q_l, tau = res.params
-    detune, v, _, _, a, c, _ = projection(res.params)
+    v, _, _, a, c, _ = projection(res.params)
     params = extract_qfactors(f_r, q_l, tau, complex(a), complex(-c), f_mid)
     q_e, phi, gain = params.q_ext_mag, params.mismatch_phi, params.env_gain
 
     # The covariance of all seven parameters from the full model's
     # Jacobian at the optimum, with the environment phase referenced to
-    # the band center (alpha_c = alpha - 2 pi f_mid tau): the tau row's
-    # lever arm is 2 pi (f_mid - f) instead of -2 pi f. Its rows are
-    # taken divided by rot, like the refinement's, so the environment
-    # factor is the constant e^(i alpha_c) = a / g; J^T J is unchanged.
-    rotor = complex(a) / gain
-    dip = v * (-c / a)
-    rows = _jacobian_rows(freqs, f_r, q_l, q_e, gain, (rotor, detune, dip),
-                          rotor * (1.0 - dip),
-                          TWO_PI * (f_mid - freqs)).view(float)
-    cov = fitting.covariance(rows @ rows.T, rows.shape[1], res.residual_norm)
+    # the band center (alpha_c = alpha - 2 pi f_mid tau): the tau
+    # column's lever arm is 2 pi (f_mid - f) instead of -2 pi f. Taken
+    # divided by rot, like the refinement's (J^T J is unchanged), each
+    # column is a complex multiple m_j of one of five vectors: f v^2 for
+    # f_r, v^2 for Q_l, v for |Q_e| and phi, 1 - kappa v for the gain and
+    # alpha_c, and (1 - kappa v) 2 pi (f_mid - f) for tau, with kappa =
+    # -c/a the unit-gain dip per v. Entry (j, k) of the normal matrix is
+    # then Re(conj(m_j) m_k G), G the vectors' complex inner product: its
+    # 15 distinct entries as vdots take half the time of a matmul against
+    # a conjugated copy of the basis.
+    basis = np.empty((5, freqs.size), dtype=complex)
+    np.multiply(v, v, out=basis[1])
+    np.multiply(basis[1], freqs, out=basis[0])
+    basis[2] = v
+    np.multiply(v, c / a, out=basis[3])
+    basis[3] += 1.0
+    np.multiply(basis[3], TWO_PI * (f_mid - freqs), out=basis[4])
+    gram = np.empty((5, 5), dtype=complex)
+    for j in range(5):
+        for k in range(j, 5):
+            gram[j, k] = np.vdot(basis[j], basis[k])
+            gram[k, j] = gram[j, k].conjugate()
+    pick = [0, 1, 2, 2, 3, 3, 4]
+    mult = np.array([2j * q_l * c / f_r ** 2, c / q_l, -c / q_e, 1j * c,
+                     a / gain, 1j * a, 1j * a])
+    normal = (mult.conj()[:, None] * gram[np.ix_(pick, pick)] * mult).real
+    cov = fitting.covariance(normal, 2 * freqs.size, res.residual_norm)
     q_in = params.q_internal
     grad = np.zeros(7)
     if math.isfinite(q_in):
@@ -506,7 +556,7 @@ def fit_notch(trace: Trace) -> NotchFitResult:
         raise InsufficientDataError(
             f"notch fit needs at least {MIN_TRACE_POINTS} points")
     tau = estimate_delay(trace)
-    z1 = trace.s21 * np.exp(1j * TWO_PI * trace.freqs_hz * tau)
+    z1 = trace.s21 * _delay_phasor(trace.freqs_hz, tau)
     circle = fit_circle(z1)
     phase = fit_phase(Trace(freqs_hz=trace.freqs_hz, s21=z1), circle.center)
     return _refine_notch(trace, phase, tau)

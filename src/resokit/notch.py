@@ -134,26 +134,10 @@ def s21_jacobian(f, f_r, q_loaded, q_ext_mag, mismatch_phi=0.0, env_gain=1.0,
     multiple of env * dip or of S.
     """
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    terms = _model_terms(f, f_r, q_loaded, q_ext_mag, mismatch_phi,
-                         env_phase, cable_delay)
-    rotor, _, dip = terms
-    return _jacobian_rows(f, f_r, q_loaded, q_ext_mag, env_gain, terms,
-                          rotor * (1.0 - dip), (-TWO_PI) * f).T
-
-
-def _jacobian_rows(f, f_r, q_loaded, q_ext_mag, env_gain, terms, shape,
-                   delay_lever) -> np.ndarray:
-    """s21_jacobian's columns as the rows of a contiguous (7, N) array,
-    from the _model_terms of the same point and its unit-gain model
-    shape = rotor (1 - dip).
-
-    The delay row is i S delay_lever: delay_lever = -2 pi f for the
-    model's own delay, or a shifted lever when the caller references
-    the environment phase to another frequency. Every row is filled in
-    place; rows 1 and 3 hold env * dip / detune and env * dip until
-    their own turn.
-    """
-    rotor, detune, dip = terms
+    rotor, detune, dip = _model_terms(f, f_r, q_loaded, q_ext_mag,
+                                      mismatch_phi, env_phase, cable_delay)
+    # The columns are filled in place as the rows of a (7, N) array; rows
+    # 1 and 3 hold env * dip / detune and env * dip until their own turn.
     rows = np.empty((7, f.size), dtype=complex)
     env_dip = np.multiply(rotor, dip, out=rows[3])
     env_dip *= env_gain
@@ -163,10 +147,10 @@ def _jacobian_rows(f, f_r, q_loaded, q_ext_mag, env_gain, terms, shape,
     dip_rate *= -1.0 / q_loaded
     np.multiply(env_dip, 1.0 / q_ext_mag, out=rows[2])
     env_dip *= -1j
-    rows[4] = shape
-    np.multiply(shape, 1j * env_gain, out=rows[5])
-    np.multiply(rows[5], delay_lever, out=rows[6])
-    return rows
+    rows[4] = rotor * (1.0 - dip)
+    np.multiply(rows[4], 1j * env_gain, out=rows[5])
+    np.multiply(rows[5], (-TWO_PI) * f, out=rows[6])
+    return rows.T
 
 
 def s21_at(params: NotchParams, f):

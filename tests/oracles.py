@@ -45,6 +45,18 @@ def notch_s21_gradient(f, p):
     return np.vstack([jac.real, jac.imag])
 
 
+def notch_s21_gradient_band_centred(f, p, f_mid):
+    """notch_s21_gradient with the environment phase referenced to f_mid.
+
+    With alpha = alpha_c + 2 pi f_mid tau, the delay column at fixed
+    alpha_c is dS/dtau + 2 pi f_mid dS/dalpha = 2 pi i (f_mid - f) S;
+    the other six columns are unchanged.
+    """
+    jac = notch_s21_gradient(f, p)
+    jac[:, 6] += TWO_PI * f_mid * jac[:, 5]
+    return jac
+
+
 def unwrap_from_mid(theta):
     """Phase unwrapped outward from the trace midpoint by np.unwrap, run
     once on the upper half and once, reversed, on the lower half."""

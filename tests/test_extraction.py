@@ -508,7 +508,10 @@ class TestFitNotch:
         problem = self.refine_problem(monkeypatch, trace)
         events.insert(0, "solve")
         tau = ex.estimate_delay(trace)
-        z1 = trace.s21 * np.exp(1j * TWO_PI * trace.freqs_hz * tau)
+        # The delay correction is referenced to the middle sample.
+        f = trace.freqs_hz
+        phase = (f - f[f.size // 2]) * (TWO_PI * tau)
+        z1 = trace.s21 * (np.cos(phase) + 1j * np.sin(phase))
         seed = ex.fit_phase(rk.Trace(trace.freqs_hz, z1),
                             ex.fit_circle(z1).center)
         assert problem.initial_params.tolist() == [seed.f_r, seed.q_loaded,
@@ -561,6 +564,52 @@ class TestFitNotch:
                                   "mismatch_phi")):
             assert res.uncertainties[name] == pytest.approx(
                 math.sqrt(cov[k, k]), rel=1e-6)
+
+    def test_refine_normal_matrix_matches_band_centred_columns(
+            self, monkeypatch):
+        # The refine forms the covariance's 7x7 normal matrix from the
+        # Gram of the five vectors its columns share; here against the
+        # product of the seven columns themselves, with the environment
+        # phase referenced to the middle sample as in the refine. Entries
+        # that vanish by symmetry (the gain against the phase, |Q_e|
+        # against phi) are rounding on both sides, so each entry is held
+        # to its Cauchy-Schwarz bound sqrt(N_jj N_kk).
+        normals = []
+        real = ex.fitting.covariance
+
+        def spy(normal, *args, **kwargs):
+            normals.append(normal.copy())
+            return real(normal, *args, **kwargs)
+
+        monkeypatch.setattr(ex.fitting, "covariance", spy)
+        _, trace, res = self.acceptance_fit(0)
+        (normal,) = [m for m in normals if m.shape == (7, 7)]
+        f, fit = trace.freqs_hz, res.params
+        jac = oracles.notch_s21_gradient_band_centred(
+            f, dataclasses.astuple(fit), f[f.size // 2])
+        expected = jac.T @ jac
+        bound = np.sqrt(np.outer(expected.diagonal(), expected.diagonal()))
+        assert np.all(np.abs(normal - expected) <= 1e-9 * bound)
+
+    @pytest.mark.parametrize("theta", [1.3, -2.7])
+    def test_phase_rotation_invariance(self, theta):
+        # A constant phase factor on the data rotates every locus the fit
+        # builds as a whole, which the band-centred delay phasors rely
+        # on: the delay, the fitted resonance and their errors stay put,
+        # and only the environment phase moves, by theta.
+        _, trace, res = self.acceptance_fit(0)
+        turned = rk.Trace(trace.freqs_hz, trace.s21 * np.exp(1j * theta))
+        span = trace.freqs_hz[-1] - trace.freqs_hz[0]
+        assert abs(ex.estimate_delay(turned)
+                   - ex.estimate_delay(trace)) * span < 1e-9
+        out = rk.fit_notch(turned)
+        for name in ("f_r", "q_loaded", "q_ext_mag", "mismatch_phi"):
+            assert getattr(out.params, name) == pytest.approx(
+                getattr(res.params, name), rel=1e-9)
+            assert out.uncertainties[name] == pytest.approx(
+                res.uncertainties[name], rel=1e-9)
+        shift = out.params.env_phase - res.params.env_phase - theta
+        assert abs(math.remainder(shift, TWO_PI)) < 1e-9
 
     def test_zero_delay_noiseless(self):
         # The refinement owns the delay: the grid seed is off by about
