@@ -34,18 +34,30 @@ __all__ = [
 ]
 
 MIN_TRACE_POINTS = 8
-# Grid points of the delay search over +-2/span. 31 points, 0.13/span
-# apart, still find the basin of the circle residual: on 100 noisy
-# resonance-free traces the delay misses 1 % once, as with 81 points
-# (21 points miss 3 times, 11 fail outright).
+# The delay search reads at most DELAY_POINTS samples, evenly spread
+# with both ends kept, so the span and the +-2/span window keep their
+# meaning; the circle, phase seed and refine read every sample. The
+# refine fits the delay itself, so the search only has to land in its
+# basin. Over the 800-draw wide-range census (tests/census.py), read as
+# converged / well-posed converged / not converged / converged with
+# |pull| > 10, full traces give 514/127/7/7, 1,000 samples 514/127/6/5,
+# 500 give 517/126/5/8, 700 give 521/128/5/8 and 2,000 give 512/127/6/8:
+# of these, only 1,000 holds every count of the full search.
+# On the 4,001-point acceptance-05 traces the search takes 1.3 ms where
+# it took 2.0 ms in full (2-core Xeon, one BLAS thread).
+DELAY_POINTS = 1000
+# Grid points of the delay search over +-2/span: 31 points, 0.13/span
+# apart, find the basin of the circle residual. On the census above, 11
+# points give 512/127/4/7, 21 give 506/127/5/6, 31 give 514/127/6/5 and
+# 81 give 525/126/6/6.
 DELAY_GRID_POINTS = 31
 # The circle residual of a large circle at low noise can dip between
 # grid points, and a delay seed 0.01/span off can break the circle and
 # phase fits before the refinement. A second grid therefore spans the
-# best point's bracket in steps of 1/DELAY_ZOOM of the first: over 300
-# wide-range traces (Q_in 1e2-3e6, |Q_e| 3e2-3e5, 8-3000 points, noise
-# 1e-5-0.5) the first grid's parabola alone seeds 20 fewer good fits
-# than a Brent search to 1e-4/span did, the zoom 6 more than Brent.
+# best point's bracket in steps of 1/DELAY_ZOOM of the first. On the
+# census above, the first grid's parabola alone gives 493/127/3/6, a
+# zoom of 2 gives 512/127/4/7, 4 gives 514/127/6/5 and 8 gives
+# 515/126/7/6.
 DELAY_ZOOM = 4
 
 
@@ -203,23 +215,29 @@ def _taubin_criterion(n, p2, p4, s1, s2, s3) -> np.ndarray:
 def estimate_delay(trace: Trace) -> float:
     """Cable delay that makes the delay-corrected locus most circular.
 
-    Grid search of DELAY_GRID_POINTS points over +-2/span around the
-    unwrapped-phase-slope estimate, ranked by the Taubin criterion from
-    three moment sums per point; a finer grid of 2 DELAY_ZOOM + 1 points
-    across the best point's bracket; then the vertex of the parabola
-    through the finer grid's best point and its two neighbours. That is
-    one circle fit per trace, for the resonance-free check, and one
-    band-centred phasor (_delay_phasor) for the start and one for the
-    finer grid's step. The global refinement in fit_notch fits the delay
-    itself, so this only has to land in its basin. When the circle
-    residual carries no delay information (resonance-free or
-    already-corrected data) the phase-slope estimate is returned
-    directly.
+    A trace of more than DELAY_POINTS samples is read at DELAY_POINTS of
+    them, evenly spread with both ends kept, so the span stays that of
+    the trace. Grid search of DELAY_GRID_POINTS points over +-2/span
+    around the unwrapped-phase-slope estimate, ranked by the Taubin
+    criterion from three moment sums per point; a finer grid of
+    2 DELAY_ZOOM + 1 points across the best point's bracket; then the
+    vertex of the parabola through the finer grid's best point and its
+    two neighbours. That is one circle fit per trace, for the
+    resonance-free check, and one band-centred phasor (_delay_phasor)
+    for the start and one for the finer grid's step. The global
+    refinement in fit_notch fits the delay itself, so this only has to
+    land in its basin. When the circle residual carries no delay
+    information (resonance-free or already-corrected data) the
+    phase-slope estimate is returned directly.
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
             f"delay estimation needs at least {MIN_TRACE_POINTS} points")
     freqs, z = trace.freqs_hz, trace.s21
+    if freqs.size > DELAY_POINTS:
+        keep = np.round(np.linspace(0, freqs.size - 1, DELAY_POINTS))
+        keep = keep.astype(np.intp)
+        freqs, z = freqs[keep], z[keep]
     tau0 = _phase_slope_delay(freqs, z)
     phasor = _delay_phasor(freqs, tau0)
 
@@ -413,8 +431,8 @@ def _wrap_angle(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _refine_notch(trace: Trace, seed: PhaseFit,
-                  delay: float) -> NotchFitResult:
+def _refine_notch(trace: Trace, seed: PhaseFit, delay: float,
+                  z1: np.ndarray) -> NotchFitResult:
     freqs, z = trace.freqs_hz, trace.s21
     span = freqs[-1] - freqs[0]
     f_mid = float(freqs[freqs.size // 2])
@@ -449,8 +467,14 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
             v_re += 1.0
             np.divide(1.0, v_re, out=v_re)
             np.multiply(t, v_re, out=v.imag)
-            w = _delay_phasor(freqs, p[2])
-            w *= z
+            # At the seed delay w is fit_notch's z1; elsewhere it is data
+            # times phasor, z1's operand order, since complex products
+            # are not bitwise commutative.
+            if p[2] == delay:
+                w = z1
+            else:
+                w = _delay_phasor(freqs, p[2])
+                np.multiply(z, w, out=w)
             v_mean = v.sum() / n
             vc = v - v_mean
             vc_norm2 = np.vdot(vc, vc).real
@@ -559,7 +583,7 @@ def fit_notch(trace: Trace) -> NotchFitResult:
     z1 = trace.s21 * _delay_phasor(trace.freqs_hz, tau)
     circle = fit_circle(z1)
     phase = fit_phase(Trace(freqs_hz=trace.freqs_hz, s21=z1), circle.center)
-    return _refine_notch(trace, phase, tau)
+    return _refine_notch(trace, phase, tau, z1)
 
 
 @dataclass(frozen=True)

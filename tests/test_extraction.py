@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import resokit as rk
+from census import census, wide_range_probe
 from conftest import (draw_notch_params, drop_exact_jacobians,
                       forbid_numeric_jacobian)
 from resokit import circuit
@@ -55,46 +56,6 @@ def wide_range_traces(draw):
     noise = gain * log_uniform(1e-5, 0.5)
     return rk.synthesize_trace(p, grid, noise_sigma=noise,
                                seed=draw(st.integers(0, 2 ** 32 - 1)))
-
-
-def wide_range_probe(count, seed=5):
-    """The first `count` traces of the wide-range probe: the distribution
-    of wide_range_traces, drawn in its order from numpy default_rng(seed).
-
-    Yields (params, q_in, trace, well_posed). A trace is well-posed when
-    it spans at least 3 linewidths, the resonance lies in the inner half
-    of the window, it has at least 100 points, and its noise per
-    linewidth, noise * sqrt(2 linewidths / N) relative to the gain, is
-    below 2 % of the circle diameter Q_l/|Q_e|.
-    """
-    rng = np.random.default_rng(seed)
-
-    def log_uniform(lo, hi):
-        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
-
-    for _ in range(count):
-        q_in, q_e = log_uniform(1e2, 3e6), log_uniform(3e2, 3e5)
-        phi = rng.uniform(-1.4, 1.4)
-        gain = rng.uniform(0.5, 2.0)
-        p = rk.NotchParams(f_r=rng.uniform(5e9, 8e9), q_ext_mag=q_e,
-                           q_loaded=1.0 / (1.0 / q_in + math.cos(phi) / q_e),
-                           mismatch_phi=phi, env_gain=gain,
-                           env_phase=rng.uniform(-math.pi, math.pi),
-                           cable_delay=rng.uniform(0.0, 60e-9))
-        linewidths = log_uniform(0.1, 100.0)
-        half = linewidths * p.f_r / p.q_loaded / 2.0
-        points = int(rng.integers(8, 3001))
-        grid = np.linspace(p.f_r - half, p.f_r + half, points)
-        off = rng.uniform(-0.5, 0.5)
-        grid += 2.0 * off * half
-        noise = log_uniform(1e-5, 0.5)
-        trace = rk.synthesize_trace(p, grid, noise_sigma=gain * noise,
-                                    seed=int(rng.integers(0, 2 ** 32 - 1)))
-        well_posed = (linewidths >= 3.0 and abs(off) <= 0.25
-                      and points >= 100
-                      and noise * math.sqrt(2.0 * linewidths / points)
-                      < 0.02 * p.q_loaded / p.q_ext_mag)
-        yield p, q_in, trace, well_posed
 
 
 class TestFitCircle:
@@ -200,6 +161,39 @@ class TestEstimateDelay:
         _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9)
         tau = ex.estimate_delay(trace)
         assert abs(tau / 30e-9 - 1.0) < 0.02
+
+    def test_notch_30ns_under_noise_thinned(self):
+        # The same trace at 4,001 points: the search reads 1,000 of them.
+        _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9,
+                               points=4001)
+        tau = ex.estimate_delay(trace)
+        assert abs(tau / 30e-9 - 1.0) < 0.02
+
+    @pytest.mark.parametrize("points", [4001, 10000, 1000])
+    def test_search_reads_at_most_delay_points(self, monkeypatch, points):
+        # Longer traces are thinned to DELAY_POINTS evenly spread samples
+        # with both ends kept, so the span and the grid window stay put;
+        # shorter ones are read whole.
+        seen = []
+        real = ex._delay_grids
+
+        def spy(freqs, z, *args):
+            seen.append((freqs.copy(), z.copy()))
+            return real(freqs, z, *args)
+
+        monkeypatch.setattr(ex, "_delay_grids", spy)
+        _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9,
+                               points=points)
+        ex.estimate_delay(trace)
+        ((freqs, z),) = seen
+        f = trace.freqs_hz
+        assert freqs.size == min(points, ex.DELAY_POINTS)
+        assert freqs[0] == f[0] and freqs[-1] == f[-1]
+        kept = np.searchsorted(f, freqs)
+        assert np.array_equal(f[kept], freqs)
+        assert np.array_equal(trace.s21[kept], z)
+        stride = (points - 1) / (freqs.size - 1)
+        assert set(np.diff(kept)) <= {math.floor(stride), math.ceil(stride)}
 
     def test_correction_leaves_small_residual(self):
         p, trace = notch_trace(cable_delay=42e-9)
@@ -686,48 +680,23 @@ class TestFitNotch:
         # the pulls (fit - truth) / reported sigma. The counts pin what
         # fit_notch does today; a change that moves one must say which
         # way and why.
-        outcomes, well_outcomes = {}, {}
-        well_pulls, large = [], 0
-        for p, q_in, trace, well_posed in wide_range_probe(200):
-            try:
-                res = rk.fit_notch(trace)
-                outcome = "converged" if res.converged else "not converged"
-            except ResokitError as exc:
-                outcome, res = type(exc).__name__, None
-            outcomes[outcome] = outcomes.get(outcome, 0) + 1
-            if well_posed:
-                well_outcomes[outcome] = well_outcomes.get(outcome, 0) + 1
-            if outcome != "converged":
-                continue
-            err, fit = res.uncertainties, res.params
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pulls = np.array([
-                    (fit.f_r - p.f_r) / err["f_r"],
-                    (fit.q_loaded - p.q_loaded) / err["q_loaded"],
-                    (fit.q_ext_mag - p.q_ext_mag) / err["q_ext_mag"],
-                    (res.q_internal - q_in) / err["q_internal"],
-                    # 1/Q_in, with the delta-method error of Q_in.
-                    (1.0 / res.q_internal - 1.0 / q_in)
-                    / (err["q_internal"] / res.q_internal ** 2)])
-            if well_posed:
-                well_pulls.append(pulls[:4])
-            if np.any(np.abs(pulls[[0, 1, 2, 4]]) > 10.0):
-                large += 1
-        assert outcomes == {"converged": 136, "not converged": 1,
-                            "FitInstabilityError": 44,
-                            "NonphysicalQinError": 14,
-                            "NonphysicalMismatchError": 5}
-        assert well_outcomes == {"converged": 27}
+        result = census(200)
+        assert result.counts() == {"converged": 134, "not converged": 1,
+                                   "FitInstabilityError": 45,
+                                   "NonphysicalQinError": 14,
+                                   "NonphysicalMismatchError": 6}
+        assert result.counts(well_posed_only=True) == {"converged": 27}
         # f_r, Q_l, |Q_e| and Q_in on the well-posed fits: calibrated.
-        std = np.std(well_pulls, axis=0, ddof=1)
+        std = np.std(result.well_posed_pulls(), axis=0, ddof=1)
         assert np.all((std > 0.8) & (std < 1.2))
         assert std == pytest.approx([1.006, 1.120, 1.184, 0.956], abs=1e-3)
         # Converged fits with |pull| > 10 in f_r, Q_l, |Q_e| or 1/Q_in.
         # Not 0: these fits do not resolve the resonance and still report
-        # convergence, draws 141 and 194 with a fitted linewidth below
-        # the grid step and draw 47 with a circle diameter Q_l/|Q_e| of
-        # 7e-4 under a residual rms of 2.7e-3.
-        assert large == 3
+        # convergence: draw 47 with a circle diameter Q_l/|Q_e| of 8e-4
+        # under a residual rms of 2.7e-3, and draw 157, a window of 0.11
+        # linewidths under noise of 0.22 of the gain, with Q_l fitted at
+        # 100 times the truth.
+        assert result.large_pulls() == [47, 157]
 
     def test_wide_range_draw_278_converges(self):
         # A well-posed, strongly overcoupled probe trace (2,006 points
