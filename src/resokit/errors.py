@@ -67,5 +67,10 @@ class NonphysicalMismatchError(ExtractionError):
     the mismatch angle outside |phi| < pi/2."""
 
 
+class UnresolvedResonanceError(ExtractionError):
+    """The trace does not resolve the fitted resonance: its linewidth
+    against the grid step and span, or its circle against the noise."""
+
+
 class ModelEvaluationError(ExtractionError):
     """Model returned non-finite values during a fit."""

@@ -3,14 +3,17 @@ capacitor constants from resonator ensembles.
 
 The trace pipeline follows the circle-fit sequence: estimate and remove
 the cable delay, fit an algebraic circle to the locus (the
-resonance-free check), seed f_r and Q_l in closed form from the locus as
-a linear-fractional image of frequency (the winding check), then refine
-f_r, Q_l and the delay in one complex least-squares pass by variable
-projection: the model is linear in the off-resonant point and the
-resonant amplitude, which give the gain, environment phase, |Q_e| and
-phi.
+resonance-free check), seed f_r, Q_l and the leftover delay in closed
+form from the locus as a linear-fractional image of frequency (the
+winding check), then refine f_r, Q_l and the delay in one complex
+least-squares pass by variable projection: the model is linear in the
+off-resonant point and the resonant amplitude, which give the gain,
+environment phase, |Q_e| and phi. A fit whose linewidth the grid or
+span does not resolve, or whose circle the noise hides, raises
+UnresolvedResonanceError.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 
@@ -22,7 +25,8 @@ from .constants import FF, TWO_PI
 from .errors import (DegenerateDataError, DegenerateGeometryError, DomainError,
                      FitInstabilityError,
                      InsufficientDataError, NonphysicalMismatchError,
-                     NonphysicalQinError, RankDeficiencyError)
+                     NonphysicalQinError, RankDeficiencyError,
+                     UnresolvedResonanceError)
 from .notch import NotchParams, Trace, internal_loss
 
 __all__ = [
@@ -39,26 +43,44 @@ MIN_TRACE_POINTS = 8
 # meaning; the circle, phase seed and refine read every sample. The
 # refine fits the delay itself, so the search only has to land in its
 # basin. Over the 800-draw wide-range census (tests/census.py), read as
-# converged / well-posed converged / not converged / converged with
-# |pull| > 10, full traces give 514/127/7/7, 1,000 samples 514/127/6/5,
-# 500 give 517/126/5/8, 700 give 521/128/5/8 and 2,000 give 512/127/6/8:
-# of these, only 1,000 holds every count of the full search.
-# On the 4,001-point acceptance-05 traces the search takes 1.3 ms where
-# it took 2.0 ms in full (2-core Xeon, one BLAS thread).
+# converged / well-posed converged / FitInstabilityError, full traces
+# give 486/128/193, 2,000 samples 483/128/199, 1,000 give 485/127/195,
+# 700 give 491/128/193 and 500 give 486/126/197 (no sample count leaves
+# a converged fit with |pull| > 10): the counts move by a few draws
+# either way, so the time decides. On the 4,001-point acceptance-05
+# traces the search takes 1.3 ms where it took 2.0 ms in full (2-core
+# Xeon, one BLAS thread).
 DELAY_POINTS = 1000
 # Grid points of the delay search over +-2/span: 31 points, 0.13/span
 # apart, find the basin of the circle residual. On the census above, 11
-# points give 512/127/4/7, 21 give 506/127/5/6, 31 give 514/127/6/5 and
-# 81 give 525/126/6/6.
+# points give 485/127/207, 21 give 472/126/204, 31 give 485/127/195 and
+# 81 give 490/126/192.
 DELAY_GRID_POINTS = 31
 # The circle residual of a large circle at low noise can dip between
 # grid points, and a delay seed 0.01/span off can break the circle and
 # phase fits before the refinement. A second grid therefore spans the
 # best point's bracket in steps of 1/DELAY_ZOOM of the first. On the
-# census above, the first grid's parabola alone gives 493/127/3/6, a
-# zoom of 2 gives 512/127/4/7, 4 gives 514/127/6/5 and 8 gives
-# 515/126/7/6.
+# census above, the first grid's parabola alone gives 477/127/225, a
+# zoom of 2 gives 481/127/201, 4 gives 485/127/195 and 8 gives
+# 485/126/199: the refine's leftover-delay seed does not replace it.
 DELAY_ZOOM = 4
+# A fit the trace does not resolve raises UnresolvedResonanceError: a
+# fitted linewidth under MIN_LINEWIDTH_STEPS mean grid steps or over
+# MAX_LINEWIDTH_SPANS spans, or a circle diameter Q_l/|Q_e| under
+# MIN_DIAMETER_SNR times the residual rms per linewidth. Without the
+# guard, 538 census draws return a fit and 12 of the 530 converged ones
+# have |pull| > 10; with 2 steps, 3 spans and 3 it leaves 485 converged
+# and none with |pull| > 10, and flags none of the well-posed draws,
+# whose fits span 2.14 steps to 0.31 spans with a ratio of at least 49.
+# 3 steps would flag a well-posed draw; 5 spans lets draw 141 (|pull| >
+# 10) through and 2 spans drops 22 good fits; a ratio of 1 lets three
+# large pulls through, and 2 to 10 leave 485 or 484 converged and none
+# with |pull| > 10.
+# Acceptance 05 sits at 398 steps, 0.10 spans and a ratio of 318 or
+# more.
+MIN_LINEWIDTH_STEPS = 2.0
+MAX_LINEWIDTH_SPANS = 3.0
+MIN_DIAMETER_SNR = 3.0
 
 
 @dataclass(frozen=True)
@@ -72,10 +94,12 @@ class CircleFit:
 
 @dataclass(frozen=True)
 class PhaseFit:
-    """Resonance seed f_r, Q_l from the phase winding about a circle."""
+    """Resonance seed f_r, Q_l from the phase winding about a circle,
+    and the delay (s) that the trace's delay correction left over."""
 
     f_r: float
     q_loaded: float
+    residual_delay: float
 
 
 @dataclass
@@ -351,16 +375,23 @@ def _grid_criterion(q, rotate, points, weights, p2, p4) -> np.ndarray:
 
 def fit_phase(trace: Trace, center: complex) -> PhaseFit:
     """Resonance f_r and Q_l of a delay-corrected trace whose phase
-    winds about a circle center, in closed form: the refinement's seed.
+    winds about a circle center, and the delay the correction left over,
+    in closed form: the refinement's seed.
 
-    The notch locus s is a linear-fractional image of the reduced
+    The notch locus is a linear-fractional image of the reduced
     frequency x = (f - f_mid) / span, f_mid the middle sample, so
-    s (x - c) = a x + d for complex a, d and c (Kajfez, IEEE Trans. MTT
-    42, 1149, 1994). One 3x3 least-squares solve gives the pole
-    f_mid + span c, whose real part is f_r and whose imaginary part is
-    f_r / (2 Q_l) in magnitude. Raises FitInstabilityError when the
-    unwrapped phase about the center does not wind through the resonance
-    or the solve finds no resonance.
+    L (x - c) = a x + d for complex a, d and c (Kajfez, IEEE Trans. MTT
+    42, 1149, 1994). The trace s carries it with a leftover delay beta,
+    L = s e^(i beta x), taken to first order as s (1 + i beta x): then
+    s x gamma = a' x + d' + c' s + b' s x^2 with gamma = 1 - i beta c,
+    c = c' gamma and i beta = -b' gamma. One 4x4 least-squares solve
+    gives a', d', c' and b'; gamma is the root of b' c' gamma^2 - gamma +
+    1 = 0 near 1. The pole f_mid + span c has f_r as its real part and
+    f_r / (2 Q_l) as the magnitude of its imaginary part, and
+    residual_delay is beta / (2 pi span). Raises FitInstabilityError
+    when the unwrapped phase about the center does not wind through the
+    resonance, when the columns (x, 1, s, s x^2) are dependent (a
+    straight locus) or when the solve finds no resonance.
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
@@ -375,25 +406,48 @@ def fit_phase(trace: Trace, center: complex) -> PhaseFit:
     f_mid, span = float(freqs[freqs.size // 2]), float(freqs[-1] - freqs[0])
     x = (freqs - f_mid) / span
     # One product gives every sum of the normal equations of the columns
-    # (x, 1, s) against s x: row k of m sums x^k times 1, Re s, Im s and
-    # |s|^2. It is 3x faster than lstsq on an (N, 3) design matrix.
-    m = np.stack([np.ones_like(x), x, x * x]) @ np.column_stack(
-        [np.ones_like(x), s.view(float).reshape(-1, 2), (s * s.conj()).real])
-    n, sx, sxx = m[:, 0]
-    s0, s1, s2 = m[:, 1] + 1j * m[:, 2]
-    normal = np.array([[sxx, sx, s1], [sx, n, s0],
-                       [s1.conjugate(), s0.conjugate(), m[0, 3]]])
+    # (x, 1, s, s x^2) against s x: row k of m sums x^k times 1, Re s,
+    # Im s and |s|^2. It is 3x faster than lstsq on an (N, 4) design
+    # matrix.
+    powers = np.empty((5, x.size))
+    powers[0] = 1.0
+    powers[1] = x
+    np.multiply(x, x, out=powers[2])
+    np.multiply(powers[2], x, out=powers[3])
+    np.multiply(powers[2], powers[2], out=powers[4])
+    m = powers @ np.column_stack(
+        [powers[0], s.view(float).reshape(-1, 2), (s * s.conj()).real])
+    n, sx, sxx = m[:3, 0]
+    s0, s1, s2, s3 = m[:4, 1] + 1j * m[:4, 2]
+    p0, p1, p2, p3, p4 = m[:, 3]
+    normal = np.array([[sxx, sx, s1, s3], [sx, n, s0, s2],
+                       [s1.conjugate(), s0.conjugate(), p0, p2],
+                       [s3.conjugate(), s2.conjugate(), p2, p4]])
+    # Dependent columns leave the LU a rounding-sized pivot, not a zero
+    # one, so the rank is read from the smallest eigenvalue of the normal
+    # matrix with its diagonal scaled to 1: 1e-16 for a straight locus,
+    # at least 1.6e-9 on the census draws that reach this solve and
+    # 5.7e-4 on the acceptance-05 traces.
+    unit = 1.0 / np.sqrt(normal.diagonal().real)
     try:
-        c = np.linalg.solve(normal, np.array([s2, s1, m[1, 3]]))[2].item()
+        if not np.linalg.eigvalsh(normal * np.outer(unit, unit))[0] > 1e-12:
+            raise np.linalg.LinAlgError
+        _, _, c1, b1 = np.linalg.solve(
+            normal, np.array([s2, s1, p1, p3])).tolist()
     except np.linalg.LinAlgError as exc:
         raise FitInstabilityError("phase seed system is singular") from exc
-    pole = f_mid + span * c
-    if not (np.isfinite(pole) and pole.real > 0):
+    # The root of b' c' gamma^2 - gamma + 1 near 1, without the
+    # cancellation of the textbook form.
+    gamma = 2.0 / (1.0 + cmath.sqrt(1.0 - 4.0 * b1 * c1))
+    pole = f_mid + span * c1 * gamma
+    beta = (1j * b1 * gamma).real
+    if not (cmath.isfinite(pole) and pole.real > 0 and math.isfinite(beta)):
         raise FitInstabilityError("phase seed found no resonance")
     f_r = pole.real
     q_l = min(f_r / (2.0 * abs(pole.imag)), 1e12) if pole.imag else 1e12
     q_l = max(q_l, 1.0)
-    return PhaseFit(f_r=f_r, q_loaded=q_l)
+    return PhaseFit(f_r=f_r, q_loaded=q_l,
+                    residual_delay=beta / (TWO_PI * span))
 
 
 def extract_qfactors(f_r: float, q_loaded: float, delay: float, a: complex,
@@ -431,8 +485,8 @@ def _wrap_angle(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _refine_notch(trace: Trace, seed: PhaseFit, delay: float,
-                  z1: np.ndarray) -> NotchFitResult:
+def _refine_notch(trace: Trace, seed: PhaseFit,
+                  delay: float) -> NotchFitResult:
     freqs, z = trace.freqs_hz, trace.s21
     span = freqs[-1] - freqs[0]
     f_mid = float(freqs[freqs.size // 2])
@@ -467,14 +521,8 @@ def _refine_notch(trace: Trace, seed: PhaseFit, delay: float,
             v_re += 1.0
             np.divide(1.0, v_re, out=v_re)
             np.multiply(t, v_re, out=v.imag)
-            # At the seed delay w is fit_notch's z1; elsewhere it is data
-            # times phasor, z1's operand order, since complex products
-            # are not bitwise commutative.
-            if p[2] == delay:
-                w = z1
-            else:
-                w = _delay_phasor(freqs, p[2])
-                np.multiply(z, w, out=w)
+            w = _delay_phasor(freqs, p[2])
+            np.multiply(z, w, out=w)
             v_mean = v.sum() / n
             vc = v - v_mean
             vc_norm2 = np.vdot(vc, vc).real
@@ -567,14 +615,17 @@ def fit_notch(trace: Trace) -> NotchFitResult:
     """Full notch extraction pipeline on a raw trace.
 
     Delay estimation, circle fit and the closed-form phase seed give
-    f_r, Q_l and the delay; one variable-projection refinement of those
-    three against the complex data, with the gain, environment phase,
-    |Q_e| and phi solved linearly at each step, gives the result. It is
-    the pipeline's only solver run, and extract_qfactors maps its linear
+    f_r, Q_l and the delay, the seed's leftover delay added to the
+    search's; one variable-projection refinement of those three against
+    the complex data, with the gain, environment phase, |Q_e| and phi
+    solved linearly at each step, gives the result. It is the
+    pipeline's only solver run, and extract_qfactors maps its linear
     amplitudes to NotchParams. Non-convergence is reported, never
     silent: degenerate inputs raise and the converged flag reflects the
-    final optimizer state. Uncertainties are first-order, from the
-    covariance of all seven model parameters at the optimum.
+    final optimizer state. A result the trace does not resolve raises
+    UnresolvedResonanceError (_check_resolved), converged or not.
+    Uncertainties are first-order, from the covariance of all seven
+    model parameters at the optimum.
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
@@ -583,7 +634,37 @@ def fit_notch(trace: Trace) -> NotchFitResult:
     z1 = trace.s21 * _delay_phasor(trace.freqs_hz, tau)
     circle = fit_circle(z1)
     phase = fit_phase(Trace(freqs_hz=trace.freqs_hz, s21=z1), circle.center)
-    return _refine_notch(trace, phase, tau, z1)
+    result = _refine_notch(trace, phase, tau + phase.residual_delay)
+    _check_resolved(trace, result)
+    return result
+
+
+def _check_resolved(trace: Trace, result: NotchFitResult) -> None:
+    """Raise UnresolvedResonanceError when the fitted linewidth f_r/Q_l
+    lies below MIN_LINEWIDTH_STEPS mean grid steps or above
+    MAX_LINEWIDTH_SPANS spans, or when the fitted circle diameter
+    Q_l/|Q_e| lies below MIN_DIAMETER_SNR times the residual rms per
+    linewidth, residual_rms / sqrt(grid steps per linewidth)."""
+    freqs, fit = trace.freqs_hz, result.params
+    span = float(freqs[-1] - freqs[0])
+    step = span / (freqs.size - 1)
+    linewidth = fit.f_r / fit.q_loaded
+    steps = linewidth / step
+    if not steps >= MIN_LINEWIDTH_STEPS:
+        raise UnresolvedResonanceError(
+            f"unresolved resonance: fitted linewidth of {steps:.3g} grid "
+            f"steps is under {MIN_LINEWIDTH_STEPS:g}")
+    if not linewidth <= MAX_LINEWIDTH_SPANS * span:
+        raise UnresolvedResonanceError(
+            f"unresolved resonance: fitted linewidth of "
+            f"{linewidth / span:.3g} spans is over {MAX_LINEWIDTH_SPANS:g}")
+    noise = result.residual_rms / math.sqrt(steps)
+    diameter = fit.q_loaded / fit.q_ext_mag
+    if not diameter >= MIN_DIAMETER_SNR * noise:
+        raise UnresolvedResonanceError(
+            f"unresolved resonance: fitted circle diameter {diameter:.3g} "
+            f"is under {MIN_DIAMETER_SNR:g} times the residual rms per "
+            f"linewidth, {noise:.3g}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from resokit.constants import FF, NH, TWO_PI
 from resokit.errors import (DegenerateGeometryError, DomainError,
                             FitInstabilityError, InsufficientDataError,
                             NonphysicalMismatchError, NonphysicalQinError,
-                            RankDeficiencyError, ResokitError)
+                            RankDeficiencyError, ResokitError,
+                            UnresolvedResonanceError)
 from resokit.notch import s21_jacobian, s21_model
 from resokit.refdata import INDUCTANCE_GEOMETRIC, REFERENCE_RESONATORS
 
@@ -144,8 +145,10 @@ class TestEstimateDelay:
 
     def test_resonance_free_noisy_over_seeds(self):
         # Statistical guard on the coarse grid: the trace above, over 100
-        # noise seeds. The 81-point and 31-point grids miss the 1 %
-        # tolerance once; a 21-point grid misses three times.
+        # noise seeds. Since the zoom grid and the parabola vertex, grids
+        # of 11, 21, 31 and 81 points all miss the 1 % tolerance on none
+        # of them, also at noise 0.03, 0.1 and 0.3; the census, not this
+        # bound, tells grid sizes apart.
         f = np.linspace(7.0e9, 7.1e9, 1001)
         clean = 0.9 * np.exp(1j * (0.3 - TWO_PI * f * 50e-9))
         misses = 0
@@ -332,18 +335,50 @@ class TestFitPhase:
             assert abs(fit.f_r / 7.3e9 - 1.0) < 1e-6
             assert abs(fit.q_loaded / 3000.0 - 1.0) < 0.05
 
-    def test_notch_locus_exact(self):
-        # A delay-corrected notch locus through a gain of 0.8 and a phase
-        # of 1.1 rad with phi = 0.3: the closed-form seed is exact.
+    @staticmethod
+    def notch_locus(leftover=0.0):
+        """A delay-corrected notch locus through a gain of 0.8 and a phase
+        of 1.1 rad with phi = 0.3, left with a delay of leftover / span;
+        its parameters, trace and circle center."""
         p = rk.NotchParams(f_r=7.3e9, q_loaded=3000.0, q_ext_mag=9000.0,
                            mismatch_phi=0.3, env_gain=0.8, env_phase=1.1)
         f = rk.linewidth_grid(p, 10.0, 1001)
+        x = (f - f[f.size // 2]) / (f[-1] - f[0])
+        s = rk.s21_at(p, f) * np.exp(-1j * TWO_PI * leftover * x)
         amp = 0.8 * np.exp(1.1j)
         radius = p.q_loaded / (2.0 * p.q_ext_mag)
-        center = amp * (1.0 - radius * np.exp(0.3j))
-        fit = ex.fit_phase(rk.Trace(f, rk.s21_at(p, f)), center)
+        return p, rk.Trace(f, s), amp * (1.0 - radius * np.exp(0.3j))
+
+    def test_notch_locus_exact(self):
+        # Without a leftover delay the closed-form seed is exact.
+        p, trace, center = self.notch_locus()
+        fit = ex.fit_phase(trace, center)
         assert abs(fit.f_r / p.f_r - 1.0) < 1e-9
         assert abs(fit.q_loaded / p.q_loaded - 1.0) < 1e-9
+        span = trace.freqs_hz[-1] - trace.freqs_hz[0]
+        assert abs(fit.residual_delay) * span < 1e-12
+
+    @pytest.mark.parametrize("leftover", [0.02, -0.02])
+    def test_leftover_delay_recovered(self, leftover):
+        # The locus above with a leftover delay of 0.02/span: the seed's
+        # first-order delay column recovers it within 1 % (0.3 %), and
+        # f_r and Q_l within 1.2e-6 and 2.2 %, where the pole of the
+        # solve without that column, (x, 1, s) against s x, puts them
+        # 6.7e-5 and 56-245 % off.
+        p, trace, center = self.notch_locus(leftover)
+        fit = ex.fit_phase(trace, center)
+        f = trace.freqs_hz
+        span = f[-1] - f[0]
+        assert fit.residual_delay * span == pytest.approx(leftover, rel=0.01)
+        x = (f - f[f.size // 2]) / span
+        s = trace.s21
+        c = np.linalg.lstsq(np.column_stack([x, np.ones_like(x), s]), s * x,
+                            rcond=None)[0][2]
+        pole = f[f.size // 2] + span * c
+        old_f_r, old_q_l = pole.real, pole.real / (2.0 * abs(pole.imag))
+        assert abs(fit.f_r - p.f_r) < 0.05 * abs(old_f_r - p.f_r)
+        assert abs(fit.q_loaded - p.q_loaded) \
+            < 0.05 * abs(old_q_l - p.q_loaded)
 
     def test_no_solver_call(self, monkeypatch):
         calls = []
@@ -508,8 +543,8 @@ class TestFitNotch:
         z1 = trace.s21 * (np.cos(phase) + 1j * np.sin(phase))
         seed = ex.fit_phase(rk.Trace(trace.freqs_hz, z1),
                             ex.fit_circle(z1).center)
-        assert problem.initial_params.tolist() == [seed.f_r, seed.q_loaded,
-                                                   tau]
+        assert problem.initial_params.tolist() == [
+            seed.f_r, seed.q_loaded, tau + seed.residual_delay]
         assert len(problem.bounds) == 3
         assert events == ["solve", "map"]
 
@@ -680,23 +715,32 @@ class TestFitNotch:
         # the pulls (fit - truth) / reported sigma. The counts pin what
         # fit_notch does today; a change that moves one must say which
         # way and why.
+        # Moved by the leftover-delay seed and the unresolved guard
+        # (before: 134 converged, 1 not converged, 45 FitInstabilityError,
+        # 14 NonphysicalQinError, 6 NonphysicalMismatchError): 18, 30,
+        # 45, 47, 71, 72, 76, 79, 112, 140, 152, 163 converged, 162 not
+        # converged, 16, 97, 141 NonphysicalQinError and 0, 194
+        # NonphysicalMismatchError -> UnresolvedResonanceError; 56
+        # NonphysicalQinError -> converged; 148 converged ->
+        # NonphysicalQinError; 157 converged and 142, 146, 173, 198
+        # NonphysicalQinError -> NonphysicalMismatchError.
         result = census(200)
-        assert result.counts() == {"converged": 134, "not converged": 1,
+        assert result.counts() == {"converged": 121,
                                    "FitInstabilityError": 45,
-                                   "NonphysicalQinError": 14,
-                                   "NonphysicalMismatchError": 6}
+                                   "UnresolvedResonanceError": 18,
+                                   "NonphysicalQinError": 7,
+                                   "NonphysicalMismatchError": 9}
         assert result.counts(well_posed_only=True) == {"converged": 27}
         # f_r, Q_l, |Q_e| and Q_in on the well-posed fits: calibrated.
         std = np.std(result.well_posed_pulls(), axis=0, ddof=1)
         assert np.all((std > 0.8) & (std < 1.2))
         assert std == pytest.approx([1.006, 1.120, 1.184, 0.956], abs=1e-3)
-        # Converged fits with |pull| > 10 in f_r, Q_l, |Q_e| or 1/Q_in.
-        # Not 0: these fits do not resolve the resonance and still report
-        # convergence: draw 47 with a circle diameter Q_l/|Q_e| of 8e-4
-        # under a residual rms of 2.7e-3, and draw 157, a window of 0.11
-        # linewidths under noise of 0.22 of the gain, with Q_l fitted at
-        # 100 times the truth.
-        assert result.large_pulls() == [47, 157]
+        # No converged fit has |pull| > 10 in f_r, Q_l, |Q_e| or 1/Q_in:
+        # the guard turns draw 47 (a circle diameter Q_l/|Q_e| of 8e-4
+        # under a residual rms of 2.7e-3, now fitted at 1.6 grid steps per
+        # linewidth) into UnresolvedResonanceError, and draw 157 (a window
+        # of 0.11 linewidths) ends in NonphysicalMismatchError.
+        assert result.large_pulls() == []
 
     def test_wide_range_draw_278_converges(self):
         # A well-posed, strongly overcoupled probe trace (2,006 points
@@ -727,6 +771,30 @@ class TestFitNotch:
                 rk.fit_notch(trace)
             except ResokitError:
                 pass
+
+    def test_linewidth_under_two_grid_steps_unresolved(self):
+        # 11 points over 10 linewidths: the fit lands on the truth, one
+        # grid step per linewidth, which the trace does not resolve.
+        _, trace = notch_trace(noise=1e-4, span=5.0, points=11)
+        with pytest.raises(UnresolvedResonanceError,
+                           match="grid steps is under 2"):
+            rk.fit_notch(trace)
+
+    def test_linewidth_over_three_spans_unresolved(self):
+        # A noiseless window of 0.16 linewidths: the fit is exact, at 6.25
+        # spans per linewidth.
+        _, trace = notch_trace(span=0.08, points=501)
+        with pytest.raises(UnresolvedResonanceError,
+                           match="spans is over 3"):
+            rk.fit_notch(trace)
+
+    def test_circle_under_noise_unresolved(self):
+        # A circle of diameter 3e-3 under noise of 0.01 of the gain, 201
+        # points over 20 linewidths: a linewidth of 10 grid steps and 0.05
+        # spans, and a diameter 1.7 times the residual rms per linewidth.
+        _, trace = notch_trace(noise=0.01, points=201, q_ext_mag=1e6)
+        with pytest.raises(UnresolvedResonanceError, match="diameter"):
+            rk.fit_notch(trace)
 
     def test_pure_baseline_rejected(self):
         rng = np.random.default_rng(8)
