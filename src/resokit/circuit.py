@@ -25,13 +25,11 @@ __all__ = [
     "resonance_frequency",
     "area_for_frequency",
     "ceiling_frequency",
-    "capacitance_from_area",
     "dielectric_constant",
     "debye_permittivity",
     "junction_shunt_inductance",
     "critical_current",
     "dispersive_min_q",
-    "tls_noise_weight",
 ]
 
 
@@ -198,16 +196,6 @@ def area_for_frequency(target: float, inductance_geometric: float,
     return (c_total - cap_to_ground) / cap_per_area
 
 
-def capacitance_from_area(area: float, cap_per_area: float,
-                          offset: float = 0.0) -> float:
-    """Plate capacitance c*S plus a stray offset, F."""
-    if area < 0:
-        raise DomainError("area must be non-negative")
-    if cap_per_area <= 0:
-        raise DomainError("capacitance per area must be positive")
-    return cap_per_area * area + offset
-
-
 def dielectric_constant(cap_per_area: float, thickness: float) -> float:
     """Relative permittivity d*c/eps0 of a plate dielectric.
 
@@ -266,14 +254,3 @@ def dispersive_min_q(budget: DispersiveBudget) -> DispersiveReport:
     chi = budget.coupling ** 2 / budget.detuning
     return DispersiveReport(min_q_total=min_q, dispersive_shift=chi,
                             linewidth_at_min_q=budget.resonator_freq / min_q)
-
-
-def tls_noise_weight(eps: float, field_scale: float, volume: float) -> float:
-    """Relative dielectric-noise weight 1/(eps^2 E V) of a design.
-
-    Only ratios between designs are meaningful; the field-scale factor
-    has no committed unit, so absolute values carry no physical meaning.
-    """
-    if min(eps, field_scale, volume) <= 0:
-        raise DomainError("all inputs must be positive")
-    return 1.0 / (eps ** 2 * field_scale * volume)

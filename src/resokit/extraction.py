@@ -31,10 +31,9 @@ from .notch import NotchParams, Trace, internal_loss
 
 __all__ = [
     "CircleFit", "PhaseFit", "NotchFitResult",
-    "AreaFrequencyDataset", "AreaFitResult", "CapAreaFitResult",
+    "AreaFrequencyDataset", "AreaFitResult",
     "estimate_delay", "fit_circle", "fit_phase", "extract_qfactors",
     "fit_notch", "frequency_area_jacobian", "fit_frequency_vs_area",
-    "fit_capacitance_vs_area",
 ]
 
 MIN_TRACE_POINTS = 8
@@ -759,49 +758,3 @@ def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
                          cap_to_ground_err=float(err[1]),
                          converged=res.converged,
                          residual_norm=res.residual_norm)
-
-
-@dataclass(frozen=True)
-class CapAreaFitResult:
-    """Shared slope with one stray-capacitance intercept per pad group."""
-
-    cap_per_area: float            # F/um^2
-    offsets: dict[str, float]      # F, keyed by pad group
-    covariance: np.ndarray         # (1 + n_groups) square, F units
-    cap_per_area_err: float
-    offset_errs: dict[str, float]
-
-
-def fit_capacitance_vs_area(rows, sigma=None) -> CapAreaFitResult:
-    """Weighted linear fit of C = c S + C_offset(group).
-
-    rows are (area_um2, capacitance_f, group) triples; every group needs
-    at least two distinct areas so its intercept separates from the
-    shared slope.
-    """
-    rows = list(rows)
-    if not rows:
-        raise DomainError("no rows to fit")
-    areas = np.array([float(r[0]) for r in rows])
-    caps = np.array([float(r[1]) for r in rows])
-    groups = [str(r[2]) for r in rows]
-    labels = sorted(set(groups))
-    for lab in labels:
-        in_group = {a for a, g in zip(areas, groups) if g == lab}
-        if len(in_group) < 2:
-            raise RankDeficiencyError(
-                f"pad group {lab!r} needs at least 2 distinct areas")
-
-    design = np.zeros((len(rows), 1 + len(labels)))
-    design[:, 0] = areas
-    for j, lab in enumerate(labels):
-        design[:, 1 + j] = [1.0 if g == lab else 0.0 for g in groups]
-
-    res = fitting.linear_wls(design, caps, sigma=sigma)
-    err = res.stderr
-    offsets = {lab: float(res.params[1 + j]) for j, lab in enumerate(labels)}
-    offset_errs = {lab: float(err[1 + j]) for j, lab in enumerate(labels)}
-    return CapAreaFitResult(cap_per_area=float(res.params[0]),
-                            offsets=offsets, covariance=res.covariance,
-                            cap_per_area_err=float(err[0]),
-                            offset_errs=offset_errs)

@@ -1,4 +1,4 @@
-"""Least-squares substrate: weighted linear fits and a damped
+"""Least-squares substrate: closed-form linear fits and a damped
 Gauss-Newton solver.
 
 All model-specific fitters in the toolkit sit on these entry points.
@@ -77,7 +77,8 @@ class FitResult:
     and counts as no degree of freedom. A free parameter that the
     residual does not depend on at the solution (a zero Jacobian
     column) has an infinite variance and zeros elsewhere in its row and
-    column.
+    column, as has every free parameter of an unweighted fit with no
+    degrees of freedom.
     """
 
     params: np.ndarray
@@ -117,41 +118,28 @@ def numeric_jacobian(model, params, scale=1.0) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def linear_wls(design, y, sigma=None) -> FitResult:
-    """Weighted linear least squares in closed form.
+def linear_wls(design, y) -> FitResult:
+    """Linear least squares in closed form.
 
-    design is the (n, p) design matrix, one column per parameter. sigma,
-    when given, are per-point standard deviations; the covariance is
-    then (X^T W X)^-1 with W = diag(1/sigma^2). Without sigma it is
-    (X^T X)^-1 scaled by the reduced chi-square, as in nonlinear_ls.
+    design is the (n, p) design matrix, one column per parameter. The
+    covariance is `covariance` of X^T X, scaled by the reduced
+    chi-square as in nonlinear_ls.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(design, dtype=float)
     n, p = X.shape
     if n < p:
         raise RankDeficiencyError(f"{n} points cannot determine {p} parameters")
-    if sigma is None:
-        sw = np.ones(n)
-    else:
-        sigma = np.asarray(sigma, dtype=float)
-        if (sigma <= 0).any():
-            raise DomainError("sigmas must be positive")
-        sw = 1.0 / sigma
-    Xw = X * sw[:, None]
-    yw = y * sw
-    sv = np.linalg.svd(Xw, compute_uv=False)
+    sv = np.linalg.svd(X, compute_uv=False)
     if sv[-1] <= sv[0] * 1e-12:
         raise RankDeficiencyError("design matrix is rank deficient")
-    normal = Xw.T @ Xw
-    beta = np.linalg.solve(normal, Xw.T @ yw)
-    cov = np.linalg.inv(normal)
-    resid = yw - Xw @ beta
+    normal = X.T @ X
+    beta = np.linalg.solve(normal, X.T @ y)
+    resid = y - X @ beta
     norm = math.sqrt(resid @ resid)
-    if sigma is None:
-        cov *= norm ** 2 / (n - p) if n > p else 0.0
-    return FitResult(params=beta, covariance=cov, residual_norm=norm,
-                     iterations=0, converged=True, status="closed_form",
-                     residual_trace=(norm,))
+    return FitResult(params=beta, covariance=covariance(normal, n, norm),
+                     residual_norm=norm, iterations=0, converged=True,
+                     status="closed_form", residual_trace=(norm,))
 
 
 def _normal_matrix(J) -> np.ndarray:
@@ -177,11 +165,17 @@ def covariance(normal, rows, residual_norm=None, free=None) -> np.ndarray:
     A free parameter whose Jacobian column is zero (a zero diagonal of
     the normal matrix) is not determined by the data at all: it stays
     out of the block too and gets an infinite variance, with zeros in
-    the rest of its row and column.
+    the rest of its row and column. So does every free parameter of an
+    unweighted fit without degrees of freedom (rows <= free
+    parameters), whose residuals leave no noise scale to read.
     """
     if free is None:
         free = np.ones(normal.shape[0], dtype=bool)
-    unseen = free & (normal.diagonal() == 0.0)
+    dof = rows - int(free.sum())
+    if residual_norm is not None and dof <= 0:
+        unseen = free
+    else:
+        unseen = free & (normal.diagonal() == 0.0)
     fitted = np.flatnonzero(free & ~unseen)
     block = (fitted[:, None], fitted)
     cov = np.zeros(normal.shape)
@@ -189,9 +183,8 @@ def covariance(normal, rows, residual_norm=None, free=None) -> np.ndarray:
         cov[block] = np.linalg.inv(normal[block])
     except np.linalg.LinAlgError:
         cov[block] = np.linalg.pinv(normal[block])
-    if residual_norm is not None:
-        dof = rows - int(free.sum())
-        cov *= residual_norm ** 2 / dof if dof > 0 else 0.0
+    if residual_norm is not None and dof > 0:
+        cov *= residual_norm ** 2 / dof
     cov[unseen, unseen] = math.inf
     return cov
 

@@ -17,7 +17,6 @@ __all__ = [
     "CRYO_CAP_PER_AREA",
     "CRYO_CAP_TO_GROUND",
     "INDUCTANCE_GEOMETRIC",
-    "KINETIC_FRACTION_ESTIMATE",
     "ROOM_T_CAP_PER_AREA",
     "DIELECTRIC_THICKNESS",
     "shared_cap_per_area",
@@ -59,7 +58,6 @@ REFERENCE_RESONATORS: tuple[ResonatorRecord, ...] = (
 CRYO_CAP_PER_AREA = 13.86 * FF      # F/um^2
 CRYO_CAP_TO_GROUND = 33.65 * FF     # F
 INDUCTANCE_GEOMETRIC = 0.3 * NH     # H, from finite-element simulation
-KINETIC_FRACTION_ESTIMATE = 0.06    # wire kinetic inductance / geometric
 
 # Room-temperature bridge measurement (1 kHz) and layer thickness.
 ROOM_T_CAP_PER_AREA = 22.0 * FF     # F/um^2

@@ -23,7 +23,7 @@ from .constants import H_PLANCK, K_B
 from .errors import DomainError, InsufficientDataError
 
 __all__ = ["TlsFitParams", "PowerSweep", "PowerSweepFit",
-           "tan_delta_from_q", "thermal_factor", "tan_delta_model",
+           "thermal_factor", "tan_delta_model",
            "tls_tan_delta", "tan_delta_jacobian", "fit_power_sweep",
            "solve_endpoint_params"]
 
@@ -90,13 +90,6 @@ class PowerSweepFit:
     converged: bool
     residual_norm: float
     warnings: list[str] = field(default_factory=list)
-
-
-def tan_delta_from_q(q_internal: float) -> float:
-    """Loss tangent 1/Q_in."""
-    if q_internal <= 0:
-        raise DomainError("internal quality factor must be positive")
-    return 1.0 / q_internal
 
 
 def thermal_factor(f: float, temperature: float) -> float:

@@ -13,8 +13,8 @@ import oracles
 import resokit as rk
 from conftest import draw_notch_params
 from resokit import circuit, extraction, fitting, tls
-from resokit.circuit import DispersiveBudget, ResonatorDesign
-from resokit.constants import FF, GHZ, NH, TWO_PI
+from resokit.circuit import DielectricSpec, DispersiveBudget, ResonatorDesign
+from resokit.constants import FF, GHZ, NH
 from resokit.notch import s21_jacobian, s21_model
 from resokit.refdata import (CRYO_CAP_PER_AREA, CRYO_CAP_TO_GROUND,
                              DIELECTRIC_THICKNESS, INDUCTANCE_GEOMETRIC,
@@ -185,9 +185,11 @@ def jacobian_agreement(numeric, analytic):
 
 
 def test_09_numerics_hygiene():
-    """Numeric Jacobians match hand-derived analytic gradients within
-    1e-5 relative at 100 random points for every bundled model, and so
-    do the library's exact notch, area and TLS Jacobians."""
+    """Numeric Jacobians of the library's notch, area (circuit.lc_frequency),
+    TLS (tls.tan_delta_model) and Debye (circuit.debye_permittivity)
+    laws match hand-derived analytic gradients within 1e-5 relative at
+    100 random points, and so do the library's exact notch, area and
+    TLS Jacobians."""
     rng = np.random.default_rng(777)
     worst = {"notch": 0.0, "notch_exact": 0.0, "freq_vs_area": 0.0,
              "freq_vs_area_exact": 0.0, "tls": 0.0, "tls_exact": 0.0,
@@ -221,8 +223,7 @@ def test_09_numerics_hygiene():
         areas = rng.uniform(20.0, 150.0, size=8)
 
         def area_resid(q):
-            c_tot = (q[1] + q[0] * areas) * FF
-            return 1.0 / (TWO_PI * np.sqrt(ind * c_tot))
+            return circuit.lc_frequency(areas, ind, q[0] * FF, q[1] * FF)
 
         numeric = fitting.numeric_jacobian(area_resid,
                                            np.array([c_ff, cg_ff]))
@@ -242,7 +243,7 @@ def test_09_numerics_hygiene():
         th = tls.thermal_factor(7.3e9, 0.01)
 
         def tls_resid(q):
-            return q[0] * th / (1.0 + ns / q[1]) ** q[2] + q[3]
+            return tls.tan_delta_model(ns, th, *q)
 
         numeric = fitting.numeric_jacobian(
             tls_resid, tp, scale=np.array([1e-2, 1.0, 1.0, 1e-2]))
@@ -258,7 +259,9 @@ def test_09_numerics_hygiene():
         omegas = np.geomspace(1e-3, 1e2, 12) / dp[2]
 
         def debye_resid(q):
-            return q[1] + (q[0] - q[1]) / (1.0 + omegas ** 2 * q[2] ** 2)
+            spec = DielectricSpec(DIELECTRIC_THICKNESS, *q)
+            return np.array([circuit.debye_permittivity(spec, w)
+                             for w in omegas])
 
         numeric = fitting.numeric_jacobian(debye_resid, dp)
         analytic = oracles.debye_gradient(omegas, *dp)

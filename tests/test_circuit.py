@@ -115,22 +115,6 @@ class TestAreaForFrequency:
 
 
 class TestCapacitance:
-    def test_row1_capacitance(self):
-        c_val = circuit.capacitance_from_area(113.21, 13.86 * FF)
-        assert abs(c_val - 1.569e-12) < 1e-15
-        assert abs(c_val - 1.56e-12) / 1.56e-12 < 0.01
-
-    def test_zero_area_reads_offset(self):
-        assert circuit.capacitance_from_area(0.0, 22 * FF, 5 * FF) == 5 * FF
-
-    def test_direct_product(self):
-        assert abs(circuit.capacitance_from_area(100.0, 22 * FF)
-                   - 2.2e-12) < 1e-18
-
-    def test_negative_area_rejected(self):
-        with pytest.raises(DomainError):
-            circuit.capacitance_from_area(-1.0, 22 * FF)
-
     def test_table_self_consistency(self):
         # Every reference row matches the single table-implied slope
         # within 1 percent.
@@ -260,20 +244,3 @@ class TestDispersiveBudget:
     def test_dispersive_regime_required(self):
         with pytest.raises(DomainError):
             DispersiveBudget(resonator_freq=7e9, detuning=1e9, coupling=2e9)
-
-
-class TestTlsNoiseWeight:
-    def test_volume_scaling(self):
-        w1 = circuit.tls_noise_weight(19.0, 1.0, 1e-18)
-        w2 = circuit.tls_noise_weight(19.0, 1.0, 2e-18)
-        assert w2 == w1 / 2.0
-
-    def test_permittivity_scaling(self):
-        w1 = circuit.tls_noise_weight(10.0, 1.0, 1e-18)
-        w2 = circuit.tls_noise_weight(20.0, 1.0, 1e-18)
-        assert w2 == pytest.approx(w1 / 4.0, rel=1e-12)
-
-    def test_ratio_identity(self):
-        a = circuit.tls_noise_weight(12.0, 2.0, 3e-18)
-        b = circuit.tls_noise_weight(12.0, 2.0, 3e-18)
-        assert a / b == 1.0

@@ -883,6 +883,17 @@ class TestFrequencyVsArea:
             assert getattr(exact, name) == pytest.approx(
                 getattr(numeric, name), rel=1e-7)
 
+    def test_two_rows_have_infinite_errors(self):
+        # Two rows fix both constants exactly: no degree of freedom is
+        # left to scale the errors by, so both read inf, not 0.
+        ds = ex.AreaFrequencyDataset(rows=((100.0, 7.3e9), (50.0, 9.1e9)),
+                                     inductance=INDUCTANCE_GEOMETRIC)
+        fit = ex.fit_frequency_vs_area(ds)
+        assert fit.converged
+        assert fit.cap_per_area_err == math.inf
+        assert fit.cap_to_ground_err == math.inf
+        assert np.array_equal(fit.covariance, np.diag([math.inf, math.inf]))
+
     def test_duplicate_areas_rejected(self):
         with pytest.raises(DomainError):
             ex.AreaFrequencyDataset(rows=((30.0, 9e9), (30.0, 8e9)),
@@ -914,48 +925,3 @@ class TestFrequencyVsArea:
                 cap_per_area=fit.cap_per_area,
                 cap_to_ground=fit.cap_to_ground, kinetic_fraction=0.06)
             assert circuit.resonance_frequency(design) == f
-
-
-class TestCapacitanceVsArea:
-    def synthetic_rows(self, noise=0.0, seed=0):
-        rng = np.random.default_rng(seed)
-        slope = 22 * FF
-        offsets = {"a": 50 * FF, "b": 80 * FF, "c": 120 * FF}
-        rows = []
-        for group, offset in offsets.items():
-            for area in (100.0, 400.0, 900.0, 1600.0, 2500.0):
-                cap = slope * area + offset
-                if noise:
-                    cap *= 1.0 + noise * rng.standard_normal()
-                rows.append((area, cap, group))
-        return rows, slope, offsets
-
-    def test_noisy_shared_slope(self):
-        # 1 percent multiplicative noise on picofarad-scale readings
-        # swamps the femtofarad offsets; only the shared slope carries a
-        # tight contract here.
-        rows, slope, offsets = self.synthetic_rows(noise=0.01, seed=4)
-        fit = ex.fit_capacitance_vs_area(rows)
-        assert abs(fit.cap_per_area - slope) < 0.5 * FF
-        for group in offsets:
-            assert abs(fit.offsets[group]) < 1e-12
-
-    def test_noiseless_exact(self):
-        rows, slope, offsets = self.synthetic_rows()
-        fit = ex.fit_capacitance_vs_area(rows)
-        assert abs(fit.cap_per_area / slope - 1.0) < 1e-12
-        for group, offset in offsets.items():
-            assert abs(fit.offsets[group] / offset - 1.0) < 1e-10
-
-    def test_zero_area_rows_pin_offsets(self):
-        rows = [(0.0, 50 * FF, "a"), (100.0, 2250 * FF, "a"),
-                (0.0, 80 * FF, "b"), (200.0, 4480 * FF, "b")]
-        fit = ex.fit_capacitance_vs_area(rows)
-        assert fit.offsets["a"] == pytest.approx(50 * FF, rel=1e-10)
-        assert fit.offsets["b"] == pytest.approx(80 * FF, rel=1e-10)
-
-    def test_constant_area_group_rejected(self):
-        rows = [(100.0, 2.2e-12, "a"), (100.0, 2.3e-12, "a"),
-                (50.0, 1.2e-12, "b"), (150.0, 3.4e-12, "b")]
-        with pytest.raises(RankDeficiencyError):
-            ex.fit_capacitance_vs_area(rows)

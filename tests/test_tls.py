@@ -34,19 +34,6 @@ def synth_sweep(params, n_points=15, noise=0.0, seed=0,
                       resonator_freq=F_R, temperature=TEMP)
 
 
-class TestTanDelta:
-    def test_reference_rows(self):
-        assert tls.tan_delta_from_q(4.5e3) == pytest.approx(2.22e-4, rel=2e-3)
-        assert tls.tan_delta_from_q(8.3e3) == pytest.approx(1.20e-4, rel=5e-3)
-
-    def test_identity_point(self):
-        assert tls.tan_delta_from_q(1.0) == 1.0
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            tls.tan_delta_from_q(0.0)
-
-
 class TestThermalFactor:
     def test_ghz_at_10mk_is_saturated(self):
         assert abs(tls.thermal_factor(7e9, 0.01) - 1.0) < 1e-10
