@@ -22,6 +22,7 @@ __all__ = [
     "DispersiveReport",
     "effective_inductance",
     "lc_frequency",
+    "lc_capacitance",
     "resonance_frequency",
     "area_for_frequency",
     "ceiling_frequency",
@@ -155,6 +156,14 @@ def lc_frequency(area, inductance_geometric, cap_per_area, cap_to_ground,
     return 1.0 / (TWO_PI * np.sqrt(l_eff * c_total))
 
 
+def lc_capacitance(freq, inductance_geometric, kinetic_fraction=0.0):
+    """The LC law solved for the total capacitance C_g + c S, F:
+    1/(L (1 + k) (2 pi f)^2) on unchecked inputs, the frequency a scalar
+    or an array."""
+    l_eff = effective_inductance(inductance_geometric, kinetic_fraction)
+    return 1.0 / (l_eff * (TWO_PI * freq) ** 2)
+
+
 def resonance_frequency(design: ResonatorDesign) -> float:
     """Resonance frequency of a design by lc_frequency, Hz; strictly
     decreasing in area, inductance and ground capacitance."""
@@ -191,8 +200,7 @@ def area_for_frequency(target: float, inductance_geometric: float,
         raise UnreachableFrequencyError(
             f"target {target:.6g} Hz is at or above the zero-area ceiling "
             f"{ceiling:.6g} Hz")
-    l_eff = effective_inductance(inductance_geometric, kinetic_fraction)
-    c_total = 1.0 / (l_eff * (TWO_PI * target) ** 2)
+    c_total = lc_capacitance(target, inductance_geometric, kinetic_fraction)
     return (c_total - cap_to_ground) / cap_per_area
 
 

@@ -177,11 +177,10 @@ def _cmd_design(args) -> int:
 def _cmd_simulate(args) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    q_in = args.q_in
-    q_ext = args.q_ext
-    q_loaded = 1.0 / (1.0 / q_in + math.cos(args.phi_rad) / q_ext)
     params = notch.NotchParams(
-        f_r=args.fr_ghz * GHZ, q_loaded=q_loaded, q_ext_mag=q_ext,
+        f_r=args.fr_ghz * GHZ,
+        q_loaded=notch.q_loaded_of(args.q_in, args.q_ext, args.phi_rad),
+        q_ext_mag=args.q_ext,
         mismatch_phi=args.phi_rad, env_gain=args.gain,
         env_phase=args.env_phase_rad, cable_delay=args.delay_ns * NS)
     grid = notch.linewidth_grid(params, args.span_linewidths, args.points)

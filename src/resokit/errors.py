@@ -55,7 +55,8 @@ class RankDeficiencyError(DegenerateDataError):
 
 
 class FitInstabilityError(ExtractionError):
-    """Data carries no usable resonance signature for the fit."""
+    """The closed-form phase seed is singular or finds no resonance
+    pole."""
 
 
 class NonphysicalQinError(ExtractionError):

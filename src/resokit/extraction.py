@@ -1,16 +1,17 @@
 """Inverse problems: recover notch parameters from measured traces and
 capacitor constants from resonator ensembles.
 
-The trace pipeline follows the circle-fit sequence: estimate and remove
-the cable delay, fit an algebraic circle to the locus (the
-resonance-free check), seed f_r, Q_l and the leftover delay in closed
-form from the locus as a linear-fractional image of frequency (the
-winding check), then refine f_r, Q_l and the delay in one complex
-least-squares pass by variable projection: the model is linear in the
-off-resonant point and the resonant amplitude, which give the gain,
-environment phase, |Q_e| and phi. A fit whose linewidth the grid or
-span does not resolve, or whose circle the noise hides, raises
-UnresolvedResonanceError.
+The trace pipeline follows the circle-fit sequence: estimate the cable
+delay (an algebraic circle fit to the locus is its resonance-free
+check), seed f_r, Q_l and the leftover delay in closed form from the
+delay-corrected locus as a linear-fractional image of frequency, then
+refine f_r, Q_l and the delay in one complex least-squares pass by
+variable projection: the model is linear in the off-resonant point and
+the resonant amplitude, which give the gain, environment phase, |Q_e|
+and phi. A refined fit whose linewidth the grid or span does not
+resolve, or whose circle the noise hides, raises
+UnresolvedResonanceError: that is the one test of whether the trace
+holds a resonance.
 """
 
 import cmath
@@ -20,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fitting
-from .circuit import effective_inductance, lc_frequency
+from .circuit import effective_inductance, lc_capacitance, lc_frequency
 from .constants import FF, TWO_PI
 from .errors import (DegenerateDataError, DegenerateGeometryError, DomainError,
                      FitInstabilityError,
@@ -39,42 +40,35 @@ __all__ = [
 MIN_TRACE_POINTS = 8
 # The delay search reads at most DELAY_POINTS samples, evenly spread
 # with both ends kept, so the span and the +-2/span window keep their
-# meaning; the circle, phase seed and refine read every sample. The
-# refine fits the delay itself, so the search only has to land in its
-# basin. Over the 800-draw wide-range census (tests/census.py), read as
-# converged / well-posed converged / FitInstabilityError, full traces
-# give 486/128/193, 2,000 samples 483/128/199, 1,000 give 485/127/195,
-# 700 give 491/128/193 and 500 give 486/126/197 (no sample count leaves
-# a converged fit with |pull| > 10): the counts move by a few draws
-# either way, so the time decides. On the 4,001-point acceptance-05
-# traces the search takes 1.3 ms where it took 2.0 ms in full (2-core
-# Xeon, one BLAS thread).
+# meaning; the phase seed and refine read every sample. The refine fits
+# the delay itself, so the search only has to land in its basin. Over
+# the 800-draw wide-range census (tests/census.py), read as converged /
+# well-posed converged / converged with |pull| > 10, full traces give
+# 545/128/0, 2,000 samples 550/128/1, 1,000 give 549/127/0, 700 give
+# 553/128/1 and 500 give 551/128/1 (the large pull is draw 203 each
+# time): the counts move by a few draws either way, so the time
+# decides. On the 4,001-point acceptance-05 traces the search takes
+# 0.4 ms where it takes 0.8 ms in full (best of five, 2-core Xeon, one
+# BLAS thread).
 DELAY_POINTS = 1000
 # Grid points of the delay search over +-2/span: 31 points, 0.13/span
-# apart, find the basin of the circle residual. On the census above, 11
-# points give 485/127/207, 21 give 472/126/204, 31 give 485/127/195 and
-# 81 give 490/126/192.
+# apart, find the basin of the circle residual, and the parabola through
+# the best one and its neighbours places the seed between them. On the
+# census above, 11 points give 544/127/0, 21 give 546/127/0, 31 give
+# 549/127/0 and 81 give 547/126/1.
 DELAY_GRID_POINTS = 31
-# The circle residual of a large circle at low noise can dip between
-# grid points, and a delay seed 0.01/span off can break the circle and
-# phase fits before the refinement. A second grid therefore spans the
-# best point's bracket in steps of 1/DELAY_ZOOM of the first. On the
-# census above, the first grid's parabola alone gives 477/127/225, a
-# zoom of 2 gives 481/127/201, 4 gives 485/127/195 and 8 gives
-# 485/126/199: the refine's leftover-delay seed does not replace it.
-DELAY_ZOOM = 4
-# A fit the trace does not resolve raises UnresolvedResonanceError: a
-# fitted linewidth under MIN_LINEWIDTH_STEPS mean grid steps or over
-# MAX_LINEWIDTH_SPANS spans, or a circle diameter Q_l/|Q_e| under
-# MIN_DIAMETER_SNR times the residual rms per linewidth. Without the
-# guard, 538 census draws return a fit and 12 of the 530 converged ones
-# have |pull| > 10; with 2 steps, 3 spans and 3 it leaves 485 converged
-# and none with |pull| > 10, and flags none of the well-posed draws,
-# whose fits span 2.14 steps to 0.31 spans with a ratio of at least 49.
-# 3 steps would flag a well-posed draw; 5 spans lets draw 141 (|pull| >
-# 10) through and 2 spans drops 22 good fits; a ratio of 1 lets three
-# large pulls through, and 2 to 10 leave 485 or 484 converged and none
-# with |pull| > 10.
+# A refined fit the trace does not resolve raises
+# UnresolvedResonanceError: a linewidth under MIN_LINEWIDTH_STEPS mean
+# grid steps or over MAX_LINEWIDTH_SPANS spans, or a circle diameter
+# Q_l/|Q_e| under MIN_DIAMETER_SNR times the residual rms per linewidth.
+# Without the guard, 674 census draws return a fit and 21 of the 654
+# converged ones have |pull| > 10; with 2 steps, 3 spans and 3 it
+# leaves 549 converged and none with |pull| > 10, and flags none of the
+# well-posed draws, whose fits span 2.14 steps to 0.32 spans with a
+# ratio of at least 49. 3 steps would flag a well-posed draw; 2 spans
+# drops 35 good fits, and 5 spans keeps 32 more with none over 10; a
+# ratio of 1 lets eight large pulls through and 2 lets three, and 5 and
+# 10 leave 545 and 540 converged and none with |pull| > 10.
 # Acceptance 05 sits at 398 steps, 0.10 spans and a ratio of 318 or
 # more.
 MIN_LINEWIDTH_STEPS = 2.0
@@ -93,8 +87,8 @@ class CircleFit:
 
 @dataclass(frozen=True)
 class PhaseFit:
-    """Resonance seed f_r, Q_l from the phase winding about a circle,
-    and the delay (s) that the trace's delay correction left over."""
+    """Resonance seed f_r, Q_l of the delay-corrected locus, and the
+    delay (s) that the trace's delay correction left over."""
 
     f_r: float
     q_loaded: float
@@ -242,12 +236,9 @@ def estimate_delay(trace: Trace) -> float:
     them, evenly spread with both ends kept, so the span stays that of
     the trace. Grid search of DELAY_GRID_POINTS points over +-2/span
     around the unwrapped-phase-slope estimate, ranked by the Taubin
-    criterion from three moment sums per point; a finer grid of
-    2 DELAY_ZOOM + 1 points across the best point's bracket; then the
-    vertex of the parabola through the finer grid's best point and its
-    two neighbours. That is one circle fit per trace, for the
-    resonance-free check, and one band-centred phasor (_delay_phasor)
-    for the start and one for the finer grid's step. The global
+    criterion from three moment sums per point, then the vertex of the
+    parabola through the best point and its two neighbours. That is one
+    circle fit per trace, for the resonance-free check. The global
     refinement in fit_notch fits the delay itself, so this only has to
     land in its basin. When the circle residual carries no delay
     information (resonance-free or already-corrected data) the
@@ -262,17 +253,16 @@ def estimate_delay(trace: Trace) -> float:
         keep = keep.astype(np.intp)
         freqs, z = freqs[keep], z[keep]
     tau0 = _phase_slope_delay(freqs, z)
-    phasor = _delay_phasor(freqs, tau0)
 
     # Already-circular data (resonance-free, or delay fully absorbed by
     # the phase slope): the residual carries no delay information and
     # the grid search would wander, so trust the slope estimate.
-    base = _circle_rms(z * phasor)
+    base = _circle_rms(z * _delay_phasor(freqs, tau0))
     scale = float(np.mean(np.abs(z)))
     if base <= 1e-9 * scale:
         return tau0
 
-    _, (taus, crit) = _delay_grids(freqs, z, tau0, phasor)
+    taus, crit = _delay_grid(freqs, z, tau0)
     best = int(np.argmin(crit))
     if 0 < best < taus.size - 1:
         # Python floats: an inf neighbour (a coincident locus) gives a
@@ -305,103 +295,60 @@ def _delay_phasor(freqs, tau) -> np.ndarray:
     return out
 
 
-def _delay_grids(freqs, z, tau0, phasor):
+def _delay_grid(freqs, z, tau0):
     """(taus, criterion) of the DELAY_GRID_POINTS grid over +-2/span
-    around tau0, then of the 2 DELAY_ZOOM + 1 grid across the first
-    grid's best point's bracket; phasor is _delay_phasor(freqs, tau0),
-    or that times any unit constant, which rotates every grid locus
-    alike.
-
-    Every grid phasor comes from phasor and one more, the rotation by
-    the zoom step: its DELAY_ZOOM-th power steps the first grid, which
-    starts DELAY_GRID_POINTS // 2 steps below tau0, and the zoom grid
-    starts one step below the first grid's best point.
-    """
+    around tau0: _taubin_criterion of z times each point's phasor."""
     span = freqs[-1] - freqs[0]
     window = 2.0 / span
     taus = np.linspace(tau0 - window, tau0 + window, DELAY_GRID_POINTS)
-    step = taus[1] - taus[0]
-    zoom_rotate = _delay_phasor(freqs, step / DELAY_ZOOM)
-    rotate = _rotated(zoom_rotate, zoom_rotate, DELAY_ZOOM - 1)
-    start = _rotated(phasor, rotate, -(DELAY_GRID_POINTS // 2))
-    start *= z
+    q = z * _delay_phasor(freqs, taus[0])
+    rotate = _delay_phasor(freqs, taus[1] - taus[0])
     weights = np.ones((2, z.size))
     weights[1] = (z * z.conj()).real
     abs2 = weights[1]
-    sums = (weights, abs2.sum(), abs2 @ abs2)
-    crit = _grid_criterion(start.copy(), rotate, taus.size, *sums)
-    best = int(np.argmin(crit))
-    zoom_taus = np.linspace(taus[best] - step, taus[best] + step,
-                            2 * DELAY_ZOOM + 1)
-    zoom_crit = _grid_criterion(_rotated(start, rotate, best - 1),
-                                zoom_rotate, zoom_taus.size, *sums)
-    return (taus, crit), (zoom_taus, zoom_crit)
-
-
-def _rotated(phasor, rotate, power):
-    """phasor * rotate**power for unit phasors, by repeated squaring; a
-    negative power rotates by the conjugate."""
-    out = phasor.copy()
-    if power < 0:
-        rotate, power = rotate.conj(), -power
-    while power:
-        if power & 1:
-            out *= rotate
-        power >>= 1
-        if power:
-            rotate = rotate * rotate
-    return out
-
-
-def _grid_criterion(q, rotate, points, weights, p2, p4) -> np.ndarray:
-    """_taubin_criterion of the loci q * rotate**k for k < points, q = z
-    times the first grid phasor, with weights = [1, |z|^2] as (2, N)
-    reals, p2 = sum |z|^2 and p4 = sum |z|^4; q is rotated in place."""
     # Each grid point's locus is the previous one rotated by one grid
     # step, so a point costs three passes: the rotation, one real product
-    # of the weights with q's (Re, Im) pairs for s1 and s3, and s2.
-    sums = np.empty((points, 2, 2))
-    s2 = np.empty(points, dtype=complex)
+    # of the weights [1, |z|^2] with q's (Re, Im) pairs for s1 and s3,
+    # and s2.
+    sums = np.empty((taus.size, 2, 2))
+    s2 = np.empty(taus.size, dtype=complex)
     pairs = q.view(float).reshape(-1, 2)
-    for k in range(points):
+    for k in range(taus.size):
         if k:
             q *= rotate
         np.matmul(weights, pairs, out=sums[k])
         s2[k] = q @ q
     s13 = sums.view(complex)[..., 0]
-    return _taubin_criterion(q.size, p2, p4, s13[:, 0], s2, s13[:, 1])
+    return taus, _taubin_criterion(z.size, abs2.sum(), abs2 @ abs2,
+                                   s13[:, 0], s2, s13[:, 1])
 
 
-def fit_phase(trace: Trace, center: complex) -> PhaseFit:
-    """Resonance f_r and Q_l of a delay-corrected trace whose phase
-    winds about a circle center, and the delay the correction left over,
-    in closed form: the refinement's seed.
+def fit_phase(trace: Trace, delay: float) -> PhaseFit:
+    """Resonance f_r and Q_l of a trace corrected by a delay (s), and
+    the delay the correction left over, in closed form: the
+    refinement's seed.
 
-    The notch locus is a linear-fractional image of the reduced
-    frequency x = (f - f_mid) / span, f_mid the middle sample, so
-    L (x - c) = a x + d for complex a, d and c (Kajfez, IEEE Trans. MTT
-    42, 1149, 1994). The trace s carries it with a leftover delay beta,
-    L = s e^(i beta x), taken to first order as s (1 + i beta x): then
-    s x gamma = a' x + d' + c' s + b' s x^2 with gamma = 1 - i beta c,
-    c = c' gamma and i beta = -b' gamma. One 4x4 least-squares solve
-    gives a', d', c' and b'; gamma is the root of b' c' gamma^2 - gamma +
-    1 = 0 near 1. The pole f_mid + span c has f_r as its real part and
-    f_r / (2 Q_l) as the magnitude of its imaginary part, and
-    residual_delay is beta / (2 pi span). Raises FitInstabilityError
-    when the unwrapped phase about the center does not wind through the
-    resonance, when the columns (x, 1, s, s x^2) are dependent (a
-    straight locus) or when the solve finds no resonance.
+    The correction is the band-centred _delay_phasor. The notch locus
+    is a linear-fractional image of the reduced frequency x = (f -
+    f_mid) / span, f_mid the middle sample, so L (x - c) = a x + d for
+    complex a, d and c (Kajfez, IEEE Trans. MTT 42, 1149, 1994). The
+    trace s carries it with a leftover delay beta, L = s e^(i beta x),
+    taken to first order as s (1 + i beta x): then s x gamma = a' x +
+    d' + c' s + b' s x^2 with gamma = 1 - i beta c, c = c' gamma and
+    i beta = -b' gamma. One 4x4 least-squares solve gives a', d', c' and
+    b'; gamma is the root of b' c' gamma^2 - gamma + 1 = 0 near 1. The
+    pole f_mid + span c has f_r as its real part and f_r / (2 Q_l) as
+    the magnitude of its imaginary part, and residual_delay is beta /
+    (2 pi span). Raises FitInstabilityError when the columns (x, 1, s,
+    s x^2) are dependent (a straight locus) or when the solve finds no
+    resonance; whether the trace resolves a resonance at all is the
+    refinement's question (fit_notch).
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
             f"phase fit needs at least {MIN_TRACE_POINTS} points")
-    freqs, s = trace.freqs_hz, trace.s21
-    theta = _unwrap_from_mid(np.angle(s - center))
-    net = theta[0] - theta[-1]
-    if not net > 0.5:
-        raise FitInstabilityError(
-            "unwrapped phase does not wind monotonically through a resonance")
-
+    freqs = trace.freqs_hz
+    s = trace.s21 * _delay_phasor(freqs, delay)
     f_mid, span = float(freqs[freqs.size // 2]), float(freqs[-1] - freqs[0])
     x = (freqs - f_mid) / span
     # One product gives every sum of the normal equations of the columns
@@ -562,8 +509,11 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     res = fitting.nonlinear_ls(problem)
     f_r, q_l, tau = res.params
     v, _, _, a, c, _ = projection(res.params)
+    gain = abs(complex(a))
+    rms = res.residual_norm / math.sqrt(len(trace)) / gain
+    _check_resolved(freqs, f_r, q_l, abs(complex(c)) / gain, rms)
     params = extract_qfactors(f_r, q_l, tau, complex(a), complex(-c), f_mid)
-    q_e, phi, gain = params.q_ext_mag, params.mismatch_phi, params.env_gain
+    q_e, phi = params.q_ext_mag, params.mismatch_phi
 
     # The covariance of all seven parameters from the full model's
     # Jacobian at the optimum, with the environment phase referenced to
@@ -605,7 +555,6 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     uncertainties = {f.name: float(e)
                      for f, e in zip(fields(NotchParams)[:4], stderr)}
     uncertainties["q_internal"] = math.sqrt(max(var_qin, 0.0))
-    rms = res.residual_norm / math.sqrt(len(trace)) / gain
     return NotchFitResult(params=params, uncertainties=uncertainties,
                           residual_rms=float(rms), converged=res.converged)
 
@@ -613,16 +562,17 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
 def fit_notch(trace: Trace) -> NotchFitResult:
     """Full notch extraction pipeline on a raw trace.
 
-    Delay estimation, circle fit and the closed-form phase seed give
-    f_r, Q_l and the delay, the seed's leftover delay added to the
-    search's; one variable-projection refinement of those three against
-    the complex data, with the gain, environment phase, |Q_e| and phi
-    solved linearly at each step, gives the result. It is the
-    pipeline's only solver run, and extract_qfactors maps its linear
-    amplitudes to NotchParams. Non-convergence is reported, never
-    silent: degenerate inputs raise and the converged flag reflects the
-    final optimizer state. A result the trace does not resolve raises
-    UnresolvedResonanceError (_check_resolved), converged or not.
+    Delay estimation and the closed-form phase seed give f_r, Q_l and
+    the delay, the seed's leftover delay added to the search's; one
+    variable-projection refinement of those three against the complex
+    data, with the gain, environment phase, |Q_e| and phi solved
+    linearly at each step, gives the result. It is the pipeline's only
+    solver run. Non-convergence is reported, never silent: degenerate
+    inputs raise and the converged flag reflects the final optimizer
+    state. A refined fit the trace does not resolve raises
+    UnresolvedResonanceError (_check_resolved), converged or not, and
+    before extract_qfactors maps the linear amplitudes to NotchParams,
+    so a trace of noise alone reads as unresolved, not as nonphysical.
     Uncertainties are first-order, from the covariance of all seven
     model parameters at the optimum.
     """
@@ -630,24 +580,19 @@ def fit_notch(trace: Trace) -> NotchFitResult:
         raise InsufficientDataError(
             f"notch fit needs at least {MIN_TRACE_POINTS} points")
     tau = estimate_delay(trace)
-    z1 = trace.s21 * _delay_phasor(trace.freqs_hz, tau)
-    circle = fit_circle(z1)
-    phase = fit_phase(Trace(freqs_hz=trace.freqs_hz, s21=z1), circle.center)
-    result = _refine_notch(trace, phase, tau + phase.residual_delay)
-    _check_resolved(trace, result)
-    return result
+    phase = fit_phase(trace, tau)
+    return _refine_notch(trace, phase, tau + phase.residual_delay)
 
 
-def _check_resolved(trace: Trace, result: NotchFitResult) -> None:
-    """Raise UnresolvedResonanceError when the fitted linewidth f_r/Q_l
-    lies below MIN_LINEWIDTH_STEPS mean grid steps or above
-    MAX_LINEWIDTH_SPANS spans, or when the fitted circle diameter
-    Q_l/|Q_e| lies below MIN_DIAMETER_SNR times the residual rms per
-    linewidth, residual_rms / sqrt(grid steps per linewidth)."""
-    freqs, fit = trace.freqs_hz, result.params
+def _check_resolved(freqs, f_r, q_loaded, diameter, rms) -> None:
+    """Raise UnresolvedResonanceError when the linewidth f_r/Q_l lies
+    below MIN_LINEWIDTH_STEPS mean grid steps or above
+    MAX_LINEWIDTH_SPANS spans, or when the circle diameter Q_l/|Q_e|
+    lies below MIN_DIAMETER_SNR times the residual rms per linewidth,
+    rms / sqrt(grid steps per linewidth)."""
     span = float(freqs[-1] - freqs[0])
     step = span / (freqs.size - 1)
-    linewidth = fit.f_r / fit.q_loaded
+    linewidth = f_r / q_loaded
     steps = linewidth / step
     if not steps >= MIN_LINEWIDTH_STEPS:
         raise UnresolvedResonanceError(
@@ -657,8 +602,7 @@ def _check_resolved(trace: Trace, result: NotchFitResult) -> None:
         raise UnresolvedResonanceError(
             f"unresolved resonance: fitted linewidth of "
             f"{linewidth / span:.3g} spans is over {MAX_LINEWIDTH_SPANS:g}")
-    noise = result.residual_rms / math.sqrt(steps)
-    diameter = fit.q_loaded / fit.q_ext_mag
+    noise = rms / math.sqrt(steps)
     if not diameter >= MIN_DIAMETER_SNR * noise:
         raise UnresolvedResonanceError(
             f"unresolved resonance: fitted circle diameter {diameter:.3g} "
@@ -721,16 +665,16 @@ def frequency_area_jacobian(areas, inductance: float, cap_per_area: float,
 def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
     """Least-squares fit of circuit.lc_frequency to the dataset's rows.
 
-    Linearized in 1/f^2 for the starting point, then refined on the
-    frequency residuals. Standard errors come from the refinement
-    covariance.
+    Linearized by circuit.lc_capacitance for the starting point, then
+    refined on the frequency residuals. Standard errors come from the
+    refinement covariance.
     """
     areas = np.array([s for s, _ in ds.rows])
     freqs = np.array([f for _, f in ds.rows])
     l_eff = effective_inductance(ds.inductance, ds.kinetic_fraction)
 
-    # 1/f^2 = 4 pi^2 L (C_g + c S) is linear in S: exact on clean data.
-    y = 1.0 / freqs ** 2 / (TWO_PI ** 2 * l_eff)
+    # The LC law solved for C_g + c S is linear in S: exact on clean data.
+    y = lc_capacitance(freqs, ds.inductance, ds.kinetic_fraction)
     design = np.ones((areas.size, 2))
     design[:, 0] = areas
     try:

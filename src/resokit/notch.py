@@ -19,7 +19,7 @@ from .errors import DomainError
 
 __all__ = ["NotchParams", "Trace", "s21_at", "s21_model", "s21_jacobian",
            "synthesize_trace", "linewidth_grid", "photons_from_power",
-           "internal_loss", "q_internal_of"]
+           "internal_loss", "q_internal_of", "q_loaded_of"]
 
 
 @dataclass(frozen=True)
@@ -216,3 +216,9 @@ def q_internal_of(q_loaded: float, q_ext_mag: float,
     inf for a lossless resonator."""
     inv = internal_loss(q_loaded, q_ext_mag, mismatch_phi)
     return math.inf if inv <= 0 else 1.0 / inv
+
+
+def q_loaded_of(q_internal, q_ext_mag, mismatch_phi=0.0) -> float:
+    """Loaded Q whose internal_loss is 1/q_internal: 1/Q_l = 1/Q_in +
+    cos(phi)/|Q_e|, on unchecked scalars."""
+    return 1.0 / (1.0 / q_internal + math.cos(mismatch_phi) / q_ext_mag)

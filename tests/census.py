@@ -9,8 +9,9 @@ run by hand it prints the table for any count:
 
     PYTHONPATH=src python tests/census.py 800
 
-Only a ResokitError counts as an outcome; any other exception ends the
-run with a traceback.
+and exits 1 when a converged fit has |pull| > LARGE_PULL, a fit that
+does not resolve what it reports. Only a ResokitError counts as an
+outcome; any other exception ends the run with a traceback.
 """
 
 import math
@@ -130,7 +131,7 @@ def census(count, seed=5) -> Census:
     return Census(outcomes, well_posed, pulls)
 
 
-def main(argv):
+def main(argv) -> int:
     count = int(argv[0]) if argv else 800
     result = census(count)
     every, well = result.counts(), result.counts(well_posed_only=True)
@@ -151,7 +152,8 @@ def main(argv):
     print("well-posed pull std (population), "
           + " / ".join(PULL_NAMES[:4]) + ": "
           + " / ".join(f"{s:.2f}" for s in std))
+    return 1 if large else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -84,6 +84,13 @@ class TestModel:
         p = rk.NotchParams(f_r=7.3e9, q_loaded=3000.0, q_ext_mag=9000.0)
         assert p.q_internal == pytest.approx(4500.0, rel=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.7, -1.2])
+    def test_q_loaded_inverts_q_internal(self, phi):
+        # simulate's Q_l from Q_in: the rule NotchParams checks, solved.
+        q_l = rk.notch.q_loaded_of(4500.0, 9000.0, phi)
+        assert rk.notch.q_internal_of(q_l, 9000.0, phi) == \
+            pytest.approx(4500.0, rel=1e-12)
+
 
 class TestSynthesize:
     def test_zero_noise_is_exact_model(self):
