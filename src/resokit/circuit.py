@@ -62,13 +62,14 @@ class ResonatorDesign:
     kinetic_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.inductance_geometric <= 0:
+        # Each check is written so that NaN fails it.
+        if not self.inductance_geometric > 0:
             raise DomainError("inductance must be positive")
-        if self.cap_area < 0:
+        if not self.cap_area >= 0:
             raise DomainError("capacitor area must be non-negative")
-        if self.cap_per_area <= 0:
+        if not self.cap_per_area > 0:
             raise DomainError("capacitance per area must be positive")
-        if self.cap_to_ground <= 0:
+        if not self.cap_to_ground > 0:
             raise DomainError("ground capacitance must be positive")
         if not 0.0 <= self.kinetic_fraction < 1.0:
             raise DomainError("kinetic fraction must lie in [0, 1)")
@@ -107,11 +108,11 @@ class JunctionLeakageSpec:
     temperature: float = 0.01
 
     def __post_init__(self):
-        if self.specific_resistance <= 0 or self.area <= 0:
+        if not (self.specific_resistance > 0 and self.area > 0):
             raise DomainError("resistance-area product and area must be positive")
         if not 0.0 < self.gap_energy < 1e-2:
             raise DomainError("gap energy outside (0, 1e-2) eV sanity window")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise DomainError("temperature must be positive")
 
 
@@ -190,9 +191,9 @@ def area_for_frequency(target: float, inductance_geometric: float,
     UnreachableFrequencyError for targets at or above the zero-area
     ceiling.
     """
-    if target <= 0:
+    if not target > 0:
         raise DomainError("target frequency must be positive")
-    if cap_per_area <= 0:
+    if not cap_per_area > 0:
         raise DomainError("capacitance per area must be positive")
     ceiling = ceiling_frequency(inductance_geometric, cap_to_ground,
                                 kinetic_fraction)
@@ -200,8 +201,15 @@ def area_for_frequency(target: float, inductance_geometric: float,
         raise UnreachableFrequencyError(
             f"target {target:.6g} Hz is at or above the zero-area ceiling "
             f"{ceiling:.6g} Hz")
-    c_total = lc_capacitance(target, inductance_geometric, kinetic_fraction)
-    return (c_total - cap_to_ground) / cap_per_area
+    try:
+        c_total = lc_capacitance(target, inductance_geometric, kinetic_fraction)
+    except ZeroDivisionError:  # L (2 pi f)^2 underflowed to 0
+        c_total = math.inf
+    area = (c_total - cap_to_ground) / cap_per_area
+    if not math.isfinite(area):
+        raise DomainError(f"target {target:.6g} Hz needs a plate area "
+                          "beyond float range")
+    return area
 
 
 def dielectric_constant(cap_per_area: float, thickness: float) -> float:

@@ -175,6 +175,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if not (args.q_in > 0 and args.q_ext > 0):
+        raise DomainError("quality factors must be positive")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     params = notch.NotchParams(

@@ -7,6 +7,8 @@ library upgrade.
 
 import math
 
+from .errors import DomainError
+
 HBAR = 1.0546e-34        # reduced Planck constant, J s
 H_PLANCK = 2.0 * math.pi * HBAR  # Planck constant, J s (derived from HBAR)
 K_B = 1.381e-23          # Boltzmann constant, J/K
@@ -27,6 +29,12 @@ M2_PER_UM2 = 1e-12       # m^2 per um^2
 
 
 def dbm_to_watt(p_dbm: float) -> float:
-    """Convert power in dBm to watt."""
-    return 1e-3 * 10.0 ** (p_dbm / 10.0)
+    """Convert power in dBm to watt; DomainError unless that is finite."""
+    try:
+        watt = 1e-3 * 10.0 ** (p_dbm / 10.0)
+    except OverflowError:
+        watt = math.inf
+    if not math.isfinite(watt):
+        raise DomainError(f"power of {p_dbm:g} dBm is out of range")
+    return watt
 

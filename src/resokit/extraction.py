@@ -627,9 +627,10 @@ class AreaFrequencyDataset:
         areas = [s for s, _ in self.rows]
         if len(set(areas)) != len(areas):
             raise DomainError("areas must be distinct")
-        if any(s <= 0 or f <= 0 for s, f in self.rows):
+        # Written so that NaN fails each check.
+        if not all(s > 0 and f > 0 for s, f in self.rows):
             raise DomainError("areas and frequencies must be positive")
-        if self.inductance <= 0:
+        if not self.inductance > 0:
             raise DomainError("inductance must be positive")
         if not 0.0 <= self.kinetic_fraction < 1.0:
             raise DomainError("kinetic fraction must lie in [0, 1)")
@@ -666,8 +667,9 @@ def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
     """Least-squares fit of circuit.lc_frequency to the dataset's rows.
 
     Linearized by circuit.lc_capacitance for the starting point, then
-    refined on the frequency residuals. Standard errors come from the
-    refinement covariance.
+    refined on the frequency residuals. Standard errors come from
+    fitting.covariance of frequency_area_jacobian at the fitted
+    constants, scaled by the reduced chi-square.
     """
     areas = np.array([s for s, _ in ds.rows])
     freqs = np.array([f for _, f in ds.rows])
@@ -694,10 +696,12 @@ def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
         jacobian=lambda p: frequency_area_jacobian(areas, l_eff, *p),
     )
     res = fitting.nonlinear_ls(problem)
-    err = res.stderr
+    jac = frequency_area_jacobian(areas, l_eff, *res.params)
+    cov = fitting.covariance(jac.T @ jac, areas.size, res.residual_norm)
+    err = np.sqrt(np.clip(cov.diagonal(), 0.0, None))
     return AreaFitResult(cap_per_area=float(res.params[0]),
                          cap_to_ground=float(res.params[1]),
-                         covariance=res.covariance,
+                         covariance=cov,
                          cap_per_area_err=float(err[0]),
                          cap_to_ground_err=float(err[1]),
                          converged=res.converged,

@@ -7,11 +7,12 @@ power-sweep fit and the area fit) supplies an exact Jacobian; central
 differences serve only a FitProblem without one. A fitter states its
 problem and reads its result in its own units; FitProblem.scale names
 the unit of each parameter, and the settings below hold in those units.
-A run that stops at the point it last differentiated reuses that
-Jacobian and its normal matrix for the covariance. It keeps a
-per-run trace of accepted residual norms so callers can assert monotone
-descent. Its one stop rule, a model test and a count of negligible
-steps, is stated in nonlinear_ls; the constants below are its settings.
+The solver returns the minimum and why it stopped, with a per-run trace
+of accepted residual norms so callers can assert monotone descent. It
+returns no covariance: each fitter applies `covariance`, the one rule,
+to its own Jacobian at its fitted params. Its one stop rule, a model
+test and a count of negligible steps, is stated in nonlinear_ls; the
+constants below are its settings.
 """
 
 import math
@@ -46,52 +47,41 @@ class FitProblem:
     """A residual function plus everything needed to minimize it.
 
     residual maps a parameter vector to a residual vector (data minus
-    model or any stacking thereof). weights, when given, are 1/sigma^2
-    per residual entry. bounds are (lo, hi) pairs per parameter, np.inf
-    allowed; steps are projected back into the box. scale is the unit of
-    each parameter, a scalar or one positive value per parameter, for
-    quantities far from 1 such as a capacitance in farads: the solver
-    works on params / scale, so its step tests and numeric-Jacobian step
-    are measured in that unit. Everything else, the returned params and
-    covariance included, is in the caller's units. jacobian, when given,
-    maps a parameter vector to the exact (n, p) derivative of the
-    unweighted residual and replaces the numeric Jacobian.
+    model or any stacking thereof; a weighted fit scales its own rows).
+    bounds are (lo, hi) pairs per parameter, np.inf allowed; steps are
+    projected back into the box, and lo == hi pins a parameter. scale is
+    the unit of each parameter, a scalar or one positive value per
+    parameter, for quantities far from 1 such as a capacitance in farads:
+    the solver works on params / scale, so its step tests and
+    numeric-Jacobian step are measured in that unit. Everything else,
+    the returned params included, is in the caller's units. jacobian,
+    when given, maps a parameter vector to the exact (n, p) derivative
+    of the residual and replaces the numeric Jacobian.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     initial_params: np.ndarray
     bounds: Sequence[tuple[float, float]] | None = None
-    weights: np.ndarray | None = None
     scale: np.ndarray | float = 1.0
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
 class FitResult:
-    """Solution of a least-squares problem.
+    """The minimum a least-squares run reached and why it stopped.
 
-    covariance follows the sigma convention of the input: with explicit
-    weights (1/sigma^2) it is (J^T W J)^-1; unweighted it is scaled by
-    the reduced chi-square so standard errors stay meaningful. A
-    parameter pinned by its bounds (lo == hi) has a zero row and column
-    and counts as no degree of freedom. A free parameter that the
-    residual does not depend on at the solution (a zero Jacobian
-    column) has an infinite variance and zeros elsewhere in its row and
-    column, as has every free parameter of an unweighted fit with no
-    degrees of freedom.
+    residual_norm is the 2-norm of the residual at params; status and
+    converged are as nonlinear_ls states them, and residual_trace holds
+    the norm at the start and after each accepted step. No covariance:
+    the caller applies `covariance` to its own Jacobian at params.
     """
 
     params: np.ndarray
-    covariance: np.ndarray
     residual_norm: float
     iterations: int
     converged: bool
     status: str = "converged"
     residual_trace: tuple[float, ...] = field(default_factory=tuple)
-
-    @property
-    def stderr(self) -> np.ndarray:
-        return np.sqrt(np.clip(self.covariance.diagonal(), 0.0, None))
 
 
 def numeric_jacobian(model, params, scale=1.0) -> np.ndarray:
@@ -121,9 +111,9 @@ def numeric_jacobian(model, params, scale=1.0) -> np.ndarray:
 def linear_wls(design, y) -> FitResult:
     """Linear least squares in closed form.
 
-    design is the (n, p) design matrix, one column per parameter. The
-    covariance is `covariance` of X^T X, scaled by the reduced
-    chi-square as in nonlinear_ls.
+    design is the (n, p) design matrix, one column per parameter. Like
+    nonlinear_ls it returns no covariance; `covariance` of X^T X with
+    the residual norm is the one rule for it.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(design, dtype=float)
@@ -137,9 +127,9 @@ def linear_wls(design, y) -> FitResult:
     beta = np.linalg.solve(normal, X.T @ y)
     resid = y - X @ beta
     norm = math.sqrt(resid @ resid)
-    return FitResult(params=beta, covariance=covariance(normal, n, norm),
-                     residual_norm=norm, iterations=0, converged=True,
-                     status="closed_form", residual_trace=(norm,))
+    return FitResult(params=beta, residual_norm=norm, iterations=0,
+                     converged=True, status="closed_form",
+                     residual_trace=(norm,))
 
 
 def _normal_matrix(J) -> np.ndarray:
@@ -206,12 +196,12 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     max(|x|, 1): one at relaxed damping, or STALL_STEPS in a row, ends
     the run as "converged". It fails with "damping_overflow" when
     damping passes DAMPING_MAX before a step is accepted, or
-    "max_iterations". The Jacobian is problem.jacobian when set, scaled
-    like the residual by sqrt(weights), and numeric_jacobian in x
-    otherwise. The final covariance is `covariance` of the last normal
-    matrix, with a pinned parameter (lo == hi) not free; the iterations
-    still carry its column. params and covariance are returned in the
-    caller's units.
+    "max_iterations". The Jacobian is problem.jacobian when set and
+    numeric_jacobian in x otherwise, taken once at the start of each
+    iteration and never after the last one. A pinned parameter (lo ==
+    hi) keeps its column, and the clip to the bounds undoes its share of
+    each step. params are returned in the caller's units, with no
+    covariance.
     """
     # A pinned power sweep runs 200 iterations on 4 parameters, where a
     # numpy wrapper costs more than its arithmetic. So this function
@@ -231,20 +221,12 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
         hi = np.array([b[1] for b in problem.bounds], dtype=float) / unit
     x = np.minimum(np.maximum(p0 / unit, lo), hi)
     outer = unit[:, None] * unit
-    if problem.weights is None:
-        sw = None
-    else:
-        w = np.asarray(problem.weights, dtype=float)
-        if not ((w > 0) & np.isfinite(w)).all():
-            raise DomainError("weights must be positive and finite")
-        sw = np.sqrt(w)
-        sw_rows = sw[:, None]
 
     def eval_resid(q):
         r = np.asarray(problem.residual(q * unit), dtype=float)
         if not np.isfinite(r).all():
             raise ModelEvaluationError("model returned non-finite residuals")
-        return r if sw is None else r * sw
+        return r
 
     # Both return the derivative with respect to the caller's params.
     if problem.jacobian is None:
@@ -255,7 +237,7 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
             jac = np.asarray(problem.jacobian(q * unit), dtype=float)
             if not np.isfinite(jac).all():
                 raise ModelEvaluationError("jacobian returned non-finite values")
-            return jac if sw is None else jac * sw_rows
+            return jac
 
     r = eval_resid(x)
     norm = math.sqrt(r @ r)
@@ -264,7 +246,6 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     iterations = 0
     negligible = 0
     status = "max_iterations"
-    J = None
 
     while iterations < MAX_ITERATIONS:
         J = eval_jac(x)
@@ -326,7 +307,6 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
         step_rel = float((np.abs(moved) / scale_ref).max())
         res_rel = (norm - norm_trial) / max(norm, 1e-300)
         x, r, norm = x_trial, r_trial, norm_trial
-        J = None
         trace.append(norm)
         iterations += 1
         # Inflated damping shrinks steps on its own: see STALL_STEPS.
@@ -337,16 +317,7 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
             status = "converged"
             break
 
-    # A stop at the point the loop last differentiated reuses its
-    # Jacobian and its normal matrix.
-    if J is None:
-        J = eval_jac(x)
-        normal = _normal_matrix(J)
-        normal *= outer
-    cov = covariance(normal, J.shape[0], norm if sw is None else None,
-                     free=lo != hi)
-    cov *= outer
-    return FitResult(params=x * unit, covariance=cov, residual_norm=norm,
+    return FitResult(params=x * unit, residual_norm=norm,
                      iterations=iterations, status=status,
                      converged=status in ("converged", "stationary_point"),
                      residual_trace=tuple(trace))

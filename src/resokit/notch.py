@@ -17,9 +17,9 @@ import numpy as np
 from .constants import HBAR, TWO_PI
 from .errors import DomainError
 
-__all__ = ["NotchParams", "Trace", "s21_at", "s21_model", "s21_jacobian",
-           "synthesize_trace", "linewidth_grid", "photons_from_power",
-           "internal_loss", "q_internal_of", "q_loaded_of"]
+__all__ = ["NotchParams", "Trace", "s21_at", "s21_model", "synthesize_trace",
+           "linewidth_grid", "photons_from_power", "internal_loss",
+           "q_internal_of", "q_loaded_of"]
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,14 @@ class NotchParams:
     cable_delay: float = 0.0
 
     def __post_init__(self):
-        if self.f_r <= 0:
+        # Each check is written so that NaN fails it.
+        if not self.f_r > 0:
             raise DomainError("resonance frequency must be positive")
-        if self.q_loaded <= 0 or self.q_ext_mag <= 0:
+        if not (self.q_loaded > 0 and self.q_ext_mag > 0):
             raise DomainError("quality factors must be positive")
-        if abs(self.mismatch_phi) >= math.pi / 2:
+        if not abs(self.mismatch_phi) < math.pi / 2:
             raise DomainError("mismatch angle must satisfy |phi| < pi/2")
-        if self.env_gain <= 0:
+        if not self.env_gain > 0:
             raise DomainError("environment gain must be positive")
         # Loaded loss must include the coupling loss: derived Q_in > 0
         # (equality, a lossless resonator, is allowed).
@@ -108,49 +109,12 @@ def s21_model(f, f_r, q_loaded, q_ext_mag, mismatch_phi=0.0, env_gain=1.0,
     Fitters call this directly so they can explore transiently
     nonphysical parameter combinations; use s21_at for checked inputs.
     """
-    rotor, _, dip = _model_terms(np.asarray(f, dtype=float), f_r, q_loaded,
-                                 q_ext_mag, mismatch_phi, env_phase,
-                                 cable_delay)
-    out = env_gain * rotor * (1.0 - dip)
-    return out if out.ndim else complex(out)
-
-
-def _model_terms(f, f_r, q_loaded, q_ext_mag, mismatch_phi, env_phase,
-                 cable_delay):
-    """Unit-gain environment factor, detuning and resonant dip."""
+    f = np.asarray(f, dtype=float)
     rotor = np.exp(1j * (env_phase - TWO_PI * f * cable_delay))
     detune = 1.0 + 2j * q_loaded * (f / f_r - 1.0)
     dip = (q_loaded / q_ext_mag) * np.exp(1j * mismatch_phi) / detune
-    return rotor, detune, dip
-
-
-def s21_jacobian(f, f_r, q_loaded, q_ext_mag, mismatch_phi=0.0, env_gain=1.0,
-                 env_phase=0.0, cable_delay=0.0) -> np.ndarray:
-    """Exact partials of s21_model, complex with shape (N, 7).
-
-    Columns follow the argument order (f_r, q_loaded, q_ext_mag,
-    mismatch_phi, env_gain, env_phase, cable_delay). With S = env (1 -
-    dip) and dip = (Q_l/|Q_e|) e^(i phi) / detune, every column is a
-    multiple of env * dip or of S.
-    """
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    rotor, detune, dip = _model_terms(f, f_r, q_loaded, q_ext_mag,
-                                      mismatch_phi, env_phase, cable_delay)
-    # The columns are filled in place as the rows of a (7, N) array; rows
-    # 1 and 3 hold env * dip / detune and env * dip until their own turn.
-    rows = np.empty((7, f.size), dtype=complex)
-    env_dip = np.multiply(rotor, dip, out=rows[3])
-    env_dip *= env_gain
-    dip_rate = np.divide(env_dip, detune, out=rows[1])
-    np.multiply(dip_rate, f, out=rows[0])
-    rows[0] *= -2j * q_loaded / f_r ** 2
-    dip_rate *= -1.0 / q_loaded
-    np.multiply(env_dip, 1.0 / q_ext_mag, out=rows[2])
-    env_dip *= -1j
-    rows[4] = rotor * (1.0 - dip)
-    np.multiply(rows[4], 1j * env_gain, out=rows[5])
-    np.multiply(rows[5], (-TWO_PI) * f, out=rows[6])
-    return rows.T
+    out = env_gain * rotor * (1.0 - dip)
+    return out if out.ndim else complex(out)
 
 
 def s21_at(params: NotchParams, f):
@@ -165,6 +129,9 @@ def linewidth_grid(params: NotchParams, span_linewidths: float = 10.0,
     """Frequency grid centered on f_r spanning +- span_linewidths
     loaded linewidths."""
     half = span_linewidths * params.f_r / params.q_loaded
+    if points < 1 or not 0 < half < math.inf:
+        raise DomainError("frequency grid needs at least one point and a "
+                          "positive finite span")
     return np.linspace(params.f_r - half, params.f_r + half, points)
 
 
@@ -179,7 +146,7 @@ def synthesize_trace(params: NotchParams, grid, noise_sigma: float = 0.0,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("frequency grid must not be empty")
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:
         raise DomainError("noise sigma must be non-negative")
     z = np.asarray(s21_at(params, grid), dtype=complex)
     if noise_sigma > 0:

@@ -201,8 +201,16 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
     n_c0 = float(ns[np.abs(tan_d - mid).argmin()])
     n_c0 = min(max(n_c0, ns[0]), ns[-1])
 
+    # Each row is divided by its sigma: the residual and its Jacobian are
+    # weighted here, and the covariance below is absolute.
+    sw = np.sqrt(weights)
+    sw_rows = sw[:, None]
+
     def resid(p):
-        return tan_delta_model(ns, th, *p) - tan_d
+        return (tan_delta_model(ns, th, *p) - tan_d) * sw
+
+    def jac(p):
+        return tan_delta_jacobian(ns, th, *p[:3]) * sw_rows
 
     lo_beta, hi_beta = (1e-2, 1.0) if fit_beta else (DEFAULT_BETA, DEFAULT_BETA)
     # The solver works on loss tangents in units of the mean measured one.
@@ -214,15 +222,16 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
         # bound; a different floor would move the fits that reach it.
         bounds=[(0.0, math.inf), (max(1e-3, 1e-6 * ns[0]), 1e6 * ns[-1]),
                 (lo_beta, hi_beta), (0.0, math.inf)],
-        weights=weights,
         scale=np.array([unit, 1.0, 1.0, unit]),
-        # A pinned beta keeps its column: clipping to the bounds undoes
-        # its share of each step, and nonlinear_ls leaves it out of the
-        # covariance.
-        jacobian=lambda p: tan_delta_jacobian(ns, th, *p[:3]),
+        jacobian=jac,
     )
     res = fitting.nonlinear_ls(problem)
     params = TlsFitParams(*map(float, res.params))
+    # A pinned beta was never fitted: no degree of freedom, and a zero
+    # row and column.
+    rows = jac(res.params)
+    cov = fitting.covariance(rows.T @ rows, ns.size,
+                             free=np.array([True, True, fit_beta, True]))
 
     # Rising high-power tail cannot be produced by this model; flag it
     # when the top decade sits systematically above the fit.
@@ -234,8 +243,8 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
             warnings.append("high-power tail rises above the saturable "
                             "model: non-TLS loss suspected")
 
-    stderr = {f.name: float(e)
-              for f, e in zip(fields(TlsFitParams), res.stderr)}
-    return PowerSweepFit(params=params, covariance=res.covariance,
+    stderr = {f.name: float(e) for f, e in zip(
+        fields(TlsFitParams), np.sqrt(np.clip(cov.diagonal(), 0.0, None)))}
+    return PowerSweepFit(params=params, covariance=cov,
                          stderr=stderr, converged=res.converged,
                          residual_norm=res.residual_norm, warnings=warnings)

@@ -502,6 +502,26 @@ class TestErrors:
         assert "unrecognized arguments" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--q-in", "0"),
+        ("simulate", "--q-ext", "0"),
+        ("simulate", "--points", "-3"),
+        ("simulate", "--power-dbm", "1e5"),
+        ("simulate", "--span-linewidths", "nan"),
+        ("simulate", "--noise", "nan"),
+        ("design", "--target-ghz", "1e-300"),
+        ("design", "--target-ghz", "nan"),
+        ("design", "--target-ghz", "7.3", "--r-ohm-um2", "nan"),
+        ("area-fit", "--l-nh", "nan"),
+    ], ids=" ".join)
+    def test_bad_number_is_input_error(self, capsys, tmp_path, command):
+        # A number no law accepts, NaN included, ends in one `error:`
+        # line and exit 1: no traceback, no warning and no file.
+        code, out, err = run(capsys, *command, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not list((tmp_path / "o").glob("*"))
+
     def test_missing_second_input_writes_nothing(self, capsys, tmp_path):
         paths = write_inputs(tmp_path)
         out_dir = tmp_path / "fit"

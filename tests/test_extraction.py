@@ -21,7 +21,7 @@ from resokit.errors import (DegenerateGeometryError, DomainError,
                             NonphysicalMismatchError, NonphysicalQinError,
                             RankDeficiencyError, ResokitError,
                             UnresolvedResonanceError)
-from resokit.notch import s21_jacobian, s21_model
+from resokit.notch import s21_model
 from resokit.refdata import INDUCTANCE_GEOMETRIC, REFERENCE_RESONATORS
 
 
@@ -572,16 +572,14 @@ class TestFitNotch:
 
     def test_uncertainties_match_full_jacobian(self):
         # The reported errors are the first-order errors of the seven
-        # parameter model at the optimum, here from s21_jacobian, whose
-        # environment phase is not referenced to the band center.
+        # parameter model at the optimum, here from the oracle gradient,
+        # whose environment phase is not referenced to the band center.
         _, trace = notch_trace(noise=0.003, seed=4, cable_delay=30e-9,
                                mismatch_phi=0.2, env_gain=0.8, env_phase=1.0)
         res = rk.fit_notch(trace)
         fit = res.params
-        jac = s21_jacobian(trace.freqs_hz, fit.f_r, fit.q_loaded,
-                           fit.q_ext_mag, fit.mismatch_phi, fit.env_gain,
-                           fit.env_phase, fit.cable_delay)
-        rows = np.concatenate([jac.real, jac.imag])
+        rows = oracles.notch_s21_gradient(trace.freqs_hz,
+                                          dataclasses.astuple(fit))
         norm = res.residual_rms * fit.env_gain * math.sqrt(len(trace))
         cov = ex.fitting.covariance(rows.T @ rows, rows.shape[0], norm)
         for k, name in enumerate(("f_r", "q_loaded", "q_ext_mag",
@@ -868,6 +866,21 @@ class TestFrequencyVsArea:
         fit = ex.fit_frequency_vs_area(self.reference_dataset())
         assert 0.05 * FF < fit.cap_per_area_err < 0.5 * FF
         assert 2 * FF < fit.cap_to_ground_err < 12 * FF
+
+    def test_covariance_from_jacobian_at_fit(self):
+        # The errors are fitting.covariance's: the inverse normal matrix
+        # of the frequency-area gradient at the fitted constants, scaled
+        # by the reduced chi-square.
+        ds = self.reference_dataset()
+        fit = ex.fit_frequency_vs_area(ds)
+        areas = np.array([s for s, _ in ds.rows])
+        jac = oracles.freq_vs_area_gradient(areas, ds.inductance,
+                                            fit.cap_per_area, fit.cap_to_ground)
+        expected = np.linalg.inv(jac.T @ jac) \
+            * fit.residual_norm ** 2 / (areas.size - 2)
+        assert np.allclose(fit.covariance, expected, rtol=1e-9, atol=0.0)
+        assert fit.cap_per_area_err == math.sqrt(fit.covariance[0, 0])
+        assert fit.cap_to_ground_err == math.sqrt(fit.covariance[1, 1])
 
     def test_exact_recovery(self):
         c_t, cg_t, ind = 15 * FF, 40 * FF, 0.3 * NH

@@ -26,27 +26,11 @@ class TestLinearWls:
         assert res.converged
 
     def test_two_points_suffice(self):
-        # Two points fix a line exactly and leave no residual to read a
-        # noise scale from: both parameters report an infinite variance,
-        # not 0, with zeros off the diagonal and no NaN.
+        # Two points fix a line exactly; TestCovariance holds their
+        # variances to inf.
         res = fitting.linear_wls(line([0.0, 1.0]), [1.0, 3.0])
         assert np.allclose(res.params, [1.0, 2.0], atol=1e-12)
-        assert np.array_equal(res.covariance,
-                              np.diag([math.inf, math.inf]))
-
-    def test_unweighted_stderr_matches_monte_carlo(self):
-        # The covariance is scaled by the reduced chi-square, so the
-        # reported standard error matches the scatter of repeated fits.
-        rng = np.random.default_rng(11)
-        sigma, n = 0.1, 50
-        x = np.linspace(0.0, 1.0, n)
-        slopes, reported = [], []
-        for _ in range(500):
-            y = 2.0 * x + 1.0 + sigma * rng.standard_normal(n)
-            res = fitting.linear_wls(line(x), y)
-            slopes.append(res.params[1])
-            reported.append(res.stderr[1])
-        assert abs(np.std(slopes) / np.median(reported) - 1.0) < 0.1
+        assert res.residual_norm == 0.0
 
     def test_duplicate_x_rank_deficient(self):
         x = np.full(6, 3.0)
@@ -91,8 +75,8 @@ class TestNonlinearLs:
     def test_scale_is_the_parameter_unit(self):
         # The decay amplitude stated in units of 2**-50, with that unit
         # as its scale, is the unit-1 run: a power of two rescales
-        # without rounding, so params, covariance, iterations and status
-        # agree bit for bit, with the exact and the numeric Jacobian. The
+        # without rounding, so params, iterations and status agree bit
+        # for bit, with the exact and the numeric Jacobian. The
         # amplitude's bounds clip the start point, so they must be
         # rescaled too.
         rng = np.random.default_rng(5)
@@ -116,8 +100,6 @@ class TestNonlinearLs:
             base, scaled = fit(np.ones(2), exact), fit(unit, exact)
             assert base.converged
             assert np.array_equal(scaled.params, base.params * unit)
-            assert np.array_equal(scaled.covariance,
-                                  base.covariance * np.outer(unit, unit))
             assert scaled.iterations == base.iterations
             assert scaled.status == base.status
             assert scaled.residual_trace == base.residual_trace
@@ -217,8 +199,8 @@ class TestNonlinearLs:
         assert np.allclose(res.params, exact.params, rtol=1e-4)
 
     def test_floor_steps_stop_at_any_damping(self):
-        # A noiseless notch in the centred-phase parameterization of the
-        # notch refinement, started 1e-7 off its truth. With the exact
+        # A noiseless notch with the environment phase referenced to the
+        # band centre, started 1e-7 off its truth. With the exact
         # Jacobian the residual reaches rounding level and the accepted
         # steps then move the parameters by 1e-16 to 1e-15 relative
         # without lowering the residual reliably. Without the STEP_FLOOR
@@ -241,9 +223,8 @@ class TestNonlinearLs:
 
         def jac(p):
             visited.append(p.copy())
-            j = notch.s21_jacobian(*args(p))
-            j[:, 6] += TWO_PI * f_mid * j[:, 5]
-            return np.concatenate([j.real, j.imag])
+            return oracles.notch_s21_gradient_band_centred(
+                freqs, args(p)[1:], f_mid)
 
         truth = np.array([f_r, q_l, q_e, phi, gain,
                           phase - TWO_PI * f_mid * tau, tau])
@@ -255,112 +236,19 @@ class TestNonlinearLs:
         assert res.status == "converged"
         assert res.iterations < fitting.MAX_ITERATIONS // 4
         assert np.allclose(res.params, truth, rtol=1e-9, atol=0.0)
-        # The Jacobian is taken at every accepted point, the last one
-        # included (for the covariance).
-        points = np.array(visited)
-        assert len(points) == res.iterations + 1
+        # The Jacobian is taken at every accepted point but the last,
+        # where a negligible step ended the run.
+        assert len(visited) == res.iterations
+        points = np.array(visited + [res.params])
         last = points[-fitting.STALL_STEPS - 1:]
         ref = np.maximum(np.maximum(np.abs(last[1:]), np.abs(last[:-1])), scale)
         assert np.all(np.abs(np.diff(last, axis=0)) / ref <= fitting.STEP_FLOOR)
 
-    def test_exact_jacobian_weighted_covariance(self):
-        # The exact Jacobian is scaled by sqrt(weights) like the residual:
-        # the covariance matches the numeric-Jacobian path.
-        rng = np.random.default_rng(13)
-        x = np.linspace(0.0, 2.0, 60)
-        sigma = 0.01 * (1.0 + x)
-        y = 3.0 * np.exp(-x / 0.7) + sigma * rng.standard_normal(60)
-
-        def jac(p):
-            e = np.exp(-x / p[1])
-            return np.column_stack([e, p[0] * x / p[1] ** 2 * e])
-
-        def fit(jacobian):
-            return fitting.nonlinear_ls(fitting.FitProblem(
-                residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
-                initial_params=np.array([1.0, 1.0]),
-                bounds=[(1e-6, math.inf), (1e-6, math.inf)],
-                weights=1.0 / sigma ** 2, jacobian=jacobian))
-
-        numeric, exact = fit(None), fit(jac)
-        assert numeric.converged and exact.converged
-        assert np.allclose(exact.params, numeric.params, rtol=1e-8, atol=0.0)
-        assert np.allclose(exact.covariance, numeric.covariance,
-                           rtol=1e-6, atol=0.0)
-
-    def test_pinned_parameter_has_zero_covariance(self):
-        # y = a + b x with b pinned by its bounds: b has a zero row and
-        # column, a the variance of a fit of a alone, 1 / sum(w) weighted
-        # and chi^2 / (n - 1) / n unweighted (b is no degree of freedom).
-        # A linear model's covariance does not depend on where the run
-        # stops, so the test holds whatever the stop.
-        rng = np.random.default_rng(4)
-        x = np.linspace(0.0, 1.0, 20)
-        sigma = np.full(20, 0.05)
-        y = 1.0 + 2.0 * x + sigma * rng.standard_normal(20)
-
-        def fit(weights):
-            return fitting.nonlinear_ls(fitting.FitProblem(
-                residual=lambda p: p[0] + p[1] * x - y,
-                initial_params=np.array([0.0, 2.0]),
-                bounds=[(-math.inf, math.inf), (2.0, 2.0)],
-                weights=weights,
-                jacobian=lambda p: np.column_stack([np.ones_like(x), x])))
-
-        weighted = fit(1.0 / sigma ** 2)
-        assert weighted.params[1] == 2.0
-        assert weighted.covariance[0, 0] == pytest.approx(
-            1.0 / np.sum(1.0 / sigma ** 2), rel=1e-12)
-        assert np.all(weighted.covariance[1, :] == 0.0)
-        assert np.all(weighted.covariance[:, 1] == 0.0)
-        assert weighted.stderr[1] == 0.0
-
-        plain = fit(None)
-        assert plain.covariance[0, 0] == pytest.approx(
-            plain.residual_norm ** 2 / (x.size - 1) / x.size, rel=1e-12)
-        assert plain.stderr[1] == 0.0
-
-    def test_no_degrees_of_freedom_pinned_stays_zero(self):
-        # Two points, a and b free, c pinned: no degree of freedom is
-        # left, so a and b get an infinite variance and zeros elsewhere
-        # in their rows, and c keeps its zero row and column.
-        x = np.array([0.0, 1.0])
-        y = np.array([1.0, 3.0])
-        res = fitting.nonlinear_ls(fitting.FitProblem(
-            residual=lambda p: p[0] + p[1] * x + p[2] * x * x - y,
-            initial_params=np.array([0.0, 0.0, 0.5]),
-            bounds=[(-math.inf, math.inf)] * 2 + [(0.5, 0.5)],
-            jacobian=lambda p: np.column_stack([np.ones_like(x), x, x * x])))
-        assert res.converged
-        assert np.array_equal(res.covariance,
-                              np.diag([math.inf, math.inf, 0.0]))
-
-    def test_unseen_parameter_has_infinite_variance(self):
-        # y = a + b x, and a third parameter the residual ignores: its
-        # Jacobian column is zero, so it gets an infinite variance and
-        # zeros elsewhere, and (a, b) the inverse of their own block.
-        x = np.linspace(0.0, 1.0, 20)
-        sigma = np.full(20, 0.05)
-        y = 1.0 + 2.0 * x + sigma * np.random.default_rng(4).standard_normal(20)
-        design = np.column_stack([np.ones_like(x), x, np.zeros_like(x)])
-        res = fitting.nonlinear_ls(fitting.FitProblem(
-            residual=lambda p: design @ p - y,
-            initial_params=np.array([0.0, 0.0, 0.3]),
-            weights=1.0 / sigma ** 2,
-            jacobian=lambda p: design))
-        assert res.converged and res.params[2] == 0.3
-        assert res.covariance[2, 2] == math.inf
-        assert np.all(res.covariance[2, :2] == 0.0)
-        assert np.all(res.covariance[:2, 2] == 0.0)
-        seen = design[:, :2] / sigma[:, None]
-        assert np.allclose(res.covariance[:2, :2],
-                           np.linalg.inv(seen.T @ seen), rtol=1e-12, atol=0.0)
-        assert res.stderr[2] == math.inf
-
     def test_optimum_stop_reuses_last_jacobian(self):
-        # The run ends at a point it has already differentiated (no step
-        # accepted in the last iteration), so the covariance reuses that
-        # Jacobian: one call per iteration plus one at the start.
+        # One Jacobian per iteration and none after the loop. This run
+        # ends at a point it has already differentiated (no step accepted
+        # in the last iteration); test_floor_steps_stop_at_any_damping
+        # ends on an accepted step, whose point is never differentiated.
         rng = np.random.default_rng(13)
         x = np.linspace(0.0, 2.0, 60)
         y = 3.0 * np.exp(-x / 0.7) + 0.01 * rng.standard_normal(60)
@@ -374,13 +262,9 @@ class TestNonlinearLs:
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
             initial_params=np.array([1.0, 1.0]), jacobian=jac))
-        assert res.converged
+        assert res.converged and res.residual_trace[-1] == res.residual_norm
         assert len(visited) == res.iterations + 1
         assert np.array_equal(visited[-1], res.params)
-        J = jac(res.params)
-        dof = x.size - 2
-        expected = np.linalg.inv(J.T @ J) * (res.residual_norm ** 2 / dof)
-        assert np.array_equal(res.covariance, expected)
 
     def test_non_finite_jacobian_raises(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -442,19 +326,154 @@ class TestNonlinearLs:
         assert abs(a1 / a2 - 1.0) < 1e-6
         assert abs(b1 / b2 - 1.0) < 1e-6
 
+class TestCovariance:
+    """fitting.covariance, the rule each fitter applies to its own
+    Jacobian at its fitted params."""
+
+    def test_reduced_chi_square_matches_monte_carlo(self):
+        # With the residual norm the covariance is scaled by the reduced
+        # chi-square, so the standard error matches the scatter of
+        # repeated fits.
+        rng = np.random.default_rng(11)
+        sigma, n = 0.1, 50
+        x = np.linspace(0.0, 1.0, n)
+        design = line(x)
+        slopes, reported = [], []
+        for _ in range(500):
+            y = 2.0 * x + 1.0 + sigma * rng.standard_normal(n)
+            res = fitting.linear_wls(design, y)
+            cov = fitting.covariance(design.T @ design, n, res.residual_norm)
+            slopes.append(res.params[1])
+            reported.append(math.sqrt(cov[1, 1]))
+        assert abs(np.std(slopes) / np.median(reported) - 1.0) < 0.1
+
+    def test_two_points_have_infinite_variance(self):
+        # Two points fix a line exactly and leave no residual to read a
+        # noise scale from: both parameters get an infinite variance,
+        # not 0, with zeros off the diagonal and no NaN.
+        design = line([0.0, 1.0])
+        res = fitting.linear_wls(design, [1.0, 3.0])
+        cov = fitting.covariance(design.T @ design, 2, res.residual_norm)
+        assert np.array_equal(cov, np.diag([math.inf, math.inf]))
+
     def test_weighted_covariance_absolute(self):
-        # With weights = 1/sigma^2 the covariance must not be rescaled
-        # by the reduced chi-square.
+        # Rows divided by sigma and no residual norm: the covariance is
+        # (J^T W J)^-1, not rescaled by the reduced chi-square.
         x = np.linspace(0.0, 1.0, 40)
         rng = np.random.default_rng(13)
         y = 2.0 * x + 0.05 * rng.standard_normal(40)
-        problem = fitting.FitProblem(
-            residual=lambda p: p[0] * x - y,
-            initial_params=np.array([1.0]),
-            weights=np.full(40, 1.0 / 0.05 ** 2))
-        res = fitting.nonlinear_ls(problem)
+        res = fitting.nonlinear_ls(fitting.FitProblem(
+            residual=lambda p: (p[0] * x - y) / 0.05,
+            initial_params=np.array([1.0])))
+        rows = x[:, None] / 0.05
+        cov = fitting.covariance(rows.T @ rows, x.size)
         expected = 0.05 / math.sqrt(float(np.sum(x * x)))
-        assert abs(res.stderr[0] / expected - 1.0) < 1e-3
+        assert res.converged
+        assert math.sqrt(cov[0, 0]) == pytest.approx(expected, rel=1e-12)
+
+    def test_exact_jacobian_weighted_covariance(self):
+        # A weighted fit scales its residual and its exact Jacobian by
+        # 1/sigma alike: the covariance from that Jacobian at its fit
+        # matches the one from the numeric Jacobian of the weighted
+        # residual at the numeric-Jacobian fit.
+        rng = np.random.default_rng(13)
+        x = np.linspace(0.0, 2.0, 60)
+        sigma = 0.01 * (1.0 + x)
+        y = 3.0 * np.exp(-x / 0.7) + sigma * rng.standard_normal(60)
+
+        def resid(p):
+            return (p[0] * np.exp(-x / p[1]) - y) / sigma
+
+        def jac(p):
+            e = np.exp(-x / p[1])
+            return np.column_stack([e, p[0] * x / p[1] ** 2 * e]) \
+                / sigma[:, None]
+
+        def fit(jacobian):
+            return fitting.nonlinear_ls(fitting.FitProblem(
+                residual=resid, initial_params=np.array([1.0, 1.0]),
+                bounds=[(1e-6, math.inf), (1e-6, math.inf)],
+                jacobian=jacobian))
+
+        numeric, exact = fit(None), fit(jac)
+        assert numeric.converged and exact.converged
+        assert np.allclose(exact.params, numeric.params, rtol=1e-8, atol=0.0)
+        rows = jac(exact.params)
+        numeric_rows = fitting.numeric_jacobian(resid, numeric.params)
+        assert np.allclose(fitting.covariance(rows.T @ rows, x.size),
+                           fitting.covariance(numeric_rows.T @ numeric_rows,
+                                              x.size),
+                           rtol=1e-6, atol=0.0)
+
+    def test_pinned_parameter_has_zero_covariance(self):
+        # y = a + b x with b pinned by its bounds: b is not free, so it
+        # has a zero row and column, and a the variance of a fit of a
+        # alone, 1 / sum(w) weighted and chi^2 / (n - 1) / n unweighted
+        # (b is no degree of freedom).
+        rng = np.random.default_rng(4)
+        x = np.linspace(0.0, 1.0, 20)
+        sigma = np.full(20, 0.05)
+        y = 1.0 + 2.0 * x + sigma * rng.standard_normal(20)
+        res = fitting.nonlinear_ls(fitting.FitProblem(
+            residual=lambda p: p[0] + p[1] * x - y,
+            initial_params=np.array([0.0, 2.0]),
+            bounds=[(-math.inf, math.inf), (2.0, 2.0)],
+            jacobian=lambda p: line(x)))
+        assert res.params[1] == 2.0
+        free = np.array([True, False])
+
+        rows = line(x) / sigma[:, None]
+        weighted = fitting.covariance(rows.T @ rows, x.size, free=free)
+        assert weighted[0, 0] == pytest.approx(
+            1.0 / np.sum(1.0 / sigma ** 2), rel=1e-12)
+        assert np.all(weighted[1, :] == 0.0)
+        assert np.all(weighted[:, 1] == 0.0)
+
+        plain = fitting.covariance(line(x).T @ line(x), x.size,
+                                   res.residual_norm, free=free)
+        assert plain[0, 0] == pytest.approx(
+            res.residual_norm ** 2 / (x.size - 1) / x.size, rel=1e-12)
+        assert np.all(plain[1, :] == 0.0)
+
+    def test_no_degrees_of_freedom_pinned_stays_zero(self):
+        # Two points, a and b free, c pinned: no degree of freedom is
+        # left, so a and b get an infinite variance and zeros elsewhere
+        # in their rows, and c keeps its zero row and column.
+        x = np.array([0.0, 1.0])
+        y = np.array([1.0, 3.0])
+        design = np.column_stack([np.ones_like(x), x, x * x])
+        res = fitting.nonlinear_ls(fitting.FitProblem(
+            residual=lambda p: design @ p - y,
+            initial_params=np.array([0.0, 0.0, 0.5]),
+            bounds=[(-math.inf, math.inf)] * 2 + [(0.5, 0.5)],
+            jacobian=lambda p: design))
+        assert res.converged
+        cov = fitting.covariance(design.T @ design, x.size, res.residual_norm,
+                                 free=np.array([True, True, False]))
+        assert np.array_equal(cov, np.diag([math.inf, math.inf, 0.0]))
+
+    def test_unseen_parameter_has_infinite_variance(self):
+        # y = a + b x, and a third parameter the residual ignores: the
+        # solver leaves it where it started, and its zero Jacobian
+        # column gives it an infinite variance and zeros elsewhere, and
+        # (a, b) the inverse of their own block.
+        x = np.linspace(0.0, 1.0, 20)
+        sigma = np.full(20, 0.05)
+        y = 1.0 + 2.0 * x + sigma * np.random.default_rng(4).standard_normal(20)
+        rows = np.column_stack([np.ones_like(x), x, np.zeros_like(x)]) \
+            / sigma[:, None]
+        res = fitting.nonlinear_ls(fitting.FitProblem(
+            residual=lambda p: rows @ p - y / sigma,
+            initial_params=np.array([0.0, 0.0, 0.3]),
+            jacobian=lambda p: rows))
+        assert res.converged and res.params[2] == 0.3
+        cov = fitting.covariance(rows.T @ rows, x.size)
+        assert cov[2, 2] == math.inf
+        assert np.all(cov[2, :2] == 0.0)
+        assert np.all(cov[:2, 2] == 0.0)
+        seen = rows[:, :2]
+        assert np.allclose(cov[:2, :2], np.linalg.inv(seen.T @ seen),
+                           rtol=1e-12, atol=0.0)
 
 
 class TestNumericJacobian:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import drop_exact_jacobians, forbid_numeric_jacobian
 from resokit import tls
 from resokit.errors import DomainError, InsufficientDataError
@@ -216,6 +217,20 @@ class TestExactJacobian:
             assert getattr(exact.params, name) == pytest.approx(value, rel=1e-7)
             assert exact.stderr[name] == pytest.approx(numeric.stderr[name],
                                                        rel=1e-7)
+
+    def test_free_beta_covariance_is_absolute(self):
+        # The sweep's sigmas are absolute: the covariance is the inverse
+        # of the weighted normal matrix at the fitted point, with no
+        # reduced chi-square scaling.
+        sweep = acceptance_06_sweep()
+        fit = tls.fit_power_sweep(sweep)
+        p = fit.params
+        ns = np.array([n for n, _, _ in sweep.points])
+        sigma_tan = np.array([s / q ** 2 for _, q, s in sweep.points])
+        jac = oracles.tls_gradient(ns, tls.thermal_factor(F_R, TEMP),
+                                   *dataclasses.astuple(p)) / sigma_tan[:, None]
+        expected = np.linalg.inv(jac.T @ jac)
+        assert np.allclose(fit.covariance, expected, rtol=1e-8, atol=0.0)
 
     def test_pinned_beta_covariance_is_conditional(self):
         # beta has no uncertainty, and the other three get the inverse of
