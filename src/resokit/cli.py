@@ -209,6 +209,9 @@ def _fit_one(path: str, fmt: str | None):
 
 
 def _cmd_fit(args) -> int:
+    # The sweep files take the temperature only after every fit.
+    if not args.temperature_k > 0:
+        raise DomainError("temperature must be positive")
     rows = []
     any_failed = False
     for path in args.inputs:

@@ -69,13 +69,14 @@ class PowerSweep:
         object.__setattr__(self, "resonator_freq", float(self.resonator_freq))
         object.__setattr__(self, "temperature", float(self.temperature))
         ns = [n for n, _, _ in self.points]
-        if any(n <= 0 for n in ns):
+        # Each check is written so that NaN fails it.
+        if not all(n > 0 for n in ns):
             raise DomainError("photon numbers must be positive")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise DomainError("photon numbers must be strictly increasing")
-        if any(q <= 0 or s <= 0 for _, q, s in self.points):
+        if not all(q > 0 and s > 0 for _, q, s in self.points):
             raise DomainError("quality factors and sigmas must be positive")
-        if self.resonator_freq <= 0 or self.temperature <= 0:
+        if not (self.resonator_freq > 0 and self.temperature > 0):
             raise DomainError("frequency and temperature must be positive")
 
 
@@ -98,9 +99,9 @@ def thermal_factor(f: float, temperature: float) -> float:
     Close to 1 for GHz frequencies at tens of millikelvin, which is why
     resonators across a 7-13 GHz chip show no frequency trend in loss.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise DomainError("temperature must be positive")
-    if f < 0:
+    if not f >= 0:
         raise DomainError("frequency must be non-negative")
     return math.tanh(H_PLANCK * f / (2.0 * K_B * temperature))
 
@@ -171,6 +172,8 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
     sweeps whose high-power tail is taken over by non-TLS mechanisms.
     With fit_beta False the exponent stays pinned at its starting value.
     """
+    if n_max is not None and not n_max > 0:
+        raise DomainError("n_max must be a positive photon number")
     pts = [(n, q, s) for n, q, s in sweep.points
            if n_max is None or n <= n_max]
     if len(pts) < 4:

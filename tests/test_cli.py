@@ -513,11 +513,15 @@ class TestErrors:
         ("design", "--target-ghz", "nan"),
         ("design", "--target-ghz", "7.3", "--r-ohm-um2", "nan"),
         ("area-fit", "--l-nh", "nan"),
+        ("fit", "{low}", "{high}", "--temperature-k", "nan"),
+        ("sweep", "--input", "{sweep}", "--n-max", "nan"),
     ], ids=" ".join)
     def test_bad_number_is_input_error(self, capsys, tmp_path, command):
         # A number no law accepts, NaN included, ends in one `error:`
         # line and exit 1: no traceback, no warning and no file.
-        code, out, err = run(capsys, *command, "--out", str(tmp_path / "o"))
+        paths = write_inputs(tmp_path)
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in command),
+                             "--out", str(tmp_path / "o"))
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not list((tmp_path / "o").glob("*"))
