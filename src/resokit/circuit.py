@@ -85,11 +85,12 @@ class DielectricSpec:
     relax_time: float       # s
 
     def __post_init__(self):
-        if self.thickness <= 0:
+        # Each check is written so that NaN fails it.
+        if not self.thickness > 0:
             raise DomainError("thickness must be positive")
         if not self.eps_static >= self.eps_inf >= 1.0:
             raise DomainError("require eps_static >= eps_inf >= 1")
-        if self.relax_time < 0:
+        if not self.relax_time >= 0:
             raise DomainError("relaxation time must be non-negative")
 
 
@@ -126,9 +127,11 @@ class DispersiveBudget:
     coupling: float
 
     def __post_init__(self):
-        if min(self.resonator_freq, self.detuning, self.coupling) <= 0:
+        # Each check is written so that NaN fails it.
+        if not (self.resonator_freq > 0 and self.detuning > 0
+                and self.coupling > 0):
             raise DomainError("all budget frequencies must be positive")
-        if self.coupling >= self.detuning:
+        if not self.coupling < self.detuning:
             raise DomainError("dispersive regime requires coupling < detuning")
 
 
@@ -217,7 +220,7 @@ def dielectric_constant(cap_per_area: float, thickness: float) -> float:
 
     cap_per_area in F/um^2, thickness in m.
     """
-    if cap_per_area <= 0 or thickness <= 0:
+    if not (cap_per_area > 0 and thickness > 0):
         raise DomainError("capacitance per area and thickness must be positive")
     return thickness * cap_per_area * UM2_PER_M2 / EPS_0
 
@@ -228,7 +231,7 @@ def debye_permittivity(spec: DielectricSpec, angular_freq: float) -> float:
     Non-increasing in angular frequency, bounded by
     [eps_inf, eps_static].
     """
-    if angular_freq < 0:
+    if not angular_freq >= 0:
         raise DomainError("angular frequency must be non-negative")
     wt = angular_freq * spec.relax_time
     return spec.eps_inf + (spec.eps_static - spec.eps_inf) / (1.0 + wt * wt)

@@ -50,21 +50,18 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--out", help="output directory")
-    # Each flag goes only to the subcommands that read it.
-    seeded = _Parser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None)
+    # Each flag goes only to the subcommands that read it; a parent
+    # holds a flag that two subcommands read.
     formatted = _Parser(add_help=False)
     formatted.add_argument("--format", choices=("csv", "s2p"), default=None,
                            help="input trace file format")
-    # The physics the report manifest hashes.
-    physics = _Parser(add_help=False)
-    physics.add_argument("--kinetic-fraction", type=float,
+    kinetic = _Parser(add_help=False)
+    kinetic.add_argument("--kinetic-fraction", type=float,
                          default=PhysicsOverrides.kinetic_fraction)
-    physics.add_argument("--gap-ev", type=float,
-                         default=PhysicsOverrides.gap_ev)
 
-    p = sub.add_parser("design", parents=[common, physics],
+    p = sub.add_parser("design", parents=[common, kinetic],
                        help="capacitor area for a target frequency")
+    p.add_argument("--gap-ev", type=float, default=PhysicsOverrides.gap_ev)
     p.add_argument("--target-ghz", type=float, required=True)
     p.add_argument("--l-nh", type=float, default=0.3)
     p.add_argument("--c-ff-um2", type=float,
@@ -77,8 +74,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--temperature-k", type=float, default=0.01)
     p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("simulate", parents=[common, seeded],
+    p = sub.add_parser("simulate", parents=[common],
                        help="emit a synthetic notch trace")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--fr-ghz", type=float, default=7.3)
     p.add_argument("--q-in", type=float, default=4.5e3)
     p.add_argument("--q-ext", type=float, default=9e3)
@@ -99,7 +97,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--temperature-k", type=float, default=0.01)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("sweep", parents=[common, seeded, physics],
+    p = sub.add_parser("sweep", parents=[common],
                        help="fit a TLS model to a power sweep")
     p.add_argument("--input", required=True)
     p.add_argument("--fix-beta", action="store_true",
@@ -108,7 +106,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="mask points above this photon number")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("area-fit", parents=[common, seeded, physics],
+    p = sub.add_parser("area-fit", parents=[common, kinetic],
                        help="fit capacitance constants to (area, frequency) rows")
     p.add_argument("--input", default=None,
                    help="CSV with area_um2,freq_hz rows; bundled reference "
@@ -118,8 +116,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                         "inductance_h directive, else the reference design's")
     p.set_defaults(func=_cmd_area_fit)
 
-    p = sub.add_parser("report",
-                       parents=[common, seeded, formatted, physics],
+    p = sub.add_parser("report", parents=[common, formatted],
                        help="emit the results table, plots and manifest")
     p.add_argument("--input", required=True, help="resonators.csv")
     p.add_argument("--compare", default=None,
@@ -128,11 +125,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--sweeps", nargs="*", default=[])
     p.set_defaults(func=_cmd_report)
     return parser, sub.choices
-
-
-def _physics(args) -> PhysicsOverrides:
-    return PhysicsOverrides(kinetic_fraction=args.kinetic_fraction,
-                            gap_ev=args.gap_ev)
 
 
 def _load_trace(path: str, fmt: str | None):
@@ -144,7 +136,8 @@ def _load_trace(path: str, fmt: str | None):
 
 
 def _cmd_design(args) -> int:
-    physics = _physics(args)
+    physics = PhysicsOverrides(kinetic_fraction=args.kinetic_fraction,
+                               gap_ev=args.gap_ev)
     target = args.target_ghz * GHZ
     inductance = args.l_nh * NH
     cap_per_area = args.c_ff_um2 * FF
@@ -210,8 +203,8 @@ def _fit_one(path: str, fmt: str | None):
 
 def _cmd_fit(args) -> int:
     # The sweep files take the temperature only after every fit.
-    if not args.temperature_k > 0:
-        raise DomainError("temperature must be positive")
+    if not 0 < args.temperature_k < math.inf:
+        raise DomainError("temperature must be positive and finite")
     rows = []
     any_failed = False
     for path in args.inputs:
@@ -302,13 +295,12 @@ def _cmd_sweep(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         bundle = ReportBundle(sweeps=[("sweep", sweep, p)])
-        emit_report(bundle, args.out, physics=_physics(args),
-                    inputs=[args.input], seed=args.seed)
+        emit_report(bundle, args.out, inputs=[args.input])
     return 0 if result.converged else 2
 
 
 def _cmd_area_fit(args) -> int:
-    physics = _physics(args)
+    physics = PhysicsOverrides(kinetic_fraction=args.kinetic_fraction)
     if args.input:
         ds = read_area_dataset(args.input)
     else:
@@ -332,8 +324,7 @@ def _cmd_area_fit(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         bundle = ReportBundle(area_fit=(ds, fit))
         emit_report(bundle, args.out, physics=physics,
-                    inputs=[args.input] if args.input else [],
-                    seed=args.seed)
+                    inputs=[args.input] if args.input else [])
     return 0 if fit.converged else 2
 
 
@@ -359,8 +350,7 @@ def _cmd_report(args) -> int:
         inputs.append(path)
     bundle = ReportBundle(rows=rows, deltas=deltas, traces=traces,
                           sweeps=sweeps)
-    written = emit_report(bundle, args.out, physics=_physics(args),
-                          inputs=inputs, seed=args.seed)
+    written = emit_report(bundle, args.out, inputs=inputs)
     for path in written:
         print(path)
     return 0

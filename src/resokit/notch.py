@@ -67,9 +67,10 @@ class Trace:
     """An ordered frequency sweep of complex transmission samples.
 
     Construction checks the data: equal-length 1-D arrays, at least one
-    point, finite values and strictly increasing frequencies. Each check
-    raises DomainError; the finite and ordering checks name the first
-    bad point. The file readers rely on these checks and repeat none.
+    point, finite values, strictly increasing frequencies and an applied
+    power that is None or positive and finite. Each check raises
+    DomainError; the finite and ordering checks name the first bad
+    point. The file readers rely on these checks and repeat none.
     """
 
     freqs_hz: np.ndarray
@@ -97,6 +98,10 @@ class Trace:
                 "trace frequencies must be strictly increasing: point "
                 f"{i} at {float(self.freqs_hz[i])!r} Hz follows point "
                 f"{i - 1} at {float(self.freqs_hz[i - 1])!r} Hz")
+        # Written so that NaN fails it.
+        if self.applied_power_w is not None and \
+                not 0 < self.applied_power_w < math.inf:
+            raise DomainError("applied power must be positive and finite")
 
     def __len__(self) -> int:
         return self.freqs_hz.size
@@ -164,7 +169,7 @@ def photons_from_power(params: NotchParams, power_on_chip: float) -> float:
     calibration depends on the attenuation bookkeeping upstream, so
     ordering and linearity are the reliable content.
     """
-    if power_on_chip < 0:
+    if not power_on_chip >= 0:
         raise DomainError("power must be non-negative")
     omega = TWO_PI * params.f_r
     return 2.0 * params.q_loaded ** 2 * power_on_chip \

@@ -140,15 +140,16 @@ def _area_plot(ds: AreaFrequencyDataset, fit: AreaFitResult) -> str:
 
 def emit_report(bundle: ReportBundle, out_dir: str,
                 physics: PhysicsOverrides = PhysicsOverrides(),
-                inputs: list[str] | None = None,
-                seed: int | None = None) -> list[str]:
+                inputs: list[str] | None = None) -> list[str]:
     """Write the results table, manifest and plots into out_dir.
 
     Returns the list of written paths. Output is deterministic for
     fixed inputs: stable ordering, no timestamps, atomic writes. The
-    manifest's config_hash covers the physics and the solver's
-    constants (see config.config_hash). Plot names must be distinct: a
-    repeated one raises ConfigError before anything is created.
+    manifest, report.json, names the toolkit version, the table schema,
+    the sorted inputs and the artifacts, and its config_hash covers the
+    physics and the solver's constants (see config.config_hash). Plot
+    names must be distinct: a repeated one raises ConfigError before
+    anything is created.
     """
     plots = [(f"trace_{name}.svg", _trace_plot,
               (trace.metadata.get("label") or name, trace))
@@ -186,7 +187,6 @@ def emit_report(bundle: ReportBundle, out_dir: str,
         "schema": RESONATOR_SCHEMA,
         "config_hash": config_hash(physics),
         "inputs": sorted(inputs or []),
-        "seed": seed,
         "artifacts": sorted(os.path.basename(p) for p in written),
     }
     manifest_path = os.path.join(out_dir, "report.json")

@@ -46,11 +46,12 @@ class TlsFitParams:
     tan_delta_other: float = 0.0
 
     def __post_init__(self):
-        if self.tan_delta_tls0 < 0 or self.tan_delta_other < 0:
+        # Each check is written so that NaN fails it.
+        if not (self.tan_delta_tls0 >= 0 and self.tan_delta_other >= 0):
             raise DomainError("loss tangents must be non-negative")
         if not 0.0 < self.beta <= 1.0:
             raise DomainError("beta must lie in (0, 1]")
-        if self.n_critical <= 0:
+        if not self.n_critical > 0:
             raise DomainError("critical photon number must be positive")
 
 
@@ -70,14 +71,18 @@ class PowerSweep:
         object.__setattr__(self, "temperature", float(self.temperature))
         ns = [n for n, _, _ in self.points]
         # Each check is written so that NaN fails it.
-        if not all(n > 0 for n in ns):
-            raise DomainError("photon numbers must be positive")
+        if not all(0 < n < math.inf for n in ns):
+            raise DomainError("photon numbers must be positive and finite")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise DomainError("photon numbers must be strictly increasing")
-        if not all(q > 0 and s > 0 for _, q, s in self.points):
-            raise DomainError("quality factors and sigmas must be positive")
-        if not (self.resonator_freq > 0 and self.temperature > 0):
-            raise DomainError("frequency and temperature must be positive")
+        if not all(0 < q < math.inf and 0 < s < math.inf
+                   for _, q, s in self.points):
+            raise DomainError(
+                "quality factors and sigmas must be positive and finite")
+        if not (0 < self.resonator_freq < math.inf
+                and 0 < self.temperature < math.inf):
+            raise DomainError(
+                "frequency and temperature must be positive and finite")
 
 
 @dataclass
@@ -99,8 +104,8 @@ def thermal_factor(f: float, temperature: float) -> float:
     Close to 1 for GHz frequencies at tens of millikelvin, which is why
     resonators across a 7-13 GHz chip show no frequency trend in loss.
     """
-    if not temperature > 0:
-        raise DomainError("temperature must be positive")
+    if not 0 < temperature < math.inf:
+        raise DomainError("temperature must be positive and finite")
     if not f >= 0:
         raise DomainError("frequency must be non-negative")
     return math.tanh(H_PLANCK * f / (2.0 * K_B * temperature))

@@ -9,6 +9,7 @@ from resokit.circuit import (DielectricSpec, DispersiveBudget,
                              JunctionLeakageSpec, ResonatorDesign)
 from resokit.constants import EPS_0, FF, GHZ, M2_PER_UM2, NH
 from resokit.errors import DomainError, UnreachableFrequencyError
+from resokit.tls import TlsFitParams
 
 ROW1 = dict(inductance_geometric=0.3 * NH, cap_area=10.64 ** 2,
             cap_per_area=13.86 * FF, cap_to_ground=33.65 * FF)
@@ -244,3 +245,27 @@ class TestDispersiveBudget:
     def test_dispersive_regime_required(self):
         with pytest.raises(DomainError):
             DispersiveBudget(resonator_freq=7e9, detuning=1e9, coupling=2e9)
+
+
+NAN = math.nan
+SPEC = DielectricSpec(12e-9, 10.0, 9.0, 1e-9)
+
+
+@pytest.mark.parametrize("build, args", [
+    (TlsFitParams, (NAN, 10.0)),
+    (TlsFitParams, (1e-4, NAN)),
+    (TlsFitParams, (1e-4, 10.0, 0.5, NAN)),
+    (DielectricSpec, (NAN, 10.0, 9.0, 1e-9)),
+    (DielectricSpec, (12e-9, 10.0, 9.0, NAN)),
+    (DispersiveBudget, (NAN, 1e9, 50e6)),
+    (DispersiveBudget, (7e9, NAN, 50e6)),
+    (DispersiveBudget, (7e9, 1e9, NAN)),
+    (circuit.dielectric_constant, (NAN, 12e-9)),
+    (circuit.dielectric_constant, (14e-15, NAN)),
+    (circuit.debye_permittivity, (SPEC, NAN)),
+], ids=["tls0", "n_critical", "other", "thickness", "relax_time",
+        "resonator_freq", "detuning", "coupling", "cap_per_area",
+        "eps_thickness", "angular_freq"])
+def test_nan_fails_domain_check(build, args):
+    with pytest.raises(DomainError):
+        build(*args)

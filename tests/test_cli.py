@@ -494,9 +494,18 @@ class TestErrors:
         ("simulate", "--format", "csv"),
         ("sweep", "--input", "s.csv", "--format", "csv"),
         ("area-fit", "--format", "csv"),
+        ("sweep", "--input", "s.csv", "--seed", "3"),
+        ("sweep", "--input", "s.csv", "--kinetic-fraction", "0.06"),
+        ("sweep", "--input", "s.csv", "--gap-ev", "2e-4"),
+        ("area-fit", "--seed", "3"),
+        ("area-fit", "--gap-ev", "2e-4"),
+        ("report", "--input", "r.csv", "--seed", "3"),
+        ("report", "--input", "r.csv", "--kinetic-fraction", "0.06"),
+        ("report", "--input", "r.csv", "--gap-ev", "2e-4"),
     ], ids=" ".join)
     def test_unread_flag_rejected(self, capsys, tmp_path, command):
-        # --seed and --format exist only where a subcommand reads them.
+        # --seed, --format, --kinetic-fraction and --gap-ev exist only
+        # where a subcommand reads them.
         code, out, err = run(capsys, *command, "--out", str(tmp_path / "o"))
         assert code == 1
         assert "unrecognized arguments" in err
@@ -509,11 +518,13 @@ class TestErrors:
         ("simulate", "--power-dbm", "1e5"),
         ("simulate", "--span-linewidths", "nan"),
         ("simulate", "--noise", "nan"),
+        ("simulate", "--power-dbm=-inf"),
         ("design", "--target-ghz", "1e-300"),
         ("design", "--target-ghz", "nan"),
         ("design", "--target-ghz", "7.3", "--r-ohm-um2", "nan"),
         ("area-fit", "--l-nh", "nan"),
         ("fit", "{low}", "{high}", "--temperature-k", "nan"),
+        ("fit", "{low}", "{high}", "--temperature-k", "inf"),
         ("sweep", "--input", "{sweep}", "--n-max", "nan"),
     ], ids=" ".join)
     def test_bad_number_is_input_error(self, capsys, tmp_path, command):
@@ -691,6 +702,36 @@ class TestDomainErrorNamesFile:
                         "10,9e3,270\n1,4.5e3,135\n")
         self.assert_input_error(capsys, path, "sweep", "--input", str(path))
 
+    @pytest.mark.parametrize("cell", ["resonator_freq_hz", "temperature_k",
+                                      "photon_number", "q_internal", "sigma"])
+    def test_sweep_infinite_value(self, capsys, tmp_path, cell):
+        values = {"resonator_freq_hz": "7.3e9", "temperature_k": "0.01",
+                  "photon_number": "10", "q_internal": "9e3", "sigma": "270"}
+        values[cell] = "inf"
+        path = tmp_path / "sweep.csv"
+        path.write_text(
+            "# resonator_freq_hz = {resonator_freq_hz}\n"
+            "# temperature_k = {temperature_k}\n"
+            "photon_number,q_internal,sigma\n1,4.5e3,135\n"
+            "{photon_number},{q_internal},{sigma}\n".format(**values))
+        self.assert_input_error(capsys, path, "sweep", "--input", str(path),
+                                "--out", str(tmp_path / "sw"))
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("power", ["-1e-16", "nan", "inf", "0.0"])
+    def test_fit_applied_power(self, capsys, tmp_path, power):
+        # A trace's drive power is positive and finite, also in a batch
+        # with another trace of its label.
+        paths = write_inputs(tmp_path)
+        text = Path(paths["high"]).read_text()
+        assert "# power_w = 1e-16\n" in text
+        path = tmp_path / "power.csv"
+        path.write_text(text.replace("# power_w = 1e-16",
+                                     f"# power_w = {power}"))
+        self.assert_input_error(capsys, path, "fit", paths["low"], str(path),
+                                "--out", str(tmp_path / "fit"))
+        assert not (tmp_path / "fit").exists()
+
     @pytest.mark.parametrize("row, message", [
         ("-120.0,7.1e9", "areas and frequencies must be positive"),
         ("100.0,7.1e9", "areas must be distinct"),
@@ -775,8 +816,8 @@ CONFIG_CASES = {
     "sweep": (("sweep", "--input", "{sweep}"), "n_max = 1e3\n",
               ("--n-max", "1e3")),
     "area-fit": (("area-fit",), "l_nh = 0.35\n", ("--l-nh", "0.35")),
-    "report": (("report", "--input", "{table}"), "kinetic_fraction = 0.06\n",
-               ("--kinetic-fraction", "0.06")),
+    "report": (("report", "--input", "{table}"), "compare = {table}\n",
+               ("--compare", "{table}")),
 }
 
 
@@ -789,6 +830,8 @@ class TestConfigFile:
         paths = write_inputs(tmp_path)
         command, config, flags = CONFIG_CASES[workflow]
         command = [a.format(**paths) for a in command]
+        config = config.format(**paths)
+        flags = [a.format(**paths) for a in flags]
         default = outputs(capsys, tmp_path, "default", command)
         configured = outputs(capsys, tmp_path, "config", command, config)
         flagged = outputs(capsys, tmp_path, "flags", command, flags=flags)
@@ -823,6 +866,16 @@ class TestConfigFile:
         (("simulate",), "seed = 1.5", "seed"),
         (("design", "--target-ghz", "7.3"), "seed = 5", "seed"),
         (("simulate",), "format = csv", "format"),
+        (("sweep", "--input", "s.csv"), "seed = 3", "seed"),
+        (("sweep", "--input", "s.csv"), "kinetic_fraction = 0.06",
+         "kinetic_fraction"),
+        (("sweep", "--input", "s.csv"), "gap_ev = 2e-4", "gap_ev"),
+        (("area-fit",), "seed = 3", "seed"),
+        (("area-fit",), "gap-ev = 2e-4", "gap-ev"),
+        (("report", "--input", "r.csv"), "seed = 3", "seed"),
+        (("report", "--input", "r.csv"), "kinetic-fraction = 0.06",
+         "kinetic-fraction"),
+        (("report", "--input", "r.csv"), "gap_ev = 2e-4", "gap_ev"),
     ])
     def test_bad_key_or_value_exits_1(self, capsys, tmp_path, command, config,
                                       key):
@@ -837,23 +890,26 @@ class TestConfigFile:
         assert repr(key) in lines[0]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("workflow", ["area-fit", "sweep"])
+    @pytest.mark.parametrize("workflow", ["fit", "report"])
     def test_no_leak_into_another_subcommand(self, capsys, tmp_path,
                                              workflow):
         # Flags from parent parsers are one object in every subcommand,
-        # and set_defaults on one subcommand changes them.
+        # and set_defaults on one subcommand changes them. A CSV trace
+        # under a Touchstone name reads only with `format = csv`.
         paths = write_inputs(tmp_path)
-        command = {"area-fit": ("area-fit",),
-                   "sweep": ("sweep", "--input", paths["sweep"])}[workflow]
-        outputs(capsys, tmp_path, "config", command,
-                "seed = 9\nkinetic_fraction = 0.06\n")
-        outputs(capsys, tmp_path, "plain", ("report", "--input",
-                                            paths["table"]))
-        configured = json.loads((tmp_path / "config" / "report.json")
-                                .read_text())
-        plain = json.loads((tmp_path / "plain" / "report.json").read_text())
-        default_hash = config_hash(PhysicsOverrides())
-        assert configured["seed"] == 9
-        assert configured["config_hash"] != default_hash
-        assert plain["seed"] is None
-        assert plain["config_hash"] == default_hash
+        trace = tmp_path / "sim.s2p"
+        trace.write_bytes(Path(paths["trace"]).read_bytes())
+        commands = {"fit": ("fit", str(trace)),
+                    "report": ("report", "--input", paths["table"],
+                               "--traces", str(trace))}
+        configured = outputs(capsys, tmp_path, "config", commands[workflow],
+                             "format = csv\n")
+        assert configured[0] == 0
+        other, = set(commands) - {workflow}
+        code, out, err = run(capsys, *commands[other],
+                             "--out", str(tmp_path / "plain"))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {trace}:")
+        assert "two-port row" in err
+        assert not (tmp_path / "plain").exists()
