@@ -63,14 +63,15 @@ class ResonatorDesign:
 
     def __post_init__(self):
         # Each check is written so that NaN fails it.
-        if not self.inductance_geometric > 0:
-            raise DomainError("inductance must be positive")
-        if not self.cap_area >= 0:
-            raise DomainError("capacitor area must be non-negative")
-        if not self.cap_per_area > 0:
-            raise DomainError("capacitance per area must be positive")
-        if not self.cap_to_ground > 0:
-            raise DomainError("ground capacitance must be positive")
+        if not 0 < self.inductance_geometric < math.inf:
+            raise DomainError("inductance must be positive and finite")
+        if not 0 <= self.cap_area < math.inf:
+            raise DomainError("capacitor area must be non-negative and finite")
+        if not 0 < self.cap_per_area < math.inf:
+            raise DomainError(
+                "capacitance per area must be positive and finite")
+        if not 0 < self.cap_to_ground < math.inf:
+            raise DomainError("ground capacitance must be positive and finite")
         if not 0.0 <= self.kinetic_fraction < 1.0:
             raise DomainError("kinetic fraction must lie in [0, 1)")
 
@@ -109,12 +110,15 @@ class JunctionLeakageSpec:
     temperature: float = 0.01
 
     def __post_init__(self):
-        if not (self.specific_resistance > 0 and self.area > 0):
-            raise DomainError("resistance-area product and area must be positive")
+        # Each check is written so that NaN fails it.
+        if not (0 < self.specific_resistance < math.inf
+                and 0 < self.area < math.inf):
+            raise DomainError("resistance-area product and area must be "
+                              "positive and finite")
         if not 0.0 < self.gap_energy < 1e-2:
             raise DomainError("gap energy outside (0, 1e-2) eV sanity window")
-        if not self.temperature > 0:
-            raise DomainError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise DomainError("temperature must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -196,8 +200,8 @@ def area_for_frequency(target: float, inductance_geometric: float,
     """
     if not target > 0:
         raise DomainError("target frequency must be positive")
-    if not cap_per_area > 0:
-        raise DomainError("capacitance per area must be positive")
+    if not 0 < cap_per_area < math.inf:
+        raise DomainError("capacitance per area must be positive and finite")
     ceiling = ceiling_frequency(inductance_geometric, cap_to_ground,
                                 kinetic_fraction)
     if target >= ceiling:

@@ -12,14 +12,13 @@ import os
 import sys
 
 from . import __version__, circuit, extraction, notch, refdata, tls
-from .config import PhysicsOverrides, load_config_file
 from .constants import FF, GHZ, NH, NS, dbm_to_watt
 from .errors import ConfigError, DomainError, ExtractionError, SchemaError
 from .report import (ReportBundle, compare_sessions, emit_report,
                      read_report_rows)
-from .traceio import (parse_touchstone, parse_trace_csv, read_area_dataset,
-                      read_power_sweep, write_design, write_power_sweep,
-                      write_table, write_trace_csv)
+from .traceio import (load_config_file, parse_touchstone, parse_trace_csv,
+                      read_area_dataset, read_power_sweep, write_design,
+                      write_power_sweep, write_table, write_trace_csv)
 
 FIT_COLUMNS = ("label", "f_r_hz", "f_r_err_hz", "q_loaded", "q_loaded_err",
                "q_ext_mag", "q_ext_mag_err", "mismatch_phi_rad",
@@ -56,12 +55,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     formatted.add_argument("--format", choices=("csv", "s2p"), default=None,
                            help="input trace file format")
     kinetic = _Parser(add_help=False)
-    kinetic.add_argument("--kinetic-fraction", type=float,
-                         default=PhysicsOverrides.kinetic_fraction)
+    kinetic.add_argument("--kinetic-fraction", type=float, default=0.0)
 
     p = sub.add_parser("design", parents=[common, kinetic],
                        help="capacitor area for a target frequency")
-    p.add_argument("--gap-ev", type=float, default=PhysicsOverrides.gap_ev)
     p.add_argument("--target-ghz", type=float, required=True)
     p.add_argument("--l-nh", type=float, default=0.3)
     p.add_argument("--c-ff-um2", type=float,
@@ -71,7 +68,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--r-ohm-um2", type=float, default=None,
                    help="room-temperature resistance-area product for the "
                         "tunnel-leakage check")
-    p.add_argument("--temperature-k", type=float, default=0.01)
+    spec = circuit.JunctionLeakageSpec
+    p.add_argument("--gap-ev", type=float, default=None,
+                   help="gap energy of the leakage check, eV; default "
+                        f"{spec.gap_energy:g}")
+    p.add_argument("--temperature-k", type=float, default=None,
+                   help="temperature of the leakage check, K; default "
+                        f"{spec.temperature:g}")
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -136,27 +139,33 @@ def _load_trace(path: str, fmt: str | None):
 
 
 def _cmd_design(args) -> int:
-    physics = PhysicsOverrides(kinetic_fraction=args.kinetic_fraction,
-                               gap_ev=args.gap_ev)
+    # The gap and the temperature go only into the leakage check, and
+    # JunctionLeakageSpec holds their defaults.
+    given = (("gap_energy", args.gap_ev), ("temperature", args.temperature_k))
+    leakage = {key: value for key, value in given if value is not None}
+    if leakage and args.r_ohm_um2 is None:
+        raise ConfigError("--gap-ev and --temperature-k set only the "
+                          "leakage check, which needs --r-ohm-um2")
     target = args.target_ghz * GHZ
     inductance = args.l_nh * NH
     cap_per_area = args.c_ff_um2 * FF
     cap_to_ground = args.cg_ff * FF
     area = circuit.area_for_frequency(target, inductance, cap_per_area,
-                                      cap_to_ground, physics.kinetic_fraction)
+                                      cap_to_ground, args.kinetic_fraction)
     design = circuit.ResonatorDesign(
         inductance_geometric=inductance, cap_area=area,
         cap_per_area=cap_per_area, cap_to_ground=cap_to_ground,
-        kinetic_fraction=physics.kinetic_fraction)
+        kinetic_fraction=args.kinetic_fraction)
     predicted = circuit.resonance_frequency(design)
+    # Every check runs before the first line is printed.
+    if args.r_ohm_um2 is not None:
+        leak = circuit.junction_shunt_inductance(circuit.JunctionLeakageSpec(
+            specific_resistance=args.r_ohm_um2, area=area, **leakage))
     print(f"area_um2 = {area:.4f}")
     print(f"side_um = {math.sqrt(area):.4f}")
     print(f"capacitance_ff = {cap_per_area * area / FF:.4f}")
     print(f"predicted_freq_ghz = {predicted / GHZ:.6f}")
     if args.r_ohm_um2 is not None:
-        leak = circuit.junction_shunt_inductance(circuit.JunctionLeakageSpec(
-            specific_resistance=args.r_ohm_um2, area=area,
-            gap_energy=physics.gap_ev, temperature=args.temperature_k))
         print(f"shunt_inductance_nh = {leak / NH:.4g}")
         print(f"shunt_to_series_ratio = {leak / inductance:.4g}")
     if args.out:
@@ -300,7 +309,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_area_fit(args) -> int:
-    physics = PhysicsOverrides(kinetic_fraction=args.kinetic_fraction)
     if args.input:
         ds = read_area_dataset(args.input)
     else:
@@ -309,7 +317,7 @@ def _cmd_area_fit(args) -> int:
                        for r in refdata.REFERENCE_RESONATORS),
             inductance=refdata.INDUCTANCE_GEOMETRIC)
     ds = dataclasses.replace(
-        ds, kinetic_fraction=physics.kinetic_fraction,
+        ds, kinetic_fraction=args.kinetic_fraction,
         inductance=ds.inductance if args.l_nh is None else args.l_nh * NH)
     fit = extraction.fit_frequency_vs_area(ds)
     print(f"cap_per_area_ff_um2 = {fit.cap_per_area / FF:.6g} "
@@ -323,7 +331,7 @@ def _cmd_area_fit(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         bundle = ReportBundle(area_fit=(ds, fit))
-        emit_report(bundle, args.out, physics=physics,
+        emit_report(bundle, args.out,
                     inputs=[args.input] if args.input else [])
     return 0 if fit.converged else 2
 

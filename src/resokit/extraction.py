@@ -628,10 +628,12 @@ class AreaFrequencyDataset:
         if len(set(areas)) != len(areas):
             raise DomainError("areas must be distinct")
         # Written so that NaN fails each check.
-        if not all(s > 0 and f > 0 for s, f in self.rows):
-            raise DomainError("areas and frequencies must be positive")
-        if not self.inductance > 0:
-            raise DomainError("inductance must be positive")
+        if not all(0 < s < math.inf and 0 < f < math.inf
+                   for s, f in self.rows):
+            raise DomainError("areas and frequencies must be positive and "
+                              "finite")
+        if not 0 < self.inductance < math.inf:
+            raise DomainError("inductance must be positive and finite")
         if not 0.0 <= self.kinetic_fraction < 1.0:
             raise DomainError("kinetic fraction must lie in [0, 1)")
 

@@ -6,15 +6,15 @@ bit-exactly. Session comparisons match rows by exact label, never by
 frequency proximity.
 """
 
+import hashlib
 import json
 import os
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from . import __version__
-from .circuit import lc_frequency
-from .config import PhysicsOverrides, config_hash
+from . import __version__, fitting
+from .circuit import JunctionLeakageSpec, lc_frequency
 from .errors import ConfigError
 from .extraction import AreaFitResult, AreaFrequencyDataset
 from .notch import Trace
@@ -23,8 +23,8 @@ from .tls import PowerSweep, TlsFitParams, tls_tan_delta
 from .traceio import _read_table, atomic_write_text, float_row, write_table
 
 __all__ = ["ReportRow", "SessionDelta", "ReportBundle", "compare_sessions",
-           "emit_report", "read_report_rows", "write_report_rows",
-           "RESONATOR_SCHEMA"]
+           "config_hash", "emit_report", "read_report_rows",
+           "write_report_rows", "RESONATOR_SCHEMA"]
 
 RESONATOR_SCHEMA = "resonators-v1"
 
@@ -138,8 +138,25 @@ def _area_plot(ds: AreaFrequencyDataset, fit: AreaFitResult) -> str:
         xlabel="area (um^2)", ylabel="frequency (GHz)")
 
 
+def config_hash(kinetic_fraction: float = 0.0) -> str:
+    """Digest of a kinetic fraction and the solver's constants.
+
+    Every upper-case numeric constant of resokit.fitting is read at call
+    time and hashed as tolerances.<lower-case name>.
+    """
+    # No command that writes a report reads a gap, but the canonical
+    # text has always held one: JunctionLeakageSpec's default keeps
+    # every digest where it was.
+    values = {"physics.gap_ev": JunctionLeakageSpec.gap_energy,
+              "physics.kinetic_fraction": float(kinetic_fraction)}
+    values.update({f"tolerances.{name.lower()}": value
+                   for name, value in vars(fitting).items()
+                   if name.isupper() and isinstance(value, (int, float))})
+    canonical = "\n".join(f"{k} = {values[k]!r}" for k in sorted(values))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def emit_report(bundle: ReportBundle, out_dir: str,
-                physics: PhysicsOverrides = PhysicsOverrides(),
                 inputs: list[str] | None = None) -> list[str]:
     """Write the results table, manifest and plots into out_dir.
 
@@ -147,9 +164,9 @@ def emit_report(bundle: ReportBundle, out_dir: str,
     fixed inputs: stable ordering, no timestamps, atomic writes. The
     manifest, report.json, names the toolkit version, the table schema,
     the sorted inputs and the artifacts, and its config_hash covers the
-    physics and the solver's constants (see config.config_hash). Plot
-    names must be distinct: a repeated one raises ConfigError before
-    anything is created.
+    kinetic fraction of the area fit's dataset (0 without one) and the
+    solver's constants. Plot names must be distinct: a repeated one
+    raises ConfigError before anything is created.
     """
     plots = [(f"trace_{name}.svg", _trace_plot,
               (trace.metadata.get("label") or name, trace))
@@ -181,11 +198,13 @@ def emit_report(bundle: ReportBundle, out_dir: str,
         atomic_write_text(path, plot(*args))
         written.append(path)
 
+    kinetic = (bundle.area_fit[0].kinetic_fraction
+               if bundle.area_fit is not None else 0.0)
     manifest = {
         "toolkit": "resokit",
         "version": __version__,
         "schema": RESONATOR_SCHEMA,
-        "config_hash": config_hash(physics),
+        "config_hash": config_hash(kinetic),
         "inputs": sorted(inputs or []),
         "artifacts": sorted(os.path.basename(p) for p in written),
     }

@@ -5,6 +5,7 @@ by write_table: atomic (write-temp-then-rename), floats through repr so
 that re-ingesting any artifact reproduces the in-memory object
 bit-exactly, and no cell the reader could not give back. Touchstone v1
 two-port files are read-only, and only their S21 column is read.
+Design and config files are flat `key = value` text with `#` comments.
 """
 
 import os
@@ -14,9 +15,8 @@ from dataclasses import astuple
 import numpy as np
 
 from .circuit import ResonatorDesign
-from .config import load_config_file
-from .errors import (DomainError, SchemaError, TouchstoneFormatError,
-                     UnsupportedFormatError)
+from .errors import (ConfigError, DomainError, SchemaError,
+                     TouchstoneFormatError, UnsupportedFormatError)
 from .extraction import AreaFrequencyDataset
 from .notch import Trace
 from .refdata import INDUCTANCE_GEOMETRIC
@@ -24,8 +24,8 @@ from .tls import PowerSweep
 
 __all__ = ["parse_trace_csv", "write_trace_csv", "parse_touchstone",
            "read_power_sweep", "write_power_sweep", "read_area_dataset",
-           "write_design", "read_design", "atomic_write_text",
-           "write_table"]
+           "write_design", "read_design", "load_config_file",
+           "atomic_write_text", "write_table"]
 
 TRACE_COLUMNS_RI = ("freq_hz", "re", "im")
 TRACE_COLUMNS_DB = ("freq_hz", "mag_db", "phase_rad")
@@ -293,6 +293,25 @@ def write_design(design: ResonatorDesign, path: str) -> None:
     lines = [f"{key} = {float(value)!r}"
              for key, value in zip(_DESIGN_KEYS, astuple(design))]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def load_config_file(path: str) -> dict[str, str]:
+    """Parse a flat key = value file into a string dict."""
+    out: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            key, _, value = text.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if not key or not value:
+                raise ConfigError(f"{path}:{lineno}: empty key or value")
+            out[key] = value
+    return out
 
 
 def read_design(path: str) -> ResonatorDesign:

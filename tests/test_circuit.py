@@ -64,6 +64,18 @@ class TestResonanceFrequency:
         with pytest.raises(DomainError):
             ResonatorDesign(**ROW1, kinetic_fraction=1.0)
 
+    @pytest.mark.parametrize("field, message", [
+        ("inductance_geometric", "inductance must be positive and finite"),
+        ("cap_area", "capacitor area must be non-negative and finite"),
+        ("cap_per_area", "capacitance per area must be positive and finite"),
+        ("cap_to_ground", "ground capacitance must be positive and finite"),
+    ], ids=["inductance", "cap_area", "cap_per_area", "cap_to_ground"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_design_rejected(self, field, message, value):
+        with pytest.raises(DomainError) as raised:
+            ResonatorDesign(**{**ROW1, field: value})
+        assert str(raised.value) == message
+
 
 class TestAreaForFrequency:
     def test_row1_area(self):
@@ -83,7 +95,7 @@ class TestAreaForFrequency:
                                        33.65 * FF)
 
     @pytest.mark.parametrize("ind, kin, message", [
-        (-0.3 * NH, -2.0, "inductance must be positive"),
+        (-0.3 * NH, -2.0, "inductance must be positive and finite"),
         (0.3 * NH, -0.5, "kinetic fraction must lie in [0, 1)"),
         (0.3 * NH, 1.0, "kinetic fraction must lie in [0, 1)"),
     ])
@@ -99,6 +111,22 @@ class TestAreaForFrequency:
         assert str(raised.value) == message
         with pytest.raises(DomainError) as raised:
             circuit.area_for_frequency(5 * GHZ, ind, 13.86 * FF, 33 * FF, kin)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.3 * NH, math.inf, 33.65 * FF),
+         "capacitance per area must be positive and finite"),
+        ((math.inf, 13.86 * FF, 33.65 * FF),
+         "inductance must be positive and finite"),
+        ((0.3 * NH, 13.86 * FF, math.inf),
+         "ground capacitance must be positive and finite"),
+    ], ids=["cap_per_area", "inductance", "cap_to_ground"])
+    def test_non_finite_input_rejected(self, args, message):
+        # An infinite c used to give a NaN capacitance and frequency, an
+        # infinite L or C_g an UnreachableFrequencyError at a 0 Hz ceiling.
+        with pytest.raises(DomainError) as raised:
+            circuit.area_for_frequency(7.3 * GHZ, *args)
+        assert type(raised.value) is DomainError
         assert str(raised.value) == message
 
     @given(target=st.floats(min_value=0.5, max_value=45.0), ind=positive,
@@ -191,9 +219,26 @@ class TestJunctionLeakage:
         assert abs(ind / 30.85e-9 - 1.0) < 1e-3
 
     def test_suppressed_tunneling_signals_infinity(self):
-        spec = JunctionLeakageSpec(specific_resistance=3e6, area=113.2,
-                                   gap_energy=180e-6, temperature=math.inf)
+        # Finite inputs whose critical current underflows to zero.
+        spec = JunctionLeakageSpec(specific_resistance=1e300, area=1.0,
+                                   gap_energy=180e-6, temperature=1e300)
+        assert circuit.critical_current(spec) == 0.0
         assert circuit.junction_shunt_inductance(spec) == math.inf
+
+    @pytest.mark.parametrize("field, message", [
+        ("specific_resistance",
+         "resistance-area product and area must be positive and finite"),
+        ("area",
+         "resistance-area product and area must be positive and finite"),
+        ("temperature", "temperature must be positive and finite"),
+    ], ids=["specific_resistance", "area", "temperature"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_non_finite_spec_rejected(self, field, message, value):
+        fields = dict(specific_resistance=3e6, area=113.2,
+                      gap_energy=180e-6, temperature=0.01)
+        with pytest.raises(DomainError) as raised:
+            JunctionLeakageSpec(**{**fields, field: value})
+        assert str(raised.value) == message
 
     @given(factor=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=30, deadline=None)

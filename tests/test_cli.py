@@ -11,7 +11,6 @@ import pytest
 
 import resokit as rk
 from resokit import cli, traceio
-from resokit.config import PhysicsOverrides, config_hash
 from resokit.report import RESONATOR_COLUMNS, ReportRow, write_report_rows
 
 
@@ -63,6 +62,29 @@ class TestDesign:
         assert float(values["shunt_to_series_ratio"]) > 50.0
         design = traceio.read_design(str(tmp_path / "design.cfg"))
         assert abs(design.cap_area - 113.0) < 2.0
+
+    @pytest.mark.parametrize("flag", [("--gap-ev", "2e-4"),
+                                      ("--temperature-k", "0.02")],
+                             ids=lambda flag: flag[0])
+    def test_leakage_flag_needs_r_ohm_um2(self, capsys, tmp_path, flag):
+        # The gap and the temperature feed only the leakage check, so
+        # either one without --r-ohm-um2 changes nothing: an input error.
+        code, out, err = run(capsys, "design", "--target-ghz", "7.3", *flag,
+                             "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: --gap-ev and --temperature-k set only the leakage check, "
+            "which needs --r-ohm-um2"]
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_leakage_input_prints_nothing(self, capsys):
+        # The leakage spec is checked before the first result line.
+        code, out, err = run(capsys, "design", "--target-ghz", "7.3",
+                             "--r-ohm-um2", "3e6", "--temperature-k", "nan")
+        assert code == 1
+        assert out == ""
+        assert err == "error: temperature must be positive and finite\n"
 
 
 class TestSimulateFit:
@@ -359,6 +381,20 @@ class TestAreaFitCommand:
         assert abs(eps - 18.8) < 0.3
         assert os.path.exists(tmp_path / "rep" / "freq_vs_area.svg")
 
+    @pytest.mark.parametrize("flags, digest", [
+        ((), "8ed41852f8cffd27684906474134d5f6"
+             "9672783af5b2c388ce6b073dcc0c0795"),
+        (("--kinetic-fraction", "0.06"), "71e50710073d2ee5199786082c335dc2"
+                                         "cbbcdcdd7f0cf40bcbf4f765745bccc0"),
+    ], ids=["default", "kinetic_0.06"])
+    def test_manifest_hash_pinned(self, capsys, tmp_path, flags, digest):
+        # The manifest hashes the fitted dataset's kinetic fraction and
+        # the solver's constants; these digests must not move.
+        code, _, _ = run(capsys, "area-fit", *flags, "--out", str(tmp_path))
+        assert code == 0
+        manifest = json.loads((tmp_path / "report.json").read_text())
+        assert manifest["config_hash"] == digest
+
     def test_csv_input(self, capsys, tmp_path):
         from resokit.refdata import REFERENCE_RESONATORS
         lines = ["area_um2,freq_hz"]
@@ -522,7 +558,20 @@ class TestErrors:
         ("design", "--target-ghz", "1e-300"),
         ("design", "--target-ghz", "nan"),
         ("design", "--target-ghz", "7.3", "--r-ohm-um2", "nan"),
+        ("design", "--target-ghz", "7.3", "--c-ff-um2", "inf"),
+        ("design", "--target-ghz", "7.3", "--l-nh", "inf"),
+        ("design", "--target-ghz", "7.3", "--cg-ff", "inf"),
+        ("design", "--target-ghz", "7.3", "--kinetic-fraction", "1"),
+        ("design", "--target-ghz", "7.3", "--r-ohm-um2", "inf"),
+        ("design", "--target-ghz", "7.3", "--r-ohm-um2", "3e6",
+         "--temperature-k", "inf"),
+        ("design", "--target-ghz", "7.3", "--r-ohm-um2", "3e6",
+         "--temperature-k", "-1"),
+        ("design", "--target-ghz", "7.3", "--r-ohm-um2", "3e6",
+         "--gap-ev", "1"),
         ("area-fit", "--l-nh", "nan"),
+        ("area-fit", "--l-nh", "inf"),
+        ("area-fit", "--kinetic-fraction", "1"),
         ("fit", "{low}", "{high}", "--temperature-k", "nan"),
         ("fit", "{low}", "{high}", "--temperature-k", "inf"),
         ("sweep", "--input", "{sweep}", "--n-max", "nan"),
@@ -733,9 +782,10 @@ class TestDomainErrorNamesFile:
         assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("row, message", [
-        ("-120.0,7.1e9", "areas and frequencies must be positive"),
+        ("-120.0,7.1e9", "areas and frequencies must be positive and finite"),
+        ("120.0,inf", "areas and frequencies must be positive and finite"),
         ("100.0,7.1e9", "areas must be distinct"),
-    ], ids=["negative_area", "repeated_area"])
+    ], ids=["negative_area", "infinite_frequency", "repeated_area"])
     def test_area_fit_bad_rows(self, capsys, tmp_path, row, message):
         path = tmp_path / "areas.csv"
         path.write_text(f"area_um2,freq_hz\n100.0,7.3e9\n{row}\n")

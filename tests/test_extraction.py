@@ -972,6 +972,21 @@ class TestFrequencyVsArea:
             ex.AreaFrequencyDataset(rows=((30.0, 9e9), (30.0, 8e9)),
                                     inductance=0.3 * NH)
 
+    @pytest.mark.parametrize("rows, inductance, message", [
+        (((100.0, 7.3e9), (120.0, math.inf)), 0.3 * NH,
+         "areas and frequencies must be positive and finite"),
+        (((100.0, 7.3e9), (math.inf, 7.1e9)), 0.3 * NH,
+         "areas and frequencies must be positive and finite"),
+        (((100.0, 7.3e9), (120.0, 7.1e9)), math.inf,
+         "inductance must be positive and finite"),
+    ], ids=["inf_frequency", "inf_area", "inf_inductance"])
+    def test_non_finite_values_rejected(self, rows, inductance, message):
+        # An inf frequency used to end in a fit failure, an inf
+        # inductance in a converged fit with infinite errors.
+        with pytest.raises(DomainError) as err:
+            ex.AreaFrequencyDataset(rows=rows, inductance=inductance)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("k", [-2.0, -1e-9, 1.0, 5.0])
     def test_kinetic_fraction_outside_unit_interval_rejected(self, k):
         # As ResonatorDesign: k = -2 used to end in a numpy warning and a

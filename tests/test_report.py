@@ -7,11 +7,11 @@ import pytest
 
 import resokit as rk
 from resokit import fitting, report
-from resokit.config import PhysicsOverrides, config_hash
 from resokit.errors import ConfigError, SchemaError
 from resokit.refdata import REFERENCE_RESONATORS, shared_cap_per_area
 from resokit.report import (ReportBundle, ReportRow, compare_sessions,
-                            emit_report, read_report_rows, write_report_rows)
+                            config_hash, emit_report, read_report_rows,
+                            write_report_rows)
 from resokit.tls import PowerSweep, TlsFitParams
 
 
@@ -83,30 +83,28 @@ class TestComparison:
 
 class TestManifest:
     def test_hash_tracks_physics_only(self, monkeypatch):
-        base = config_hash(PhysicsOverrides())
-        same = config_hash(PhysicsOverrides())
+        base = config_hash()
+        same = config_hash(0.0)
         assert base == same
-        kinetic = config_hash(PhysicsOverrides(kinetic_fraction=0.06))
+        kinetic = config_hash(0.06)
         assert kinetic != base
-        gap = config_hash(PhysicsOverrides(gap_ev=200e-6))
-        assert gap != base
         monkeypatch.setattr(fitting, "MAX_ITERATIONS", 77)
-        tol = config_hash(PhysicsOverrides())
+        tol = config_hash()
         assert tol != base
 
     def test_hash_covers_every_solver_constant(self, monkeypatch):
-        base = config_hash(PhysicsOverrides())
+        base = config_hash()
         for name in ("STEP_FLOOR", "STALL_STEPS", "DAMPING_MAX",
                      "JACOBIAN_STEP_REL"):
             with monkeypatch.context() as patch:
                 patch.setattr(fitting, name, 2 * getattr(fitting, name))
-                assert config_hash(PhysicsOverrides()) != base, name
+                assert config_hash() != base, name
 
     def test_default_hash_pinned(self, tmp_path):
-        # The manifest hashes the physics and the solver's constants;
-        # this digest must not move.
+        # The manifest hashes the kinetic fraction and the solver's
+        # constants; this digest must not move.
         pinned = "8ed41852f8cffd27684906474134d5f69672783af5b2c388ce6b073dcc0c0795"
-        assert config_hash(PhysicsOverrides()) == pinned
+        assert config_hash() == pinned
         emit_report(ReportBundle(), str(tmp_path))
         manifest = json.loads((tmp_path / "report.json").read_text())
         assert manifest["config_hash"] == pinned

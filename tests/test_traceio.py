@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import resokit as rk
 from resokit import traceio
-from resokit.config import load_config_file
 from resokit.errors import (ConfigError, DomainError, SchemaError,
                             TouchstoneFormatError, UnsupportedFormatError)
 from resokit.tls import PowerSweep
@@ -301,7 +300,7 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("# physics\nkinetic-fraction = 0.06\n"
                         "l-nh = 0.3  # bare inductance\n\ngap-ev = 180e-6\n")
-        values = load_config_file(str(path))
+        values = traceio.load_config_file(str(path))
         assert values == {"kinetic-fraction": "0.06", "l-nh": "0.3",
                           "gap-ev": "180e-6"}
 
@@ -309,4 +308,4 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("just some words\n")
         with pytest.raises(ConfigError):
-            load_config_file(str(path))
+            traceio.load_config_file(str(path))
