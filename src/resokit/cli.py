@@ -179,8 +179,6 @@ def _cmd_design(args) -> int:
 def _cmd_simulate(args) -> int:
     if not (args.q_in > 0 and args.q_ext > 0):
         raise DomainError("quality factors must be positive")
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     params = notch.NotchParams(
         f_r=args.fr_ghz * GHZ,
         q_loaded=notch.q_loaded_of(args.q_in, args.q_ext, args.phi_rad),
@@ -192,6 +190,8 @@ def _cmd_simulate(args) -> int:
     trace = notch.synthesize_trace(params, grid, noise_sigma=args.noise,
                                    seed=args.seed or 0, applied_power_w=power,
                                    metadata={"label": args.label})
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"trace_{args.label}.csv")
     write_trace_csv(trace, path)
     print(path)

@@ -41,14 +41,18 @@ class NotchParams:
 
     def __post_init__(self):
         # Each check is written so that NaN fails it.
-        if not self.f_r > 0:
-            raise DomainError("resonance frequency must be positive")
+        if not 0 < self.f_r < math.inf:
+            raise DomainError("resonance frequency must be positive and finite")
         if not (self.q_loaded > 0 and self.q_ext_mag > 0):
             raise DomainError("quality factors must be positive")
         if not abs(self.mismatch_phi) < math.pi / 2:
             raise DomainError("mismatch angle must satisfy |phi| < pi/2")
-        if not self.env_gain > 0:
-            raise DomainError("environment gain must be positive")
+        if not 0 < self.env_gain < math.inf:
+            raise DomainError("environment gain must be positive and finite")
+        if not (math.isfinite(self.env_phase)
+                and math.isfinite(self.cable_delay)):
+            raise DomainError("environment phase and cable delay must be "
+                              "finite")
         # Loaded loss must include the coupling loss: derived Q_in > 0
         # (equality, a lossless resonator, is allowed).
         if (internal_loss(self.q_loaded, self.q_ext_mag, self.mismatch_phi)

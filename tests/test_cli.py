@@ -555,6 +555,11 @@ class TestErrors:
         ("simulate", "--span-linewidths", "nan"),
         ("simulate", "--noise", "nan"),
         ("simulate", "--power-dbm=-inf"),
+        ("simulate", "--gain", "inf"),
+        ("simulate", "--env-phase-rad", "inf"),
+        ("simulate", "--delay-ns", "nan"),
+        ("simulate", "--fr-ghz", "inf"),
+        ("simulate", "--noise", "inf"),
         ("design", "--target-ghz", "1e-300"),
         ("design", "--target-ghz", "nan"),
         ("design", "--target-ghz", "7.3", "--r-ohm-um2", "nan"),
@@ -578,13 +583,14 @@ class TestErrors:
     ], ids=" ".join)
     def test_bad_number_is_input_error(self, capsys, tmp_path, command):
         # A number no law accepts, NaN included, ends in one `error:`
-        # line and exit 1: no traceback, no warning and no file.
+        # line and exit 1: no traceback, no warning and no output
+        # directory.
         paths = write_inputs(tmp_path)
         code, out, err = run(capsys, *(arg.format(**paths) for arg in command),
                              "--out", str(tmp_path / "o"))
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert not list((tmp_path / "o").glob("*"))
+        assert not (tmp_path / "o").exists()
 
     def test_missing_second_input_writes_nothing(self, capsys, tmp_path):
         paths = write_inputs(tmp_path)

@@ -134,6 +134,29 @@ class TestEstimateDelay:
         tau = ex.estimate_delay(rk.Trace(f, z))
         assert abs(tau / 50e-9 - 1.0) < 0.01
 
+    @pytest.mark.parametrize("gain, phase, delay, points", [
+        (0.9, 0.3, 50e-9, 1001), (3e3, 0.7, 100e-9, 50),
+        (3e3, -2.9, 100e-9, 1001), (1.0, 0.7, 1e-6, 1001),
+        (1e-9, 0.0, 1e-6, 333), (3e3, 0.7, 1e-6, 4001),
+        (1.0, 0.0, 0.0, 8), (0.9, 0.0, 0.0, 1001), (0.5, 0.9, 0.0, 1001)])
+    def test_resonance_free_returns_slope_estimate(self, gain, phase, delay,
+                                                   points):
+        # Noiseless resonance-free traces and constant ones (delay 0):
+        # the locus at the slope estimate is coincident, so the grid's
+        # centre point reads it as circular and the search returns that
+        # estimate as it stands. Without the criterion's floor on the
+        # spread, the rounding of the moment sums hides the coincidence
+        # in the second to the sixth.
+        f = np.linspace(7.0e9, 7.1e9, points)
+        z = gain * np.exp(1j * (phase - TWO_PI * f * delay))
+        keep = np.round(np.linspace(0, points - 1, min(points, 1000)))
+        keep = keep.astype(np.intp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = ex.estimate_delay(rk.Trace(f, z))
+        assert tau == ex._phase_slope_delay(f[keep], z[keep])
+        assert abs(tau - delay) * (f[-1] - f[0]) < 1e-9
+
     def test_resonance_free_noisy(self):
         rng = np.random.default_rng(3)
         f = np.linspace(7.0e9, 7.1e9, 1001)
@@ -246,8 +269,9 @@ class TestEstimateDelay:
         monkeypatch.setattr(ex, "fit_circle", counting)
         tau = ex.estimate_delay(trace)
         assert abs(tau / 30e-9 - 1.0) < 0.02
-        # The resonance-free check is the only circle fit.
-        assert len(calls) == 1
+        # The resonance-free check reads the grid's centre point: the
+        # search fits no circle.
+        assert calls == []
 
     @pytest.mark.parametrize("noise,seed", [(0.0, 0), (0.003, 3), (0.3, 8)])
     @pytest.mark.parametrize("points", [1001, 1000])
@@ -301,6 +325,41 @@ class TestEstimateDelay:
         expected = -np.polyfit(f, theta, 1)[0] / TWO_PI
         assert ex._phase_slope_delay(f, z) == pytest.approx(expected,
                                                             rel=1e-12)
+
+
+class TestDelayPhasor:
+    @pytest.mark.parametrize("tau", [0.0, 1e-12, 3.7e-11, 1e-9, 2.9e-8,
+                                     6e-8, 4.4e-7, 1e-6])
+    def test_matches_cos_sin_of_same_phase(self, tau):
+        # Up to pi tau span = 9.4e3 rad at the far end of the band.
+        f = np.linspace(5e9, 8e9, 4001)
+        x = (f - f[f.size // 2]) * (TWO_PI * tau)
+        phasor = ex._delay_phasor(f, tau)
+        assert np.abs(phasor - (np.cos(x) + 1j * np.sin(x))).max() < 1e-15
+        if tau == 0.0:
+            assert np.all(phasor == 1.0)
+
+    def test_finite_where_half_angle_meets_pole(self):
+        # (f - f_mid) pi tau within an ulp of +-pi/2 and of +-3 pi/2,
+        # where tan(x/2) reaches about 1e16.
+        f = np.array([4e9, 5e9, 6e9, 7e9, 8e9])
+        nearest = 0.0
+        for target in (0.5e-9, 1.5e-9):
+            tau = target
+            for _ in range(4):
+                tau = np.nextafter(tau, 0.0)
+            for _ in range(8):
+                half = (f - f[2]) * (math.pi * tau)
+                nearest = max(nearest, np.abs(np.tan(half)).max())
+                x = 2.0 * half
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    phasor = ex._delay_phasor(f, tau)
+                assert np.all(np.isfinite(phasor))
+                assert np.abs(phasor - (np.cos(x) + 1j * np.sin(x))).max() \
+                    < 1e-15
+                tau = np.nextafter(tau, 1.0)
+        assert nearest > 1e15
 
 
 class TestFitPhase:

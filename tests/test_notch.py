@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,14 @@ class TestModel:
     def test_invariant_rejects_negative_internal_loss(self):
         with pytest.raises(DomainError):
             rk.NotchParams(f_r=7.3e9, q_loaded=9500.0, q_ext_mag=9000.0)
+
+    @pytest.mark.parametrize("field", ["f_r", "env_gain", "env_phase",
+                                       "cable_delay"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_environment_rejected(self, field, value):
+        # Each check is written so that NaN fails it too.
+        with pytest.raises(DomainError, match="finite"):
+            rk.NotchParams(**{**IDEAL, field: value})
 
     def test_q_internal_property(self):
         p = rk.NotchParams(f_r=7.3e9, q_loaded=3000.0, q_ext_mag=9000.0)
