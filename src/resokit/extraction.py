@@ -8,9 +8,9 @@ linear-fractional image of frequency, then refine f_r, Q_l and the
 delay in one complex least-squares pass by variable projection: the
 model is linear in the off-resonant point and the resonant amplitude,
 which give the gain, environment phase, |Q_e| and phi. A refined fit
-whose linewidth the grid or span does not resolve, or whose circle the
-noise hides, raises UnresolvedResonanceError: that is the one test of
-whether the trace holds a resonance.
+whose Q_l or |Q_e| has a relative standard error over
+MAX_RELATIVE_ERROR raises UnresolvedResonanceError: the fit's own error
+bars are the one test of whether the trace resolves a resonance.
 """
 
 import cmath
@@ -43,36 +43,25 @@ MIN_TRACE_POINTS = 8
 # the delay itself, so the search only has to land in its basin. Over
 # the 800-draw wide-range census (tests/census.py), read as converged /
 # well-posed converged / converged with |pull| > 10, full traces give
-# 545/128/0, 2,000 samples 550/128/1, 1,000 give 549/127/0, 700 give
-# 553/128/1 and 500 give 551/128/1 (the large pull is draw 203 each
-# time): the counts move by a few draws either way, so the time
-# decides. On the 4,001-point acceptance-05 traces the search takes
+# 589/128/0, 2,000 samples 593/128/0, 1,000 give 591/127/0, and 700 and
+# 500 give 594/128/0: the counts move by a few draws either way, so the
+# time decides. On the 4,001-point acceptance-05 traces the search takes
 # 0.3 ms where it takes 0.6 ms in full (best of five, 2-core Xeon, one
 # BLAS thread).
 DELAY_POINTS = 1000
 # Grid points of the delay search over +-2/span: 31 points, 0.13/span
 # apart, find the basin of the circle residual, and the parabola through
 # the best one and its neighbours places the seed between them. On the
-# census above, 11 points give 544/127/0, 21 give 546/127/0, 31 give
-# 549/127/0 and 81 give 547/126/1.
+# census above, 11 points give 591/127/0, 21 give 592/127/0, 31 give
+# 591/127/0 and 81 give 590/126/0.
 DELAY_GRID_POINTS = 31
-# A refined fit the trace does not resolve raises
-# UnresolvedResonanceError: a linewidth under MIN_LINEWIDTH_STEPS mean
-# grid steps or over MAX_LINEWIDTH_SPANS spans, or a circle diameter
-# Q_l/|Q_e| under MIN_DIAMETER_SNR times the residual rms per linewidth.
-# Without the guard, 674 census draws return a fit and 21 of the 654
-# converged ones have |pull| > 10; with 2 steps, 3 spans and 3 it
-# leaves 549 converged and none with |pull| > 10, and flags none of the
-# well-posed draws, whose fits span 2.14 steps to 0.32 spans with a
-# ratio of at least 49. 3 steps would flag a well-posed draw; 2 spans
-# drops 35 good fits, and 5 spans keeps 32 more with none over 10; a
-# ratio of 1 lets eight large pulls through and 2 lets three, and 5 and
-# 10 leave 545 and 540 converged and none with |pull| > 10.
-# Acceptance 05 sits at 398 steps, 0.10 spans and a ratio of 318 or
-# more.
-MIN_LINEWIDTH_STEPS = 2.0
-MAX_LINEWIDTH_SPANS = 3.0
-MIN_DIAMETER_SNR = 3.0
+# A refined fit whose Q_l or |Q_e| has a standard error over this
+# fraction of itself raises UnresolvedResonanceError: each Q must lie at
+# least three of its own errors from zero. Past that the first-order
+# covariance does not hold over one error bar (Bates & Watts, J. R.
+# Stat. Soc. B 42, 1, 1980), so the trace does not resolve what the fit
+# reports.
+MAX_RELATIVE_ERROR = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -503,9 +492,8 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     v, _, _, a, c, _ = projection(res.params)
     gain = abs(complex(a))
     rms = res.residual_norm / math.sqrt(len(trace)) / gain
-    _check_resolved(freqs, f_r, q_l, abs(complex(c)) / gain, rms)
-    params = extract_qfactors(f_r, q_l, tau, complex(a), complex(-c), f_mid)
-    q_e, phi = params.q_ext_mag, params.mismatch_phi
+    # |Q_e| as extract_qfactors computes it, bit for bit.
+    q_e = q_l / abs(complex(-c) / complex(a))
 
     # The covariance of all seven parameters from the full model's
     # Jacobian at the optimum, with the environment phase referenced to
@@ -536,14 +524,24 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
                      a / gain, 1j * a, 1j * a])
     normal = (mult.conj()[:, None] * gram[np.ix_(pick, pick)] * mult).real
     cov = fitting.covariance(normal, 2 * freqs.size, res.residual_norm)
-    q_in = params.q_internal
+    # Read before extract_qfactors, so that noise alone reads as
+    # unresolved, not as nonphysical. A negative variance, from a normal
+    # matrix singular to rounding, reads as NaN, and NaN is refused.
+    with np.errstate(invalid="ignore"):
+        rel_q_l, rel_q_e = np.sqrt(cov.diagonal()[1:3]) / (q_l, q_e)
+    if not (rel_q_l <= MAX_RELATIVE_ERROR and rel_q_e <= MAX_RELATIVE_ERROR):
+        raise UnresolvedResonanceError(
+            f"unresolved resonance: relative error {rel_q_l:.3g} on Q_l and "
+            f"{rel_q_e:.3g} on |Q_e|; the bound is {MAX_RELATIVE_ERROR:.3g}")
+    stderr = np.sqrt(np.clip(cov.diagonal(), 0.0, None))
+    params = extract_qfactors(f_r, q_l, tau, complex(a), complex(-c), f_mid)
+    q_in, phi = params.q_internal, params.mismatch_phi
     grad = np.zeros(7)
     if math.isfinite(q_in):
         grad[1] = q_in ** 2 / q_l ** 2
         grad[2] = -q_in ** 2 * math.cos(phi) / q_e ** 2
         grad[3] = -q_in ** 2 * math.sin(phi) / q_e
     var_qin = float(grad @ cov @ grad)
-    stderr = np.sqrt(np.clip(cov.diagonal(), 0.0, None))
     uncertainties = {f.name: float(e)
                      for f, e in zip(fields(NotchParams)[:4], stderr)}
     uncertainties["q_internal"] = math.sqrt(max(var_qin, 0.0))
@@ -561,12 +559,12 @@ def fit_notch(trace: Trace) -> NotchFitResult:
     linearly at each step, gives the result. It is the pipeline's only
     solver run. Non-convergence is reported, never silent: degenerate
     inputs raise and the converged flag reflects the final optimizer
-    state. A refined fit the trace does not resolve raises
-    UnresolvedResonanceError (_check_resolved), converged or not, and
-    before extract_qfactors maps the linear amplitudes to NotchParams,
-    so a trace of noise alone reads as unresolved, not as nonphysical.
-    Uncertainties are first-order, from the covariance of all seven
-    model parameters at the optimum.
+    state. Uncertainties are first-order, from the covariance of all
+    seven model parameters at the optimum. A refined fit whose Q_l or
+    |Q_e| has a standard error over MAX_RELATIVE_ERROR of itself raises
+    UnresolvedResonanceError, converged or not, and before
+    extract_qfactors maps the linear amplitudes to NotchParams, so a
+    trace of noise alone reads as unresolved, not as nonphysical.
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
@@ -574,32 +572,6 @@ def fit_notch(trace: Trace) -> NotchFitResult:
     tau = estimate_delay(trace)
     phase = fit_phase(trace, tau)
     return _refine_notch(trace, phase, tau + phase.residual_delay)
-
-
-def _check_resolved(freqs, f_r, q_loaded, diameter, rms) -> None:
-    """Raise UnresolvedResonanceError when the linewidth f_r/Q_l lies
-    below MIN_LINEWIDTH_STEPS mean grid steps or above
-    MAX_LINEWIDTH_SPANS spans, or when the circle diameter Q_l/|Q_e|
-    lies below MIN_DIAMETER_SNR times the residual rms per linewidth,
-    rms / sqrt(grid steps per linewidth)."""
-    span = float(freqs[-1] - freqs[0])
-    step = span / (freqs.size - 1)
-    linewidth = f_r / q_loaded
-    steps = linewidth / step
-    if not steps >= MIN_LINEWIDTH_STEPS:
-        raise UnresolvedResonanceError(
-            f"unresolved resonance: fitted linewidth of {steps:.3g} grid "
-            f"steps is under {MIN_LINEWIDTH_STEPS:g}")
-    if not linewidth <= MAX_LINEWIDTH_SPANS * span:
-        raise UnresolvedResonanceError(
-            f"unresolved resonance: fitted linewidth of "
-            f"{linewidth / span:.3g} spans is over {MAX_LINEWIDTH_SPANS:g}")
-    noise = rms / math.sqrt(steps)
-    if not diameter >= MIN_DIAMETER_SNR * noise:
-        raise UnresolvedResonanceError(
-            f"unresolved resonance: fitted circle diameter {diameter:.3g} "
-            f"is under {MIN_DIAMETER_SNR:g} times the residual rms per "
-            f"linewidth, {noise:.3g}")
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ over 0.1-100 linewidths with the window off centre by up to half its
 width, and noise from 1e-5 to 0.5 of the gain. The census tallies how
 each draw's fit ends and the pulls (fit - truth) / reported sigma of
 the converged ones. `test_wide_range_census` pins its first 200 draws;
-run by hand it prints the table for any count:
+run by hand it prints the table for any count and seed (default 5):
 
     PYTHONPATH=src python tests/census.py 800
+    PYTHONPATH=src python tests/census.py 800 6
 
 and exits 1 when a converged fit has |pull| > LARGE_PULL, a fit that
 does not resolve what it reports. Only a ResokitError counts as an
@@ -133,9 +134,10 @@ def census(count, seed=5) -> Census:
 
 def main(argv) -> int:
     count = int(argv[0]) if argv else 800
-    result = census(count)
+    seed = int(argv[1]) if len(argv) > 1 else 5
+    result = census(count, seed)
     every, well = result.counts(), result.counts(well_posed_only=True)
-    print(f"wide-range census, {count} draws "
+    print(f"wide-range census, seed {seed}, {count} draws "
           f"({sum(result.well_posed)} well-posed)")
     print("| outcome | all | well-posed |")
     print("|---|---|---|")

@@ -186,8 +186,10 @@ class TestSimulateFit:
 
     def test_mismatch_failure_keeps_batch(self, capsys, tmp_path):
         # 146 points over 52 linewidths of a circle 0.0044 across under
-        # 0.0019 noise: the fitted circle center lands past the
-        # off-resonant point. That file fails as a fit; the good files
+        # 0.0019 noise: the fitted circle center landed past the
+        # off-resonant point, and the fit's relative error of 17.5 on
+        # |Q_e| now refuses it first (NonphysicalMismatchError has its
+        # own library test). That file fails as a fit; the good files
         # around it are fitted and written.
         q_in, q_e, phi = 134.9, 30710.0, 0.988
         p = rk.NotchParams(f_r=5.5488e9, q_ext_mag=q_e, mismatch_phi=phi,
@@ -206,8 +208,9 @@ class TestSimulateFit:
         assert code == 2
         lines = err.strip().splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith(f"{hard}: fit failed: fitted circle "
-                                   "center lies past the off-resonant point")
+        assert lines[0].startswith(f"{hard}: fit failed: unresolved "
+                                   "resonance: relative error ")
+        assert float(re.search(r" and (\S+) on \|Q_e\|", lines[0])[1]) > 10
         rows = (out_dir / "fits.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["sim", "sim"]
 
@@ -348,7 +351,8 @@ class TestHostileTraceFiles:
 
     def test_fit_failures_keep_batch(self, tmp_path):
         # A real process, so a traceback or a warning would show on its
-        # stderr. The eight-point trace fails as a fit in every run.
+        # stderr. The window of 0.1 linewidths fails as a fit in every
+        # run; the eight-point trace fits.
         good = write_inputs(tmp_path)["trace"]
         hostile = [self.write(tmp_path, case) for case in self.CASES]
         src = os.path.dirname(os.path.dirname(rk.__file__))
@@ -361,7 +365,7 @@ class TestHostileTraceFiles:
         assert "Traceback" not in proc.stderr
         failed = proc.stderr.strip().splitlines()
         assert all(": fit failed: " in line for line in failed)
-        assert any(line.startswith(f"{hostile[0]}: ") for line in failed)
+        assert any(line.startswith(f"{hostile[1]}: ") for line in failed)
         rows = (tmp_path / "fit" / "fits.csv").read_text().splitlines()[1:]
         labels = [row.split(",")[0] for row in rows]
         assert len(labels) + len(failed) == len(hostile) + 2
