@@ -274,10 +274,10 @@ def fit_row(label, result, photons) -> tuple:
 def _write_sweeps(args, rows) -> None:
     by_label: dict[str, list] = {}
     for label, result, photons in rows:
-        if photons is not None and result.uncertainties["q_internal"] > 0:
+        sigma = result.uncertainties["q_internal"]
+        if photons is not None and 0 < sigma < math.inf:
             by_label.setdefault(label, []).append(
-                (photons, result.q_internal,
-                 result.uncertainties["q_internal"], result.params.f_r))
+                (photons, result.q_internal, sigma, result.params.f_r))
     for label, pts in by_label.items():
         pts.sort()
         if len(pts) < 2 or any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):

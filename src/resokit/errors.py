@@ -69,8 +69,8 @@ class NonphysicalMismatchError(ExtractionError):
 
 
 class UnresolvedResonanceError(ExtractionError):
-    """The trace does not resolve the fitted resonance: its linewidth
-    against the grid step and span, or its circle against the noise."""
+    """The trace does not resolve the fitted resonance: Q_l or |Q_e| has
+    a relative error not within MAX_RELATIVE_ERROR, or |Q_e| is infinite."""
 
 
 class ModelEvaluationError(ExtractionError):

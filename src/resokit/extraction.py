@@ -371,8 +371,7 @@ def fit_phase(trace: Trace, delay: float) -> PhaseFit:
     if not (cmath.isfinite(pole) and pole.real > 0 and math.isfinite(beta)):
         raise FitInstabilityError("phase seed found no resonance")
     f_r = pole.real
-    q_l = min(f_r / (2.0 * abs(pole.imag)), 1e12) if pole.imag else 1e12
-    q_l = max(q_l, 1.0)
+    q_l = f_r / (2.0 * abs(pole.imag)) if pole.imag else math.inf
     return PhaseFit(f_r=f_r, q_loaded=q_l,
                     residual_delay=beta / (TWO_PI * span))
 
@@ -389,8 +388,9 @@ def extract_qfactors(f_r: float, q_loaded: float, delay: float, a: complex,
     |Q_e| = Q_l |a| / |b| and phi = arg(b / a), and 1/Q_in = 1/Q_l -
     cos(phi)/|Q_e| (diameter corrected). Raises NonphysicalMismatchError
     when the circle center lies past the off-resonant point (|phi| >=
-    pi/2) and NonphysicalQinError when the coupling loss is not below
-    the loaded loss: fit failures, not input errors.
+    pi/2), UnresolvedResonanceError when |Q_e| is not finite and
+    NonphysicalQinError when the coupling loss is not below the loaded
+    loss: fit failures, not input errors.
     """
     ratio = b / a
     phi = math.atan2(ratio.imag, ratio.real)
@@ -398,7 +398,9 @@ def extract_qfactors(f_r: float, q_loaded: float, delay: float, a: complex,
         raise NonphysicalMismatchError(
             "fitted circle center lies past the off-resonant point: "
             f"mismatch angle {phi:.4g} rad is outside |phi| < pi/2")
-    q_e = q_loaded / abs(ratio)
+    q_e = q_loaded / abs(ratio) if ratio else math.inf
+    if not q_e < math.inf:
+        raise UnresolvedResonanceError("unresolved resonance: no finite |Q_e|")
     if internal_loss(q_loaded, q_e, phi) <= 0:
         raise NonphysicalQinError(
             "coupling loss cos(phi)/|Q_e| is not below the loaded loss 1/Q_l")
@@ -524,24 +526,22 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
                      a / gain, 1j * a, 1j * a])
     normal = (mult.conj()[:, None] * gram[np.ix_(pick, pick)] * mult).real
     cov = fitting.covariance(normal, 2 * freqs.size, res.residual_norm)
+    stderr = np.sqrt(cov.diagonal())
     # Read before extract_qfactors, so that noise alone reads as
-    # unresolved, not as nonphysical. A negative variance, from a normal
-    # matrix singular to rounding, reads as NaN, and NaN is refused.
-    with np.errstate(invalid="ignore"):
-        rel_q_l, rel_q_e = np.sqrt(cov.diagonal()[1:3]) / (q_l, q_e)
+    # unresolved, not as nonphysical; an infinite error is refused.
+    rel_q_l, rel_q_e = stderr[1:3] / (q_l, q_e)
     if not (rel_q_l <= MAX_RELATIVE_ERROR and rel_q_e <= MAX_RELATIVE_ERROR):
         raise UnresolvedResonanceError(
             f"unresolved resonance: relative error {rel_q_l:.3g} on Q_l and "
             f"{rel_q_e:.3g} on |Q_e|; the bound is {MAX_RELATIVE_ERROR:.3g}")
-    stderr = np.sqrt(np.clip(cov.diagonal(), 0.0, None))
     params = extract_qfactors(f_r, q_l, tau, complex(a), complex(-c), f_mid)
     q_in, phi = params.q_internal, params.mismatch_phi
     grad = np.zeros(7)
-    if math.isfinite(q_in):
-        grad[1] = q_in ** 2 / q_l ** 2
-        grad[2] = -q_in ** 2 * math.cos(phi) / q_e ** 2
-        grad[3] = -q_in ** 2 * math.sin(phi) / q_e
-    var_qin = float(grad @ cov @ grad)
+    grad[1] = q_in ** 2 / q_l ** 2
+    grad[2] = -q_in ** 2 * math.cos(phi) / q_e ** 2
+    grad[3] = -q_in ** 2 * math.sin(phi) / q_e
+    # A parameter Q_in does not depend on adds 0, not 0 * inf.
+    var_qin = float(grad @ np.where(grad == 0.0, 0.0, cov) @ grad)
     uncertainties = {f.name: float(e)
                      for f, e in zip(fields(NotchParams)[:4], stderr)}
     uncertainties["q_internal"] = math.sqrt(max(var_qin, 0.0))
@@ -664,7 +664,7 @@ def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
     res = fitting.nonlinear_ls(problem)
     jac = frequency_area_jacobian(areas, l_eff, *res.params)
     cov = fitting.covariance(jac.T @ jac, areas.size, res.residual_norm)
-    err = np.sqrt(np.clip(cov.diagonal(), 0.0, None))
+    err = np.sqrt(cov.diagonal())
     return AreaFitResult(cap_per_area=float(res.params[0]),
                          cap_to_ground=float(res.params[1]),
                          covariance=cov,

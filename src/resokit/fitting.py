@@ -2,17 +2,16 @@
 Gauss-Newton solver.
 
 All model-specific fitters in the toolkit sit on these entry points.
-Every fitter that calls the solver (the notch refinement, the
-power-sweep fit and the area fit) supplies an exact Jacobian; central
-differences serve only a FitProblem without one. A fitter states its
-problem and reads its result in its own units; FitProblem.scale names
-the unit of each parameter, and the settings below hold in those units.
-The solver returns the minimum and why it stopped, with a per-run trace
-of accepted residual norms so callers can assert monotone descent. It
-returns no covariance: each fitter applies `covariance`, the one rule,
-to its own Jacobian at its fitted params. Its one stop rule, a model
-test and a count of negligible steps, is stated in nonlinear_ls; the
-constants below are its settings.
+Each fitter that calls the solver (the notch refinement, the power-sweep
+fit and the area fit) states its residual, exact Jacobian and bounds in
+its own units; FitProblem.scale names the unit of each parameter, and
+the settings below hold in those units. The solver returns the minimum
+and why it stopped, with a per-run trace of accepted residual norms. It
+returns no covariance: each fitter applies `covariance` to its own
+Jacobian at its fitted params, the one rule for the covariance and for
+when a variance is undetermined (infinite). Its one stop rule is stated
+in nonlinear_ls; the constants below are its settings. No fitter calls numeric_jacobian:
+it is the reference that exact Jacobians are tested against.
 """
 
 import math
@@ -47,23 +46,22 @@ class FitProblem:
     """A residual function plus everything needed to minimize it.
 
     residual maps a parameter vector to a residual vector (data minus
-    model or any stacking thereof; a weighted fit scales its own rows).
+    model or any stacking thereof; a weighted fit scales its own rows),
+    and jacobian maps it to the exact (n, p) derivative of the residual.
     bounds are (lo, hi) pairs per parameter, np.inf allowed; steps are
     projected back into the box, and lo == hi pins a parameter. scale is
     the unit of each parameter, a scalar or one positive value per
     parameter, for quantities far from 1 such as a capacitance in farads:
-    the solver works on params / scale, so its step tests and
-    numeric-Jacobian step are measured in that unit. Everything else,
-    the returned params included, is in the caller's units. jacobian,
-    when given, maps a parameter vector to the exact (n, p) derivative
-    of the residual and replaces the numeric Jacobian.
+    the solver works on params / scale, so its step tests are measured
+    in that unit. Everything else, the returned params included, is in
+    the caller's units.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     initial_params: np.ndarray
-    bounds: Sequence[tuple[float, float]] | None = None
+    bounds: Sequence[tuple[float, float]]
+    jacobian: Callable[[np.ndarray], np.ndarray]
     scale: np.ndarray | float = 1.0
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -157,7 +155,9 @@ def covariance(normal, rows, residual_norm=None, free=None) -> np.ndarray:
     out of the block too and gets an infinite variance, with zeros in
     the rest of its row and column. So does every free parameter of an
     unweighted fit without degrees of freedom (rows <= free
-    parameters), whose residuals leave no noise scale to read.
+    parameters), whose residuals leave no noise scale to read, and every
+    variance that the inversion of a normal matrix singular to rounding
+    leaves negative or NaN: a variance is never negative or NaN.
     """
     if free is None:
         free = np.ones(normal.shape[0], dtype=bool)
@@ -175,6 +175,8 @@ def covariance(normal, rows, residual_norm=None, free=None) -> np.ndarray:
         cov[block] = np.linalg.pinv(normal[block])
     if residual_norm is not None and dof > 0:
         cov *= residual_norm ** 2 / dof
+    unseen = unseen | ~(cov.diagonal() >= 0.0)
+    cov[unseen] = cov[:, unseen] = 0.0
     cov[unseen, unseen] = math.inf
     return cov
 
@@ -196,12 +198,11 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     max(|x|, 1): one at relaxed damping, or STALL_STEPS in a row, ends
     the run as "converged". It fails with "damping_overflow" when
     damping passes DAMPING_MAX before a step is accepted, or
-    "max_iterations". The Jacobian is problem.jacobian when set and
-    numeric_jacobian in x otherwise, taken once at the start of each
-    iteration and never after the last one. A pinned parameter (lo ==
-    hi) keeps its column, and the clip to the bounds undoes its share of
-    each step. params are returned in the caller's units, with no
-    covariance.
+    "max_iterations". The Jacobian, problem.jacobian, is taken once at
+    the start of each iteration and never after the last one. A pinned
+    parameter (lo == hi) keeps its column, and the clip to the bounds
+    undoes its share of each step. params are returned in the caller's
+    units, with no covariance.
     """
     # A pinned power sweep runs 200 iterations on 4 parameters, where a
     # numpy wrapper costs more than its arithmetic. So this function
@@ -213,12 +214,8 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     unit[...] = problem.scale
     if not ((unit > 0) & np.isfinite(unit)).all():
         raise DomainError("parameter scale must be positive and finite")
-    if problem.bounds is None:
-        lo = np.full(p0.shape, -math.inf)
-        hi = np.full(p0.shape, math.inf)
-    else:
-        lo = np.array([b[0] for b in problem.bounds], dtype=float) / unit
-        hi = np.array([b[1] for b in problem.bounds], dtype=float) / unit
+    lo = np.array([b[0] for b in problem.bounds], dtype=float) / unit
+    hi = np.array([b[1] for b in problem.bounds], dtype=float) / unit
     x = np.minimum(np.maximum(p0 / unit, lo), hi)
     outer = unit[:, None] * unit
 
@@ -228,16 +225,12 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
             raise ModelEvaluationError("model returned non-finite residuals")
         return r
 
-    # Both return the derivative with respect to the caller's params.
-    if problem.jacobian is None:
-        def eval_jac(q):
-            return numeric_jacobian(eval_resid, q) / unit
-    else:
-        def eval_jac(q):
-            jac = np.asarray(problem.jacobian(q * unit), dtype=float)
-            if not np.isfinite(jac).all():
-                raise ModelEvaluationError("jacobian returned non-finite values")
-            return jac
+    # The derivative with respect to the caller's params.
+    def eval_jac(q):
+        jac = np.asarray(problem.jacobian(q * unit), dtype=float)
+        if not np.isfinite(jac).all():
+            raise ModelEvaluationError("jacobian returned non-finite values")
+        return jac
 
     r = eval_resid(x)
     norm = math.sqrt(r @ r)

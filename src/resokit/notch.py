@@ -43,8 +43,9 @@ class NotchParams:
         # Each check is written so that NaN fails it.
         if not 0 < self.f_r < math.inf:
             raise DomainError("resonance frequency must be positive and finite")
-        if not (self.q_loaded > 0 and self.q_ext_mag > 0):
-            raise DomainError("quality factors must be positive")
+        if not all(0 < q < math.inf for q in (self.q_loaded, self.q_ext_mag)):
+            raise DomainError(
+                "quality factors must be positive and finite")
         if not abs(self.mismatch_phi) < math.pi / 2:
             raise DomainError("mismatch angle must satisfy |phi| < pi/2")
         if not 0 < self.env_gain < math.inf:

@@ -34,7 +34,8 @@ def _fmt(value: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+    # One tick for a range under 1e-12 of its size: t += step must move t.
+    if not 1e-12 * max(abs(lo), abs(hi)) < hi - lo < math.inf:
         return [lo]
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -54,6 +55,9 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 def line_plot_svg(series: list[Series], title: str, xlabel: str,
                   ylabel: str, logx: bool = False) -> str:
     """Render series into a standalone SVG document string."""
+    # Titles and labels are written as XML character data.
+    esc = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+    title, xlabel, ylabel = (v.translate(esc) for v in (title, xlabel, ylabel))
     xs = [float(v) for s in series for v in s.x]
     ys = [float(v) for s in series for v in s.y]
     if not xs:
@@ -133,7 +137,8 @@ def line_plot_svg(series: list[Series], title: str, xlabel: str,
             out.append(f'<rect x="{MARGIN_L + plot_w - 150}" y="{y_leg - 9}" '
                        f'width="10" height="10" fill="{color}"/>')
             out.append(f'<text x="{MARGIN_L + plot_w - 135}" y="{y_leg}" '
-                       f'font-family="monospace" font-size="11">{s.label}</text>')
+                       f'font-family="monospace" font-size="11">'
+                       f'{s.label.translate(esc)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

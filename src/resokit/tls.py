@@ -245,14 +245,13 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
     # when the top decade sits systematically above the fit.
     model = tls_tan_delta(ns, params, sweep.resonator_freq, sweep.temperature)
     tail = ns >= ns[-1] / 10.0
-    if tail.any():
-        excess = (tan_d[tail] - model[tail]) / sigma_tan[tail]
-        if float(excess.mean()) > 2.0:
-            warnings.append("high-power tail rises above the saturable "
-                            "model: non-TLS loss suspected")
+    excess = (tan_d[tail] - model[tail]) / sigma_tan[tail]
+    if float(excess.mean()) > 2.0:
+        warnings.append("high-power tail rises above the saturable "
+                        "model: non-TLS loss suspected")
 
     stderr = {f.name: float(e) for f, e in zip(
-        fields(TlsFitParams), np.sqrt(np.clip(cov.diagonal(), 0.0, None)))}
+        fields(TlsFitParams), np.sqrt(cov.diagonal()))}
     return PowerSweepFit(params=params, covariance=cov,
                          stderr=stderr, converged=res.converged,
                          residual_norm=res.residual_norm, warnings=warnings)

@@ -1,9 +1,12 @@
+import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +175,21 @@ class TestSimulateFit:
         ns = [pt[0] for pt in sweep.points]
         assert all(b > a for a, b in zip(ns, ns[1:]))
 
+    def test_undetermined_q_internal_error_left_out_of_sweep(self, tmp_path):
+        # A power step whose Q_in error is zero or infinite cannot weight
+        # a sweep point, and PowerSweep refuses it: the sweep file leaves
+        # such steps out.
+        p = rk.NotchParams(f_r=7.3e9, q_loaded=3000.0, q_ext_mag=9000.0)
+        rows = [("r", rk.NotchFitResult(params=p,
+                                        uncertainties={"q_internal": sigma},
+                                        residual_rms=0.0, converged=True), n)
+                for n, sigma in ((1.0, 10.0), (2.0, math.inf), (3.0, 0.0),
+                                 (4.0, 20.0))]
+        cli._write_sweeps(argparse.Namespace(out=str(tmp_path),
+                                             temperature_k=0.01), rows)
+        sweep = traceio.read_power_sweep(str(tmp_path / "sweep_r.csv"))
+        assert [n for n, _, _ in sweep.points] == [1.0, 4.0]
+
     def test_baseline_trace_is_nonconvergence(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
         f = np.linspace(7.0e9, 7.1e9, 300)
@@ -278,6 +296,24 @@ class TestSweepCommand:
         # A pinned sweep can still end at the iteration cap: exit 2.
         assert code in (0, 2)
         assert "beta = 0.5 +- 0\n" in out
+
+    def test_undetermined_error_never_prints_zero(self, capsys, tmp_path):
+        # Q flat to 1e-9 under sigmas of 1e-4: no TLS signal, and the
+        # weighted normal matrix at the fit is singular to rounding. Its
+        # inverse has negative tls0 and other variances, which read as
+        # undetermined, `+- inf`, not as the `+- 0` of an exact fit.
+        from resokit.tls import PowerSweep
+        ns = np.geomspace(0.1, 1e6, 8)
+        q = 1e4 * (1.0 + 1e-9 * np.random.default_rng(6).standard_normal(8))
+        path = tmp_path / "flat.csv"
+        traceio.write_power_sweep(PowerSweep(
+            points=tuple((n, v, 1e-4 * v) for n, v in zip(ns, q)),
+            resonator_freq=7.3e9, temperature=0.01), str(path))
+        code, out, err = run(capsys, "sweep", "--input", str(path))
+        errors = [line.split(" +- ")[1] for line in out.splitlines()
+                  if " +- " in line]
+        assert len(errors) == 4 and "0" not in errors
+        assert errors.count("inf") >= 2
 
     @pytest.mark.parametrize("sigma", [1e300, 1e-200])
     def test_extreme_sigma_is_input_error(self, capsys, tmp_path, sigma):
@@ -399,6 +435,24 @@ class TestAreaFitCommand:
         manifest = json.loads((tmp_path / "report.json").read_text())
         assert manifest["config_hash"] == digest
 
+    def test_undetermined_error_never_prints_zero(self, capsys, tmp_path):
+        # Five areas within 1.2e-10 of each other: the normal matrix at
+        # the fit is singular to rounding, and its inverse has negative
+        # variances. Both constants read as undetermined, `+- inf`, not
+        # as the `+- 0` of an exact fit.
+        rows = [(1.458458566595887, 7299999952.700358),
+                (1.458458566770888, 7303486409.151894),
+                (1.4584585669458892, 7299771852.895368),
+                (1.4584585671208905, 7297845411.626762),
+                (1.4584585672958916, 7299999824.836318)]
+        path = tmp_path / "areas.csv"
+        path.write_text("area_um2,freq_hz\n" + "".join(
+            f"{s!r},{f!r}\n" for s, f in rows))
+        code, out, _ = run(capsys, "area-fit", "--input", str(path))
+        assert code == 0
+        assert re.search(r"^cap_per_area_ff_um2 = .* \+- inf$", out, re.M)
+        assert re.search(r"^cap_to_ground_ff = .* \+- inf$", out, re.M)
+
     def test_csv_input(self, capsys, tmp_path):
         from resokit.refdata import REFERENCE_RESONATORS
         lines = ["area_um2,freq_hz"]
@@ -487,6 +541,20 @@ class TestReportCommand:
         for name in plots:
             assert "|S21| r01" in (tmp_path / "rep" / name).read_text()
 
+    def test_label_markup_is_escaped(self, capsys, tmp_path):
+        # A label is free text: the plot titled by it must still be
+        # well-formed XML.
+        table = write_inputs(tmp_path)["table"]
+        code, out, _ = run(capsys, "simulate", "--label", "r<1>&x",
+                           "--out", str(tmp_path))
+        assert code == 0
+        code, _, _ = run(capsys, "report", "--input", table, "--traces",
+                         out.strip(), "--out", str(tmp_path / "rep"))
+        assert code == 0
+        svg = (tmp_path / "rep" / "trace_trace_r<1>&x.svg").read_text()
+        texts = xml.dom.minidom.parseString(svg).getElementsByTagName("text")
+        assert texts[0].firstChild.data == "|S21| r<1>&x"
+
     @pytest.mark.parametrize("flag,kind", [("--traces", "trace"),
                                            ("--sweeps", "sweep")])
     def test_repeated_file_stems_refused(self, capsys, tmp_path, flag, kind):
@@ -554,6 +622,7 @@ class TestErrors:
     @pytest.mark.parametrize("command", [
         ("simulate", "--q-in", "0"),
         ("simulate", "--q-ext", "0"),
+        ("simulate", "--q-ext", "inf"),
         ("simulate", "--points", "-3"),
         ("simulate", "--power-dbm", "1e5"),
         ("simulate", "--span-linewidths", "nan"),

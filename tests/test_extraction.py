@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import oracles
 import resokit as rk
 from census import census, wide_range_probe
-from conftest import (draw_notch_params, drop_exact_jacobians,
-                      forbid_numeric_jacobian)
+from conftest import draw_notch_params, drop_exact_jacobians
 from resokit import circuit
 from resokit import extraction as ex
 from resokit.constants import FF, NH, TWO_PI
@@ -517,6 +516,16 @@ class TestExtractQFactors:
         with pytest.raises(NonphysicalQinError):
             ex.extract_qfactors(*self.canonical(q_l=3000.0, q_e=2000.0))
 
+    @pytest.mark.parametrize("b", [0j, 1e-320 + 0j])
+    def test_infinite_coupling_q_is_fit_failure(self, b):
+        # A dip |b/a| of zero, or one that makes Q_l / |b/a| overflow,
+        # leaves |Q_e| infinite: a failed fit, never a NotchParams that
+        # refuses it as an input error.
+        f_r, q_l, delay, a, _, f_mid = self.canonical()
+        with pytest.raises(UnresolvedResonanceError,
+                           match="^unresolved resonance: no finite"):
+            ex.extract_qfactors(f_r, q_l, delay, a, b, f_mid)
+
     def test_center_past_offresonant_point_is_fit_failure(self):
         # b / a = -1/3 puts the circle center at 7/6 of the off-resonant
         # point, beyond it, so phi = pi: a failed fit, not an input error.
@@ -875,15 +884,38 @@ class TestFitNotch:
     def test_wide_range_singular_covariance_refused(self, monkeypatch, index,
                                                     grid_points):
         # The refine ends at Q_l near 1, the solver's lower bound, where
-        # the normal matrix is singular to rounding and the Q_l and |Q_e|
-        # variances come out negative. Clipped to zero they would read as
-        # exact fits: draws 75 and 300 would return unconverged with
-        # errors of 0, and with a 21-point delay grid draws 288 and 783
-        # would converge with infinite pulls.
+        # the normal matrix is singular to rounding and the inversion
+        # leaves the Q_l and |Q_e| variances negative. fitting.covariance
+        # reads them as undetermined, infinite. Clipped to zero they
+        # would read as exact fits: draws 75 and 300 would return
+        # unconverged with errors of 0, and with a 21-point delay grid
+        # draws 288 and 783 would converge with infinite pulls.
         monkeypatch.setattr(ex, "DELAY_GRID_POINTS", grid_points)
         with pytest.raises(UnresolvedResonanceError,
-                           match="relative error nan on Q_l"):
+                           match="relative error inf on Q_l"):
             self.probe_draw(index)
+
+    def test_singular_to_rounding_variances_read_infinite(self, monkeypatch):
+        # Draw 75's seven-parameter normal matrix is singular to
+        # rounding: its inverse has negative Q_l and |Q_e| variances.
+        # fitting.covariance reads them, as it reads a zero Jacobian
+        # column, as undetermined: infinite, with the rest of their rows
+        # and columns zero. No variance comes out negative or NaN.
+        calls = []
+        covariance = ex.fitting.covariance
+        monkeypatch.setattr(
+            ex.fitting, "covariance",
+            lambda *args: calls.append(args) or covariance(*args))
+        with pytest.raises(UnresolvedResonanceError):
+            self.probe_draw(75)
+        (normal, *rest), = calls
+        assert (np.linalg.inv(normal).diagonal()[1:3] < 0.0).all()
+        cov = covariance(normal, *rest)
+        assert (cov.diagonal() >= 0.0).all()
+        assert (cov.diagonal()[1:3] == math.inf).all()
+        off = ~np.eye(7, dtype=bool)
+        assert (cov[1:3][off[1:3]] == 0.0).all()
+        assert (cov[:, 1:3][off[:, 1:3]] == 0.0).all()
 
     @given(trace=wide_range_traces())
     @settings(max_examples=40, deadline=None)
@@ -1035,10 +1067,6 @@ class TestFrequencyVsArea:
                                                    rel=1e-10)
         assert fit_a.cap_to_ground == pytest.approx(fit_b.cap_to_ground,
                                                     rel=1e-10)
-
-    def test_no_numeric_jacobian(self, monkeypatch):
-        forbid_numeric_jacobian(monkeypatch)
-        assert ex.fit_frequency_vs_area(self.reference_dataset()).converged
 
     def test_matches_numeric_derivative_solve(self, monkeypatch):
         exact = ex.fit_frequency_vs_area(self.reference_dataset())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import central_differences
 from resokit import fitting, notch
 from resokit.circuit import ResonatorDesign, resonance_frequency
 from resokit.constants import TWO_PI
@@ -11,10 +12,25 @@ from resokit.errors import (DomainError, ModelEvaluationError,
                             RankDeficiencyError)
 
 
+UNBOUNDED = (-math.inf, math.inf)
+
+
 def line(x):
     """Design matrix of an intercept and a slope."""
     x = np.asarray(x, dtype=float)
     return np.column_stack([np.ones_like(x), x])
+
+
+def decay(x, y):
+    """Residual and exact Jacobian of p[0] exp(-x / p[1]) against y."""
+    def resid(p):
+        return p[0] * np.exp(-x / p[1]) - y
+
+    def jac(p):
+        e = np.exp(-x / p[1])
+        return np.column_stack([e, p[0] * x / p[1] ** 2 * e])
+
+    return resid, jac
 
 
 class TestLinearWls:
@@ -50,7 +66,8 @@ class TestNonlinearLs:
 
         problem = fitting.FitProblem(
             residual=lambda p: (p[0] + p[1] * x) - y,
-            initial_params=np.array([0.0, 0.0]))
+            initial_params=np.array([0.0, 0.0]), bounds=[UNBOUNDED] * 2,
+            jacobian=lambda p: line(x))
         res = fitting.nonlinear_ls(problem)
         assert res.converged
         assert np.allclose(res.params, wls.params, rtol=1e-9, atol=1e-9)
@@ -63,10 +80,10 @@ class TestNonlinearLs:
         rng = np.random.default_rng(5)
         x = np.linspace(0.0, 2.0, 200)
         y = 3.0 * np.exp(-x / 0.7) * (1.0 + 0.01 * rng.standard_normal(200))
+        resid, jac = decay(x, y)
         problem = fitting.FitProblem(
-            residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
-            initial_params=np.array([1.0, 1.0]),
-            bounds=[(1e-6, math.inf), (1e-6, math.inf)])
+            residual=resid, initial_params=np.array([1.0, 1.0]),
+            bounds=[(1e-6, math.inf), (1e-6, math.inf)], jacobian=jac)
         res = fitting.nonlinear_ls(problem)
         assert res.converged
         assert abs(res.params[0] / 3.0 - 1.0) < 0.03
@@ -84,16 +101,19 @@ class TestNonlinearLs:
         y = 3.0 * np.exp(-x / 0.7) * (1.0 + 0.01 * rng.standard_normal(200))
 
         def fit(unit, exact):
+            def resid(p):
+                return p[0] / unit[0] * np.exp(-x / p[1]) - y
+
             def jac(p):
                 e = np.exp(-x / p[1])
                 return np.column_stack([e / unit[0],
                                         p[0] / unit[0] * x / p[1] ** 2 * e])
 
             return fitting.nonlinear_ls(fitting.FitProblem(
-                residual=lambda p: p[0] / unit[0] * np.exp(-x / p[1]) - y,
-                initial_params=np.array([1.0, 1.0]) * unit,
+                residual=resid, initial_params=np.array([1.0, 1.0]) * unit,
                 bounds=[(1.5 * unit[0], 10.0 * unit[0]), (1e-6, math.inf)],
-                scale=unit, jacobian=jac if exact else None))
+                scale=unit,
+                jacobian=jac if exact else central_differences(resid, unit)))
 
         unit = np.array([2.0 ** -50, 1.0])
         for exact in (False, True):
@@ -109,12 +129,14 @@ class TestNonlinearLs:
             with pytest.raises(DomainError):
                 fitting.nonlinear_ls(fitting.FitProblem(
                     residual=lambda p: p - 1.0,
-                    initial_params=np.array([3.0]), scale=bad))
+                    initial_params=np.array([3.0]), bounds=[UNBOUNDED],
+                    jacobian=lambda p: np.ones((1, 1)), scale=bad))
 
     def test_plateau_zero_gradient_is_stationary(self):
         problem = fitting.FitProblem(
             residual=lambda p: np.array([1.0, -1.0, 2.0]),
-            initial_params=np.array([0.5, 0.5]))
+            initial_params=np.array([0.5, 0.5]), bounds=[UNBOUNDED] * 2,
+            jacobian=lambda p: np.zeros((3, 2)))
         res = fitting.nonlinear_ls(problem)
         assert res.converged
         assert res.status == "stationary_point"
@@ -123,7 +145,8 @@ class TestNonlinearLs:
     def test_non_finite_residual_raises(self):
         problem = fitting.FitProblem(
             residual=lambda p: np.array([np.nan]),
-            initial_params=np.array([1.0]))
+            initial_params=np.array([1.0]), bounds=[UNBOUNDED],
+            jacobian=lambda p: np.ones((1, 1)))
         with pytest.raises(ModelEvaluationError):
             fitting.nonlinear_ls(problem)
 
@@ -132,9 +155,10 @@ class TestNonlinearLs:
         rng = np.random.default_rng(9)
         x = np.linspace(0.0, 2.0, 50)
         y = 3.0 * np.exp(-x / 0.7) + 0.01 * rng.standard_normal(50)
+        resid, jac = decay(x, y)
         problem = fitting.FitProblem(
-            residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
-            initial_params=np.array([0.1, 5.0]))
+            residual=resid, initial_params=np.array([0.1, 5.0]),
+            bounds=[UNBOUNDED] * 2, jacobian=jac)
         res = fitting.nonlinear_ls(problem)
         assert not res.converged
         assert res.status == "max_iterations"
@@ -145,7 +169,7 @@ class TestNonlinearLs:
         # less than STEP_RTOL, which ends a run at relaxed damping.
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=lambda p: np.array([1e6 * (p[0] - 1.0), 1e-3]),
-            initial_params=np.array([1.0 + 1e-11]),
+            initial_params=np.array([1.0 + 1e-11]), bounds=[UNBOUNDED],
             jacobian=lambda p: np.array([[1e6], [0.0]])))
         assert res.status == "converged"
         assert res.iterations == 1
@@ -162,7 +186,7 @@ class TestNonlinearLs:
             return p - np.array([5.0, 3.0])
 
         res = fitting.nonlinear_ls(fitting.FitProblem(
-            residual=resid, initial_params=start,
+            residual=resid, initial_params=start, bounds=[UNBOUNDED] * 2,
             jacobian=lambda p: np.eye(2)))
         assert res.status == "damping_overflow"
         assert not res.converged
@@ -184,7 +208,8 @@ class TestNonlinearLs:
 
         problem = fitting.FitProblem(
             residual=resid, initial_params=np.array([1.0, 1.0]),
-            bounds=[(1e-6, math.inf), (1e-6, math.inf)])
+            bounds=[(1e-6, math.inf), (1e-6, math.inf)],
+            jacobian=central_differences(resid))
         res = fitting.nonlinear_ls(problem)
         assert res.converged
         assert res.status == "converged"
@@ -192,10 +217,10 @@ class TestNonlinearLs:
         last = np.array(res.residual_trace[-fitting.STALL_STEPS - 1:])
         rel = -np.diff(last) / last[:-1]
         assert np.all(rel < fitting.RESIDUAL_RTOL)
+        resid, jac = decay(x, y)
         exact = fitting.nonlinear_ls(fitting.FitProblem(
-            residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
-            initial_params=np.array([1.0, 1.0]),
-            bounds=[(1e-6, math.inf), (1e-6, math.inf)]))
+            residual=resid, initial_params=np.array([1.0, 1.0]),
+            bounds=[(1e-6, math.inf), (1e-6, math.inf)], jacobian=jac))
         assert np.allclose(res.params, exact.params, rtol=1e-4)
 
     def test_floor_steps_stop_at_any_damping(self):
@@ -231,7 +256,8 @@ class TestNonlinearLs:
         start = truth * (1.0 + 1e-7 * np.random.default_rng(34).standard_normal(7))
         scale = np.array([2e-2, 1.0, 1.0, 1.0, 1.0, 1.0, 2e-8])
         res = fitting.nonlinear_ls(fitting.FitProblem(
-            residual=resid, initial_params=start, jacobian=jac))
+            residual=resid, initial_params=start, bounds=[UNBOUNDED] * 7,
+            jacobian=jac))
         assert res.converged
         assert res.status == "converged"
         assert res.iterations < fitting.MAX_ITERATIONS // 4
@@ -261,7 +287,8 @@ class TestNonlinearLs:
 
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
-            initial_params=np.array([1.0, 1.0]), jacobian=jac))
+            initial_params=np.array([1.0, 1.0]), bounds=[UNBOUNDED] * 2,
+            jacobian=jac))
         assert res.converged and res.residual_trace[-1] == res.residual_norm
         assert len(visited) == res.iterations + 1
         assert np.array_equal(visited[-1], res.params)
@@ -270,6 +297,7 @@ class TestNonlinearLs:
         for bad in (np.nan, np.inf, -np.inf):
             problem = fitting.FitProblem(
                 residual=lambda p: p - 1.0, initial_params=np.array([3.0]),
+                bounds=[UNBOUNDED],
                 jacobian=lambda p, bad=bad: np.array([[bad]]))
             with pytest.raises(ModelEvaluationError):
                 fitting.nonlinear_ls(problem)
@@ -288,6 +316,7 @@ class TestNonlinearLs:
 
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=resid, initial_params=np.array([30.0]),
+            bounds=[UNBOUNDED],
             jacobian=lambda p: np.array([[0.5 / np.sqrt(p[0])]])))
         assert len(outside) >= 1
         assert res.converged
@@ -299,10 +328,10 @@ class TestNonlinearLs:
         rng = np.random.default_rng(6)
         x = np.linspace(0.0, 2.0, 100)
         y = 3.0 * np.exp(-x / 0.7) + 0.02 * rng.standard_normal(100)
+        resid, jac = decay(x, y)
         problem = fitting.FitProblem(
-            residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
-            initial_params=np.array([1.0, 2.0]),
-            bounds=[(1e-6, math.inf), (1e-6, math.inf)])
+            residual=resid, initial_params=np.array([1.0, 2.0]),
+            bounds=[(1e-6, math.inf), (1e-6, math.inf)], jacobian=jac)
         res = fitting.nonlinear_ls(problem)
         trace = np.array(res.residual_trace)
         assert np.all(np.diff(trace) <= 0.0)
@@ -313,10 +342,10 @@ class TestNonlinearLs:
         y = 3.0 * np.exp(-x / 0.7) + 0.01 * rng.standard_normal(150)
 
         def fit(scale):
+            resid, jac = decay(x * scale, y)
             problem = fitting.FitProblem(
-                residual=lambda p: p[0] * np.exp(-x * scale / p[1]) - y,
-                initial_params=np.array([1.0, scale]),
-                bounds=[(1e-9, math.inf), (1e-9, math.inf)])
+                residual=resid, initial_params=np.array([1.0, scale]),
+                bounds=[(1e-9, math.inf), (1e-9, math.inf)], jacobian=jac)
             res = fitting.nonlinear_ls(problem)
             return res.params[0], res.params[1] / scale
 
@@ -362,10 +391,11 @@ class TestCovariance:
         x = np.linspace(0.0, 1.0, 40)
         rng = np.random.default_rng(13)
         y = 2.0 * x + 0.05 * rng.standard_normal(40)
+        rows = x[:, None] / 0.05
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=lambda p: (p[0] * x - y) / 0.05,
-            initial_params=np.array([1.0])))
-        rows = x[:, None] / 0.05
+            initial_params=np.array([1.0]), bounds=[UNBOUNDED],
+            jacobian=lambda p: rows))
         cov = fitting.covariance(rows.T @ rows, x.size)
         expected = 0.05 / math.sqrt(float(np.sum(x * x)))
         assert res.converged
@@ -395,7 +425,7 @@ class TestCovariance:
                 bounds=[(1e-6, math.inf), (1e-6, math.inf)],
                 jacobian=jacobian))
 
-        numeric, exact = fit(None), fit(jac)
+        numeric, exact = fit(central_differences(resid)), fit(jac)
         assert numeric.converged and exact.converged
         assert np.allclose(exact.params, numeric.params, rtol=1e-8, atol=0.0)
         rows = jac(exact.params)
@@ -464,7 +494,7 @@ class TestCovariance:
             / sigma[:, None]
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=lambda p: rows @ p - y / sigma,
-            initial_params=np.array([0.0, 0.0, 0.3]),
+            initial_params=np.array([0.0, 0.0, 0.3]), bounds=[UNBOUNDED] * 3,
             jacobian=lambda p: rows))
         assert res.converged and res.params[2] == 0.3
         cov = fitting.covariance(rows.T @ rows, x.size)

@@ -90,6 +90,13 @@ class TestModel:
         with pytest.raises(DomainError, match="finite"):
             rk.NotchParams(**{**IDEAL, field: value})
 
+    @pytest.mark.parametrize("field", ["q_loaded", "q_ext_mag"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_quality_factor_rejected(self, field, value):
+        # An infinite |Q_e| would model a resonator that is not there.
+        with pytest.raises(DomainError, match="positive and finite"):
+            rk.NotchParams(**{**IDEAL, field: value})
+
     def test_q_internal_property(self):
         p = rk.NotchParams(f_r=7.3e9, q_loaded=3000.0, q_ext_mag=9000.0)
         assert p.q_internal == pytest.approx(4500.0, rel=1e-12)

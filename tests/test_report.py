@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import xml.dom.minidom
 
 import numpy as np
 import pytest
 
 import resokit as rk
-from resokit import fitting, report
+from resokit import fitting, report, svgplot
 from resokit.errors import ConfigError, SchemaError
 from resokit.refdata import REFERENCE_RESONATORS, shared_cap_per_area
 from resokit.report import (ReportBundle, ReportRow, compare_sessions,
@@ -157,6 +160,35 @@ class TestPlots:
         with pytest.raises(ConfigError, match="repeated plot names"):
             emit_report(bundle, str(tmp_path / "rep"))
         assert not (tmp_path / "rep").exists()
+
+    def test_text_is_xml_escaped(self):
+        # A title or label may hold &, < and >: the document parses, and
+        # each text reads back as given.
+        svg = svgplot.line_plot_svg(
+            [svgplot.Series([0.0, 1.0], [0.0, 1.0], label="a<b>&c")],
+            title="|S21| r<1>&x", xlabel="f & g", ylabel="<y>")
+        texts = {node.firstChild.data for node in
+                 xml.dom.minidom.parseString(svg).getElementsByTagName("text")}
+        assert {"|S21| r<1>&x", "f & g", "<y>", "a<b>&c"} <= texts
+
+    @pytest.mark.parametrize("x, y", [
+        ([7.3e9, 7300000000.000001], [0.5, 0.5]),
+        ([0.0, 1.0], [0.1, float(np.nextafter(0.1, 1.0))]),
+        ([-1e308, 1e308], [0.0, 1.0]),
+    ], ids=["x_ulp", "y_ulp", "x_overflow"])
+    def test_any_finite_range_plots(self, x, y):
+        # A range of an ulp or so: ticks a fraction of an ulp apart
+        # would never advance. Run in a child process, so that a loop
+        # that does not end fails the test instead of hanging it.
+        src = os.path.dirname(os.path.dirname(rk.__file__))
+        code = ("import sys; from resokit import svgplot; sys.stdout.write("
+                f"svgplot.line_plot_svg([svgplot.Series({x!r}, {y!r})], "
+                "'t', 'x', 'y'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0 and proc.stderr == ""
+        xml.dom.minidom.parseString(proc.stdout)
 
     def test_emission_is_deterministic(self, tmp_path):
         emit_report(self.bundle(), str(tmp_path / "one"))

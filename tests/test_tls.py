@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import drop_exact_jacobians, forbid_numeric_jacobian
+from conftest import drop_exact_jacobians
 from resokit import tls
 from resokit.errors import DomainError, InsufficientDataError
 from resokit.tls import PowerSweep, TlsFitParams
@@ -202,12 +202,6 @@ def acceptance_06_sweep():
 
 
 class TestExactJacobian:
-    @pytest.mark.parametrize("fit_beta", [True, False])
-    def test_no_numeric_jacobian(self, monkeypatch, fit_beta):
-        forbid_numeric_jacobian(monkeypatch)
-        fit = tls.fit_power_sweep(acceptance_06_sweep(), fit_beta=fit_beta)
-        assert math.isfinite(fit.stderr["n_critical"])
-
     def test_matches_numeric_derivative_solve(self, monkeypatch):
         exact = tls.fit_power_sweep(acceptance_06_sweep())
         drop_exact_jacobians(monkeypatch)
