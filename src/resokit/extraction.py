@@ -43,17 +43,17 @@ MIN_TRACE_POINTS = 8
 # the delay itself, so the search only has to land in its basin. Over
 # the 800-draw wide-range census (tests/census.py), read as converged /
 # well-posed converged / converged with |pull| > 10, full traces give
-# 589/128/0, 2,000 samples 593/128/0, 1,000 give 591/127/0, and 700 and
-# 500 give 594/128/0: the counts move by a few draws either way, so the
-# time decides. On the 4,001-point acceptance-05 traces the search takes
-# 0.3 ms where it takes 0.6 ms in full (best of five, 2-core Xeon, one
-# BLAS thread).
+# 591/128/0, 2,000 samples 593/128/0, 1,000 give 596/128/0, 700 give
+# 598/128/0 and 500 give 597/127/0: the counts move by a few draws
+# either way, so the time decides. On the 4,001-point acceptance-05
+# traces the search takes 0.4 ms where it takes 0.8 ms in full (median
+# over 50 traces of the best of five, 2-core Xeon, one BLAS thread).
 DELAY_POINTS = 1000
 # Grid points of the delay search over +-2/span: 31 points, 0.13/span
-# apart, find the basin of the circle residual, and the parabola through
-# the best one and its neighbours places the seed between them. On the
-# census above, 11 points give 591/127/0, 21 give 592/127/0, 31 give
-# 591/127/0 and 81 give 590/126/0.
+# apart, find the basin of fit_phase's residual, and the best point's
+# own leftover delay places the seed between them. On the census above,
+# 11 points give 595/128/0, 21 and 31 give 596/128/0 and 81 give
+# 595/128/0.
 DELAY_GRID_POINTS = 31
 # A refined fit whose Q_l or |Q_e| has a standard error over this
 # fraction of itself raises UnresolvedResonanceError: each Q must lie at
@@ -104,31 +104,6 @@ class NotchFitResult:
         return self.params.q_internal
 
 
-def _unwrap_from_mid(theta: np.ndarray) -> np.ndarray:
-    """Unwrap phase outward from the trace midpoint.
-
-    Resonance-centered traces keep the winding unambiguous this way
-    even when the ends sit near the branch cut. The steps are walked
-    outward, forward above the midpoint and backward below it, and each
-    step of pi or more is corrected as np.unwrap corrects it.
-    """
-    mid = theta.size // 2
-    step = np.diff(theta)
-    step[:mid] *= -1.0
-    jump = np.abs(step) >= math.pi
-    out = theta.copy()
-    if not jump.any():
-        return out
-    big = step[jump]
-    wrapped = np.mod(big + math.pi, TWO_PI) - math.pi
-    wrapped[(wrapped == -math.pi) & (big > 0)] = math.pi
-    fix = np.zeros_like(step)
-    fix[jump] = wrapped - big
-    out[mid + 1:] += np.cumsum(fix[mid:])
-    out[:mid] += np.cumsum(fix[:mid][::-1])[::-1]
-    return out
-
-
 def fit_circle(points) -> CircleFit:
     """Moment-based algebraic circle fit (Taubin).
 
@@ -167,64 +142,20 @@ def fit_circle(points) -> CircleFit:
     return CircleFit(center=center, radius=radius, rms=rms)
 
 
-def _phase_slope_delay(freqs, z) -> float:
-    theta = _unwrap_from_mid(np.angle(z))
-    df = freqs - freqs.mean()
-    slope = (df @ theta) / (df @ df)
-    return -slope / TWO_PI
-
-
-def _taubin_criterion(n, p2, p4, s1, s2, s3) -> np.ndarray:
-    """Taubin circle criterion of rotated loci w = z e^(i phi(f)) from
-    their moment sums: s1 = sum w, s2 = sum w^2, s3 = sum |z|^2 w, with
-    p2 = sum |z|^2 and p4 = sum |z|^4 shared (|w| = |z|).
-
-    The moments of fit_circle's centred columns (zn, x, y) are closed
-    forms in these sums, and the smallest eigenvalue of their 3x3 matrix
-    over n is mean((|w - c|^2 - r^2)^2) / (4 r^2) for the Taubin circle
-    (c, r): the squared rms of the circle fit for thin noise. A coincident
-    locus comes back as inf: its entries are not finite, or its mean
-    squared spread, at most 1e-12 mean |z|^2, is lost in the rounding.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = s1 / n
-        c = (m * m.conj()).real
-        sq_mean = p2 / n - c
-        sq_mean[~(sq_mean > 1e-12 * p2 / n)] = np.nan
-        # Centred sums of u = w - m: sum u^2, sum |u|^2 u, sum |u|^4.
-        uu = s2 - n * m * m
-        u3 = s3 - 2.0 * m * p2 - m.conj() * s2 + 2.0 * n * m * c
-        u4 = p4 + 4.0 * c * p2 + 2.0 * (m.conj() ** 2 * s2).real \
-            - 4.0 * (m.conj() * s3).real - 3.0 * n * c * c
-        spread = np.sqrt(sq_mean)
-        moments = np.empty((s1.size, 3, 3))
-        moments[:, 0, 0] = (u4 - n * sq_mean * sq_mean) / (4.0 * sq_mean)
-        moments[:, 0, 1] = moments[:, 1, 0] = u3.real / (2.0 * spread)
-        moments[:, 0, 2] = moments[:, 2, 0] = u3.imag / (2.0 * spread)
-        moments[:, 1, 1] = 0.5 * (n * sq_mean + uu.real)
-        moments[:, 2, 2] = 0.5 * (n * sq_mean - uu.real)
-        moments[:, 1, 2] = moments[:, 2, 1] = 0.5 * uu.imag
-    finite = np.isfinite(moments).all(axis=(1, 2))
-    out = np.full(s1.size, np.inf)
-    if finite.any():
-        out[finite] = np.linalg.eigvalsh(moments[finite])[:, 0] / n
-    return out
-
-
 def estimate_delay(trace: Trace) -> float:
-    """Cable delay that makes the delay-corrected locus most circular.
+    """Cable delay at which fit_phase's system fits the trace best.
 
     A trace of more than DELAY_POINTS samples is read at DELAY_POINTS of
     them, evenly spread with both ends kept, so the span stays that of
-    the trace. Grid search of DELAY_GRID_POINTS points over +-2/span
-    around the unwrapped-phase-slope estimate, ranked by the Taubin
-    criterion from three moment sums per point, then the vertex of the
-    parabola through the best point and its two neighbours. The global
-    refinement in fit_notch fits the delay itself, so this only has to
-    land in its basin. When the grid's centre point, the slope estimate,
-    leaves a circle rms of at most 1e-9 mean |z| or a coincident locus
-    (resonance-free or already-corrected data), the residual carries no
-    delay information and that estimate is returned directly.
+    the trace. The grid of DELAY_GRID_POINTS points over +-2/span is
+    centred on the summed wrapped phase steps of the samples and ranked
+    by the residual of fit_phase's least-squares system at each point;
+    the seed is the best point plus the delay that point's system leaves
+    over. The global refinement in fit_notch fits the delay itself, so
+    this only has to land in its basin. When the system is singular at
+    the grid's centre (resonance-free or constant data, whose corrected
+    locus is a point), nothing is left to fit and the centre estimate is
+    returned as it stands.
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
@@ -234,27 +165,13 @@ def estimate_delay(trace: Trace) -> float:
         keep = np.round(np.linspace(0, freqs.size - 1, DELAY_POINTS))
         keep = keep.astype(np.intp)
         freqs, z = freqs[keep], z[keep]
-    tau0 = _phase_slope_delay(freqs, z)
-    taus, crit = _delay_grid(freqs, z, tau0)
-
-    # Already-circular data: the grid search would wander, so trust the
-    # slope estimate, whose squared circle rms is the centre point's.
-    centre = crit[DELAY_GRID_POINTS // 2]
-    if not (1e-9 * np.mean(np.abs(z))) ** 2 < centre < math.inf:
+    tau0 = -float(np.angle(z[1:] * z[:-1].conj()).sum()) \
+        / (TWO_PI * (freqs[-1] - freqs[0]))
+    taus, residual, _, leftover = _delay_grid(freqs, z, tau0)
+    if not residual[DELAY_GRID_POINTS // 2] < math.inf:
         return tau0
-
-    best = int(np.argmin(crit))
-    if 0 < best < taus.size - 1:
-        # Python floats: an inf neighbour (a coincident locus) gives a
-        # non-finite curvature without a numpy warning. The best point
-        # is the lowest of the three, so the vertex of a positive
-        # curvature lies within half a step of it.
-        left, mid, right = (float(c) for c in crit[best - 1:best + 2])
-        curvature = left - 2.0 * mid + right
-        if math.isfinite(curvature) and curvature > 0.0:
-            return float(taus[best] + 0.5 * (taus[1] - taus[0])
-                         * (left - right) / curvature)
-    return float(taus[best])
+    best = int(np.argmin(residual))
+    return float(taus[best] + leftover[best])
 
 
 def _delay_phasor(freqs, tau) -> np.ndarray:
@@ -280,28 +197,80 @@ def _delay_phasor(freqs, tau) -> np.ndarray:
 
 
 def _delay_grid(freqs, z, tau0):
-    """(taus, criterion) of the DELAY_GRID_POINTS grid over +-2/span
-    around tau0: _taubin_criterion of z times each point's phasor."""
-    span = freqs[-1] - freqs[0]
-    window = 2.0 / span
+    """(taus, residual, pole, leftover) of the DELAY_GRID_POINTS grid over
+    +-2/span around tau0: _phase_system at each point."""
+    window = 2.0 / (freqs[-1] - freqs[0])
     taus = np.linspace(tau0 - window, tau0 + window, DELAY_GRID_POINTS)
-    rotate = _delay_phasor(freqs, taus[1] - taus[0])
-    rows = np.empty((3, z.size), dtype=complex)
-    rows[0] = 1.0
-    np.multiply(z, z.conj(), out=rows[1])
-    np.multiply(z, _delay_phasor(freqs, taus[0]), out=rows[2])
-    abs2 = rows[1].real
-    q = rows[2]
-    # Each grid point's locus is the previous one rotated by one grid
-    # step, so a point costs two calls: the rotation, and one product of
-    # the rows [1, |z|^2, q] with q for s1, s3 and s2.
-    sums = np.empty((taus.size, 3), dtype=complex)
-    for k in range(taus.size):
-        if k:
-            q *= rotate
-        np.matmul(rows, q, out=sums[k])
-    return taus, _taubin_criterion(z.size, abs2.sum(), abs2 @ abs2,
-                                   sums[:, 0], sums[:, 2], sums[:, 1])
+    return (taus, *_phase_system(freqs, z, taus))
+
+
+def _phase_system(freqs, z, taus):
+    """fit_phase's least-squares system for z corrected by each delay in
+    taus, which are evenly spaced: (residual, pole, leftover) per delay.
+
+    With s = z e^(2 pi i (f - f_mid) tau) and x = (f - f_mid) / span,
+    the columns (x, 1, s, s x^2) are fitted against s x. The residual is
+    the least-squares one, |s x|^2 - rhs^H solution; the pole (Hz) and
+    the leftover delay (s) are fit_phase's. A system is singular when
+    its normal matrix is not finite or, with its diagonal scaled to 1,
+    has a smallest eigenvalue of at most 1e-12; then its residual is inf
+    and its pole and leftover NaN. Dependent columns leave the LU a
+    rounding-sized pivot, not a zero one, hence the eigenvalue: 1e-16
+    for a straight locus, at least 1.5e-10 at fit_phase's delay on the
+    census draws of seeds 5-8 and 5.7e-4 on the acceptance-05 traces.
+    """
+    span = freqs[-1] - freqs[0]
+    f_mid = freqs[freqs.size // 2]
+    x = (freqs - f_mid) / span
+    powers = np.empty((5, x.size))
+    powers[0] = 1.0
+    powers[1] = x
+    np.multiply(x, x, out=powers[2])
+    np.multiply(powers[2], x, out=powers[3])
+    np.multiply(powers[2], powers[2], out=powers[4])
+    with np.errstate(all="ignore"):
+        # Row j of v holds the sums of delay j's normal equations: n, sum
+        # x and sum x^2, p_k = sum x^k |s|^2 for k = 0..4, the same at
+        # every delay since |s| = |z|, and s_k = sum x^k s for k = 0..3.
+        # They take a third of the time of lstsq on the (N, 4) design.
+        v = np.empty((taus.size, 12), dtype=complex)
+        shared = powers @ np.column_stack([powers[0], (z * z.conj()).real])
+        v[:, :3] = shared[:3, 0]
+        v[:, 3:8] = shared[:, 1]
+        rows = powers[:4].astype(complex)
+        q = z * _delay_phasor(freqs, taus[0])
+        if taus.size > 1:
+            rotate = _delay_phasor(freqs, taus[1] - taus[0])
+        # Each delay's locus is the previous one rotated by one grid
+        # step, so a delay costs two calls: the rotation, and one product
+        # of x^0..x^3 with q. Complex rows make the product a matrix-
+        # vector one, faster than real rows against q's two parts.
+        for k in range(taus.size):
+            if k:
+                q *= rotate
+            np.matmul(rows, q, out=v[k, 8:])
+        # Entry (i, k) of the normal matrix sums conj(column i) column k.
+        normal = v[:, [[2, 1, 9, 11], [1, 0, 8, 10], [9, 8, 3, 5],
+                       [11, 10, 5, 7]]]
+        np.conjugate(normal[:, 2:, :2], out=normal[:, 2:, :2])
+        rhs = v[:, [10, 9, 4, 6]]
+        unit = 1.0 / np.sqrt(v[0, [2, 0, 3, 7]].real)
+        scaled = normal * np.outer(unit, unit)
+    solved = np.isfinite(scaled).all(axis=(1, 2))
+    solved[solved] = np.linalg.eigvalsh(scaled[solved])[:, 0] > 1e-12
+    b = rhs[solved]
+    sol = np.linalg.solve(normal[solved], b[..., None])[..., 0]
+    c1, b1 = sol[:, 2], sol[:, 3]
+    # The root of b' c' gamma^2 - gamma + 1 near 1, without the
+    # cancellation of the textbook form.
+    gamma = 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * b1 * c1))
+    residual = np.full(taus.size, math.inf)
+    pole = np.full(taus.size, math.nan, dtype=complex)
+    leftover = np.full(taus.size, math.nan)
+    residual[solved] = shared[2, 1] - (b.conj() * sol).sum(axis=1).real
+    pole[solved] = f_mid + span * c1 * gamma
+    leftover[solved] = (1j * b1 * gamma).real / (TWO_PI * span)
+    return residual, pole, leftover
 
 
 def fit_phase(trace: Trace, delay: float) -> PhaseFit:
@@ -316,64 +285,30 @@ def fit_phase(trace: Trace, delay: float) -> PhaseFit:
     trace s carries it with a leftover delay beta, L = s e^(i beta x),
     taken to first order as s (1 + i beta x): then s x gamma = a' x +
     d' + c' s + b' s x^2 with gamma = 1 - i beta c, c = c' gamma and
-    i beta = -b' gamma. One 4x4 least-squares solve gives a', d', c' and
-    b'; gamma is the root of b' c' gamma^2 - gamma + 1 = 0 near 1. The
-    pole f_mid + span c has f_r as its real part and f_r / (2 Q_l) as
-    the magnitude of its imaginary part, and residual_delay is beta /
-    (2 pi span). Raises FitInstabilityError when the columns (x, 1, s,
-    s x^2) are dependent (a straight locus) or when the solve finds no
-    resonance; whether the trace resolves a resonance at all is the
-    refinement's question (fit_notch).
+    i beta = -b' gamma. One 4x4 least-squares solve (_phase_system)
+    gives a', d', c' and b'; gamma is the root of b' c' gamma^2 - gamma
+    + 1 = 0 near 1. The pole f_mid + span c has f_r as its real part and
+    f_r / (2 Q_l) as the magnitude of its imaginary part, and
+    residual_delay is beta / (2 pi span). Raises FitInstabilityError
+    when the system is singular (a straight locus, a point, or sums that
+    are not finite) or when the solve finds no resonance; whether the
+    trace resolves a resonance at all is the refinement's question
+    (fit_notch).
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
             f"phase fit needs at least {MIN_TRACE_POINTS} points")
-    freqs = trace.freqs_hz
-    s = trace.s21 * _delay_phasor(freqs, delay)
-    f_mid, span = float(freqs[freqs.size // 2]), float(freqs[-1] - freqs[0])
-    x = (freqs - f_mid) / span
-    # One product gives every sum of the normal equations of the columns
-    # (x, 1, s, s x^2) against s x: row k of m sums x^k times 1, Re s,
-    # Im s and |s|^2. It is 3x faster than lstsq on an (N, 4) design
-    # matrix.
-    powers = np.empty((5, x.size))
-    powers[0] = 1.0
-    powers[1] = x
-    np.multiply(x, x, out=powers[2])
-    np.multiply(powers[2], x, out=powers[3])
-    np.multiply(powers[2], powers[2], out=powers[4])
-    m = powers @ np.column_stack(
-        [powers[0], s.view(float).reshape(-1, 2), (s * s.conj()).real])
-    n, sx, sxx = m[:3, 0]
-    s0, s1, s2, s3 = m[:4, 1] + 1j * m[:4, 2]
-    p0, p1, p2, p3, p4 = m[:, 3]
-    normal = np.array([[sxx, sx, s1, s3], [sx, n, s0, s2],
-                       [s1.conjugate(), s0.conjugate(), p0, p2],
-                       [s3.conjugate(), s2.conjugate(), p2, p4]])
-    # Dependent columns leave the LU a rounding-sized pivot, not a zero
-    # one, so the rank is read from the smallest eigenvalue of the normal
-    # matrix with its diagonal scaled to 1: 1e-16 for a straight locus,
-    # at least 1.6e-9 on the census draws that reach this solve and
-    # 5.7e-4 on the acceptance-05 traces.
-    unit = 1.0 / np.sqrt(normal.diagonal().real)
-    try:
-        if not np.linalg.eigvalsh(normal * np.outer(unit, unit))[0] > 1e-12:
-            raise np.linalg.LinAlgError
-        _, _, c1, b1 = np.linalg.solve(
-            normal, np.array([s2, s1, p1, p3])).tolist()
-    except np.linalg.LinAlgError as exc:
-        raise FitInstabilityError("phase seed system is singular") from exc
-    # The root of b' c' gamma^2 - gamma + 1 near 1, without the
-    # cancellation of the textbook form.
-    gamma = 2.0 / (1.0 + cmath.sqrt(1.0 - 4.0 * b1 * c1))
-    pole = f_mid + span * c1 * gamma
-    beta = (1j * b1 * gamma).real
-    if not (cmath.isfinite(pole) and pole.real > 0 and math.isfinite(beta)):
+    residual, pole, leftover = _phase_system(
+        trace.freqs_hz, trace.s21, np.array([delay], dtype=float))
+    if not residual[0] < math.inf:
+        raise FitInstabilityError("phase seed system is singular")
+    pole, leftover = complex(pole[0]), float(leftover[0])
+    if not (cmath.isfinite(pole) and pole.real > 0
+            and math.isfinite(leftover)):
         raise FitInstabilityError("phase seed found no resonance")
     f_r = pole.real
     q_l = f_r / (2.0 * abs(pole.imag)) if pole.imag else math.inf
-    return PhaseFit(f_r=f_r, q_loaded=q_l,
-                    residual_delay=beta / (TWO_PI * span))
+    return PhaseFit(f_r=f_r, q_loaded=q_l, residual_delay=leftover)
 
 
 def extract_qfactors(f_r: float, q_loaded: float, delay: float, a: complex,

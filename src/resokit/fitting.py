@@ -122,7 +122,12 @@ def linear_wls(design, y) -> FitResult:
     if sv[-1] <= sv[0] * 1e-12:
         raise RankDeficiencyError("design matrix is rank deficient")
     normal = X.T @ X
-    beta = np.linalg.solve(normal, X.T @ y)
+    try:
+        beta = np.linalg.solve(normal, X.T @ y)
+    except np.linalg.LinAlgError as exc:
+        # Singular values above the bound can square to a normal matrix
+        # that is singular to rounding.
+        raise RankDeficiencyError("normal matrix is singular") from exc
     resid = y - X @ beta
     norm = math.sqrt(resid @ resid)
     return FitResult(params=beta, residual_norm=norm, iterations=0,

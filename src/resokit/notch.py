@@ -116,8 +116,9 @@ def s21_model(f, f_r, q_loaded, q_ext_mag, mismatch_phi=0.0, env_gain=1.0,
               env_phase=0.0, cable_delay=0.0):
     """Raw model evaluation on unvalidated parameters.
 
-    Fitters call this directly so they can explore transiently
-    nonphysical parameter combinations; use s21_at for checked inputs.
+    s21_at, and so synthesize_trace, calls this on checked NotchParams.
+    No fitter calls it: the notch refinement evaluates its own
+    variable-projection model. Use s21_at for checked inputs.
     """
     f = np.asarray(f, dtype=float)
     rotor = np.exp(1j * (env_phase - TWO_PI * f * cable_delay))

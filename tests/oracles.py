@@ -57,14 +57,22 @@ def notch_s21_gradient_band_centred(f, p, f_mid):
     return jac
 
 
-def unwrap_from_mid(theta):
-    """Phase unwrapped outward from the trace midpoint by np.unwrap, run
-    once on the upper half and once, reversed, on the lower half."""
-    mid = theta.size // 2
-    out = np.empty_like(theta)
-    out[mid:] = np.unwrap(theta[mid:])
-    out[:mid + 1] = np.unwrap(theta[:mid + 1][::-1])[::-1]
-    return out
+def phase_system_fit(f, s):
+    """fit_phase's least-squares problem by lstsq on the (N, 4) design:
+    the columns (x, 1, s, s x^2) against s x, x = (f - f_mid) / span
+    with f_mid the middle sample. Returns (residual |s x - A c|^2, pole
+    (Hz), leftover delay (s)), the pole and delay by the textbook root
+    gamma = (1 - sqrt(1 - 4 b' c')) / (2 b' c') of b' c' gamma^2 -
+    gamma + 1 = 0."""
+    f_mid, span = f[f.size // 2], f[-1] - f[0]
+    x = (f - f_mid) / span
+    design = np.column_stack([x, np.ones_like(x), s, s * x * x])
+    coef = np.linalg.lstsq(design, s * x, rcond=None)[0]
+    resid = s * x - design @ coef
+    c1, b1 = coef[2], coef[3]
+    gamma = (1.0 - np.sqrt(1.0 - 4.0 * b1 * c1)) / (2.0 * b1 * c1)
+    return (float(np.vdot(resid, resid).real), f_mid + span * c1 * gamma,
+            (1j * b1 * gamma).real / (TWO_PI * span))
 
 
 def freq_vs_area_gradient(areas, inductance, cap_per_area, cap_to_ground):

@@ -453,6 +453,20 @@ class TestAreaFitCommand:
         assert re.search(r"^cap_per_area_ff_um2 = .* \+- inf$", out, re.M)
         assert re.search(r"^cap_to_ground_ff = .* \+- inf$", out, re.M)
 
+    def test_near_equal_areas_are_singular(self, capsys, tmp_path):
+        # Three areas 1.2e-6 um^2 apart: the design matrix passes the
+        # singular-value check, but its normal matrix is singular to
+        # rounding. The run ends as DegenerateDataError, exit 2 with one
+        # `error:` line, not a numpy traceback.
+        path = tmp_path / "areas.csv"
+        path.write_text("area_um2,freq_hz\n912.4295161119187,7.3e9\n"
+                        "912.4295173529637,7.2999e9\n"
+                        "912.4295185940086,7.2998e9\n")
+        code, out, err = run(capsys, "area-fit", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: area-frequency system is singular\n"
+
     def test_csv_input(self, capsys, tmp_path):
         from resokit.refdata import REFERENCE_RESONATORS
         lines = ["area_um2,freq_hz"]

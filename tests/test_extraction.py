@@ -141,11 +141,9 @@ class TestEstimateDelay:
     def test_resonance_free_returns_slope_estimate(self, gain, phase, delay,
                                                    points):
         # Noiseless resonance-free traces and constant ones (delay 0):
-        # the locus at the slope estimate is coincident, so the grid's
-        # centre point reads it as circular and the search returns that
-        # estimate as it stands. Without the criterion's floor on the
-        # spread, the rounding of the moment sums hides the coincidence
-        # in the second to the sixth.
+        # the locus corrected by the summed wrapped phase steps is a
+        # point, so fit_phase's system is singular at the grid's centre
+        # and the search returns that estimate as it stands.
         f = np.linspace(7.0e9, 7.1e9, points)
         z = gain * np.exp(1j * (phase - TWO_PI * f * delay))
         keep = np.round(np.linspace(0, points - 1, min(points, 1000)))
@@ -153,7 +151,8 @@ class TestEstimateDelay:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tau = ex.estimate_delay(rk.Trace(f, z))
-        assert tau == ex._phase_slope_delay(f[keep], z[keep])
+        steps = np.angle(z[keep][1:] * z[keep][:-1].conj())
+        assert tau == -steps.sum() / (TWO_PI * (f[-1] - f[0]))
         assert abs(tau - delay) * (f[-1] - f[0]) < 1e-9
 
     def test_resonance_free_noisy(self):
@@ -167,10 +166,7 @@ class TestEstimateDelay:
 
     def test_resonance_free_noisy_over_seeds(self):
         # Statistical guard on the coarse grid: the trace above, over 100
-        # noise seeds. With the one grid and its parabola vertex, grids of
-        # 21, 31 and 81 points miss the 1 % tolerance on none of them,
-        # also at noise 0.03, 0.1 and 0.3, and 11 points miss on 4 at
-        # noise 0.3 alone; the census, not this bound, tells grid sizes
+        # noise seeds. The census, not this bound, tells grid sizes
         # apart.
         f = np.linspace(7.0e9, 7.1e9, 1001)
         clean = 0.9 * np.exp(1j * (0.3 - TWO_PI * f * 50e-9))
@@ -233,28 +229,39 @@ class TestEstimateDelay:
 
     @pytest.mark.parametrize("noise", [0.0, 0.003])
     def test_moment_criterion_matches_explicit_fit(self, noise):
-        # The grid's closed form against the rotated arrays and the
-        # fit_circle circle, at five delays around the true one.
+        # The system's normal equations from moment sums against lstsq on
+        # the rotated arrays, at five delays around the true one: the
+        # residual that ranks the grid and the leftover delay. The pole
+        # is held only near the true delay: 0.9/span off, noiseless,
+        # 1 - 4 b' c' lies on the branch cut of the square root, where
+        # the rounding of its imaginary part picks the root.
         _, trace = notch_trace(noise=noise, seed=5, cable_delay=30e-9)
         f, z = trace.freqs_hz, trace.s21
         span = f[-1] - f[0]
-        abs2 = np.abs(z) ** 2
         for offset in (-1.5, -0.7, 0.2, 0.9, 1.8):
-            w = z * np.exp(1j * TWO_PI * f * (30e-9 + offset / span))
-            crit = ex._taubin_criterion(
-                z.size, abs2.sum(), (abs2 ** 2).sum(), np.array([w.sum()]),
-                np.array([(w * w).sum()]), np.array([(abs2 * w).sum()]))[0]
-            circle = ex.fit_circle(w)
-            expected = np.mean((np.abs(w - circle.center) ** 2
-                                - circle.radius ** 2) ** 2) \
-                / (4.0 * circle.radius ** 2)
-            assert crit == pytest.approx(expected, rel=1e-9)
+            tau = 30e-9 + offset / span
+            residual, pole, leftover = ex._phase_system(f, z, np.array([tau]))
+            expected = oracles.phase_system_fit(
+                f, z * np.exp(1j * TWO_PI * f * tau))
+            assert residual[0] == pytest.approx(expected[0], rel=1e-9)
+            assert leftover[0] * span == pytest.approx(expected[2] * span,
+                                                       rel=1e-9, abs=1e-12)
+            if offset == 0.2:
+                assert abs(pole[0] - expected[1]) < 1e-12 * abs(expected[1])
 
     def test_moment_criterion_non_finite_is_inf(self):
-        # A locus collapsed onto the origin has no centred spread.
-        crit = ex._taubin_criterion(4, 0.0, 0.0, np.zeros(2, complex),
-                                    np.zeros(2, complex), np.zeros(2, complex))
-        assert np.all(crit == np.inf)
+        # A locus collapsed onto the origin leaves a zero diagonal, an
+        # infinite one sums that are not finite: no seed at any delay,
+        # and no numpy warning.
+        f = np.linspace(7.0e9, 7.1e9, 50)
+        taus = np.array([0.0, 1e-9])
+        for value in (0.0, math.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                residual, pole, leftover = ex._phase_system(
+                    f, np.full(50, value, dtype=complex), taus)
+            assert np.all(residual == np.inf)
+            assert np.all(np.isnan(pole)) and np.all(np.isnan(leftover))
 
     def test_noisy_notch_needs_few_circle_fits(self, monkeypatch):
         _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9)
@@ -274,56 +281,58 @@ class TestEstimateDelay:
 
     @pytest.mark.parametrize("noise,seed", [(0.0, 0), (0.003, 3), (0.3, 8)])
     @pytest.mark.parametrize("points", [1001, 1000])
-    def test_unwrap_matches_np_unwrap(self, noise, seed, points):
-        # The raw phase winds with the delay, the phase about the circle
-        # centre through the resonance; heavy noise adds random jumps.
+    def test_unwrap_matches_np_unwrap(self, monkeypatch, noise, seed, points):
+        # The grid is centred on the summed wrapped phase steps: the phase
+        # change from end to end that np.unwrap gives, over -2 pi span.
+        # The raw phase winds with the delay and through the resonance;
+        # heavy noise adds random jumps.
+        centres = []
+        real = ex._delay_grid
+        monkeypatch.setattr(ex, "_delay_grid", lambda f, z, tau0: (
+            centres.append(tau0) or real(f, z, tau0)))
         _, trace = notch_trace(noise=noise, seed=seed, span=40.0,
                                points=points, cable_delay=60e-9)
         f, z = trace.freqs_hz, trace.s21
-        z1 = z * np.exp(1j * TWO_PI * f * 60e-9)
-        center = ex.fit_circle(z1).center
-        for theta in (np.angle(z), np.angle(z1 - center)):
-            assert np.array_equal(ex._unwrap_from_mid(theta),
-                                  oracles.unwrap_from_mid(theta))
-
-    def test_unwrap_ties_match_np_unwrap(self):
-        # Steps of exactly +-pi on both sides of the midpoint.
-        theta = np.array([0.0, np.pi, 0.0, -np.pi, 0.0, 0.5, np.pi + 0.5,
-                          0.5, -np.pi + 0.5, 3.0])
-        assert np.array_equal(ex._unwrap_from_mid(theta),
-                              oracles.unwrap_from_mid(theta))
+        ex.estimate_delay(trace)
+        theta = np.unwrap(np.angle(z))
+        expected = -(theta[-1] - theta[0]) / (TWO_PI * (f[-1] - f[0]))
+        assert centres == [pytest.approx(expected, rel=1e-12)]
 
     @pytest.mark.parametrize("noise", [0.003, 0.03])
     @pytest.mark.parametrize("shift", [0.0, 2.05])
     def test_grid_phasors_match_explicit_exp(self, noise, shift):
-        # The grid rotates two phasors into every point's; the criterion
-        # at all 31 points against phasors from one exp each. Centred
-        # 2.05/span above the true delay, the best point is the grid's
-        # lower edge. The tolerance is relative to the grid's largest
-        # value: near the minimum at low noise the criterion cancels, and
-        # there even the explicit exps differ from long-double phasors by
-        # 7e-10 relative.
+        # The grid rotates two phasors into every point's; the residual
+        # at all 31 points against lstsq on loci rotated by one exp each.
+        # Centred 2.05/span above the true delay, the best point is the
+        # grid's lower edge. The tolerance is relative to the grid's
+        # largest value: near the minimum at low noise the residual
+        # cancels.
         _, trace = notch_trace(noise=noise, seed=5, cable_delay=30e-9)
         f, z = trace.freqs_hz, trace.s21
         tau0 = 30e-9 + shift / (f[-1] - f[0])
-        taus, crit = ex._delay_grid(f, z, tau0)
+        taus, residual, _, _ = ex._delay_grid(f, z, tau0)
         assert taus.size == ex.DELAY_GRID_POINTS
-        assert np.argmin(crit) == (0 if shift else 15)
-        abs2 = np.abs(z) ** 2
-        w = z * np.exp(1j * TWO_PI * f * taus[:, None])
-        expected = ex._taubin_criterion(
-            z.size, abs2.sum(), (abs2 ** 2).sum(), w.sum(axis=1),
-            (w * w).sum(axis=1), (abs2 * w).sum(axis=1))
-        np.testing.assert_allclose(crit, expected, rtol=0.0,
+        assert np.argmin(residual) == (0 if shift else 15)
+        expected = np.array([
+            oracles.phase_system_fit(f, z * np.exp(1j * TWO_PI * f * tau))[0]
+            for tau in taus])
+        np.testing.assert_allclose(residual, expected, rtol=0.0,
                                    atol=1e-10 * expected.max())
 
-    def test_phase_slope_matches_polyfit(self):
-        _, trace = notch_trace(noise=0.003, seed=2, cable_delay=30e-9)
-        f, z = trace.freqs_hz, trace.s21
-        theta = ex._unwrap_from_mid(np.angle(z))
-        expected = -np.polyfit(f, theta, 1)[0] / TWO_PI
-        assert ex._phase_slope_delay(f, z) == pytest.approx(expected,
-                                                            rel=1e-12)
+    def test_seed_adds_the_best_points_leftover(self, monkeypatch):
+        # The seed is the best grid point plus the delay its system leaves
+        # over: here 1.4e-5/span off the true delay, where the best point
+        # is 5.5e-3/span off and the points lie 0.13/span apart.
+        seen = []
+        real = ex._delay_grid
+        monkeypatch.setattr(ex, "_delay_grid", lambda *args: (
+            seen.append(real(*args)) or seen[-1]))
+        _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9)
+        tau = ex.estimate_delay(trace)
+        ((taus, residual, _, leftover),) = seen
+        best = np.argmin(residual)
+        assert tau == taus[best] + leftover[best]
+        assert abs(tau - 30e-9) < 0.01 * abs(taus[best] - 30e-9)
 
 
 class TestDelayPhasor:
@@ -703,7 +712,7 @@ class TestFitNotch:
 
     def test_zero_delay_noiseless(self):
         # The refinement owns the delay: the grid seed is off by about
-        # 3e-11 s here, the refined delay by about 5e-26 s.
+        # 8e-14 s here, the refined delay by about 7e-26 s.
         _, trace = notch_trace()
         assert abs(rk.fit_notch(trace).params.cable_delay) < 1e-12
 
@@ -733,7 +742,7 @@ class TestFitNotch:
 
     def test_acceptance_trace_26_refines_delay(self):
         # The circle rms of this trace has two noise-level minima
-        # 0.004/span apart, and the grid seed lands about 2.5e-4/span
+        # 0.004/span apart, and the delay seed lands about 8.3e-5/span
         # off the true delay. The refinement brings it within 1e-4/span
         # (6.4e-6/span).
         p, trace, res = self.acceptance_fit(26)
@@ -744,7 +753,7 @@ class TestFitNotch:
     # circle residual dips between the delay grid's points. A delay seed
     # from the grid alone broke the circle or phase fit while fit_phase
     # checked the winding; they now converge from the grid's best point
-    # as well as from its parabola vertex.
+    # plus its leftover delay.
     # (Q_in, |Q_e|, phi, f_r, gain, phase, delay, points, linewidths,
     # window offset in spans, noise, seed)
     @pytest.mark.parametrize("case", [
@@ -805,10 +814,19 @@ class TestFitNotch:
         # UnresolvedResonanceError; 2, 55, 63 UnresolvedResonanceError ->
         # NonphysicalQinError. Every fit that converges under both rules
         # is bit-identical.
+        # Moved by the delay search that ranks its grid by fit_phase's own
+        # system and adds the best point's leftover delay, in place of
+        # the Taubin criterion and the parabola vertex (before: 147
+        # converged, 44 UnresolvedResonanceError, 9 NonphysicalQinError):
+        # 2, 90, 92 NonphysicalQinError -> UnresolvedResonanceError; 55,
+        # 56 NonphysicalQinError -> converged; 107, 190 converged ->
+        # UnresolvedResonanceError. None of the seven is well-posed. The
+        # fits that converge under both searches move by at most 4.4e-9
+        # relative in f_r, 7.9e-6 in Q_l and |Q_e| and 3.4e-4 in Q_in.
         result = census(200)
         assert result.counts() == {"converged": 147,
-                                   "UnresolvedResonanceError": 44,
-                                   "NonphysicalQinError": 9}
+                                   "UnresolvedResonanceError": 49,
+                                   "NonphysicalQinError": 4}
         assert result.counts(well_posed_only=True) == {"converged": 27}
         # f_r, Q_l, |Q_e| and Q_in on the well-posed fits: calibrated.
         std = np.std(result.well_posed_pulls(), axis=0, ddof=1)
@@ -880,23 +898,23 @@ class TestFitNotch:
             self.probe_draw(203)
 
     @pytest.mark.parametrize("index, grid_points",
-                             [(75, 31), (300, 31), (288, 21), (783, 21)])
+                             [(92, 31), (288, 31), (345, 21), (783, 21)])
     def test_wide_range_singular_covariance_refused(self, monkeypatch, index,
                                                     grid_points):
-        # The refine ends at Q_l near 1, the solver's lower bound, where
-        # the normal matrix is singular to rounding and the inversion
-        # leaves the Q_l and |Q_e| variances negative. fitting.covariance
-        # reads them as undetermined, infinite. Clipped to zero they
-        # would read as exact fits: draws 75 and 300 would return
-        # unconverged with errors of 0, and with a 21-point delay grid
-        # draws 288 and 783 would converge with infinite pulls.
+        # The refine ends where the normal matrix is singular to rounding
+        # and the inversion leaves the Q_l and |Q_e| variances negative.
+        # fitting.covariance reads them as undetermined, infinite.
+        # Clipped to zero they would read as exact fits: draw 288, and
+        # with a 21-point delay grid draw 783, would converge with Q_l and
+        # |Q_e| errors of 0, and draws 92 and 345 would end as
+        # NonphysicalQinError.
         monkeypatch.setattr(ex, "DELAY_GRID_POINTS", grid_points)
         with pytest.raises(UnresolvedResonanceError,
                            match="relative error inf on Q_l"):
             self.probe_draw(index)
 
     def test_singular_to_rounding_variances_read_infinite(self, monkeypatch):
-        # Draw 75's seven-parameter normal matrix is singular to
+        # Draw 92's seven-parameter normal matrix is singular to
         # rounding: its inverse has negative Q_l and |Q_e| variances.
         # fitting.covariance reads them, as it reads a zero Jacobian
         # column, as undetermined: infinite, with the rest of their rows
@@ -907,7 +925,7 @@ class TestFitNotch:
             ex.fitting, "covariance",
             lambda *args: calls.append(args) or covariance(*args))
         with pytest.raises(UnresolvedResonanceError):
-            self.probe_draw(75)
+            self.probe_draw(92)
         (normal, *rest), = calls
         assert (np.linalg.inv(normal).diagonal()[1:3] < 0.0).all()
         cov = covariance(normal, *rest)
@@ -928,6 +946,23 @@ class TestFitNotch:
                 rk.fit_notch(trace)
             except ResokitError:
                 pass
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e150, 1e200, 1e300])
+    def test_extreme_scales_raise_only_resokit_errors(self, scale):
+        # The sums of fit_phase's system under- or overflow on these
+        # traces. The delay search, the phase seed and the fit each end
+        # in a result or a ResokitError: a system whose sums are not
+        # finite reads as singular, never reaching a numpy eigensolver.
+        _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9)
+        scaled = rk.Trace(trace.freqs_hz, scale * trace.s21)
+        for fit in (ex.estimate_delay, lambda t: ex.fit_phase(t, 30e-9),
+                    rk.fit_notch):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    fit(scaled)
+                except ResokitError:
+                    pass
 
     def test_coarse_quiet_grid_fits(self):
         # 11 points over 10 linewidths, one grid step per linewidth, at

@@ -57,6 +57,15 @@ class TestLinearWls:
         with pytest.raises(RankDeficiencyError):
             fitting.linear_wls(line([1.0]), [2.0])
 
+    def test_normal_matrix_singular_to_rounding(self):
+        # Three x 1.2e-6 apart near 912: the smallest singular value of
+        # the design is 1.2e-12 of the largest, above the bound, but its
+        # square is lost in X^T X, which the solve finds singular.
+        x = np.array([912.4295161119187, 912.4295173529637,
+                      912.4295185940086])
+        with pytest.raises(RankDeficiencyError):
+            fitting.linear_wls(line(x), 2.0 * x)
+
 
 class TestNonlinearLs:
     def test_linear_problem_matches_wls(self):
@@ -481,6 +490,19 @@ class TestCovariance:
         cov = fitting.covariance(design.T @ design, x.size, res.residual_norm,
                                  free=np.array([True, True, False]))
         assert np.array_equal(cov, np.diag([math.inf, math.inf, 0.0]))
+
+    def test_negative_variances_read_infinite(self):
+        # The Gram matrix of two unit columns that differ by rounding, with
+        # the off-diagonal rounded one ulp above 1: indefinite, so its
+        # inverse has variances of -2.3e15. Those two parameters read as
+        # undetermined, infinite, with zeros elsewhere in their rows and
+        # columns; the third keeps its variance 1/4, scaled by the
+        # reduced chi-square 3^2 / (10 - 3).
+        b = np.nextafter(1.0, 2.0)
+        normal = np.array([[1.0, b, 0.0], [b, 1.0, 0.0], [0.0, 0.0, 4.0]])
+        assert (np.linalg.inv(normal).diagonal()[:2] < 0.0).all()
+        cov = fitting.covariance(normal, 10, 3.0)
+        assert np.array_equal(cov, np.diag([math.inf, math.inf, 0.25 * 9 / 7]))
 
     def test_unseen_parameter_has_infinite_variance(self):
         # y = a + b x, and a third parameter the residual ignores: the
