@@ -3,15 +3,19 @@ Gauss-Newton solver.
 
 All model-specific fitters in the toolkit sit on these entry points.
 Each fitter that calls the solver (the notch refinement, the power-sweep
-fit and the area fit) states its residual, exact Jacobian and bounds in
-its own units; FitProblem.scale names the unit of each parameter, and
-the settings below hold in those units. The solver returns the minimum
-and why it stopped, with a per-run trace of accepted residual norms. It
-returns no covariance: each fitter applies `covariance` to its own
-Jacobian at its fitted params, the one rule for the covariance and for
-when a variance is undetermined (infinite). Its one stop rule is stated
-in nonlinear_ls; the constants below are its settings. No fitter calls numeric_jacobian:
-it is the reference that exact Jacobians are tested against.
+fit and the area fit) states its residual, bounds and normal equations
+(J^T J and J^T r of its exact Jacobian J) in its own units;
+FitProblem.scale names the unit of each parameter, and the settings
+below hold in those units. A fitter with a dense Jacobian hands it over
+through from_jacobian; the notch refinement forms its 3x3 system
+without one. The solver returns the minimum and why it stopped, with a
+per-run trace of accepted residual norms. It returns no covariance:
+each fitter applies `covariance` to its own normal matrix at its fitted
+params, the one rule for the covariance and for when a variance is
+undetermined (infinite). Its one stop rule is stated in nonlinear_ls;
+the constants below are its settings. No fitter calls
+numeric_jacobian: it is the reference that exact Jacobians are tested
+against.
 """
 
 import math
@@ -46,8 +50,11 @@ class FitProblem:
     """A residual function plus everything needed to minimize it.
 
     residual maps a parameter vector to a residual vector (data minus
-    model or any stacking thereof; a weighted fit scales its own rows),
-    and jacobian maps it to the exact (n, p) derivative of the residual.
+    model or any stacking thereof; a weighted fit scales its own rows).
+    normal_equations maps (params, residual at params) to the normal
+    equations (J^T J, J^T r) of the exact (n, p) derivative J of the
+    residual: a (p, p) and a (p,) array. from_jacobian builds it from a
+    dense Jacobian.
     bounds are (lo, hi) pairs per parameter, np.inf allowed; steps are
     projected back into the box, and lo == hi pins a parameter. scale is
     the unit of each parameter, a scalar or one positive value per
@@ -60,7 +67,8 @@ class FitProblem:
     residual: Callable[[np.ndarray], np.ndarray]
     initial_params: np.ndarray
     bounds: Sequence[tuple[float, float]]
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    normal_equations: Callable[[np.ndarray, np.ndarray],
+                               tuple[np.ndarray, np.ndarray]]
     scale: np.ndarray | float = 1.0
 
 
@@ -135,15 +143,13 @@ def linear_wls(design, y) -> FitResult:
                      residual_trace=(norm,))
 
 
-def _normal_matrix(J) -> np.ndarray:
-    """J^T J as a general product with a copy of J.
-
-    numpy hands J.T @ J to BLAS syrk because both operands share one
-    buffer. For tall, narrow Jacobians such as the notch refinement's
-    (8002, 3) OpenBLAS 0.3.31's syrk took 91 us on a 2-core Xeon, gemm
-    on a copy 34 us with the copy; the two agree to rounding.
-    """
-    return J.T @ np.array(J, order="K")
+def from_jacobian(jacobian):
+    """FitProblem.normal_equations of a dense Jacobian, params -> (n, p)
+    J: (J^T J, J^T r) at (params, residual r)."""
+    def normal_equations(params, residual):
+        J = jacobian(params)
+        return J.T @ J, J.T @ residual
+    return normal_equations
 
 
 def covariance(normal, rows, residual_norm=None, free=None) -> np.ndarray:
@@ -190,9 +196,10 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     """Damped Gauss-Newton descent on a FitProblem.
 
     The run iterates on x = params / problem.scale: the start point and
-    the bounds are divided by the unit once, the residual and Jacobian
-    are called at x * scale, and the unit enters only the p-sized
-    gradient and normal matrix, so every test below reads x. Accepted
+    the bounds are divided by the unit once, the residual and the normal
+    equations are called at x * scale, and the unit enters only the
+    p-sized gradient and normal matrix, so every test below reads x. No
+    array of the residual's length is touched but the residual. Accepted
     steps never increase the residual norm. A run converges by Moré's
     two tests (LNM 630, 1978): (a) at relaxed damping (lam <=
     DAMPING_INIT) the damped step predicts a decrease of at most
@@ -203,11 +210,12 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     max(|x|, 1): one at relaxed damping, or STALL_STEPS in a row, ends
     the run as "converged". It fails with "damping_overflow" when
     damping passes DAMPING_MAX before a step is accepted, or
-    "max_iterations". The Jacobian, problem.jacobian, is taken once at
-    the start of each iteration and never after the last one. A pinned
-    parameter (lo == hi) keeps its column, and the clip to the bounds
-    undoes its share of each step. params are returned in the caller's
-    units, with no covariance.
+    "max_iterations". The normal equations, problem.normal_equations,
+    are taken once at the start of each iteration, at the accepted point
+    and its residual, and never after the last one; a non-finite entry
+    raises ModelEvaluationError. A pinned parameter (lo == hi) keeps its
+    row and column, and the clip to the bounds undoes its share of each
+    step. params are returned in the caller's units, with no covariance.
     """
     # A pinned power sweep runs 200 iterations on 4 parameters, where a
     # numpy wrapper costs more than its arithmetic. So this function
@@ -230,12 +238,13 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
             raise ModelEvaluationError("model returned non-finite residuals")
         return r
 
-    # The derivative with respect to the caller's params.
-    def eval_jac(q):
-        jac = np.asarray(problem.jacobian(q * unit), dtype=float)
-        if not np.isfinite(jac).all():
-            raise ModelEvaluationError("jacobian returned non-finite values")
-        return jac
+    # The normal equations in the caller's params.
+    def eval_normal(q, r):
+        normal, gradient = problem.normal_equations(q * unit, r)
+        if not (np.isfinite(normal).all() and np.isfinite(gradient).all()):
+            raise ModelEvaluationError(
+                "normal equations returned non-finite values")
+        return normal, gradient
 
     r = eval_resid(x)
     norm = math.sqrt(r @ r)
@@ -246,11 +255,10 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     status = "max_iterations"
 
     while iterations < MAX_ITERATIONS:
-        J = eval_jac(x)
+        normal, gradient = eval_normal(x, r)
         # The negative gradient in x: the right-hand side of each solve.
-        descent = (J.T @ r) * -unit
-        normal = _normal_matrix(J)
-        normal *= outer
+        descent = gradient * -unit
+        normal = normal * outer
         normal_diag = normal.diagonal()
         diag = normal_diag.copy()
         # Flat directions (zero diagonal) have zero gradient; give them

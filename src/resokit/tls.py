@@ -231,7 +231,7 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
         bounds=[(0.0, math.inf), (max(1e-3, 1e-6 * ns[0]), 1e6 * ns[-1]),
                 (lo_beta, hi_beta), (0.0, math.inf)],
         scale=np.array([unit, 1.0, 1.0, unit]),
-        jacobian=jac,
+        normal_equations=fitting.from_jacobian(jac),
     )
     res = fitting.nonlinear_ls(problem)
     params = TlsFitParams(*map(float, res.params))

@@ -27,8 +27,8 @@ def draw_notch_params(rng, q_in_range=(1e3, 1e5), q_e_range=(6e3, 9e3),
 
 
 def central_differences(residual, scale=1.0):
-    """A FitProblem jacobian by fitting.numeric_jacobian, stepped in
-    units of scale: max(|p / scale|, 1) * JACOBIAN_STEP_REL of them."""
+    """A Jacobian p -> J by fitting.numeric_jacobian, stepped in units
+    of scale: max(|p / scale|, 1) * JACOBIAN_STEP_REL of them."""
     unit = np.asarray(scale, dtype=float)
     return lambda p: fitting.numeric_jacobian(
         lambda x: residual(x * unit), p / unit) / unit
@@ -38,8 +38,8 @@ def drop_exact_jacobians(monkeypatch):
     """Make every nonlinear_ls call differentiate by central differences."""
     solve = fitting.nonlinear_ls
     monkeypatch.setattr(fitting, "nonlinear_ls", lambda problem: solve(
-        dataclasses.replace(problem, jacobian=central_differences(
-            problem.residual, problem.scale))))
+        dataclasses.replace(problem, normal_equations=fitting.from_jacobian(
+            central_differences(problem.residual, problem.scale)))))
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import itertools
 import math
@@ -5,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -620,32 +621,38 @@ class TestFitNotch:
         assert len(problem.bounds) == 3
         assert events == ["solve", "map"]
 
-    def test_refine_jacobian_gives_exact_gradient(self, monkeypatch):
-        # Kaufman's Jacobian drops a term that vanishes against the
-        # projected residual: off the optimum J^T r is still the exact
-        # gradient of |r|^2 / 2, and at a noiseless optimum, where r = 0,
-        # J is the residual's derivative.
+    def test_refine_normal_equations_match_numeric_jacobian(
+            self, monkeypatch):
+        # The refine hands the solver J^T J and J^T r of Kaufman's
+        # Jacobian, formed without J. Kaufman's Jacobian drops a term
+        # that vanishes against the projected residual: at the seed J^T r
+        # is still the exact gradient of |r|^2 / 2, and at a noiseless
+        # optimum, where r = 0, J^T J is that of the residual's
+        # derivative (at the seed it is 8e-5 off). The gradient agrees to
+        # 4e-9 relative and the normal matrix to 3e-9 of its
+        # Cauchy-Schwarz bound sqrt(N_jj N_kk).
+        steps = [1e-2, 1.0, 1e-8]
         p, noisy = notch_trace(noise=0.003, seed=4, cable_delay=30e-9,
                                mismatch_phi=0.2, env_gain=0.8, env_phase=1.0)
         problem = self.refine_problem(monkeypatch, noisy)
-        x = problem.initial_params * (1.0 + np.array([1e-7, 1e-3, 1e-3]))
-        cost = lambda q: 0.5 * float(problem.residual(q)
-                                     @ problem.residual(q))
-        grad = problem.jacobian(x).T @ problem.residual(x)
-        step = np.abs(x) * 1e-7
-        numeric = [(cost(x + h) - cost(x - h)) / (2.0 * h[k])
-                   for k, h in enumerate(np.diag(step))]
-        assert np.allclose(grad, numeric, rtol=1e-4, atol=0.0)
+        x = problem.initial_params
+        numeric = rk.numeric_jacobian(problem.residual, x, steps)
+        r = problem.residual(x).copy()
+        _, gradient = problem.normal_equations(x, r)
+        expected = numeric.T @ r
+        assert np.all(np.abs(gradient - expected) <= 1e-7 * np.abs(expected))
 
         _, clean = notch_trace(cable_delay=30e-9, mismatch_phi=0.2,
                                env_gain=0.8, env_phase=1.0)
         problem = self.refine_problem(monkeypatch, clean)
         x = np.array([p.f_r, p.q_loaded, p.cable_delay])
-        jac = problem.jacobian(x).copy()
-        assert np.abs(problem.residual(x)).max() < 1e-12
-        numeric = rk.numeric_jacobian(problem.residual, x, [1e-2, 1.0, 1e-8])
-        scale = np.abs(jac).max(axis=0)
-        assert (np.abs(jac - numeric).max(axis=0) / scale < 1e-6).all()
+        r = problem.residual(x).copy()
+        assert np.abs(r).max() < 1e-12
+        normal, _ = problem.normal_equations(x, r)
+        numeric = rk.numeric_jacobian(problem.residual, x, steps)
+        expected = numeric.T @ numeric
+        bound = np.sqrt(np.outer(expected.diagonal(), expected.diagonal()))
+        assert np.all(np.abs(normal - expected) <= 1e-7 * bound)
 
     def test_uncertainties_match_full_jacobian(self):
         # The reported errors are the first-order errors of the seven
@@ -898,15 +905,15 @@ class TestFitNotch:
             self.probe_draw(203)
 
     @pytest.mark.parametrize("index, grid_points",
-                             [(92, 31), (288, 31), (345, 21), (783, 21)])
+                             [(75, 31), (523, 31), (524, 21), (669, 21)])
     def test_wide_range_singular_covariance_refused(self, monkeypatch, index,
                                                     grid_points):
         # The refine ends where the normal matrix is singular to rounding
         # and the inversion leaves the Q_l and |Q_e| variances negative.
         # fitting.covariance reads them as undetermined, infinite.
-        # Clipped to zero they would read as exact fits: draw 288, and
-        # with a 21-point delay grid draw 783, would converge with Q_l and
-        # |Q_e| errors of 0, and draws 92 and 345 would end as
+        # Clipped to zero they would read as exact fits: draw 75 would
+        # end unconverged with Q_l and |Q_e| errors of 0, and draw 523,
+        # and with a 21-point delay grid draws 524 and 669, would end as
         # NonphysicalQinError.
         monkeypatch.setattr(ex, "DELAY_GRID_POINTS", grid_points)
         with pytest.raises(UnresolvedResonanceError,
@@ -914,7 +921,7 @@ class TestFitNotch:
             self.probe_draw(index)
 
     def test_singular_to_rounding_variances_read_infinite(self, monkeypatch):
-        # Draw 92's seven-parameter normal matrix is singular to
+        # Draw 75's seven-parameter normal matrix is singular to
         # rounding: its inverse has negative Q_l and |Q_e| variances.
         # fitting.covariance reads them, as it reads a zero Jacobian
         # column, as undetermined: infinite, with the rest of their rows
@@ -925,7 +932,7 @@ class TestFitNotch:
             ex.fitting, "covariance",
             lambda *args: calls.append(args) or covariance(*args))
         with pytest.raises(UnresolvedResonanceError):
-            self.probe_draw(92)
+            self.probe_draw(75)
         (normal, *rest), = calls
         assert (np.linalg.inv(normal).diagonal()[1:3] < 0.0).all()
         cov = covariance(normal, *rest)
@@ -963,6 +970,37 @@ class TestFitNotch:
                     fit(scaled)
                 except ResokitError:
                     pass
+
+    @given(decades=st.floats(-300.0, 300.0),
+           angle=st.floats(-math.pi, math.pi))
+    @example(decades=-300.0, angle=-math.pi)
+    @example(decades=300.0, angle=2.0)
+    @settings(max_examples=30, deadline=None)
+    def test_fit_is_free_of_the_trace_amplitude(self, decades, angle):
+        # The model is linear in the complex gain: c e^(i a) times a
+        # trace fits to the same f_r, Q's, errors and delay for any |c|
+        # from 1e-300 to 1e300, with the gain scaled by |c|, the
+        # environment phase moved by a, and no warning.
+        _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9,
+                               mismatch_phi=0.2, env_phase=1.0)
+        factor = 10.0 ** decades * cmath.exp(1j * angle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = rk.fit_notch(trace)
+            out = rk.fit_notch(rk.Trace(trace.freqs_hz, factor * trace.s21))
+        assert out.converged == base.converged
+        for name in ("f_r", "q_loaded", "q_ext_mag", "mismatch_phi"):
+            assert getattr(out.params, name) == pytest.approx(
+                getattr(base.params, name), rel=1e-9)
+        for name, error in base.uncertainties.items():
+            assert out.uncertainties[name] == pytest.approx(error, rel=1e-9)
+        assert out.q_internal == pytest.approx(base.q_internal, rel=1e-9)
+        assert out.params.env_gain == pytest.approx(
+            10.0 ** decades * base.params.env_gain, rel=1e-9)
+        shift = out.params.env_phase - base.params.env_phase - angle
+        assert abs(math.remainder(shift, TWO_PI)) < 1e-9
+        assert out.params.cable_delay == pytest.approx(
+            base.params.cable_delay, rel=1e-9)
 
     def test_coarse_quiet_grid_fits(self):
         # 11 points over 10 linewidths, one grid step per linewidth, at

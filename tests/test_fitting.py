@@ -76,7 +76,7 @@ class TestNonlinearLs:
         problem = fitting.FitProblem(
             residual=lambda p: (p[0] + p[1] * x) - y,
             initial_params=np.array([0.0, 0.0]), bounds=[UNBOUNDED] * 2,
-            jacobian=lambda p: line(x))
+            normal_equations=fitting.from_jacobian(lambda p: line(x)))
         res = fitting.nonlinear_ls(problem)
         assert res.converged
         assert np.allclose(res.params, wls.params, rtol=1e-9, atol=1e-9)
@@ -92,7 +92,8 @@ class TestNonlinearLs:
         resid, jac = decay(x, y)
         problem = fitting.FitProblem(
             residual=resid, initial_params=np.array([1.0, 1.0]),
-            bounds=[(1e-6, math.inf), (1e-6, math.inf)], jacobian=jac)
+            bounds=[(1e-6, math.inf), (1e-6, math.inf)],
+            normal_equations=fitting.from_jacobian(jac))
         res = fitting.nonlinear_ls(problem)
         assert res.converged
         assert abs(res.params[0] / 3.0 - 1.0) < 0.03
@@ -122,7 +123,8 @@ class TestNonlinearLs:
                 residual=resid, initial_params=np.array([1.0, 1.0]) * unit,
                 bounds=[(1.5 * unit[0], 10.0 * unit[0]), (1e-6, math.inf)],
                 scale=unit,
-                jacobian=jac if exact else central_differences(resid, unit)))
+                normal_equations=fitting.from_jacobian(
+                    jac if exact else central_differences(resid, unit))))
 
         unit = np.array([2.0 ** -50, 1.0])
         for exact in (False, True):
@@ -139,13 +141,14 @@ class TestNonlinearLs:
                 fitting.nonlinear_ls(fitting.FitProblem(
                     residual=lambda p: p - 1.0,
                     initial_params=np.array([3.0]), bounds=[UNBOUNDED],
-                    jacobian=lambda p: np.ones((1, 1)), scale=bad))
+                    normal_equations=fitting.from_jacobian(
+                        lambda p: np.ones((1, 1))), scale=bad))
 
     def test_plateau_zero_gradient_is_stationary(self):
         problem = fitting.FitProblem(
             residual=lambda p: np.array([1.0, -1.0, 2.0]),
             initial_params=np.array([0.5, 0.5]), bounds=[UNBOUNDED] * 2,
-            jacobian=lambda p: np.zeros((3, 2)))
+            normal_equations=fitting.from_jacobian(lambda p: np.zeros((3, 2))))
         res = fitting.nonlinear_ls(problem)
         assert res.converged
         assert res.status == "stationary_point"
@@ -155,7 +158,7 @@ class TestNonlinearLs:
         problem = fitting.FitProblem(
             residual=lambda p: np.array([np.nan]),
             initial_params=np.array([1.0]), bounds=[UNBOUNDED],
-            jacobian=lambda p: np.ones((1, 1)))
+            normal_equations=fitting.from_jacobian(lambda p: np.ones((1, 1))))
         with pytest.raises(ModelEvaluationError):
             fitting.nonlinear_ls(problem)
 
@@ -167,7 +170,8 @@ class TestNonlinearLs:
         resid, jac = decay(x, y)
         problem = fitting.FitProblem(
             residual=resid, initial_params=np.array([0.1, 5.0]),
-            bounds=[UNBOUNDED] * 2, jacobian=jac)
+            bounds=[UNBOUNDED] * 2,
+            normal_equations=fitting.from_jacobian(jac))
         res = fitting.nonlinear_ls(problem)
         assert not res.converged
         assert res.status == "max_iterations"
@@ -179,7 +183,8 @@ class TestNonlinearLs:
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=lambda p: np.array([1e6 * (p[0] - 1.0), 1e-3]),
             initial_params=np.array([1.0 + 1e-11]), bounds=[UNBOUNDED],
-            jacobian=lambda p: np.array([[1e6], [0.0]])))
+            normal_equations=fitting.from_jacobian(
+                lambda p: np.array([[1e6], [0.0]]))))
         assert res.status == "converged"
         assert res.iterations == 1
         assert res.residual_trace[1] < res.residual_trace[0] * (1 - 1e-5)
@@ -196,7 +201,7 @@ class TestNonlinearLs:
 
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=resid, initial_params=start, bounds=[UNBOUNDED] * 2,
-            jacobian=lambda p: np.eye(2)))
+            normal_equations=fitting.from_jacobian(lambda p: np.eye(2))))
         assert res.status == "damping_overflow"
         assert not res.converged
         assert res.iterations == 0
@@ -218,7 +223,7 @@ class TestNonlinearLs:
         problem = fitting.FitProblem(
             residual=resid, initial_params=np.array([1.0, 1.0]),
             bounds=[(1e-6, math.inf), (1e-6, math.inf)],
-            jacobian=central_differences(resid))
+            normal_equations=fitting.from_jacobian(central_differences(resid)))
         res = fitting.nonlinear_ls(problem)
         assert res.converged
         assert res.status == "converged"
@@ -229,7 +234,8 @@ class TestNonlinearLs:
         resid, jac = decay(x, y)
         exact = fitting.nonlinear_ls(fitting.FitProblem(
             residual=resid, initial_params=np.array([1.0, 1.0]),
-            bounds=[(1e-6, math.inf), (1e-6, math.inf)], jacobian=jac))
+            bounds=[(1e-6, math.inf), (1e-6, math.inf)],
+            normal_equations=fitting.from_jacobian(jac)))
         assert np.allclose(res.params, exact.params, rtol=1e-4)
 
     def test_floor_steps_stop_at_any_damping(self):
@@ -266,7 +272,7 @@ class TestNonlinearLs:
         scale = np.array([2e-2, 1.0, 1.0, 1.0, 1.0, 1.0, 2e-8])
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=resid, initial_params=start, bounds=[UNBOUNDED] * 7,
-            jacobian=jac))
+            normal_equations=fitting.from_jacobian(jac)))
         assert res.converged
         assert res.status == "converged"
         assert res.iterations < fitting.MAX_ITERATIONS // 4
@@ -297,19 +303,39 @@ class TestNonlinearLs:
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=lambda p: p[0] * np.exp(-x / p[1]) - y,
             initial_params=np.array([1.0, 1.0]), bounds=[UNBOUNDED] * 2,
-            jacobian=jac))
+            normal_equations=fitting.from_jacobian(jac)))
         assert res.converged and res.residual_trace[-1] == res.residual_norm
         assert len(visited) == res.iterations + 1
         assert np.array_equal(visited[-1], res.params)
 
     def test_non_finite_jacobian_raises(self):
+        # A non-finite entry in the normal matrix or in the gradient ends
+        # the run before any step is taken.
         for bad in (np.nan, np.inf, -np.inf):
-            problem = fitting.FitProblem(
-                residual=lambda p: p - 1.0, initial_params=np.array([3.0]),
-                bounds=[UNBOUNDED],
-                jacobian=lambda p, bad=bad: np.array([[bad]]))
-            with pytest.raises(ModelEvaluationError):
-                fitting.nonlinear_ls(problem)
+            for normal, gradient in ((np.array([[bad]]), np.zeros(1)),
+                                     (np.eye(1), np.array([bad]))):
+                problem = fitting.FitProblem(
+                    residual=lambda p: p - 1.0,
+                    initial_params=np.array([3.0]), bounds=[UNBOUNDED],
+                    normal_equations=lambda p, r, n=normal, g=gradient:
+                        (n, g))
+                with pytest.raises(ModelEvaluationError,
+                                   match="normal equations"):
+                    fitting.nonlinear_ls(problem)
+
+    def test_from_jacobian_is_the_dense_product(self):
+        # The adapter hands the solver J^T J and J^T r of the dense
+        # Jacobian, bit for bit, at the params and residual it is given.
+        rng = np.random.default_rng(3)
+        x = np.linspace(0.0, 2.0, 15)
+        resid, jac = decay(x, 3.0 * np.exp(-x / 0.7)
+                           + 0.01 * rng.standard_normal(15))
+        normal_equations = fitting.from_jacobian(jac)
+        for p in (np.array([1.0, 1.0]), np.array([2.9, 0.71])):
+            J, r = jac(p), resid(p)
+            normal, gradient = normal_equations(p, r)
+            assert np.array_equal(normal, J.T @ J)
+            assert np.array_equal(gradient, J.T @ r)
 
     def test_non_finite_trial_residual_is_rejected(self):
         # sqrt(p) - 2 is NaN for p < 0, where the undamped Gauss-Newton
@@ -326,7 +352,8 @@ class TestNonlinearLs:
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=resid, initial_params=np.array([30.0]),
             bounds=[UNBOUNDED],
-            jacobian=lambda p: np.array([[0.5 / np.sqrt(p[0])]])))
+            normal_equations=fitting.from_jacobian(
+                lambda p: np.array([[0.5 / np.sqrt(p[0])]]))))
         assert len(outside) >= 1
         assert res.converged
         assert res.params[0] == pytest.approx(4.0, rel=1e-10)
@@ -340,7 +367,8 @@ class TestNonlinearLs:
         resid, jac = decay(x, y)
         problem = fitting.FitProblem(
             residual=resid, initial_params=np.array([1.0, 2.0]),
-            bounds=[(1e-6, math.inf), (1e-6, math.inf)], jacobian=jac)
+            bounds=[(1e-6, math.inf), (1e-6, math.inf)],
+            normal_equations=fitting.from_jacobian(jac))
         res = fitting.nonlinear_ls(problem)
         trace = np.array(res.residual_trace)
         assert np.all(np.diff(trace) <= 0.0)
@@ -354,7 +382,8 @@ class TestNonlinearLs:
             resid, jac = decay(x * scale, y)
             problem = fitting.FitProblem(
                 residual=resid, initial_params=np.array([1.0, scale]),
-                bounds=[(1e-9, math.inf), (1e-9, math.inf)], jacobian=jac)
+                bounds=[(1e-9, math.inf), (1e-9, math.inf)],
+                normal_equations=fitting.from_jacobian(jac))
             res = fitting.nonlinear_ls(problem)
             return res.params[0], res.params[1] / scale
 
@@ -404,7 +433,7 @@ class TestCovariance:
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=lambda p: (p[0] * x - y) / 0.05,
             initial_params=np.array([1.0]), bounds=[UNBOUNDED],
-            jacobian=lambda p: rows))
+            normal_equations=fitting.from_jacobian(lambda p: rows)))
         cov = fitting.covariance(rows.T @ rows, x.size)
         expected = 0.05 / math.sqrt(float(np.sum(x * x)))
         assert res.converged
@@ -432,7 +461,7 @@ class TestCovariance:
             return fitting.nonlinear_ls(fitting.FitProblem(
                 residual=resid, initial_params=np.array([1.0, 1.0]),
                 bounds=[(1e-6, math.inf), (1e-6, math.inf)],
-                jacobian=jacobian))
+                normal_equations=fitting.from_jacobian(jacobian)))
 
         numeric, exact = fit(central_differences(resid)), fit(jac)
         assert numeric.converged and exact.converged
@@ -457,7 +486,7 @@ class TestCovariance:
             residual=lambda p: p[0] + p[1] * x - y,
             initial_params=np.array([0.0, 2.0]),
             bounds=[(-math.inf, math.inf), (2.0, 2.0)],
-            jacobian=lambda p: line(x)))
+            normal_equations=fitting.from_jacobian(lambda p: line(x))))
         assert res.params[1] == 2.0
         free = np.array([True, False])
 
@@ -485,7 +514,7 @@ class TestCovariance:
             residual=lambda p: design @ p - y,
             initial_params=np.array([0.0, 0.0, 0.5]),
             bounds=[(-math.inf, math.inf)] * 2 + [(0.5, 0.5)],
-            jacobian=lambda p: design))
+            normal_equations=fitting.from_jacobian(lambda p: design)))
         assert res.converged
         cov = fitting.covariance(design.T @ design, x.size, res.residual_norm,
                                  free=np.array([True, True, False]))
@@ -517,7 +546,7 @@ class TestCovariance:
         res = fitting.nonlinear_ls(fitting.FitProblem(
             residual=lambda p: rows @ p - y / sigma,
             initial_params=np.array([0.0, 0.0, 0.3]), bounds=[UNBOUNDED] * 3,
-            jacobian=lambda p: rows))
+            normal_equations=fitting.from_jacobian(lambda p: rows)))
         assert res.converged and res.params[2] == 0.3
         cov = fitting.covariance(rows.T @ rows, x.size)
         assert cov[2, 2] == math.inf
