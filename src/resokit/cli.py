@@ -79,7 +79,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("simulate", parents=[common],
                        help="emit a synthetic notch trace")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fr-ghz", type=float, default=7.3)
     p.add_argument("--q-in", type=float, default=4.5e3)
     p.add_argument("--q-ext", type=float, default=9e3)
@@ -188,7 +188,7 @@ def _cmd_simulate(args) -> int:
     grid = notch.linewidth_grid(params, args.span_linewidths, args.points)
     power = dbm_to_watt(args.power_dbm) if args.power_dbm is not None else None
     trace = notch.synthesize_trace(params, grid, noise_sigma=args.noise,
-                                   seed=args.seed or 0, applied_power_w=power,
+                                   seed=args.seed, applied_power_w=power,
                                    metadata={"label": args.label})
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)

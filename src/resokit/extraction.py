@@ -10,11 +10,12 @@ model is linear in the off-resonant point and the resonant amplitude,
 which give the gain, environment phase, |Q_e| and phi. A refined fit
 whose Q_l or |Q_e| has a relative standard error over
 MAX_RELATIVE_ERROR raises UnresolvedResonanceError: the fit's own error
-bars are the one test of whether the trace resolves a resonance.
+bars are the one test of whether the trace resolves a resonance. Each
+stage reads the samples scaled by a power of two to [1/2, 1), so 2^k
+times a trace fits to the same bits, with the gain scaled by 2^k.
 """
 
 import cmath
-import copy
 import math
 from dataclasses import dataclass, fields
 
@@ -166,6 +167,7 @@ def estimate_delay(trace: Trace) -> float:
         keep = np.round(np.linspace(0, freqs.size - 1, DELAY_POINTS))
         keep = keep.astype(np.intp)
         freqs, z = freqs[keep], z[keep]
+    z, _ = _scaled_to_unit(z)
     tau0 = -float(np.angle(z[1:] * z[:-1].conj()).sum()) \
         / (TWO_PI * (freqs[-1] - freqs[0]))
     taus, residual, _, leftover = _delay_grid(freqs, z, tau0)
@@ -173,6 +175,15 @@ def estimate_delay(trace: Trace) -> float:
         return tau0
     best = int(np.argmin(residual))
     return float(taus[best] + leftover[best])
+
+
+def _scaled_to_unit(z):
+    """(z 2^-k, k) with the largest real or imaginary part of z 2^-k in
+    [1/2, 1): an exact scaling, after which no sum of the samples that
+    a fit forms under- or overflows."""
+    parts = np.ascontiguousarray(z).view(float)
+    k = math.frexp(max(parts.max(), -parts.min()))[1]
+    return np.ldexp(parts, -k).view(complex), k
 
 
 def _delay_phasor(freqs, tau) -> np.ndarray:
@@ -212,13 +223,15 @@ def _phase_system(freqs, z, taus):
     With s = z e^(2 pi i (f - f_mid) tau) and x = (f - f_mid) / span,
     the columns (x, 1, s, s x^2) are fitted against s x. The residual is
     the least-squares one, |s x|^2 - rhs^H solution; the pole (Hz) and
-    the leftover delay (s) are fit_phase's. A system is singular when
-    its normal matrix is not finite or, with its diagonal scaled to 1,
-    has a smallest eigenvalue of at most 1e-12; then its residual is inf
-    and its pole and leftover NaN. Dependent columns leave the LU a
-    rounding-sized pivot, not a zero one, hence the eigenvalue: 1e-16
-    for a straight locus, at least 1.5e-10 at fit_phase's delay on the
-    census draws of seeds 5-8 and 5.7e-4 on the acceptance-05 traces.
+    the leftover delay (s) are fit_phase's. The rank test and the solve
+    read one matrix, the normal matrix with its diagonal scaled to 1,
+    which a power of two on z leaves as it is. A system is singular when
+    it is not finite (a zero column) or its smallest eigenvalue is at
+    most 1e-12; then its residual is inf and its pole and leftover NaN.
+    Dependent columns leave the LU a rounding-sized pivot, not a zero
+    one, hence the eigenvalue: 1e-16 for a straight locus, at least
+    1.5e-10 at fit_phase's delay on the census draws of seeds 5-8 and
+    5.7e-4 on the acceptance-05 traces.
     """
     span = freqs[-1] - freqs[0]
     f_mid = freqs[freqs.size // 2]
@@ -260,7 +273,7 @@ def _phase_system(freqs, z, taus):
     solved = np.isfinite(scaled).all(axis=(1, 2))
     solved[solved] = np.linalg.eigvalsh(scaled[solved])[:, 0] > 1e-12
     b = rhs[solved]
-    sol = np.linalg.solve(normal[solved], b[..., None])[..., 0]
+    sol = unit * np.linalg.solve(scaled[solved], (unit * b)[..., None])[..., 0]
     c1, b1 = sol[:, 2], sol[:, 3]
     # The root of b' c' gamma^2 - gamma + 1 near 1, without the
     # cancellation of the textbook form.
@@ -290,17 +303,18 @@ def fit_phase(trace: Trace, delay: float) -> PhaseFit:
     gives a', d', c' and b'; gamma is the root of b' c' gamma^2 - gamma
     + 1 = 0 near 1. The pole f_mid + span c has f_r as its real part and
     f_r / (2 Q_l) as the magnitude of its imaginary part, and
-    residual_delay is beta / (2 pi span). Raises FitInstabilityError
-    when the system is singular (a straight locus, a point, or sums that
-    are not finite) or when the solve finds no resonance; whether the
-    trace resolves a resonance at all is the refinement's question
-    (fit_notch).
+    residual_delay is beta / (2 pi span), all read from the samples
+    scaled by a power of two to [1/2, 1). Raises FitInstabilityError
+    when the system is singular (a straight locus, a point, or zero
+    samples) or when the solve finds no resonance; whether the trace
+    resolves a resonance at all is the refinement's question (fit_notch).
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
             f"phase fit needs at least {MIN_TRACE_POINTS} points")
     residual, pole, leftover = _phase_system(
-        trace.freqs_hz, trace.s21, np.array([delay], dtype=float))
+        trace.freqs_hz, _scaled_to_unit(trace.s21)[0],
+        np.array([delay], dtype=float))
     if not residual[0] < math.inf:
         raise FitInstabilityError("phase seed system is singular")
     pole, leftover = complex(pole[0]), float(leftover[0])
@@ -357,9 +371,10 @@ def _times_power_of_two(x: complex, k: int) -> complex:
     return x * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
 
 
-def _refine_notch(trace: Trace, seed: PhaseFit, delay: float,
-                  exponent: int) -> NotchFitResult:
-    freqs, z = trace.freqs_hz, trace.s21
+def _refine_notch(trace: Trace, seed: PhaseFit,
+                  delay: float) -> NotchFitResult:
+    freqs = trace.freqs_hz
+    z, exponent = _scaled_to_unit(trace.s21)
     span = freqs[-1] - freqs[0]
     f_mid = float(freqs[freqs.size // 2])
     n = float(freqs.size)
@@ -460,10 +475,11 @@ def _refine_notch(trace: Trace, seed: PhaseFit, delay: float,
     # The covariance of all seven parameters from the full model's
     # Jacobian at the optimum, with the environment phase referenced to
     # the band center (alpha_c = alpha - 2 pi f_mid tau): the tau
-    # column's lever arm is 2 pi (f_mid - f) instead of -2 pi f. Taken
-    # divided by rot, like the refinement's (J^T J is unchanged), each
-    # column is a complex multiple m_j of one of five vectors: f v^2 for
-    # f_r, v^2 for Q_l, v for |Q_e| and phi, 1 - kappa v for the gain and
+    # column's lever arm is 2 pi (f_mid - f) instead of -2 pi f, and the
+    # gain's is that of ln g, so every column carries the trace's unit.
+    # Taken divided by rot, like the refinement's (J^T J is unchanged),
+    # each column is a complex multiple m_j of one of five vectors: f v^2
+    # for f_r, v^2 for Q_l, v for |Q_e| and phi, 1 - kappa v for ln g and
     # alpha_c, and (1 - kappa v) 2 pi (f_mid - f) for tau, with kappa =
     # -c/a the unit-gain dip per v. Entry (j, k) of the normal matrix is
     # then Re(conj(m_j) m_k G), G the vectors' complex inner product: its
@@ -483,7 +499,7 @@ def _refine_notch(trace: Trace, seed: PhaseFit, delay: float,
             gram[k, j] = gram[j, k].conjugate()
     pick = [0, 1, 2, 2, 3, 3, 4]
     mult = np.array([2j * q_l * c / f_r ** 2, c / q_l, -c / q_e, 1j * c,
-                     a / gain, 1j * a, 1j * a])
+                     a, 1j * a, 1j * a])
     normal = (mult.conj()[:, None] * gram[np.ix_(pick, pick)] * mult).real
     cov = fitting.covariance(normal, 2 * freqs.size, res.residual_norm)
     stderr = np.sqrt(cov.diagonal())
@@ -494,8 +510,7 @@ def _refine_notch(trace: Trace, seed: PhaseFit, delay: float,
         raise UnresolvedResonanceError(
             f"unresolved resonance: relative error {rel_q_l:.3g} on Q_l and "
             f"{rel_q_e:.3g} on |Q_e|; the bound is {MAX_RELATIVE_ERROR:.3g}")
-    # The amplitudes in the units of the trace that fit_notch scaled by
-    # 2^-exponent.
+    # a and b back in the units of the trace.
     params = extract_qfactors(
         f_r, q_l, tau, _times_power_of_two(complex(a), exponent),
         _times_power_of_two(complex(-c), exponent), f_mid)
@@ -529,34 +544,17 @@ def fit_notch(trace: Trace) -> NotchFitResult:
     UnresolvedResonanceError, converged or not, and before
     extract_qfactors maps the linear amplitudes to NotchParams, so a
     trace of noise alone reads as unresolved, not as nonphysical. The
-    trace's amplitude does not matter: c e^(i a) times a trace fits to
-    the same f_r and Q's, with the gain scaled by |c| and the
+    trace's amplitude does not matter: 2^k times a trace fits to the
+    same bits, with the gain scaled by 2^k, and c e^(i a) times a trace
+    to the same f_r and Q's, with the gain scaled by |c| and the
     environment phase moved by a.
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
             f"notch fit needs at least {MIN_TRACE_POINTS} points")
-    # The model is linear in the gain, and a power of two scales every
-    # sample exactly, so the fit is the same bit for bit on a trace and
-    # on its multiple by 2^k unless some sum under- or overflows. A trace
-    # whose largest real or imaginary part lies outside 2^+-64 is fitted
-    # scaled by 2^-k to [1/2, 1), and the refinement scales the
-    # amplitudes back; within it every sum stays far from the limits.
-    # Scaling every trace would cost 3 % of the acceptance-05 fit, where
-    # the check costs 0.5 % (in-process, interleaved, 2-core Xeon). The
-    # samples were checked when the trace was built, so the scaled copy
-    # is not checked again.
-    parts = np.ascontiguousarray(trace.s21).view(float)
-    k = math.frexp(max(parts.max(), -parts.min()))[1]
-    scaled = trace
-    if abs(k) > 64:
-        scaled = copy.copy(trace)
-        scaled.s21 = np.ldexp(parts, -k).view(complex)
-    else:
-        k = 0
-    tau = estimate_delay(scaled)
-    phase = fit_phase(scaled, tau)
-    return _refine_notch(scaled, phase, tau + phase.residual_delay, k)
+    tau = estimate_delay(trace)
+    phase = fit_phase(trace, tau)
+    return _refine_notch(trace, phase, tau + phase.residual_delay)
 
 
 @dataclass(frozen=True)

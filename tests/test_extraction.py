@@ -25,6 +25,15 @@ from resokit.notch import s21_model
 from resokit.refdata import INDUCTANCE_GEOMETRIC, REFERENCE_RESONATORS
 
 
+def acceptance_stream():
+    """The 200 traces of acceptance test 05, in order."""
+    rng = np.random.default_rng(12345)
+    for seed in range(200):
+        p, _ = draw_notch_params(rng)
+        yield rk.synthesize_trace(p, rk.linewidth_grid(p, 5.0, 4001),
+                                  noise_sigma=0.003, seed=seed)
+
+
 def notch_trace(noise=0.0, seed=0, span=10.0, points=1001, **overrides):
     base = dict(f_r=7.3e9, q_loaded=3000.0, q_ext_mag=9000.0)
     base.update(overrides)
@@ -196,7 +205,8 @@ class TestEstimateDelay:
     def test_search_reads_at_most_delay_points(self, monkeypatch, points):
         # Longer traces are thinned to DELAY_POINTS evenly spread samples
         # with both ends kept, so the span and the grid window stay put;
-        # shorter ones are read whole.
+        # shorter ones are read whole. The search reads them scaled by a
+        # power of two, exactly.
         seen = []
         real = ex._delay_grid
 
@@ -214,7 +224,10 @@ class TestEstimateDelay:
         assert freqs[0] == f[0] and freqs[-1] == f[-1]
         kept = np.searchsorted(f, freqs)
         assert np.array_equal(f[kept], freqs)
-        assert np.array_equal(trace.s21[kept], z)
+        _, exponent = math.frexp(np.abs(z.view(float)).max()
+                                 / np.abs(trace.s21[kept].view(float)).max())
+        assert np.array_equal(
+            np.ldexp(trace.s21[kept].view(float), exponent - 1), z.view(float))
         stride = (points - 1) / (freqs.size - 1)
         assert set(np.diff(kept)) <= {math.floor(stride), math.ceil(stride)}
 
@@ -679,7 +692,9 @@ class TestFitNotch:
         # phase referenced to the middle sample as in the refine. Entries
         # that vanish by symmetry (the gain against the phase, |Q_e|
         # against phi) are rounding on both sides, so each entry is held
-        # to its Cauchy-Schwarz bound sqrt(N_jj N_kk).
+        # to its Cauchy-Schwarz bound sqrt(N_jj N_kk). The refine reads
+        # the samples scaled by 2^-k to [1/2, 1), and its gain column is
+        # the one of ln g: the oracle's columns are scaled to match.
         normals = []
         real = ex.fitting.covariance
 
@@ -693,6 +708,9 @@ class TestFitNotch:
         f, fit = trace.freqs_hz, res.params
         jac = oracles.notch_s21_gradient_band_centred(
             f, dataclasses.astuple(fit), f[f.size // 2])
+        jac[:, 4] *= fit.env_gain
+        _, exponent = math.frexp(np.abs(trace.s21.view(float)).max())
+        jac = np.ldexp(jac, -exponent)
         expected = jac.T @ jac
         bound = np.sqrt(np.outer(expected.diagonal(), expected.diagonal()))
         assert np.all(np.abs(normal - expected) <= 1e-9 * bound)
@@ -905,14 +923,14 @@ class TestFitNotch:
             self.probe_draw(203)
 
     @pytest.mark.parametrize("index, grid_points",
-                             [(75, 31), (523, 31), (524, 21), (669, 21)])
+                             [(75, 31), (85, 31), (524, 21), (669, 21)])
     def test_wide_range_singular_covariance_refused(self, monkeypatch, index,
                                                     grid_points):
         # The refine ends where the normal matrix is singular to rounding
         # and the inversion leaves the Q_l and |Q_e| variances negative.
         # fitting.covariance reads them as undetermined, infinite.
         # Clipped to zero they would read as exact fits: draw 75 would
-        # end unconverged with Q_l and |Q_e| errors of 0, and draw 523,
+        # end unconverged with Q_l and |Q_e| errors of 0, and draw 85,
         # and with a 21-point delay grid draws 524 and 669, would end as
         # NonphysicalQinError.
         monkeypatch.setattr(ex, "DELAY_GRID_POINTS", grid_points)
@@ -956,10 +974,9 @@ class TestFitNotch:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e150, 1e200, 1e300])
     def test_extreme_scales_raise_only_resokit_errors(self, scale):
-        # The sums of fit_phase's system under- or overflow on these
-        # traces. The delay search, the phase seed and the fit each end
-        # in a result or a ResokitError: a system whose sums are not
-        # finite reads as singular, never reaching a numpy eigensolver.
+        # Unscaled, the sums of fit_phase's system would under- or
+        # overflow on these traces. The delay search, the phase seed and
+        # the fit each end in a result or a ResokitError.
         _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9)
         scaled = rk.Trace(trace.freqs_hz, scale * trace.s21)
         for fit in (ex.estimate_delay, lambda t: ex.fit_phase(t, 30e-9),
@@ -971,23 +988,32 @@ class TestFitNotch:
                 except ResokitError:
                     pass
 
-    @given(decades=st.floats(-300.0, 300.0),
+    @given(octaves=st.floats(-996.0, 996.0),
            angle=st.floats(-math.pi, math.pi))
-    @example(decades=-300.0, angle=-math.pi)
-    @example(decades=300.0, angle=2.0)
+    @example(octaves=-996.0, angle=-math.pi)
+    @example(octaves=996.0, angle=2.0)
+    @example(octaves=-900.0, angle=0.0)
     @settings(max_examples=30, deadline=None)
-    def test_fit_is_free_of_the_trace_amplitude(self, decades, angle):
+    def test_fit_is_free_of_the_trace_amplitude(self, octaves, angle):
         # The model is linear in the complex gain: c e^(i a) times a
         # trace fits to the same f_r, Q's, errors and delay for any |c|
-        # from 1e-300 to 1e300, with the gain scaled by |c|, the
-        # environment phase moved by a, and no warning.
+        # from 2^-996 to 2^996 (1e+-300), with the gain scaled by |c|,
+        # the environment phase moved by a, and no warning. A real power
+        # of two scales every sample exactly, and the fit is the same
+        # bit for bit.
         _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9,
                                mismatch_phi=0.2, env_phase=1.0)
-        factor = 10.0 ** decades * cmath.exp(1j * angle)
+        factor = 2.0 ** octaves * cmath.exp(1j * angle)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             base = rk.fit_notch(trace)
             out = rk.fit_notch(rk.Trace(trace.freqs_hz, factor * trace.s21))
+        if octaves.is_integer() and angle == 0.0:
+            gain = math.ldexp(base.params.env_gain, int(octaves))
+            assert out.params == dataclasses.replace(base.params,
+                                                     env_gain=gain)
+            assert out.uncertainties == base.uncertainties
+            assert out.residual_rms == base.residual_rms
         assert out.converged == base.converged
         for name in ("f_r", "q_loaded", "q_ext_mag", "mismatch_phi"):
             assert getattr(out.params, name) == pytest.approx(
@@ -996,11 +1022,65 @@ class TestFitNotch:
             assert out.uncertainties[name] == pytest.approx(error, rel=1e-9)
         assert out.q_internal == pytest.approx(base.q_internal, rel=1e-9)
         assert out.params.env_gain == pytest.approx(
-            10.0 ** decades * base.params.env_gain, rel=1e-9)
+            2.0 ** octaves * base.params.env_gain, rel=1e-9)
         shift = out.params.env_phase - base.params.env_phase - angle
         assert abs(math.remainder(shift, TWO_PI)) < 1e-9
         assert out.params.cable_delay == pytest.approx(
             base.params.cable_delay, rel=1e-9)
+
+    @pytest.mark.parametrize("stream", ["wide-range", "acceptance-05"])
+    def test_power_of_two_scaling_is_exact(self, stream):
+        # 2^-600 times a trace fits to the same bits, with the gain
+        # scaled by 2^-600, or ends in the same error: over the first
+        # 200 wide-range draws of seed 5, or the 200 acceptance-05
+        # traces.
+        if stream == "wide-range":
+            traces = (trace for _, _, trace, _ in wide_range_probe(200))
+        else:
+            traces = acceptance_stream()
+        for trace in traces:
+            small = rk.Trace(trace.freqs_hz, 2.0 ** -600 * trace.s21)
+            try:
+                base = rk.fit_notch(trace)
+            except ResokitError as exc:
+                with pytest.raises(type(exc)) as raised:
+                    rk.fit_notch(small)
+                assert type(raised.value) is type(exc)
+                assert str(raised.value) == str(exc)
+                continue
+            out = rk.fit_notch(small)
+            gain = math.ldexp(base.params.env_gain, -600)
+            assert out.params == dataclasses.replace(base.params,
+                                                     env_gain=gain)
+            assert out.uncertainties == base.uncertainties
+            assert out.residual_rms == base.residual_rms
+            assert out.converged == base.converged
+
+    @pytest.mark.parametrize("factor", [2.0 ** 700, 2.0 ** -700,
+                                        1e200, 1e-200],
+                             ids=["2^700", "2^-700", "1e200", "1e-200"])
+    def test_seed_stages_are_free_of_the_trace_amplitude(self, factor):
+        # The delay search and the phase seed read the samples scaled by
+        # a power of two to [1/2, 1), so neither sums that under- or
+        # overflow nor warns: on a power-of-two multiple of a trace they
+        # give the same bits, on any other multiple the same values to
+        # rounding.
+        _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9)
+        scaled = rk.Trace(trace.freqs_hz, factor * trace.s21)
+        span = trace.freqs_hz[-1] - trace.freqs_hz[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau, out_tau = ex.estimate_delay(trace), ex.estimate_delay(scaled)
+            seed, out = ex.fit_phase(trace, tau), ex.fit_phase(scaled, tau)
+        if math.frexp(factor)[0] == 0.5:
+            assert out_tau == tau
+            assert out == seed
+            return
+        assert out_tau == pytest.approx(tau, rel=1e-12)
+        assert out.f_r == pytest.approx(seed.f_r, rel=1e-12)
+        assert out.q_loaded == pytest.approx(seed.q_loaded, rel=1e-12)
+        assert out.residual_delay * span == pytest.approx(
+            seed.residual_delay * span, abs=1e-12)
 
     def test_coarse_quiet_grid_fits(self):
         # 11 points over 10 linewidths, one grid step per linewidth, at
