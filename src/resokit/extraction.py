@@ -12,11 +12,14 @@ whose Q_l or |Q_e| has a relative standard error over
 MAX_RELATIVE_ERROR raises UnresolvedResonanceError: the fit's own error
 bars are the one test of whether the trace resolves a resonance. Each
 stage reads the samples scaled by a power of two to [1/2, 1), so 2^k
-times a trace fits to the same bits, with the gain scaled by 2^k.
+times a trace fits to the same bits, with the gain scaled by 2^k. All
+functions are thread-safe: the notch fit keeps its work arrays between
+fits in a workspace of each thread (_Workspace).
 """
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -64,6 +67,54 @@ DELAY_GRID_POINTS = 31
 # Stat. Soc. B 42, 1, 1980), so the trace does not resolve what the fit
 # reports.
 MAX_RELATIVE_ERROR = 1.0 / 3.0
+
+
+class _Workspace:
+    """The work arrays of one trace length, kept by one thread between
+    fits.
+
+    A 4,001-point fit works through about 0.8 MB of temporaries. Freed at
+    the end of each fit, they go back to the kernel, and the next fit
+    faults them in again: about 150 minor page faults a fit. Kept here,
+    they cost nothing after the first fit. An array holds whatever its
+    last user wrote, so each user writes it whole before reading it, and
+    no result is a view of one. owner names the call whose values the
+    arrays hold, for a caller that reads them back in a later call.
+    """
+
+    def __init__(self, size):
+        self.size = size
+        self.owner = None
+        self._arrays = {}
+
+    def array(self, name, dtype=float, rows=None) -> np.ndarray:
+        """The work array `name`, (size,) or (rows, size) of dtype."""
+        out = self._arrays.get(name)
+        if out is None:
+            shape = (self.size,) if rows is None else (rows, self.size)
+            out = self._arrays[name] = np.empty(shape, dtype)
+        return out
+
+
+class _ThreadWorkspaces(threading.local):
+    def __init__(self):
+        self.by_size = {}
+
+
+_WORKSPACES = _ThreadWorkspaces()
+
+
+def _workspace(size) -> _Workspace:
+    """This thread's workspace for `size` samples. A thread keeps two
+    lengths at most: the delay search's DELAY_POINTS and the one it met
+    last, about 1.4 MB at 4,001 points."""
+    spaces = _WORKSPACES.by_size
+    space = spaces.get(size)
+    if space is None:
+        for other in [k for k in spaces if k != DELAY_POINTS]:
+            del spaces[other]
+        space = spaces[size] = _Workspace(size)
+    return space
 
 
 @dataclass(frozen=True)
@@ -186,9 +237,10 @@ def _scaled_to_unit(z):
     return np.ldexp(parts, -k).view(complex), k
 
 
-def _delay_phasor(freqs, tau) -> np.ndarray:
+def _delay_phasor(freqs, tau, out=None) -> np.ndarray:
     """e^(2 pi i (f - f_mid) tau), f_mid the middle sample: the delay
-    correction referenced to the band center.
+    correction referenced to the band center, written into out when it
+    is given; the tangents are taken in the thread's workspace.
 
     It differs from e^(2 pi i f tau) by the constant e^(2 pi i f_mid tau),
     which rotates a locus as a whole and changes no circle, criterion or
@@ -198,8 +250,12 @@ def _delay_phasor(freqs, tau) -> np.ndarray:
     numpy vectorizes the float64 tan, one tan costs a tenth of a cos and a
     sin: 7 us against 70 us on 4,001 points (2-core Xeon).
     """
-    t = np.tan((freqs - freqs[freqs.size // 2]) * (math.pi * tau))
-    out = np.empty(freqs.size, dtype=complex)
+    t = np.subtract(freqs, freqs[freqs.size // 2],
+                    out=_workspace(freqs.size).array("tan"))
+    t *= math.pi * tau
+    np.tan(t, out=t)
+    if out is None:
+        out = np.empty(freqs.size, dtype=complex)
     re = np.multiply(t, t, out=out.real)
     re += 1.0
     np.divide(2.0, re, out=re)
@@ -236,7 +292,8 @@ def _phase_system(freqs, z, taus):
     span = freqs[-1] - freqs[0]
     f_mid = freqs[freqs.size // 2]
     x = (freqs - f_mid) / span
-    powers = np.empty((5, x.size))
+    space = _workspace(x.size)
+    powers = space.array("powers", rows=5)
     powers[0] = 1.0
     powers[1] = x
     np.multiply(x, x, out=powers[2])
@@ -251,10 +308,13 @@ def _phase_system(freqs, z, taus):
         shared = powers @ np.column_stack([powers[0], (z * z.conj()).real])
         v[:, :3] = shared[:3, 0]
         v[:, 3:8] = shared[:, 1]
-        rows = powers[:4].astype(complex)
-        q = z * _delay_phasor(freqs, taus[0])
+        rows = space.array("rows", complex, rows=4)
+        rows[...] = powers[:4]
+        q = _delay_phasor(freqs, taus[0], out=space.array("q", complex))
+        np.multiply(z, q, out=q)
         if taus.size > 1:
-            rotate = _delay_phasor(freqs, taus[1] - taus[0])
+            rotate = _delay_phasor(freqs, taus[1] - taus[0],
+                                   out=space.array("rotate", complex))
         # Each delay's locus is the previous one rotated by one grid
         # step, so a delay costs two calls: the rotation, and one product
         # of x^0..x^3 with q. Complex rows make the product a matrix-
@@ -391,36 +451,44 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     # are 1 and v, and the 2x2 Gram solve is elimination against 1 and
     # vc = v - mean(v). The solver takes the normal equations at the
     # point whose residual it evaluated last, so one cached entry lets
-    # the residual and the normal equations share that point's solve.
+    # the residual and the normal equations share that point's solve. v,
+    # vc and the model live in the thread's workspace, which a later fit
+    # of the same length overwrites, so the entry holds only while this
+    # call owns it; the residual is a fresh array, since the solver holds
+    # two at once.
+    space = _workspace(freqs.size)
+    v, w, vc, model, u, g, along = (
+        space.array(name, complex)
+        for name in ("v", "w", "vc", "model", "u", "g", "along"))
     cached = [None, None]
 
     def projection(p):
         key = p.tobytes()
-        if key != cached[0]:
+        if key != cached[0] or space.owner is not cached:
             # v = (1 - i x) / (1 + x^2), x = 2 Q_l (f/f_r - 1), in real
             # arithmetic: t = -x, Re v = 1 / (1 + t^2) and Im v = t Re v.
-            v = np.empty(freqs.size, dtype=complex)
             v_re = v.real
-            t = freqs / p[0]
+            t = np.divide(freqs, p[0], out=space.array("t"))
             t -= 1.0
             t *= -2.0 * p[1]
             np.multiply(t, t, out=v_re)
             v_re += 1.0
             np.divide(1.0, v_re, out=v_re)
             np.multiply(t, v_re, out=v.imag)
-            w = _delay_phasor(freqs, p[2])
+            _delay_phasor(freqs, p[2], out=w)
             np.multiply(z, w, out=w)
             v_mean = v.sum() / n
-            vc = v - v_mean
+            np.subtract(v, v_mean, out=vc)
             vc_norm2 = np.vdot(vc, vc).real
             c = np.vdot(vc, w) / vc_norm2
             a = w.sum() / n - c * v_mean
-            model = v * c
-            model += a
+            np.multiply(v, c, out=model)
+            np.add(model, a, out=model)
             # Model minus data; rows interleave the real and imaginary
             # parts (a view of the complex array, no copy).
             out = model - w
-            cached[:] = key, (v, vc, vc_norm2, a, c, model, out.view(float))
+            space.owner = cached
+            cached[:] = key, (vc_norm2, a, c, out.view(float))
         return cached[1]
 
     # Kaufman's Jacobian (BIT 15, 49, 1975): the model's partials at
@@ -436,12 +504,12 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     # projected explicitly: moments of the unprojected v^2 cancel where
     # v^2 is nearly in span{1, v}.
     def normal_equations(p, r):
-        v, vc, vc_norm2, _, c, model, _ = projection(p)
-        u = v * v
-        g = model * lever
+        vc_norm2, _, c, _ = projection(p)
+        np.multiply(v, v, out=u)
+        np.multiply(model, lever, out=g)
         for col in (u, g):
             col -= col.sum() / n
-            col -= np.vdot(vc, col) / vc_norm2 * vc
+            col -= np.multiply(np.vdot(vc, col) / vc_norm2, vc, out=along)
         r = r.view(complex)
         uu, gg, gr = np.vdot(u, u).real, np.vdot(g, g).real, np.vdot(g, r).real
         ug, ur = complex(np.vdot(u, g)), complex(np.vdot(u, r))
@@ -458,7 +526,7 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
         return normal, gradient
 
     problem = fitting.FitProblem(
-        residual=lambda p: projection(p)[6],
+        residual=lambda p: projection(p)[3],
         initial_params=np.array([seed.f_r, seed.q_loaded, delay]),
         bounds=[(max(freqs[0] - span, 1.0), freqs[-1] + span),
                 (1.0, 1e12), (-1e-4, 1e-4)],
@@ -466,7 +534,7 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     )
     res = fitting.nonlinear_ls(problem)
     f_r, q_l, tau = res.params
-    v, _, _, a, c, _, _ = projection(res.params)
+    _, a, c, _ = projection(res.params)
     gain = abs(complex(a))
     rms = res.residual_norm / math.sqrt(len(trace)) / gain
     # |Q_e| as extract_qfactors computes it, bit for bit.
@@ -485,7 +553,7 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     # then Re(conj(m_j) m_k G), G the vectors' complex inner product: its
     # 15 distinct entries as vdots take half the time of a matmul against
     # a conjugated copy of the basis.
-    basis = np.empty((5, freqs.size), dtype=complex)
+    basis = space.array("basis", complex, rows=5)
     np.multiply(v, v, out=basis[1])
     np.multiply(basis[1], freqs, out=basis[0])
     basis[2] = v

@@ -142,7 +142,10 @@ def config_hash(kinetic_fraction: float = 0.0) -> str:
     """Digest of a kinetic fraction and the solver's constants.
 
     Every upper-case numeric constant of resokit.fitting is read at call
-    time and hashed as tolerances.<lower-case name>.
+    time and hashed as tolerances.<lower-case name>. The constants of
+    resokit.extraction that also decide how a notch fit ends
+    (MAX_RELATIVE_ERROR, DELAY_POINTS, DELAY_GRID_POINTS) are not
+    hashed; the manifest's version field stands for them.
     """
     # No command that writes a report reads a gap, but the canonical
     # text has always held one: JunctionLeakageSpec's default keeps

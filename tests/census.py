@@ -12,9 +12,12 @@ run by hand it prints the table for any count and seed (default 5):
 
 and exits 1 when a converged fit has |pull| > LARGE_PULL, a fit that
 does not resolve what it reports. Only a ResokitError counts as an
-outcome; any other exception ends the run with a traceback.
+outcome; any other exception ends the run with a traceback. Its last
+line, `digest`, is a sha256 over every draw's fingerprint, so two
+commits that print the same digest fit the draws to the same bits.
 """
 
+import hashlib
 import math
 import sys
 from dataclasses import dataclass
@@ -72,15 +75,35 @@ def wide_range_probe(count, seed=5):
         yield p, q_in, trace, well_posed
 
 
+def fit_or_error(trace):
+    """fit_notch's result on trace, or the ResokitError it raised."""
+    try:
+        return rk.fit_notch(trace)
+    except ResokitError as exc:
+        return exc
+
+
+def fingerprint(outcome) -> str:
+    """A fit_or_error outcome to the bit: the error's class and message,
+    or the repr of the result's params, uncertainties, residual_rms and
+    converged."""
+    if isinstance(outcome, ResokitError):
+        return f"{type(outcome).__name__}: {outcome}"
+    return repr((outcome.params, outcome.uncertainties,
+                 outcome.residual_rms, outcome.converged))
+
+
 @dataclass
 class Census:
     """How each probe draw's fit ended: outcomes[i] is "converged", "not
-    converged" or the ResokitError's class name, and pulls maps each
-    converged draw to its PULL_NAMES pulls."""
+    converged" or the ResokitError's class name, pulls maps each
+    converged draw to its PULL_NAMES pulls, and digest is the sha256 hex
+    digest over the draws' fingerprints, one line each."""
 
     outcomes: list
     well_posed: list
     pulls: dict
+    digest: str
 
     def counts(self, well_posed_only=False) -> dict:
         out = {}
@@ -109,13 +132,14 @@ class Census:
 def census(count, seed=5) -> Census:
     """fit_notch over the first `count` probe draws."""
     outcomes, well_posed, pulls = [], [], {}
+    digest = hashlib.sha256()
     for i, (p, q_in, trace, well) in enumerate(
             wide_range_probe(count, seed)):
         well_posed.append(well)
-        try:
-            res = rk.fit_notch(trace)
-        except ResokitError as exc:
-            outcomes.append(type(exc).__name__)
+        res = fit_or_error(trace)
+        digest.update(f"{fingerprint(res)}\n".encode())
+        if isinstance(res, ResokitError):
+            outcomes.append(type(res).__name__)
             continue
         outcomes.append("converged" if res.converged else "not converged")
         if not res.converged:
@@ -129,7 +153,7 @@ def census(count, seed=5) -> Census:
                 (res.q_internal - q_in) / err["q_internal"],
                 (1.0 / res.q_internal - 1.0 / q_in)
                 / (err["q_internal"] / res.q_internal ** 2)])
-    return Census(outcomes, well_posed, pulls)
+    return Census(outcomes, well_posed, pulls, digest.hexdigest())
 
 
 def main(argv) -> int:
@@ -154,6 +178,7 @@ def main(argv) -> int:
     print("well-posed pull std (population), "
           + " / ".join(PULL_NAMES[:4]) + ": "
           + " / ".join(f"{s:.2f}" for s in std))
+    print(f"digest {result.digest}")
     return 1 if large else 0
 
 

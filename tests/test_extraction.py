@@ -2,6 +2,10 @@ import cmath
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 import resokit as rk
-from census import census, wide_range_probe
+from census import census, fingerprint, fit_or_error, wide_range_probe
 from conftest import draw_notch_params, drop_exact_jacobians
 from resokit import circuit
 from resokit import extraction as ex
@@ -1153,6 +1157,102 @@ class TestFitNotch:
         err = res.uncertainties
         assert abs(res.params.f_r - p.f_r) < 5 * err["f_r"] + 1e-3
         assert abs(res.q_internal - q_in) < 5 * err["q_internal"] + 1e-6
+
+
+class TestWorkspace:
+    """The notch fit keeps its work arrays per thread between fits."""
+
+    def test_steady_state_fits_fault_in_no_pages(self):
+        # Temporaries allocated and freed in every fit go back to the
+        # kernel at its end, and the next fit faults them in again: about
+        # 150 minor faults a 4,001-point fit. Kept between fits, they
+        # fault in only once. Counted in a fresh interpreter that makes
+        # the first acceptance-05 trace itself: in a process that has
+        # freed a large buffer, such as a file read or an earlier test's
+        # array, glibc trims its heap less and the faults do not show.
+        pytest.importorskip("resource")
+        p, _ = draw_notch_params(np.random.default_rng(12345))
+        fields = {k: float(v) for k, v in dataclasses.asdict(p).items()}
+        code = (
+            "import resource\n"
+            "import resokit as rk\n"
+            f"p = rk.NotchParams(**{fields!r})\n"
+            "trace = rk.synthesize_trace(p, rk.linewidth_grid(p, 5.0, 4001),\n"
+            "                            noise_sigma=0.003, seed=0)\n"
+            "for _ in range(2):\n"
+            "    rk.fit_notch(trace)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20):\n"
+            "    rk.fit_notch(trace)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+            " - before)\n")
+        src = os.path.dirname(os.path.dirname(rk.__file__))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert int(proc.stdout) < 20
+
+    def test_fits_of_other_lengths_and_threads_move_no_bit(self):
+        # Each length has its own arrays, and a thread keeps the delay
+        # search's length and the last one it fitted.
+        long = next(acceptance_stream())
+        _, short = notch_trace(noise=0.003, seed=4, cable_delay=30e-9)
+        first = fingerprint(fit_or_error(long))
+        fit_or_error(short)
+        assert fingerprint(fit_or_error(long)) == first
+        assert set(ex._WORKSPACES.by_size) == {ex.DELAY_POINTS, len(long)}
+        fresh = []
+        thread = threading.Thread(
+            target=lambda: fresh.append(fingerprint(fit_or_error(long))))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert fresh == [first]
+
+    def test_concurrent_threads_fit_as_one(self):
+        # Two threads fit 20 acceptance-05 traces each, at once; numpy
+        # releases the interpreter lock in its loops, and a short switch
+        # interval interleaves the rest.
+        traces = list(itertools.islice(acceptance_stream(), 40))
+        expected = [fingerprint(fit_or_error(t)) for t in traces]
+        results = [None, None]
+
+        def fit_half(k):
+            results[k] = [fingerprint(fit_or_error(t))
+                          for t in traces[20 * k:20 * (k + 1)]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fit_half, args=(k,))
+                       for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results[0] + results[1] == expected
+
+    def test_captured_problem_survives_another_fit(self, monkeypatch):
+        # The refine's residual and normal equations read the workspace
+        # only while their own fit was the last to write it: after a fit
+        # of the same length, a captured problem recomputes its point.
+        _, trace = notch_trace(noise=0.003, seed=4, cable_delay=30e-9,
+                               mismatch_phi=0.2, env_gain=0.8, env_phase=1.0)
+        _, other = notch_trace(noise=0.01, seed=9, cable_delay=20e-9,
+                               mismatch_phi=-0.3, q_loaded=2000.0)
+        problem = TestFitNotch.refine_problem(monkeypatch, trace)
+        x = problem.initial_params
+        r = problem.residual(x).copy()
+        normal, gradient = problem.normal_equations(x, r)
+        ex.fit_notch(other)
+        assert np.array_equal(problem.residual(x), r)
+        again = problem.normal_equations(x, r)
+        assert np.array_equal(again[0], normal)
+        assert np.array_equal(again[1], gradient)
 
 
 class TestFrequencyVsArea:
