@@ -14,8 +14,8 @@ import sys
 from . import __version__, circuit, extraction, notch, refdata, tls
 from .constants import FF, GHZ, NH, NS, dbm_to_watt
 from .errors import ConfigError, DomainError, ExtractionError, SchemaError
-from .report import (ReportBundle, compare_sessions, emit_report,
-                     read_report_rows)
+# The commands that write a report import it, and with it svgplot,
+# hashlib and json: fit, simulate and design load none of them.
 from .traceio import (load_config_file, parse_touchstone, parse_trace_csv,
                       read_area_dataset, read_power_sweep, write_design,
                       write_power_sweep, write_table, write_trace_csv)
@@ -302,6 +302,7 @@ def _cmd_sweep(args) -> int:
           f"{tls.tls_tan_delta(1.0, p, sweep.resonator_freq, sweep.temperature):.6g}")
     print(f"converged = {result.converged}")
     if args.out:
+        from .report import ReportBundle, emit_report
         os.makedirs(args.out, exist_ok=True)
         bundle = ReportBundle(sweeps=[("sweep", sweep, p)])
         emit_report(bundle, args.out, inputs=[args.input])
@@ -329,6 +330,7 @@ def _cmd_area_fit(args) -> int:
     print(f"dielectric_constant_12nm = {eps:.4g}")
     print(f"converged = {fit.converged}")
     if args.out:
+        from .report import ReportBundle, emit_report
         os.makedirs(args.out, exist_ok=True)
         bundle = ReportBundle(area_fit=(ds, fit))
         emit_report(bundle, args.out,
@@ -337,6 +339,8 @@ def _cmd_area_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .report import (ReportBundle, compare_sessions, emit_report,
+                         read_report_rows)
     if not args.out:
         raise ConfigError("report requires --out")
     rows = read_report_rows(args.input)

@@ -67,6 +67,26 @@ DELAY_GRID_POINTS = 31
 # Stat. Soc. B 42, 1, 1980), so the trace does not resolve what the fit
 # reports.
 MAX_RELATIVE_ERROR = 1.0 / 3.0
+# The entries of a row of _phase_system's sums that form its normal
+# matrix, its right-hand side and the normal matrix's diagonal.
+_NORMAL_ENTRIES = np.array([[2, 1, 9, 11], [1, 0, 8, 10], [9, 8, 3, 5],
+                            [11, 10, 5, 7]])
+_RHS_ENTRIES = np.array([10, 9, 4, 6])
+_DIAGONAL_ENTRIES = np.array([2, 0, 3, 7])
+# The refine's covariance: the pairs (j, k), j <= k, of its five basis
+# vectors whose inner products it takes, and the index into those
+# products followed by their conjugates of each entry of the 7x7 normal
+# matrix, whose parameters read vectors 0, 1, 2, 2, 3, 3 and 4. Entry
+# (j, k) is the product for j < k and the conjugate for k <= j: the
+# diagonal takes the conjugate, and its imaginary part is the rounding
+# of the product's.
+_GRAM_PAIRS = [(j, k) for j in range(5) for k in range(j, 5)]
+_GRAM_ENTRIES = np.array(
+    [[_GRAM_PAIRS.index((j, k)) if j < k
+      else len(_GRAM_PAIRS) + _GRAM_PAIRS.index((k, j))
+      for k in (0, 1, 2, 2, 3, 3, 4)] for j in (0, 1, 2, 2, 3, 3, 4)])
+# The NotchParams fields of the covariance's first four parameters.
+_FITTED = tuple(f.name for f in fields(NotchParams)[:4])
 
 
 class _Workspace:
@@ -86,13 +106,24 @@ class _Workspace:
         self.size = size
         self.owner = None
         self._arrays = {}
+        self._thinned = None
+
+    def thinned(self) -> np.ndarray:
+        """The indices of DELAY_POINTS samples of size, evenly spread with
+        both ends kept: what the delay search reads. Read only."""
+        if self._thinned is None:
+            keep = np.round(np.linspace(0, self.size - 1, DELAY_POINTS))
+            self._thinned = keep.astype(np.intp)
+            self._thinned.flags.writeable = False
+        return self._thinned
 
     def array(self, name, dtype=float, rows=None) -> np.ndarray:
-        """The work array `name`, (size,) or (rows, size) of dtype."""
-        out = self._arrays.get(name)
+        """The work array `name`, (size,) or (rows, size) of dtype: one
+        array for each name and row count."""
+        out = self._arrays.get((name, rows))
         if out is None:
             shape = (self.size,) if rows is None else (rows, self.size)
-            out = self._arrays[name] = np.empty(shape, dtype)
+            out = self._arrays[name, rows] = np.empty(shape, dtype)
         return out
 
 
@@ -107,7 +138,8 @@ _WORKSPACES = _ThreadWorkspaces()
 def _workspace(size) -> _Workspace:
     """This thread's workspace for `size` samples. A thread keeps two
     lengths at most: the delay search's DELAY_POINTS and the one it met
-    last, about 1.4 MB at 4,001 points."""
+    last, about 1.9 MB at 4,001 points (the delay grid's 31 loci take
+    0.5 MB of it)."""
     spaces = _WORKSPACES.by_size
     space = spaces.get(size)
     if space is None:
@@ -215,8 +247,7 @@ def estimate_delay(trace: Trace) -> float:
             f"delay estimation needs at least {MIN_TRACE_POINTS} points")
     freqs, z = trace.freqs_hz, trace.s21
     if freqs.size > DELAY_POINTS:
-        keep = np.round(np.linspace(0, freqs.size - 1, DELAY_POINTS))
-        keep = keep.astype(np.intp)
+        keep = _workspace(freqs.size).thinned()
         freqs, z = freqs[keep], z[keep]
     z, _ = _scaled_to_unit(z)
     tau0 = -float(np.angle(z[1:] * z[:-1].conj()).sum()) \
@@ -237,10 +268,11 @@ def _scaled_to_unit(z):
     return np.ldexp(parts, -k).view(complex), k
 
 
-def _delay_phasor(freqs, tau, out=None) -> np.ndarray:
-    """e^(2 pi i (f - f_mid) tau), f_mid the middle sample: the delay
-    correction referenced to the band center, written into out when it
-    is given; the tangents are taken in the thread's workspace.
+def _delay_phasor(offsets, tau, out=None) -> np.ndarray:
+    """e^(2 pi i (f - f_mid) tau) from the offsets f - f_mid, f_mid the
+    middle sample: the delay correction referenced to the band center,
+    written into out when it is given; the tangents are taken in the
+    thread's workspace. Its callers take the offsets once per trace.
 
     It differs from e^(2 pi i f tau) by the constant e^(2 pi i f_mid tau),
     which rotates a locus as a whole and changes no circle, criterion or
@@ -250,17 +282,18 @@ def _delay_phasor(freqs, tau, out=None) -> np.ndarray:
     numpy vectorizes the float64 tan, one tan costs a tenth of a cos and a
     sin: 7 us against 70 us on 4,001 points (2-core Xeon).
     """
-    t = np.subtract(freqs, freqs[freqs.size // 2],
-                    out=_workspace(freqs.size).array("tan"))
-    t *= math.pi * tau
+    space = _workspace(offsets.size)
+    t = np.multiply(offsets, math.pi * tau, out=space.array("tan"))
     np.tan(t, out=t)
     if out is None:
-        out = np.empty(freqs.size, dtype=complex)
-    re = np.multiply(t, t, out=out.real)
-    re += 1.0
-    np.divide(2.0, re, out=re)
-    np.multiply(t, re, out=out.imag)
-    re -= 1.0
+        out = np.empty(offsets.size, dtype=complex)
+    # 2 / (1 + t^2) on contiguous memory; only the last two passes
+    # write out's strided parts.
+    half = np.multiply(t, t, out=space.array("square"))
+    half += 1.0
+    np.divide(2.0, half, out=half)
+    np.multiply(t, half, out=out.imag)
+    np.subtract(half, 1.0, out=out.real)
     return out
 
 
@@ -291,11 +324,11 @@ def _phase_system(freqs, z, taus):
     """
     span = freqs[-1] - freqs[0]
     f_mid = freqs[freqs.size // 2]
-    x = (freqs - f_mid) / span
-    space = _workspace(x.size)
+    space = _workspace(freqs.size)
+    offsets = np.subtract(freqs, f_mid, out=space.array("offsets"))
     powers = space.array("powers", rows=5)
     powers[0] = 1.0
-    powers[1] = x
+    x = np.divide(offsets, span, out=powers[1])
     np.multiply(x, x, out=powers[2])
     np.multiply(powers[2], x, out=powers[3])
     np.multiply(powers[2], powers[2], out=powers[4])
@@ -305,46 +338,62 @@ def _phase_system(freqs, z, taus):
         # every delay since |s| = |z|, and s_k = sum x^k s for k = 0..3.
         # They take a third of the time of lstsq on the (N, 4) design.
         v = np.empty((taus.size, 12), dtype=complex)
-        shared = powers @ np.column_stack([powers[0], (z * z.conj()).real])
+        weights = np.empty((z.size, 2))
+        weights[:, 0] = 1.0
+        weights[:, 1] = (z * z.conj()).real
+        shared = powers @ weights
         v[:, :3] = shared[:3, 0]
         v[:, 3:8] = shared[:, 1]
         rows = space.array("rows", complex, rows=4)
         rows[...] = powers[:4]
-        q = _delay_phasor(freqs, taus[0], out=space.array("q", complex))
-        np.multiply(z, q, out=q)
-        if taus.size > 1:
-            rotate = _delay_phasor(freqs, taus[1] - taus[0],
-                                   out=space.array("rotate", complex))
         # Each delay's locus is the previous one rotated by one grid
-        # step, so a delay costs two calls: the rotation, and one product
-        # of x^0..x^3 with q. Complex rows make the product a matrix-
-        # vector one, faster than real rows against q's two parts.
-        for k in range(taus.size):
-            if k:
-                q *= rotate
-            np.matmul(rows, q, out=v[k, 8:])
+        # step, so a delay costs one product with the rotation; then one
+        # call takes every locus's matrix-vector product with x^0..x^3.
+        # Complex rows make it a matrix-vector one, faster than real rows
+        # against the loci's two parts.
+        loci = space.array("loci", complex, rows=taus.size)
+        _delay_phasor(offsets, taus[0], out=loci[0])
+        np.multiply(z, loci[0], out=loci[0])
+        if taus.size > 1:
+            rotate = _delay_phasor(offsets, taus[1] - taus[0],
+                                   out=space.array("rotate", complex))
+            for k in range(1, taus.size):
+                np.multiply(loci[k - 1], rotate, out=loci[k])
+        np.matmul(rows, loci[..., None], out=v[:, 8:, None])
         # Entry (i, k) of the normal matrix sums conj(column i) column k.
-        normal = v[:, [[2, 1, 9, 11], [1, 0, 8, 10], [9, 8, 3, 5],
-                       [11, 10, 5, 7]]]
+        normal = v[:, _NORMAL_ENTRIES]
         np.conjugate(normal[:, 2:, :2], out=normal[:, 2:, :2])
-        rhs = v[:, [10, 9, 4, 6]]
-        unit = 1.0 / np.sqrt(v[0, [2, 0, 3, 7]].real)
-        scaled = normal * np.outer(unit, unit)
+        rhs = v[:, _RHS_ENTRIES]
+        unit = 1.0 / np.sqrt(v[0, _DIAGONAL_ENTRIES].real)
+        scaled = normal * (unit[:, None] * unit)
     solved = np.isfinite(scaled).all(axis=(1, 2))
-    solved[solved] = np.linalg.eigvalsh(scaled[solved])[:, 0] > 1e-12
-    b = rhs[solved]
-    sol = unit * np.linalg.solve(scaled[solved], (unit * b)[..., None])[..., 0]
+    if solved.all():
+        solved = np.linalg.eigvalsh(scaled)[:, 0] > 1e-12
+    else:
+        solved[solved] = np.linalg.eigvalsh(scaled[solved])[:, 0] > 1e-12
+    every = solved.all()
+    if not every:
+        scaled, rhs = scaled[solved], rhs[solved]
+    sol = unit * np.linalg.solve(scaled, (unit * rhs)[..., None])[..., 0]
     c1, b1 = sol[:, 2], sol[:, 3]
     # The root of b' c' gamma^2 - gamma + 1 near 1, without the
     # cancellation of the textbook form.
     gamma = 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * b1 * c1))
-    residual = np.full(taus.size, math.inf)
-    pole = np.full(taus.size, math.nan, dtype=complex)
-    leftover = np.full(taus.size, math.nan)
-    residual[solved] = shared[2, 1] - (b.conj() * sol).sum(axis=1).real
-    pole[solved] = f_mid + span * c1 * gamma
-    leftover[solved] = (1j * b1 * gamma).real / (TWO_PI * span)
-    return residual, pole, leftover
+    residual = shared[2, 1] - (rhs.conj() * sol).sum(axis=1).real
+    pole = f_mid + span * c1 * gamma
+    leftover = (1j * b1 * gamma).real / (TWO_PI * span)
+    if every:
+        return residual, pole, leftover
+    return (_unsolved_as(solved, residual, math.inf),
+            _unsolved_as(solved, pole, complex(math.nan)),
+            _unsolved_as(solved, leftover, math.nan))
+
+
+def _unsolved_as(solved, values, fill):
+    """values at the solved delays, fill at the others."""
+    out = np.full(solved.size, fill, dtype=values.dtype)
+    out[solved] = values
+    return out
 
 
 def fit_phase(trace: Trace, delay: float) -> PhaseFit:
@@ -438,8 +487,11 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     span = freqs[-1] - freqs[0]
     f_mid = float(freqs[freqs.size // 2])
     n = float(freqs.size)
+    # The offsets f - f_mid and the lever are fresh arrays: a captured
+    # problem reads them after another fit has overwritten the workspace.
+    offsets = freqs - f_mid
     # d rot / d tau = lever rot.
-    lever = (-1j * TWO_PI) * (freqs - f_mid)
+    lever = (-1j * TWO_PI) * offsets
 
     # Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
     # 1973): the model rot (a + c v), with rot = e^(-2 pi i (f - f_mid)
@@ -466,16 +518,17 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
         key = p.tobytes()
         if key != cached[0] or space.owner is not cached:
             # v = (1 - i x) / (1 + x^2), x = 2 Q_l (f/f_r - 1), in real
-            # arithmetic: t = -x, Re v = 1 / (1 + t^2) and Im v = t Re v.
-            v_re = v.real
+            # arithmetic: t = -x, Re v = 1 / (1 + t^2) and Im v = t Re v,
+            # formed on contiguous memory and then written into v's parts.
             t = np.divide(freqs, p[0], out=space.array("t"))
             t -= 1.0
             t *= -2.0 * p[1]
-            np.multiply(t, t, out=v_re)
+            v_re = np.multiply(t, t, out=space.array("square"))
             v_re += 1.0
             np.divide(1.0, v_re, out=v_re)
             np.multiply(t, v_re, out=v.imag)
-            _delay_phasor(freqs, p[2], out=w)
+            v.real = v_re
+            _delay_phasor(offsets, p[2], out=w)
             np.multiply(z, w, out=w)
             v_mean = v.sum() / n
             np.subtract(v, v_mean, out=vc)
@@ -511,7 +564,9 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
             col -= col.sum() / n
             col -= np.multiply(np.vdot(vc, col) / vc_norm2, vc, out=along)
         r = r.view(complex)
-        uu, gg, gr = np.vdot(u, u).real, np.vdot(g, g).real, np.vdot(g, r).real
+        # Python scalars: numpy's cost more than their arithmetic here.
+        uu, gg = float(np.vdot(u, u).real), float(np.vdot(g, g).real)
+        gr = float(np.vdot(g, r).real)
         ug, ur = complex(np.vdot(u, g)), complex(np.vdot(u, r))
         k0 = complex(c) * (2j * p[1] - 1.0) / p[0]
         k1 = complex(c) / p[1]
@@ -552,28 +607,26 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     # -c/a the unit-gain dip per v. Entry (j, k) of the normal matrix is
     # then Re(conj(m_j) m_k G), G the vectors' complex inner product: its
     # 15 distinct entries as vdots take half the time of a matmul against
-    # a conjugated copy of the basis.
-    basis = space.array("basis", complex, rows=5)
+    # a conjugated copy of the basis, and one gather places them.
+    basis = space.array("basis", complex, rows=4)
     np.multiply(v, v, out=basis[1])
     np.multiply(basis[1], freqs, out=basis[0])
-    basis[2] = v
-    np.multiply(v, c / a, out=basis[3])
-    basis[3] += 1.0
-    np.multiply(basis[3], TWO_PI * (f_mid - freqs), out=basis[4])
-    gram = np.empty((5, 5), dtype=complex)
-    for j in range(5):
-        for k in range(j, 5):
-            gram[j, k] = np.vdot(basis[j], basis[k])
-            gram[k, j] = gram[j, k].conjugate()
-    pick = [0, 1, 2, 2, 3, 3, 4]
+    np.multiply(v, c / a, out=basis[2])
+    basis[2] += 1.0
+    arm = np.subtract(f_mid, freqs, out=space.array("t"))
+    arm *= TWO_PI
+    np.multiply(basis[2], arm, out=basis[3])
+    vectors = (basis[0], basis[1], v, basis[2], basis[3])
+    dots = np.array([np.vdot(vectors[j], vectors[k]) for j, k in _GRAM_PAIRS])
+    gram = np.concatenate((dots, dots.conj()))[_GRAM_ENTRIES]
     mult = np.array([2j * q_l * c / f_r ** 2, c / q_l, -c / q_e, 1j * c,
                      a, 1j * a, 1j * a])
-    normal = (mult.conj()[:, None] * gram[np.ix_(pick, pick)] * mult).real
+    normal = (mult.conj()[:, None] * gram * mult).real
     cov = fitting.covariance(normal, 2 * freqs.size, res.residual_norm)
     stderr = np.sqrt(cov.diagonal())
     # Read before extract_qfactors, so that noise alone reads as
     # unresolved, not as nonphysical; an infinite error is refused.
-    rel_q_l, rel_q_e = stderr[1:3] / (q_l, q_e)
+    rel_q_l, rel_q_e = stderr[1] / q_l, stderr[2] / q_e
     if not (rel_q_l <= MAX_RELATIVE_ERROR and rel_q_e <= MAX_RELATIVE_ERROR):
         raise UnresolvedResonanceError(
             f"unresolved resonance: relative error {rel_q_l:.3g} on Q_l and "
@@ -583,14 +636,12 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
         f_r, q_l, tau, _times_power_of_two(complex(a), exponent),
         _times_power_of_two(complex(-c), exponent), f_mid)
     q_in, phi = params.q_internal, params.mismatch_phi
-    grad = np.zeros(7)
-    grad[1] = q_in ** 2 / q_l ** 2
-    grad[2] = -q_in ** 2 * math.cos(phi) / q_e ** 2
-    grad[3] = -q_in ** 2 * math.sin(phi) / q_e
+    grad = np.array([0.0, q_in ** 2 / q_l ** 2,
+                     -q_in ** 2 * math.cos(phi) / q_e ** 2,
+                     -q_in ** 2 * math.sin(phi) / q_e, 0.0, 0.0, 0.0])
     # A parameter Q_in does not depend on adds 0, not 0 * inf.
     var_qin = float(grad @ np.where(grad == 0.0, 0.0, cov) @ grad)
-    uncertainties = {f.name: float(e)
-                     for f, e in zip(fields(NotchParams)[:4], stderr)}
+    uncertainties = {name: float(e) for name, e in zip(_FITTED, stderr)}
     uncertainties["q_internal"] = math.sqrt(max(var_qin, 0.0))
     return NotchFitResult(params=params, uncertainties=uncertainties,
                           residual_rms=float(rms), converged=res.converged)

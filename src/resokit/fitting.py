@@ -172,24 +172,35 @@ def covariance(normal, rows, residual_norm=None, free=None) -> np.ndarray:
     """
     if free is None:
         free = np.ones(normal.shape[0], dtype=bool)
-    dof = rows - int(free.sum())
+    dof = rows - np.count_nonzero(free)
     if residual_norm is not None and dof <= 0:
         unseen = free
     else:
         unseen = free & (normal.diagonal() == 0.0)
-    fitted = np.flatnonzero(free & ~unseen)
-    block = (fitted[:, None], fitted)
-    cov = np.zeros(normal.shape)
-    try:
-        cov[block] = np.linalg.inv(normal[block])
-    except np.linalg.LinAlgError:
-        cov[block] = np.linalg.pinv(normal[block])
+    fitted = free & ~unseen
+    if fitted.all():
+        cov = _inverse(normal)
+    else:
+        index = np.flatnonzero(fitted)
+        block = (index[:, None], index)
+        cov = np.zeros(normal.shape)
+        cov[block] = _inverse(normal[block])
     if residual_norm is not None and dof > 0:
         cov *= residual_norm ** 2 / dof
     unseen = unseen | ~(cov.diagonal() >= 0.0)
-    cov[unseen] = cov[:, unseen] = 0.0
-    cov[unseen, unseen] = math.inf
+    if unseen.any():
+        cov[unseen] = cov[:, unseen] = 0.0
+        cov[unseen, unseen] = math.inf
     return cov
+
+
+def _inverse(matrix):
+    """The inverse of a square matrix, or its pseudo-inverse where it is
+    singular."""
+    try:
+        return np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(matrix)
 
 
 def nonlinear_ls(problem: FitProblem) -> FitResult:
@@ -221,7 +232,9 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     # numpy wrapper costs more than its arithmetic. So this function
     # calls methods and ufuncs instead: a.all() for np.all, a.diagonal()
     # for np.diag, minimum(maximum()) for np.clip and sqrt(r @ r) for the
-    # 2-norm, each with the same bits as the wrapper.
+    # 2-norm, each with the same bits as the wrapper. It writes each
+    # damping level into a view of the damped diagonal, and it forms the
+    # relative step only when the residual test leaves the stop open.
     p0 = np.asarray(problem.initial_params, dtype=float)
     unit = np.empty_like(p0)
     unit[...] = problem.scale
@@ -231,6 +244,7 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     hi = np.array([b[1] for b in problem.bounds], dtype=float) / unit
     x = np.minimum(np.maximum(p0 / unit, lo), hi)
     outer = unit[:, None] * unit
+    neg_unit = -unit
 
     def eval_resid(q):
         r = np.asarray(problem.residual(q * unit), dtype=float)
@@ -257,14 +271,14 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
     while iterations < MAX_ITERATIONS:
         normal, gradient = eval_normal(x, r)
         # The negative gradient in x: the right-hand side of each solve.
-        descent = gradient * -unit
+        descent = gradient * neg_unit
         normal = normal * outer
-        normal_diag = normal.diagonal()
-        diag = normal_diag.copy()
+        normal_diag = diag = normal.diagonal()
         # Flat directions (zero diagonal) have zero gradient; give them
         # a positive damping entry only so the solve stays nonsingular.
         flat = diag <= 0.0
         if flat.any():
+            diag = diag.copy()
             diag[flat] = max(float(diag.max(initial=0.0)), 1.0)
         damped = normal.copy()
         # A writable view: each damping level is written into damped.
@@ -272,7 +286,7 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
 
         accepted = False
         while lam <= DAMPING_MAX:
-            damped_diag[:] = normal_diag + lam * diag
+            np.add(normal_diag, lam * diag, out=damped_diag)
             try:
                 step = np.linalg.solve(damped, descent)
             except np.linalg.LinAlgError:
@@ -306,18 +320,20 @@ def nonlinear_ls(problem: FitProblem) -> FitResult:
             break
 
         lam = max(lam / DAMPING_DOWN, 1e-300)
-        # Relative step per parameter: a global vector norm would let
-        # the largest-magnitude parameter mask motion in the others.
-        # Parameters hovering at zero are referenced to their unit.
-        scale_ref = np.maximum(np.maximum(np.abs(x), np.abs(x_trial)), 1.0)
-        step_rel = float((np.abs(moved) / scale_ref).max())
         res_rel = (norm - norm_trial) / max(norm, 1e-300)
+        small = res_rel < RESIDUAL_RTOL
+        if not small:
+            # Relative step per parameter: a global vector norm would let
+            # the largest-magnitude parameter mask motion in the others.
+            # Parameters hovering at zero are referenced to their unit.
+            # Inflated damping shrinks steps on its own: see STALL_STEPS.
+            scale_ref = np.maximum(np.maximum(np.abs(x), np.abs(x_trial)),
+                                   1.0)
+            step_rel = float((np.abs(moved) / scale_ref).max())
+            small = step_rel <= (STEP_RTOL if relaxed else STEP_FLOOR)
         x, r, norm = x_trial, r_trial, norm_trial
         trace.append(norm)
         iterations += 1
-        # Inflated damping shrinks steps on its own: see STALL_STEPS.
-        small = res_rel < RESIDUAL_RTOL \
-            or step_rel <= (STEP_RTOL if relaxed else STEP_FLOOR)
         negligible = negligible + 1 if small else 0
         if negligible >= (1 if relaxed else STALL_STEPS):
             status = "converged"

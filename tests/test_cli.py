@@ -1056,3 +1056,16 @@ class TestConfigFile:
         assert err.startswith(f"error: {trace}:")
         assert "two-port row" in err
         assert not (tmp_path / "plain").exists()
+
+
+def test_import_loads_no_report_module():
+    # fit, simulate and design write no report, so the CLI imports the
+    # report module (and svgplot with it) only in the commands that do.
+    src = os.path.dirname(os.path.dirname(rk.__file__))
+    probe = ("import sys, resokit.cli; print(*sorted(name for name in "
+             "('resokit.report', 'resokit.svgplot') if name in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

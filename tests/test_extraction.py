@@ -281,6 +281,47 @@ class TestEstimateDelay:
             assert np.all(residual == np.inf)
             assert np.all(np.isnan(pole)) and np.all(np.isnan(leftover))
 
+    def test_mixed_grid_refuses_only_the_straight_delay(self):
+        # The locus alpha + beta x, delayed by tau_1, is straight at the
+        # grid's first delay and curved at the 30 others: only row 0 is
+        # singular, and the solved rows go back to their own places.
+        f = np.linspace(7.0e9, 7.1e9, 201)
+        offsets = f - f[f.size // 2]
+        span = f[-1] - f[0]
+        tau_1 = 30e-9
+        z = (0.8 - 0.3j + (0.2 + 0.5j) * offsets / span) \
+            * np.exp(-1j * TWO_PI * offsets * tau_1)
+        taus = tau_1 + np.arange(ex.DELAY_GRID_POINTS) * (4.0 / 30.0) / span
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residual, pole, leftover = ex._phase_system(f, z, taus)
+        assert residual[0] == math.inf
+        assert cmath.isnan(pole[0]) and math.isnan(leftover[0])
+        assert np.all(np.isfinite(residual[1:]))
+        assert np.all(np.isfinite(pole[1:]))
+        assert np.all(np.isfinite(leftover[1:]))
+        # Each solved row is the one-delay system at that row's locus.
+        rotate = ex._delay_phasor(offsets, taus[1] - taus[0])
+        for k in (1, 17, 30):
+            one = ex._phase_system(
+                f, z * rotate ** k, np.array([taus[0]]))
+            assert residual[k] == pytest.approx(one[0][0], rel=1e-9)
+            assert pole[k] == pytest.approx(one[1][0], rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    def test_grid_row_matches_one_delay_call(self, seed):
+        # Row 0 of a 31-delay call is the system a one-delay call at the
+        # same delay solves: the batched rank test, solve and tail must
+        # read each delay's own matrix. (Equal to the bit on an AVX-512
+        # Xeon; the tolerance leaves room for SIMD tails elsewhere.)
+        _, trace = notch_trace(noise=0.003, seed=seed, cable_delay=30e-9)
+        f, z = trace.freqs_hz, trace.s21
+        tau0 = 30e-9 + 0.4 / (f[-1] - f[0])
+        taus, residual, pole, leftover = ex._delay_grid(f, z, tau0)
+        one = ex._phase_system(f, z, taus[:1])
+        for grid, single in zip((residual, pole, leftover), one):
+            assert abs(grid[0] - single[0]) <= 1e-13 * abs(single[0])
+
     def test_noisy_notch_needs_few_circle_fits(self, monkeypatch):
         _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9)
         real = ex.fit_circle
@@ -359,8 +400,9 @@ class TestDelayPhasor:
     def test_matches_cos_sin_of_same_phase(self, tau):
         # Up to pi tau span = 9.4e3 rad at the far end of the band.
         f = np.linspace(5e9, 8e9, 4001)
-        x = (f - f[f.size // 2]) * (TWO_PI * tau)
-        phasor = ex._delay_phasor(f, tau)
+        offsets = f - f[f.size // 2]
+        x = offsets * (TWO_PI * tau)
+        phasor = ex._delay_phasor(offsets, tau)
         assert np.abs(phasor - (np.cos(x) + 1j * np.sin(x))).max() < 1e-15
         if tau == 0.0:
             assert np.all(phasor == 1.0)
@@ -380,7 +422,7 @@ class TestDelayPhasor:
                 x = 2.0 * half
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    phasor = ex._delay_phasor(f, tau)
+                    phasor = ex._delay_phasor(f - f[2], tau)
                 assert np.all(np.isfinite(phasor))
                 assert np.abs(phasor - (np.cos(x) + 1j * np.sin(x))).max() \
                     < 1e-15
@@ -561,6 +603,24 @@ class TestExtractQFactors:
 
 
 class TestFitNotch:
+    def test_each_stage_is_called_once_through_its_module(self, monkeypatch):
+        # The benchmark's tracer times fit_notch's stages by replacing
+        # these module attributes. A fit that inlined a stage, or called
+        # it past its module, would leave that stage's span empty.
+        stages = ((ex, "estimate_delay"), (ex, "fit_phase"),
+                  (ex, "_refine_notch"), (ex, "extract_qfactors"),
+                  (ex.fitting, "nonlinear_ls"))
+        calls = dict.fromkeys((name for _, name in stages), 0)
+        for module, name in stages:
+            def counting(*args, _real=getattr(module, name), _name=name,
+                         **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        _, trace = notch_trace(noise=0.003, seed=7, cable_delay=30e-9)
+        assert ex.fit_notch(trace).converged
+        assert calls == dict.fromkeys(calls, 1)
+
     def test_noiseless_fixed_point(self):
         p, trace = notch_trace(mismatch_phi=0.2, env_gain=0.8,
                                env_phase=1.1, cable_delay=40e-9)
