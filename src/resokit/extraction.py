@@ -73,79 +73,98 @@ _NORMAL_ENTRIES = np.array([[2, 1, 9, 11], [1, 0, 8, 10], [9, 8, 3, 5],
                             [11, 10, 5, 7]])
 _RHS_ENTRIES = np.array([10, 9, 4, 6])
 _DIAGONAL_ENTRIES = np.array([2, 0, 3, 7])
-# The refine's covariance: the pairs (j, k), j <= k, of its five basis
-# vectors whose inner products it takes, and the index into those
-# products followed by their conjugates of each entry of the 7x7 normal
-# matrix, whose parameters read vectors 0, 1, 2, 2, 3, 3 and 4. Entry
-# (j, k) is the product for j < k and the conjugate for k <= j: the
-# diagonal takes the conjugate, and its imaginary part is the rounding
-# of the product's.
-_GRAM_PAIRS = [(j, k) for j in range(5) for k in range(j, 5)]
-_GRAM_ENTRIES = np.array(
-    [[_GRAM_PAIRS.index((j, k)) if j < k
-      else len(_GRAM_PAIRS) + _GRAM_PAIRS.index((k, j))
-      for k in (0, 1, 2, 2, 3, 3, 4)] for j in (0, 1, 2, 2, 3, 3, 4)])
 # The NotchParams fields of the covariance's first four parameters.
 _FITTED = tuple(f.name for f in fields(NotchParams)[:4])
 
 
-class _Workspace:
-    """The work arrays of one trace length, kept by one thread between
-    fits.
+# The work block's arrays begin on a cache line, and a stage's at
+# distinct offsets modulo a page (_Workspace.carve).
+_LINE = 64
+_PAGE = 4096
 
-    A 4,001-point fit works through about 0.8 MB of temporaries. Freed at
-    the end of each fit, they go back to the kernel, and the next fit
-    faults them in again: about 150 minor page faults a fit. Kept here,
-    they cost nothing after the first fit. An array holds whatever its
+
+class _Workspace:
+    """The work memory of one thread's notch fits: one block, kept
+    between fits.
+
+    A 4,001-point fit works through about 0.7 MB of arrays. Freed at the
+    end of each fit, they go back to the kernel, and the next fit faults
+    them in again: about 150 minor page faults a fit. Kept here, they
+    cost nothing after the first fit. Each stage (the delay grid,
+    fit_phase, the refine) lays its arrays out from the block's start
+    (carve), so the stages of a fit share one region, which stays in a
+    core's cache from one stage to the next. An array holds whatever its
     last user wrote, so each user writes it whole before reading it, and
     no result is a view of one. owner names the call whose values the
-    arrays hold, for a caller that reads them back in a later call.
+    block holds, for a caller that reads them back in a later call; each
+    carve clears it.
     """
 
-    def __init__(self, size):
-        self.size = size
+    def __init__(self):
         self.owner = None
-        self._arrays = {}
-        self._thinned = None
+        self._block = np.empty(0, np.uint8)
+        self._base = 0
+        self._layouts = {}
+        self._thinned = np.empty(0, np.intp)
 
-    def thinned(self) -> np.ndarray:
+    @property
+    def nbytes(self) -> int:
+        """The memory the workspace holds."""
+        return self._block.nbytes + self._thinned.nbytes
+
+    def thinned(self, size) -> np.ndarray:
         """The indices of DELAY_POINTS samples of size, evenly spread with
-        both ends kept: what the delay search reads. Read only."""
-        if self._thinned is None:
-            keep = np.round(np.linspace(0, self.size - 1, DELAY_POINTS))
+        both ends kept: what the delay search reads. Kept for the last
+        size asked for. Read only."""
+        if self._thinned.size != DELAY_POINTS or self._thinned[-1] != size - 1:
+            keep = np.round(np.linspace(0, size - 1, DELAY_POINTS))
             self._thinned = keep.astype(np.intp)
             self._thinned.flags.writeable = False
         return self._thinned
 
-    def array(self, name, dtype=float, rows=None) -> np.ndarray:
-        """The work array `name`, (size,) or (rows, size) of dtype: one
-        array for each name and row count."""
-        out = self._arrays.get((name, rows))
-        if out is None:
-            shape = (self.size,) if rows is None else (rows, self.size)
-            out = self._arrays[name, rows] = np.empty(shape, dtype)
-        return out
+    def carve(self, *layout) -> tuple:
+        """Arrays of the given (dtype, *shape), laid out in order from the
+        block's start: the arrays of one stage. Each begins on a cache
+        line, and array i of n at i/n of a page, rounded down to a line:
+        a ufunc that reads one array and writes another whose start has
+        the same offset modulo 4 KiB finds its loads held up by its own
+        stores. The block grows to the largest layout asked for, and over
+        1 MiB it shrinks to a layout that needs less than a quarter of
+        it."""
+        self.owner = None
+        arrays = self._layouts.get(layout)
+        if arrays is not None:
+            return arrays
+        step = _PAGE // len(layout) // _LINE * _LINE
+        offsets, end = [], 0
+        for i, (dtype, *shape) in enumerate(layout):
+            start = end + (i * step - end) % _PAGE
+            offsets.append(start)
+            end = start + math.prod(shape) * np.dtype(dtype).itemsize
+        held = self._block.size - _PAGE
+        if end > held or (held > 2 ** 20 and 4 * end < held):
+            self._block = np.empty(end + _PAGE, np.uint8)
+            self._base = -self._block.ctypes.data % _PAGE
+            self._layouts.clear()
+        arrays = tuple(
+            np.ndarray(shape, dtype, self._block, self._base + offset)
+            for (dtype, *shape), offset in zip(layout, offsets))
+        if len(self._layouts) >= 8:
+            self._layouts.clear()
+        self._layouts[layout] = arrays
+        return arrays
 
 
-class _ThreadWorkspaces(threading.local):
-    def __init__(self):
-        self.by_size = {}
+_WORKSPACES = threading.local()
 
 
-_WORKSPACES = _ThreadWorkspaces()
-
-
-def _workspace(size) -> _Workspace:
-    """This thread's workspace for `size` samples. A thread keeps two
-    lengths at most: the delay search's DELAY_POINTS and the one it met
-    last, about 1.9 MB at 4,001 points (the delay grid's 31 loci take
-    0.5 MB of it)."""
-    spaces = _WORKSPACES.by_size
-    space = spaces.get(size)
+def _workspace() -> _Workspace:
+    """This thread's workspace: one block, which holds about 0.7 MB
+    after 4,001-point fits (the delay grid's 31 loci of DELAY_POINTS
+    samples take 0.5 MB of it)."""
+    space = getattr(_WORKSPACES, "space", None)
     if space is None:
-        for other in [k for k in spaces if k != DELAY_POINTS]:
-            del spaces[other]
-        space = spaces[size] = _Workspace(size)
+        space = _WORKSPACES.space = _Workspace()
     return space
 
 
@@ -240,14 +259,16 @@ def estimate_delay(trace: Trace) -> float:
     this only has to land in its basin. When the system is singular at
     the grid's centre (resonance-free or constant data, whose corrected
     locus is a point), nothing is left to fit and the centre estimate is
-    returned as it stands.
+    returned as it stands. A singular system elsewhere does not rank:
+    the best point is the one of least residual whose system is not
+    singular.
     """
     if len(trace) < MIN_TRACE_POINTS:
         raise InsufficientDataError(
             f"delay estimation needs at least {MIN_TRACE_POINTS} points")
     freqs, z = trace.freqs_hz, trace.s21
     if freqs.size > DELAY_POINTS:
-        keep = _workspace(freqs.size).thinned()
+        keep = _workspace().thinned(freqs.size)
         freqs, z = freqs[keep], z[keep]
     z, _ = _scaled_to_unit(z)
     tau0 = -float(np.angle(z[1:] * z[:-1].conj()).sum()) \
@@ -268,11 +289,12 @@ def _scaled_to_unit(z):
     return np.ldexp(parts, -k).view(complex), k
 
 
-def _delay_phasor(offsets, tau, out=None) -> np.ndarray:
+def _delay_phasor(offsets, tau, out=None, work=None) -> np.ndarray:
     """e^(2 pi i (f - f_mid) tau) from the offsets f - f_mid, f_mid the
     middle sample: the delay correction referenced to the band center,
-    written into out when it is given; the tangents are taken in the
-    thread's workspace. Its callers take the offsets once per trace.
+    written into out when it is given; the tangents are taken in work, a
+    (2, N) float array, when it is given. Its callers take the offsets
+    once per trace.
 
     It differs from e^(2 pi i f tau) by the constant e^(2 pi i f_mid tau),
     which rotates a locus as a whole and changes no circle, criterion or
@@ -282,14 +304,15 @@ def _delay_phasor(offsets, tau, out=None) -> np.ndarray:
     numpy vectorizes the float64 tan, one tan costs a tenth of a cos and a
     sin: 7 us against 70 us on 4,001 points (2-core Xeon).
     """
-    space = _workspace(offsets.size)
-    t = np.multiply(offsets, math.pi * tau, out=space.array("tan"))
+    if work is None:
+        work = np.empty((2, offsets.size))
+    t = np.multiply(offsets, math.pi * tau, out=work[0])
     np.tan(t, out=t)
     if out is None:
         out = np.empty(offsets.size, dtype=complex)
     # 2 / (1 + t^2) on contiguous memory; only the last two passes
     # write out's strided parts.
-    half = np.multiply(t, t, out=space.array("square"))
+    half = np.multiply(t, t, out=work[1])
     half += 1.0
     np.divide(2.0, half, out=half)
     np.multiply(t, half, out=out.imag)
@@ -321,12 +344,54 @@ def _phase_system(freqs, z, taus):
     one, hence the eigenvalue: 1e-16 for a straight locus, at least
     1.5e-10 at fit_phase's delay on the census draws of seeds 5-8 and
     5.7e-4 on the acceptance-05 traces.
+
+    The rank is tested where it decides something: at the centre delay,
+    taus[taus.size // 2], and then, while the centre is not singular and its
+    residual finite, at the delay of least residual until one is not
+    singular. So the least residual belongs to a system that is not
+    singular, as if every delay were tested, and a delay that is not
+    tested keeps its solution. A batch with a system that is not finite,
+    or whose solve meets an exact zero pivot, tests every delay.
     """
+    scaled, unit, rhs, total = _phase_normals(freqs, z, taus)
+    f_mid, span = freqs[freqs.size // 2], freqs[-1] - freqs[0]
+    if np.isfinite(scaled).all():
+        try:
+            sol = np.linalg.solve(scaled, (unit * rhs)[..., None])
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            with np.errstate(all="ignore"):
+                residual, pole, leftover = _phase_solution(
+                    unit * sol[..., 0], rhs, total, f_mid, span)
+            _rank_on_demand(scaled, residual, pole, leftover)
+            return residual, pole, leftover
+    solved = np.isfinite(scaled).all(axis=(1, 2))
+    solved[solved] = np.linalg.eigvalsh(scaled[solved])[:, 0] > 1e-12
+    scaled, rhs = scaled[solved], rhs[solved]
+    sol = unit * np.linalg.solve(scaled, (unit * rhs)[..., None])[..., 0]
+    residual, pole, leftover = _phase_solution(sol, rhs, total, f_mid, span)
+    return (_unsolved_as(solved, residual, math.inf),
+            _unsolved_as(solved, pole, complex(math.nan)),
+            _unsolved_as(solved, leftover, math.nan))
+
+
+def _phase_normals(freqs, z, taus):
+    """_phase_system's systems, one per delay: (scaled, unit, rhs, total),
+    the normal matrix with its diagonal scaled to 1, the scale, the
+    right-hand side and the sum of |s x|^2. Written in the thread's
+    workspace; none of them is a view of it."""
     span = freqs[-1] - freqs[0]
     f_mid = freqs[freqs.size // 2]
-    space = _workspace(freqs.size)
-    offsets = np.subtract(freqs, f_mid, out=space.array("offsets"))
-    powers = space.array("powers", rows=5)
+    size, count = freqs.size, taus.size
+    layout = [(float, size), (float, 5, size), (float, size, 2),
+              (complex, 4, size), (complex, count, size), (float, 2, size),
+              (complex, count, 12)]
+    if count > 1:
+        layout.append((complex, size))
+    offsets, powers, weights, rows, loci, work, v, *rotate = \
+        _workspace().carve(*layout)
+    np.subtract(freqs, f_mid, out=offsets)
     powers[0] = 1.0
     x = np.divide(offsets, span, out=powers[1])
     np.multiply(x, x, out=powers[2])
@@ -337,27 +402,25 @@ def _phase_system(freqs, z, taus):
         # x and sum x^2, p_k = sum x^k |s|^2 for k = 0..4, the same at
         # every delay since |s| = |z|, and s_k = sum x^k s for k = 0..3.
         # They take a third of the time of lstsq on the (N, 4) design.
-        v = np.empty((taus.size, 12), dtype=complex)
-        weights = np.empty((z.size, 2))
         weights[:, 0] = 1.0
-        weights[:, 1] = (z * z.conj()).real
+        # |z|^2 as the real part of z conj(z), formed in loci[0].
+        np.multiply(z, np.conjugate(z, out=loci[0]), out=loci[0])
+        weights[:, 1] = loci[0].real
         shared = powers @ weights
         v[:, :3] = shared[:3, 0]
         v[:, 3:8] = shared[:, 1]
-        rows = space.array("rows", complex, rows=4)
         rows[...] = powers[:4]
         # Each delay's locus is the previous one rotated by one grid
         # step, so a delay costs one product with the rotation; then one
         # call takes every locus's matrix-vector product with x^0..x^3.
         # Complex rows make it a matrix-vector one, faster than real rows
         # against the loci's two parts.
-        loci = space.array("loci", complex, rows=taus.size)
-        _delay_phasor(offsets, taus[0], out=loci[0])
+        _delay_phasor(offsets, taus[0], out=loci[0], work=work)
         np.multiply(z, loci[0], out=loci[0])
-        if taus.size > 1:
+        if rotate:
             rotate = _delay_phasor(offsets, taus[1] - taus[0],
-                                   out=space.array("rotate", complex))
-            for k in range(1, taus.size):
+                                   out=rotate[0], work=work)
+            for k in range(1, count):
                 np.multiply(loci[k - 1], rotate, out=loci[k])
         np.matmul(rows, loci[..., None], out=v[:, 8:, None])
         # Entry (i, k) of the normal matrix sums conj(column i) column k.
@@ -366,27 +429,40 @@ def _phase_system(freqs, z, taus):
         rhs = v[:, _RHS_ENTRIES]
         unit = 1.0 / np.sqrt(v[0, _DIAGONAL_ENTRIES].real)
         scaled = normal * (unit[:, None] * unit)
-    solved = np.isfinite(scaled).all(axis=(1, 2))
-    if solved.all():
-        solved = np.linalg.eigvalsh(scaled)[:, 0] > 1e-12
-    else:
-        solved[solved] = np.linalg.eigvalsh(scaled[solved])[:, 0] > 1e-12
-    every = solved.all()
-    if not every:
-        scaled, rhs = scaled[solved], rhs[solved]
-    sol = unit * np.linalg.solve(scaled, (unit * rhs)[..., None])[..., 0]
+    return scaled, unit, rhs, shared[2, 1]
+
+
+def _phase_solution(sol, rhs, total, f_mid, span):
+    """(residual, pole, leftover) of _phase_system's solutions sol, with
+    rhs their right-hand sides and total the sum of |s x|^2."""
     c1, b1 = sol[:, 2], sol[:, 3]
     # The root of b' c' gamma^2 - gamma + 1 near 1, without the
     # cancellation of the textbook form.
     gamma = 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * b1 * c1))
-    residual = shared[2, 1] - (rhs.conj() * sol).sum(axis=1).real
+    residual = total - (rhs.conj() * sol).sum(axis=1).real
     pole = f_mid + span * c1 * gamma
     leftover = (1j * b1 * gamma).real / (TWO_PI * span)
-    if every:
-        return residual, pole, leftover
-    return (_unsolved_as(solved, residual, math.inf),
-            _unsolved_as(solved, pole, complex(math.nan)),
-            _unsolved_as(solved, leftover, math.nan))
+    return residual, pole, leftover
+
+
+def _rank_on_demand(scaled, residual, pole, leftover):
+    """_phase_system's rank test on its solved systems scaled, in place: a
+    singular one reads inf and NaN. It tests the centre's system, then,
+    while the centre's is not singular and its residual finite, the one
+    of least residual until that one is not singular."""
+    centre = residual.size // 2
+    k = centre
+    while True:
+        if np.linalg.eigvalsh(scaled[k])[0] > 1e-12:
+            if k != centre or not residual[centre] < math.inf:
+                return
+        else:
+            residual[k], pole[k], leftover[k] = math.inf, math.nan, math.nan
+            if k == centre:
+                return
+        k = int(np.argmin(residual))
+        if k == centre:
+            return
 
 
 def _unsolved_as(solved, values, fill):
@@ -504,31 +580,33 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     # vc = v - mean(v). The solver takes the normal equations at the
     # point whose residual it evaluated last, so one cached entry lets
     # the residual and the normal equations share that point's solve. v,
-    # vc and the model live in the thread's workspace, which a later fit
-    # of the same length overwrites, so the entry holds only while this
-    # call owns it; the residual is a fresh array, since the solver holds
-    # two at once.
-    space = _workspace(freqs.size)
-    v, w, vc, model, u, g, along = (
-        space.array(name, complex)
-        for name in ("v", "w", "vc", "model", "u", "g", "along"))
+    # vc and the model live in the thread's workspace, which any other
+    # stage or fit overwrites, so the entry holds only while this call
+    # owns it (a token that holds no array, so the workspace keeps no
+    # residual alive); the residual is a fresh array, since the solver
+    # holds two at once.
+    space = _workspace()
+    size = freqs.size
+    v, w, vc, model, u, g, along, work = space.carve(
+        *[(complex, size)] * 7, (float, 2, size))
     cached = [None, None]
+    token = object()
 
     def projection(p):
         key = p.tobytes()
-        if key != cached[0] or space.owner is not cached:
+        if key != cached[0] or space.owner is not token:
             # v = (1 - i x) / (1 + x^2), x = 2 Q_l (f/f_r - 1), in real
             # arithmetic: t = -x, Re v = 1 / (1 + t^2) and Im v = t Re v,
             # formed on contiguous memory and then written into v's parts.
-            t = np.divide(freqs, p[0], out=space.array("t"))
+            t = np.divide(freqs, p[0], out=work[0])
             t -= 1.0
             t *= -2.0 * p[1]
-            v_re = np.multiply(t, t, out=space.array("square"))
+            v_re = np.multiply(t, t, out=work[1])
             v_re += 1.0
             np.divide(1.0, v_re, out=v_re)
             np.multiply(t, v_re, out=v.imag)
             v.real = v_re
-            _delay_phasor(offsets, p[2], out=w)
+            _delay_phasor(offsets, p[2], out=w, work=work)
             np.multiply(z, w, out=w)
             v_mean = v.sum() / n
             np.subtract(v, v_mean, out=vc)
@@ -540,8 +618,8 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
             # Model minus data; rows interleave the real and imaginary
             # parts (a view of the complex array, no copy).
             out = model - w
-            space.owner = cached
-            cached[:] = key, (vc_norm2, a, c, out.view(float))
+            space.owner = token
+            cached[:] = key, (vc_norm2, v_mean, a, c, out.view(float))
         return cached[1]
 
     # Kaufman's Jacobian (BIT 15, 49, 1975): the model's partials at
@@ -555,19 +633,34 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     # matrix and the gradient come from |u|^2, <u, g>, |g|^2, <u, r> and
     # <g, r>, and no (N, 3) Jacobian is formed. The columns are
     # projected explicitly: moments of the unprojected v^2 cancel where
-    # v^2 is nearly in span{1, v}.
-    def normal_equations(p, r):
-        vc_norm2, _, c, _ = projection(p)
+    # v^2 is nearly in span{1, v}. last keeps the point at which the
+    # columns were last projected and what the covariance reads there:
+    # the mean of v, each column's mean and coefficient along vc, and
+    # the projected columns' inner products.
+    last = [None, None]
+
+    def columns(p):
+        vc_norm2, v_mean, _, _, _ = projection(p)
         np.multiply(v, v, out=u)
         np.multiply(model, lever, out=g)
+        splits = []
         for col in (u, g):
-            col -= col.sum() / n
-            col -= np.multiply(np.vdot(vc, col) / vc_norm2, vc, out=along)
-        r = r.view(complex)
+            mean = col.sum() / n
+            col -= mean
+            along_vc = np.vdot(vc, col) / vc_norm2
+            col -= np.multiply(along_vc, vc, out=along)
+            splits.append((mean, along_vc))
         # Python scalars: numpy's cost more than their arithmetic here.
         uu, gg = float(np.vdot(u, u).real), float(np.vdot(g, g).real)
-        gr = float(np.vdot(g, r).real)
-        ug, ur = complex(np.vdot(u, g)), complex(np.vdot(u, r))
+        ug = complex(np.vdot(u, g))
+        last[:] = p.tobytes(), (vc_norm2, v_mean, *splits, uu, gg, ug)
+        return uu, gg, ug
+
+    def normal_equations(p, r):
+        c = projection(p)[3]
+        uu, gg, ug = columns(p)
+        r = r.view(complex)
+        gr, ur = float(np.vdot(g, r).real), complex(np.vdot(u, r))
         k0 = complex(c) * (2j * p[1] - 1.0) / p[0]
         k1 = complex(c) / p[1]
         k01 = (k0.conjugate() * k1).real * uu
@@ -581,7 +674,7 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
         return normal, gradient
 
     problem = fitting.FitProblem(
-        residual=lambda p: projection(p)[3],
+        residual=lambda p: projection(p)[4],
         initial_params=np.array([seed.f_r, seed.q_loaded, delay]),
         bounds=[(max(freqs[0] - span, 1.0), freqs[-1] + span),
                 (1.0, 1e12), (-1e-4, 1e-4)],
@@ -589,7 +682,7 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     )
     res = fitting.nonlinear_ls(problem)
     f_r, q_l, tau = res.params
-    _, a, c, _ = projection(res.params)
+    _, _, a, c, _ = projection(res.params)
     gain = abs(complex(a))
     rms = res.residual_norm / math.sqrt(len(trace)) / gain
     # |Q_e| as extract_qfactors computes it, bit for bit.
@@ -601,27 +694,35 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     # column's lever arm is 2 pi (f_mid - f) instead of -2 pi f, and the
     # gain's is that of ln g, so every column carries the trace's unit.
     # Taken divided by rot, like the refinement's (J^T J is unchanged),
-    # each column is a complex multiple m_j of one of five vectors: f v^2
-    # for f_r, v^2 for Q_l, v for |Q_e| and phi, 1 - kappa v for ln g and
-    # alpha_c, and (1 - kappa v) 2 pi (f_mid - f) for tau, with kappa =
-    # -c/a the unit-gain dip per v. Entry (j, k) of the normal matrix is
-    # then Re(conj(m_j) m_k G), G the vectors' complex inner product: its
-    # 15 distinct entries as vdots take half the time of a matmul against
-    # a conjugated copy of the basis, and one gather places them.
-    basis = space.array("basis", complex, rows=4)
-    np.multiply(v, v, out=basis[1])
-    np.multiply(basis[1], freqs, out=basis[0])
-    np.multiply(v, c / a, out=basis[2])
-    basis[2] += 1.0
-    arm = np.subtract(f_mid, freqs, out=space.array("t"))
-    arm *= TWO_PI
-    np.multiply(basis[2], arm, out=basis[3])
-    vectors = (basis[0], basis[1], v, basis[2], basis[3])
-    dots = np.array([np.vdot(vectors[j], vectors[k]) for j, k in _GRAM_PAIRS])
-    gram = np.concatenate((dots, dots.conj()))[_GRAM_ENTRIES]
-    mult = np.array([2j * q_l * c / f_r ** 2, c / q_l, -c / q_e, 1j * c,
-                     a, 1j * a, 1j * a])
-    normal = (mult.conj()[:, None] * gram * mult).real
+    # each column is a combination of 1, v, v^2 and h = model * lever:
+    # c/f_r v + k0 v^2 for f_r, c/Q_l v^2 for Q_l, -c/|Q_e| v and i c v
+    # for |Q_e| and phi, a + c v and i (a + c v) for ln g and alpha_c,
+    # and h for tau. The projection at the optimum splits v^2 and h into
+    # their means, multiples of vc and the orthogonal rest u and g, so
+    # with v = mean(v) + vc the four vectors are combinations of 1, vc,
+    # u and g, whose Gram reads n, |vc|^2, |u|^2, <u, g> and |g|^2: no
+    # pass over the samples, unless the solver stopped at a point where
+    # it took no normal equations.
+    if last[0] != res.params.tobytes():
+        columns(res.params)
+    vc_norm2, v_mean, (u_mean, u_vc), (g_mean, g_vc), uu, gg, ug = last[1]
+    # Column k: vector k of 1, v, v^2 and h along 1, vc, u and g.
+    split = np.array([[1.0, v_mean, u_mean, g_mean],
+                      [0.0, 1.0, u_vc, g_vc],
+                      [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0]])
+    gram = np.array([[n, 0.0, 0.0, 0.0],
+                     [0.0, vc_norm2, 0.0, 0.0],
+                     [0.0, 0.0, uu, ug],
+                     [0.0, 0.0, ug.conjugate(), gg]])
+    # Column j: parameter j's column as a combination of 1, v, v^2, h.
+    k0 = c * (2j * q_l - 1.0) / f_r
+    mult = np.array([[0.0, 0.0, 0.0, 0.0, a, 1j * a, 0.0],
+                     [c / f_r, 0.0, -c / q_e, 1j * c, c, 1j * c, 0.0],
+                     [k0, c / q_l, 0.0, 0.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+    parts = split @ mult
+    normal = (parts.conj().T @ gram @ parts).real
     cov = fitting.covariance(normal, 2 * freqs.size, res.residual_norm)
     stderr = np.sqrt(cov.diagonal())
     # Read before extract_qfactors, so that noise alone reads as

@@ -58,7 +58,7 @@ def _read_table(path: str, what: str, headers):
     header = None
     directives = {}
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -226,7 +226,7 @@ def parse_touchstone(path: str) -> Trace:
     """
     option = None
     data_rows = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.split("!", 1)[0].strip()
             if not line:
@@ -298,7 +298,7 @@ def write_design(design: ResonatorDesign, path: str) -> None:
 def load_config_file(path: str) -> dict[str, str]:
     """Parse a flat key = value file into a string dict."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

@@ -3,9 +3,17 @@
 Each function was worked out on paper from the closed-form models and
 is kept free of any code path it checks: they hold the library's
 central differences and its exact Jacobians to a symbolic reference.
+The delay search's references (phase_system_every_rank and
+delay_every_rank) check one rule, which delays the rank test reaches:
+they take the library's own systems and solution formulas, so that they
+can match it to the bit, and test the rank of every delay.
 """
 
+import math
+
 import numpy as np
+
+from resokit import extraction as ex
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,6 +81,49 @@ def phase_system_fit(f, s):
     gamma = (1.0 - np.sqrt(1.0 - 4.0 * b1 * c1)) / (2.0 * b1 * c1)
     return (float(np.vdot(resid, resid).real), f_mid + span * c1 * gamma,
             (1j * b1 * gamma).real / (TWO_PI * span))
+
+
+def phase_system_every_rank(f, z, taus):
+    """extraction._phase_system with the rank of every delay's system
+    tested: a system that is not finite, or whose scaled normal matrix
+    has its smallest eigenvalue at most 1e-12, reads residual inf and
+    pole and leftover NaN; the others are solved together."""
+    scaled, unit, rhs, total = ex._phase_normals(f, z, taus)
+    solved = np.isfinite(scaled).all(axis=(1, 2))
+    solved[solved] = np.linalg.eigvalsh(scaled[solved])[:, 0] > 1e-12
+    scaled, rhs = scaled[solved], rhs[solved]
+    sol = unit * np.linalg.solve(scaled, (unit * rhs)[..., None])[..., 0]
+    out = ex._phase_solution(sol, rhs, total, f[f.size // 2], f[-1] - f[0])
+    filled = []
+    for values, fill in zip(out, (math.inf, complex(math.nan), math.nan)):
+        full = np.full(taus.size, fill, dtype=values.dtype)
+        full[solved] = values
+        filled.append(full)
+    return tuple(filled)
+
+
+def delay_every_rank(trace):
+    """extraction.estimate_delay with every grid delay rank-tested by
+    phase_system_every_rank: the centre estimate when the centre's system
+    is singular, else the grid delay of least residual plus its
+    leftover."""
+    f, z = trace.freqs_hz, trace.s21
+    if f.size > ex.DELAY_POINTS:
+        keep = np.round(np.linspace(0, f.size - 1, ex.DELAY_POINTS))
+        keep = keep.astype(np.intp)
+        f, z = f[keep], z[keep]
+    parts = z.view(float)
+    z = np.ldexp(parts, -math.frexp(max(parts.max(), -parts.min()))[1])
+    z = z.view(complex)
+    tau0 = -float(np.angle(z[1:] * z[:-1].conj()).sum()) \
+        / (TWO_PI * (f[-1] - f[0]))
+    window = 2.0 / (f[-1] - f[0])
+    taus = np.linspace(tau0 - window, tau0 + window, ex.DELAY_GRID_POINTS)
+    residual, _, leftover = phase_system_every_rank(f, z, taus)
+    if not residual[taus.size // 2] < math.inf:
+        return tau0
+    best = int(np.argmin(residual))
+    return float(taus[best] + leftover[best])
 
 
 def freq_vs_area_gradient(areas, inductance, cap_per_area, cap_to_ground):

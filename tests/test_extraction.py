@@ -283,23 +283,32 @@ class TestEstimateDelay:
 
     def test_mixed_grid_refuses_only_the_straight_delay(self):
         # The locus alpha + beta x, delayed by tau_1, is straight at the
-        # grid's first delay and curved at the 30 others: only row 0 is
-        # singular, and the solved rows go back to their own places.
+        # grid's first delay and curved at the 30 others. Its slope is
+        # small, so the straight delay has the least residual and the
+        # rank test reaches it: only row 0 is refused, the search skips
+        # it for the choice of a search that tests every delay, and the
+        # other rows keep their own solutions.
         f = np.linspace(7.0e9, 7.1e9, 201)
         offsets = f - f[f.size // 2]
         span = f[-1] - f[0]
         tau_1 = 30e-9
-        z = (0.8 - 0.3j + (0.2 + 0.5j) * offsets / span) \
+        z = (0.8 - 0.3j + (0.002 + 0.005j) * offsets / span) \
             * np.exp(-1j * TWO_PI * offsets * tau_1)
         taus = tau_1 + np.arange(ex.DELAY_GRID_POINTS) * (4.0 / 30.0) / span
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             residual, pole, leftover = ex._phase_system(f, z, taus)
+            every = oracles.phase_system_every_rank(f, z, taus)
         assert residual[0] == math.inf
         assert cmath.isnan(pole[0]) and math.isnan(leftover[0])
         assert np.all(np.isfinite(residual[1:]))
         assert np.all(np.isfinite(pole[1:]))
         assert np.all(np.isfinite(leftover[1:]))
+        best = np.argmin(residual)
+        assert best == np.argmin(every[0]) == 1
+        assert leftover[best] == every[2][best]
+        for mine, reference in zip((residual, pole, leftover), every):
+            assert np.array_equal(mine, reference, equal_nan=True)
         # Each solved row is the one-delay system at that row's locus.
         rotate = ex._delay_phasor(offsets, taus[1] - taus[0])
         for k in (1, 17, 30):
@@ -307,6 +316,36 @@ class TestEstimateDelay:
                 f, z * rotate ** k, np.array([taus[0]]))
             assert residual[k] == pytest.approx(one[0][0], rel=1e-9)
             assert pole[k] == pytest.approx(one[1][0], rel=1e-9)
+
+    def test_exactly_singular_batch_takes_every_rank(self, monkeypatch):
+        # A constant locus at delay 0 is exactly singular: with dyadic
+        # x and unit samples every sum is exact, so the rows of 1 and s
+        # are equal and the batched solve meets a zero pivot. The batch
+        # then tests every delay, and reads as a search that does.
+        f = 1000.0 + np.arange(33.0)
+        taus = np.arange(ex.DELAY_GRID_POINTS) * 1e-3
+        z = np.ones(f.size, dtype=complex)
+        scaled, unit, rhs, _ = ex._phase_normals(f, z, taus)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(scaled, (unit * rhs)[..., None])
+        monkeypatch.setattr(ex, "_rank_on_demand", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ex._phase_system(f, z, taus)
+        every = oracles.phase_system_every_rank(f, z, taus)
+        assert out[0][0] == math.inf and np.isfinite(out[0][1:]).all()
+        for mine, reference in zip(out, every):
+            assert np.array_equal(mine, reference, equal_nan=True)
+
+    def test_search_matches_every_rank_reference(self):
+        # The rank test reaches the centre and the least residuals only;
+        # the seed is the one of a search that tests every delay, to the
+        # bit, over the acceptance-05 stream and 200 census draws.
+        traces = itertools.chain(
+            acceptance_stream(),
+            (trace for _, _, trace, _ in wide_range_probe(200, seed=5)))
+        for trace in traces:
+            assert ex.estimate_delay(trace) == oracles.delay_every_rank(trace)
 
     @pytest.mark.parametrize("seed", [0, 3, 5])
     def test_grid_row_matches_one_delay_call(self, seed):
@@ -987,14 +1026,14 @@ class TestFitNotch:
             self.probe_draw(203)
 
     @pytest.mark.parametrize("index, grid_points",
-                             [(75, 31), (85, 31), (524, 21), (669, 21)])
+                             [(300, 31), (227, 31), (524, 21), (669, 21)])
     def test_wide_range_singular_covariance_refused(self, monkeypatch, index,
                                                     grid_points):
         # The refine ends where the normal matrix is singular to rounding
         # and the inversion leaves the Q_l and |Q_e| variances negative.
         # fitting.covariance reads them as undetermined, infinite.
-        # Clipped to zero they would read as exact fits: draw 75 would
-        # end unconverged with Q_l and |Q_e| errors of 0, and draw 85,
+        # Clipped to zero they would read as exact fits: draw 300 would
+        # end unconverged with Q_l and |Q_e| errors of 0, and draw 227,
         # and with a 21-point delay grid draws 524 and 669, would end as
         # NonphysicalQinError.
         monkeypatch.setattr(ex, "DELAY_GRID_POINTS", grid_points)
@@ -1003,7 +1042,7 @@ class TestFitNotch:
             self.probe_draw(index)
 
     def test_singular_to_rounding_variances_read_infinite(self, monkeypatch):
-        # Draw 75's seven-parameter normal matrix is singular to
+        # Draw 300's seven-parameter normal matrix is singular to
         # rounding: its inverse has negative Q_l and |Q_e| variances.
         # fitting.covariance reads them, as it reads a zero Jacobian
         # column, as undetermined: infinite, with the rest of their rows
@@ -1014,7 +1053,7 @@ class TestFitNotch:
             ex.fitting, "covariance",
             lambda *args: calls.append(args) or covariance(*args))
         with pytest.raises(UnresolvedResonanceError):
-            self.probe_draw(75)
+            self.probe_draw(300)
         (normal, *rest), = calls
         assert (np.linalg.inv(normal).diagonal()[1:3] < 0.0).all()
         cov = covariance(normal, *rest)
@@ -1220,7 +1259,8 @@ class TestFitNotch:
 
 
 class TestWorkspace:
-    """The notch fit keeps its work arrays per thread between fits."""
+    """The notch fit keeps its work arrays in one block per thread
+    between fits."""
 
     def test_steady_state_fits_fault_in_no_pages(self):
         # Temporaries allocated and freed in every fit go back to the
@@ -1254,14 +1294,16 @@ class TestWorkspace:
         assert int(proc.stdout) < 20
 
     def test_fits_of_other_lengths_and_threads_move_no_bit(self):
-        # Each length has its own arrays, and a thread keeps the delay
-        # search's length and the last one it fitted.
+        # Every length lays its arrays out in the same block, and a
+        # thread keeps that one block.
         long = next(acceptance_stream())
         _, short = notch_trace(noise=0.003, seed=4, cable_delay=30e-9)
         first = fingerprint(fit_or_error(long))
+        space = ex._workspace()
+        block = space.nbytes
         fit_or_error(short)
         assert fingerprint(fit_or_error(long)) == first
-        assert set(ex._WORKSPACES.by_size) == {ex.DELAY_POINTS, len(long)}
+        assert ex._workspace() is space and space.nbytes == block
         fresh = []
         thread = threading.Thread(
             target=lambda: fresh.append(fingerprint(fit_or_error(long))))
@@ -1269,6 +1311,35 @@ class TestWorkspace:
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert fresh == [first]
+
+    def test_thread_holds_at_most_0_8_mb(self):
+        # A thread's work memory after 4,001-point fits: the block that
+        # every stage lays its arrays out in, and the delay search's
+        # thinned indices. Counted as the workspace reports it and as
+        # tracemalloc sees it, in a fresh thread that keeps none of its
+        # results.
+        import tracemalloc
+        traces = list(itertools.islice(acceptance_stream(), 3))
+        held = []
+
+        def fit_all():
+            before = tracemalloc.get_traced_memory()[0]
+            for trace in traces:
+                fit_or_error(trace)
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+            held.append(ex._workspace().nbytes)
+
+        tracemalloc.start()
+        try:
+            thread = threading.Thread(target=fit_all)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            tracemalloc.stop()
+        assert not thread.is_alive()
+        traced, reported = held
+        assert 0.5e6 < reported <= 0.8e6
+        assert traced <= reported + 20_000
 
     def test_concurrent_threads_fit_as_one(self):
         # Two threads fit 20 acceptance-05 traces each, at once; numpy
@@ -1314,6 +1385,29 @@ class TestWorkspace:
         assert np.array_equal(again[0], normal)
         assert np.array_equal(again[1], gradient)
 
+
+    @pytest.mark.parametrize("stage", ["estimate_delay", "fit_phase"])
+    def test_captured_problem_survives_another_stage(self, monkeypatch,
+                                                     stage):
+        # Every stage lays its arrays out over the refine's: a captured
+        # problem recomputes its point after the delay search or the
+        # phase seed of another trace alone, with no refine after them.
+        _, trace = notch_trace(noise=0.003, seed=4, cable_delay=30e-9,
+                               mismatch_phi=0.2, env_gain=0.8, env_phase=1.0)
+        _, other = notch_trace(noise=0.01, seed=9, cable_delay=20e-9,
+                               mismatch_phi=-0.3, q_loaded=2000.0)
+        problem = TestFitNotch.refine_problem(monkeypatch, trace)
+        x = problem.initial_params
+        r = problem.residual(x).copy()
+        normal, gradient = problem.normal_equations(x, r)
+        if stage == "estimate_delay":
+            ex.estimate_delay(other)
+        else:
+            ex.fit_phase(other, 20e-9)
+        assert np.array_equal(problem.residual(x), r)
+        again = problem.normal_equations(x, r)
+        assert np.array_equal(again[0], normal)
+        assert np.array_equal(again[1], gradient)
 
 class TestFrequencyVsArea:
     def reference_dataset(self):

@@ -79,6 +79,16 @@ class TestTraceCsv:
         with pytest.raises(SchemaError):
             traceio.parse_trace_csv(str(path))
 
+    def test_byte_order_mark_read_as_nothing(self, tmp_path):
+        # Spreadsheet exports start with a UTF-8 byte-order mark; the
+        # header after it reads as it does without one.
+        path = tmp_path / "t.csv"
+        path.write_text("\ufefffreq_hz,re,im\n7.30e9,0.6667,0.0\n",
+                        encoding="utf-8")
+        trace = traceio.parse_trace_csv(str(path))
+        assert trace.freqs_hz.tolist() == [7.30e9]
+        assert trace.s21.tolist() == [0.6667 + 0j]
+
 
 TABLE_HEADER = ("label", "x", "y")
 
@@ -213,6 +223,14 @@ class TestTouchstone:
         with pytest.raises(UnsupportedFormatError):
             traceio.parse_touchstone(path)
 
+    def test_byte_order_mark_read_as_nothing(self, tmp_path):
+        path = tmp_path / "t.s2p"
+        path.write_text("\ufeff" + TS_HEADER
+                        + "7.3e9 0.9 0.0 0.6667 0.0 0.6667 0.0 0.9 0.0\n",
+                        encoding="utf-8")
+        trace = traceio.parse_touchstone(str(path))
+        assert trace.s21.tolist() == [0.6667 + 0j]
+
     def test_one_port_file_rejected(self, tmp_path):
         path = self.write(tmp_path, "# HZ S RI R 50\n7.3e9 0.5 0.1\n")
         with pytest.raises(SchemaError):
@@ -303,6 +321,12 @@ class TestConfigFile:
         values = traceio.load_config_file(str(path))
         assert values == {"kinetic-fraction": "0.06", "l-nh": "0.3",
                           "gap-ev": "180e-6"}
+
+    def test_byte_order_mark_read_as_nothing(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("\ufeffseed = 5\nnoise = 0.01\n", encoding="utf-8")
+        assert traceio.load_config_file(str(path)) == {"seed": "5",
+                                                       "noise": "0.01"}
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
