@@ -700,9 +700,11 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
     # and h for tau. The projection at the optimum splits v^2 and h into
     # their means, multiples of vc and the orthogonal rest u and g, so
     # with v = mean(v) + vc the four vectors are combinations of 1, vc,
-    # u and g, whose Gram reads n, |vc|^2, |u|^2, <u, g> and |g|^2: no
+    # u and g, whose Gram G reads n, |vc|^2, |u|^2, <u, g> and |g|^2: no
     # pass over the samples, unless the solver stopped at a point where
-    # it took no normal equations.
+    # it took no normal equations. With G = L L^H, the real and
+    # imaginary parts of L^H parts stack to an 8x7 factor R of the
+    # normal matrix (R^T R = J^T J), which the covariance reads.
     if last[0] != res.params.tobytes():
         columns(res.params)
     vc_norm2, v_mean, (u_mean, u_vc), (g_mean, g_vc), uu, gg, ug = last[1]
@@ -711,19 +713,24 @@ def _refine_notch(trace: Trace, seed: PhaseFit,
                       [0.0, 1.0, u_vc, g_vc],
                       [0.0, 0.0, 1.0, 0.0],
                       [0.0, 0.0, 0.0, 1.0]])
-    gram = np.array([[n, 0.0, 0.0, 0.0],
-                     [0.0, vc_norm2, 0.0, 0.0],
-                     [0.0, 0.0, uu, ug],
-                     [0.0, 0.0, ug.conjugate(), gg]])
+    # L^H in closed form: G is block-diagonal in n, |vc|^2 and the (u, g)
+    # block. A zero u gives a zero row, not a division by zero.
+    u_root = math.sqrt(uu)
+    ug_root = ug / u_root if uu else 0.0
+    g_root = math.sqrt(max(gg - abs(ug_root) ** 2, 0.0))
+    root = np.array([[math.sqrt(n), 0.0, 0.0, 0.0],
+                     [0.0, math.sqrt(vc_norm2), 0.0, 0.0],
+                     [0.0, 0.0, u_root, ug_root],
+                     [0.0, 0.0, 0.0, g_root]])
     # Column j: parameter j's column as a combination of 1, v, v^2, h.
     k0 = c * (2j * q_l - 1.0) / f_r
     mult = np.array([[0.0, 0.0, 0.0, 0.0, a, 1j * a, 0.0],
                      [c / f_r, 0.0, -c / q_e, 1j * c, c, 1j * c, 0.0],
                      [k0, c / q_l, 0.0, 0.0, 0.0, 0.0, 0.0],
                      [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
-    parts = split @ mult
-    normal = (parts.conj().T @ gram @ parts).real
-    cov = fitting.covariance(normal, 2 * freqs.size, res.residual_norm)
+    rooted = root @ (split @ mult)
+    factor = np.concatenate((rooted.real, rooted.imag))
+    cov = fitting.covariance(factor, 2 * freqs.size, res.residual_norm)
     stderr = np.sqrt(cov.diagonal())
     # Read before extract_qfactors, so that noise alone reads as
     # unresolved, not as nonphysical; an infinite error is refused.
@@ -867,7 +874,7 @@ def fit_frequency_vs_area(ds: AreaFrequencyDataset) -> AreaFitResult:
     )
     res = fitting.nonlinear_ls(problem)
     jac = frequency_area_jacobian(areas, l_eff, *res.params)
-    cov = fitting.covariance(jac.T @ jac, areas.size, res.residual_norm)
+    cov = fitting.covariance(jac, areas.size, res.residual_norm)
     err = np.sqrt(cov.diagonal())
     return AreaFitResult(cap_per_area=float(res.params[0]),
                          cap_to_ground=float(res.params[1]),

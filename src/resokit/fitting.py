@@ -1,5 +1,5 @@
-"""Least-squares substrate: closed-form linear fits and a damped
-Gauss-Newton solver.
+"""Least-squares substrate: closed-form linear fits, a damped
+Gauss-Newton solver and the one covariance rule.
 
 All model-specific fitters in the toolkit sit on these entry points.
 Each fitter that calls the solver (the notch refinement, the power-sweep
@@ -9,13 +9,13 @@ FitProblem.scale names the unit of each parameter, and the settings
 below hold in those units. A fitter with a dense Jacobian hands it over
 through from_jacobian; the notch refinement forms its 3x3 system
 without one. The solver returns the minimum and why it stopped, with a
-per-run trace of accepted residual norms. It returns no covariance:
-each fitter applies `covariance` to its own normal matrix at its fitted
-params, the one rule for the covariance and for when a variance is
-undetermined (infinite). Its one stop rule is stated in nonlinear_ls;
-the constants below are its settings. No fitter calls
-numeric_jacobian: it is the reference that exact Jacobians are tested
-against.
+per-run trace of accepted residual norms, and no covariance: each
+fitter applies `covariance`, the one rule for the covariance and for
+when a variance is undetermined (infinite), to a factor of its normal
+matrix at its fitted params, and linear_wls refuses a design by the
+same rank rule. The solver's one stop rule is stated in nonlinear_ls;
+the constants below are its settings. No fitter calls numeric_jacobian:
+it is the reference that exact Jacobians are tested against.
 """
 
 import math
@@ -43,6 +43,10 @@ MAX_ITERATIONS = 200
 STALL_STEPS = 3
 STEP_FLOOR = 1e-13
 JACOBIAN_STEP_REL = 1e-6
+# The rank rule (covariance). On the wide-range census (tests/census.py,
+# seeds 5-8) every converged notch fit's scaled factor has a condition
+# under 1.4e5; the nearest draws to 1 / RANK_RTOL lie at 5.7e6 and 3.0e7.
+RANK_RTOL = 7.5e-8
 
 
 @dataclass
@@ -79,7 +83,7 @@ class FitResult:
     residual_norm is the 2-norm of the residual at params; status and
     converged are as nonlinear_ls states them, and residual_trace holds
     the norm at the start and after each accepted step. No covariance:
-    the caller applies `covariance` to its own Jacobian at params.
+    the caller applies `covariance` to a factor of its normal matrix.
     """
 
     params: np.ndarray
@@ -115,27 +119,22 @@ def numeric_jacobian(model, params, scale=1.0) -> np.ndarray:
 
 
 def linear_wls(design, y) -> FitResult:
-    """Linear least squares in closed form.
-
-    design is the (n, p) design matrix, one column per parameter. Like
-    nonlinear_ls it returns no covariance; `covariance` of X^T X with
-    the residual norm is the one rule for it.
+    """Linear least squares in closed form, on the (n, p) design matrix,
+    solved from the SVD of the rank rule (covariance). A design with an
+    undetermined direction, fewer points than parameters among them,
+    raises RankDeficiencyError. It returns no covariance.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(design, dtype=float)
-    n, p = X.shape
-    if n < p:
-        raise RankDeficiencyError(f"{n} points cannot determine {p} parameters")
-    sv = np.linalg.svd(X, compute_uv=False)
-    if sv[-1] <= sv[0] * 1e-12:
+    norms, u, s, vt, determined = _scaled_svd(X)
+    if not determined.all():
         raise RankDeficiencyError("design matrix is rank deficient")
-    normal = X.T @ X
-    try:
-        beta = np.linalg.solve(normal, X.T @ y)
-    except np.linalg.LinAlgError as exc:
-        # Singular values above the bound can square to a normal matrix
-        # that is singular to rounding.
-        raise RankDeficiencyError("normal matrix is singular") from exc
+    # One step of iterative refinement (Bjorck, Numerical Methods for
+    # Least Squares Problems, 1996, sec. 2.9) takes back the first
+    # solve's rounding: two points fit their line exactly.
+    pinv = (vt.T / s) @ u.T / norms[:, None]
+    beta = pinv @ y
+    beta += pinv @ (y - X @ beta)
     resid = y - X @ beta
     norm = math.sqrt(resid @ resid)
     return FitResult(params=beta, residual_norm=norm, iterations=0,
@@ -152,55 +151,54 @@ def from_jacobian(jacobian):
     return normal_equations
 
 
-def covariance(normal, rows, residual_norm=None, free=None) -> np.ndarray:
-    """Parameter covariance from the normal matrix J^T J of a least-squares
-    solution with `rows` residuals.
+def covariance(factor, rows, residual_norm=None, free=None) -> np.ndarray:
+    """Parameter covariance of a least-squares solution with `rows`
+    residuals, read from a factor F of its normal matrix (F^T F = J^T J:
+    the Jacobian or a smaller factor), not from J^T J, whose condition
+    is the square of F's.
 
-    With residual_norm (unweighted residuals) it is scaled by the reduced
-    chi-square residual_norm^2 / (rows - free parameters). free marks the
-    fitted parameters (all by default). A parameter that is not free was
-    never fitted: it gets a zero row and column, and the others the
-    inverse of their own block, the covariance conditional on its value.
-    A free parameter whose Jacobian column is zero (a zero diagonal of
-    the normal matrix) is not determined by the data at all: it stays
-    out of the block too and gets an infinite variance, with zeros in
-    the rest of its row and column. So does every free parameter of an
-    unweighted fit without degrees of freedom (rows <= free
-    parameters), whose residuals leave no noise scale to read, and every
-    variance that the inversion of a normal matrix singular to rounding
-    leaves negative or NaN: a variance is never negative or NaN.
+    The one rank rule: in the SVD of F with unit-norm columns, a
+    direction whose singular value is at most RANK_RTOL times the
+    largest is undetermined (a zero column gives one), and a parameter
+    with a component over RANK_RTOL along it gets an infinite variance
+    and zeros in the rest of its row and column. With residual_norm
+    (unweighted residuals) the covariance is scaled by the reduced
+    chi-square, and without a degree of freedom every free parameter
+    reads infinite. A parameter that free (default: all) leaves out was
+    never fitted: zero row and column, the others conditional on it.
     """
-    if free is None:
-        free = np.ones(normal.shape[0], dtype=bool)
-    dof = rows - np.count_nonzero(free)
+    if free is not None and not free.all():
+        cov = np.zeros((free.size, free.size))
+        cov[np.ix_(free, free)] = covariance(factor[:, free], rows,
+                                             residual_norm)
+        return cov
+    size = factor.shape[1]
+    dof = rows - size
     if residual_norm is not None and dof <= 0:
-        unseen = free
-    else:
-        unseen = free & (normal.diagonal() == 0.0)
-    fitted = free & ~unseen
-    if fitted.all():
-        cov = _inverse(normal)
-    else:
-        index = np.flatnonzero(fitted)
-        block = (index[:, None], index)
-        cov = np.zeros(normal.shape)
-        cov[block] = _inverse(normal[block])
-    if residual_norm is not None and dof > 0:
+        return np.diag(np.full(size, math.inf))
+    norms, _, s, vt, determined = _scaled_svd(factor)
+    kept = vt[determined] / (s[determined, None] * norms)
+    cov = kept.T @ kept
+    if residual_norm is not None:
         cov *= residual_norm ** 2 / dof
-    unseen = unseen | ~(cov.diagonal() >= 0.0)
-    if unseen.any():
-        cov[unseen] = cov[:, unseen] = 0.0
-        cov[unseen, unseen] = math.inf
+    if not determined.all():
+        undetermined = (np.abs(vt[~determined]) > RANK_RTOL).any(axis=0)
+        cov[undetermined] = cov[:, undetermined] = 0.0
+        cov[undetermined, undetermined] = math.inf
     return cov
 
 
-def _inverse(matrix):
-    """The inverse of a square matrix, or its pseudo-inverse where it is
-    singular."""
-    try:
-        return np.linalg.inv(matrix)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(matrix)
+def _scaled_svd(factor):
+    """Column norms (1 for a zero column), thin SVD u, s, vt of factor
+    over them, and which directions (rows of vt) the rank rule keeps.
+    Zero rows pad a wide factor: F^T F is unchanged, and vt is square."""
+    rows, size = factor.shape
+    if rows < size:
+        factor = np.vstack([factor, np.zeros((size - rows, size))])
+    norms = np.sqrt((factor * factor).sum(axis=0))
+    norms[norms == 0.0] = 1.0
+    u, s, vt = np.linalg.svd(factor / norms, full_matrices=False)
+    return norms, u, s, vt, s > RANK_RTOL * s[0]
 
 
 def nonlinear_ls(problem: FitProblem) -> FitResult:

@@ -13,7 +13,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from . import __version__, fitting
+from . import __version__, constants, extraction, fitting
 from .circuit import JunctionLeakageSpec, lc_frequency
 from .errors import ConfigError
 from .extraction import AreaFitResult, AreaFrequencyDataset
@@ -139,22 +139,28 @@ def _area_plot(ds: AreaFrequencyDataset, fit: AreaFitResult) -> str:
 
 
 def config_hash(kinetic_fraction: float = 0.0) -> str:
-    """Digest of a kinetic fraction and the solver's constants.
+    """Digest of a kinetic fraction and the constants that decide how a
+    fit ends.
 
-    Every upper-case numeric constant of resokit.fitting is read at call
-    time and hashed as tolerances.<lower-case name>. The constants of
-    resokit.extraction that also decide how a notch fit ends
-    (MAX_RELATIVE_ERROR, DELAY_POINTS, DELAY_GRID_POINTS) are not
-    hashed; the manifest's version field stands for them.
+    Every public upper-case numeric constant of resokit.fitting (the
+    solver's settings and the rank rule) and of resokit.extraction
+    (MIN_TRACE_POINTS, DELAY_POINTS, DELAY_GRID_POINTS and
+    MAX_RELATIVE_ERROR) is read at call time and hashed as
+    tolerances.<lower-case name> and extraction.<lower-case name>; the
+    units they import from resokit.constants are not.
     """
     # No command that writes a report reads a gap, but the canonical
     # text has always held one: JunctionLeakageSpec's default keeps
     # every digest where it was.
     values = {"physics.gap_ev": JunctionLeakageSpec.gap_energy,
               "physics.kinetic_fraction": float(kinetic_fraction)}
-    values.update({f"tolerances.{name.lower()}": value
-                   for name, value in vars(fitting).items()
-                   if name.isupper() and isinstance(value, (int, float))})
+    for prefix, module in (("tolerances", fitting),
+                           ("extraction", extraction)):
+        values.update({f"{prefix}.{name.lower()}": value
+                       for name, value in vars(module).items()
+                       if name.isupper() and not name.startswith("_")
+                       and name not in vars(constants)
+                       and isinstance(value, (int, float))})
     canonical = "\n".join(f"{k} = {values[k]!r}" for k in sorted(values))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -168,8 +174,8 @@ def emit_report(bundle: ReportBundle, out_dir: str,
     manifest, report.json, names the toolkit version, the table schema,
     the sorted inputs and the artifacts, and its config_hash covers the
     kinetic fraction of the area fit's dataset (0 without one) and the
-    solver's constants. Plot names must be distinct: a repeated one
-    raises ConfigError before anything is created.
+    constants that decide how a fit ends. Plot names must be distinct: a
+    repeated one raises ConfigError before anything is created.
     """
     plots = [(f"trace_{name}.svg", _trace_plot,
               (trace.metadata.get("label") or name, trace))

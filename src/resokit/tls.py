@@ -238,7 +238,7 @@ def fit_power_sweep(sweep: PowerSweep, fit_beta: bool = True,
     # A pinned beta was never fitted: no degree of freedom, and a zero
     # row and column.
     rows = jac(res.params)
-    cov = fitting.covariance(rows.T @ rows, ns.size,
+    cov = fitting.covariance(rows, ns.size,
                              free=np.array([True, True, fit_beta, True]))
 
     # Rising high-power tail cannot be produced by this model; flag it

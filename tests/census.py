@@ -12,11 +12,16 @@ run by hand it prints the table for any count and seed (default 5):
 
 and exits 1 when a converged fit has |pull| > LARGE_PULL, a fit that
 does not resolve what it reports. Only a ResokitError counts as an
-outcome; any other exception ends the run with a traceback. Its last
-line, `digest`, is a sha256 over every draw's fingerprint, so two
-commits that print the same digest fit the draws to the same bits.
+outcome; any other exception ends the run with a traceback. After the
+table it counts the draws whose refine factor, columns scaled to unit
+norm, falls in each decade of condition number, and names the nearest
+draw on each side of 1 / fitting.RANK_RTOL, the rank rule's bound: the
+margin by which no draw's outcome hangs on rounding. Its last line,
+`digest`, is a sha256 over every draw's fingerprint, so two commits that
+print the same digest fit the draws to the same bits.
 """
 
+import bisect
 import hashlib
 import math
 import sys
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import resokit as rk
+from resokit import fitting
 from resokit.errors import ResokitError
 
 # Pull columns: f_r, Q_l, |Q_e|, Q_in, and 1/Q_in with the delta-method
@@ -97,12 +103,15 @@ def fingerprint(outcome) -> str:
 class Census:
     """How each probe draw's fit ended: outcomes[i] is "converged", "not
     converged" or the ResokitError's class name, pulls maps each
-    converged draw to its PULL_NAMES pulls, and digest is the sha256 hex
-    digest over the draws' fingerprints, one line each."""
+    converged draw to its PULL_NAMES pulls, conditions each draw whose
+    refine reached the covariance to the condition number of its factor
+    with columns scaled to unit norm, and digest is the sha256 hex digest
+    over the draws' fingerprints, one line each."""
 
     outcomes: list
     well_posed: list
     pulls: dict
+    conditions: dict
     digest: str
 
     def counts(self, well_posed_only=False) -> dict:
@@ -131,12 +140,23 @@ class Census:
 
 def census(count, seed=5) -> Census:
     """fit_notch over the first `count` probe draws."""
-    outcomes, well_posed, pulls = [], [], {}
+    outcomes, well_posed, pulls, conditions = [], [], {}, {}
     digest = hashlib.sha256()
+    covariance = fitting.covariance
+
+    def condition(factor, *args, **kwargs):
+        s = fitting._scaled_svd(factor)[2]
+        conditions[len(outcomes)] = s[0] / s[-1] if s[-1] else math.inf
+        return covariance(factor, *args, **kwargs)
+
     for i, (p, q_in, trace, well) in enumerate(
             wide_range_probe(count, seed)):
         well_posed.append(well)
-        res = fit_or_error(trace)
+        fitting.covariance = condition
+        try:
+            res = fit_or_error(trace)
+        finally:
+            fitting.covariance = covariance
         digest.update(f"{fingerprint(res)}\n".encode())
         if isinstance(res, ResokitError):
             outcomes.append(type(res).__name__)
@@ -153,7 +173,8 @@ def census(count, seed=5) -> Census:
                 (res.q_internal - q_in) / err["q_internal"],
                 (1.0 / res.q_internal - 1.0 / q_in)
                 / (err["q_internal"] / res.q_internal ** 2)])
-    return Census(outcomes, well_posed, pulls, digest.hexdigest())
+    return Census(outcomes, well_posed, pulls, conditions,
+                  digest.hexdigest())
 
 
 def main(argv) -> int:
@@ -174,6 +195,20 @@ def main(argv) -> int:
           f"{LARGE_PULL:g}: {' '.join(map(str, large)) or '-'}")
     print("not converged: "
           f"{' '.join(map(str, result.not_converged())) or '-'}")
+    decades = {}
+    for c in result.conditions.values():
+        decade = math.floor(math.log10(c)) if c < math.inf else math.inf
+        decades[decade] = decades.get(decade, 0) + 1
+    print("scaled factor condition, draws per decade: " + ", ".join(
+        f"{'inf' if d == math.inf else f'1e{d}'} {n}"
+        for d, n in sorted(decades.items())))
+    bound = 1.0 / fitting.RANK_RTOL
+    ranked = sorted((c, i) for i, c in result.conditions.items())
+    k = bisect.bisect_left(ranked, (bound,))
+    below, above = (f"draw {ranked[j][1]} at {ranked[j][0]:.3g}"
+                    if 0 <= j < len(ranked) else "none" for j in (k - 1, k))
+    print(f"nearest to 1 / RANK_RTOL = {bound:.3g}: {below} below, "
+          f"{above} above")
     std = np.std(result.well_posed_pulls(), axis=0)
     print("well-posed pull std (population), "
           + " / ".join(PULL_NAMES[:4]) + ": "

@@ -299,9 +299,10 @@ class TestSweepCommand:
 
     def test_undetermined_error_never_prints_zero(self, capsys, tmp_path):
         # Q flat to 1e-9 under sigmas of 1e-4: no TLS signal, and the
-        # weighted normal matrix at the fit is singular to rounding. Its
-        # inverse has negative tls0 and other variances, which read as
-        # undetermined, `+- inf`, not as the `+- 0` of an exact fit.
+        # weighted Jacobian at the fit, columns scaled to unit norm, has a
+        # singular value 9e-17 of the largest. tls0, beta and other move
+        # along that direction and read as undetermined, `+- inf`, not as
+        # the `+- 0` of an exact fit.
         from resokit.tls import PowerSweep
         ns = np.geomspace(0.1, 1e6, 8)
         q = 1e4 * (1.0 + 1e-9 * np.random.default_rng(6).standard_normal(8))
@@ -422,24 +423,34 @@ class TestAreaFitCommand:
         assert os.path.exists(tmp_path / "rep" / "freq_vs_area.svg")
 
     @pytest.mark.parametrize("flags, digest", [
-        ((), "8ed41852f8cffd27684906474134d5f6"
-             "9672783af5b2c388ce6b073dcc0c0795"),
-        (("--kinetic-fraction", "0.06"), "71e50710073d2ee5199786082c335dc2"
-                                         "cbbcdcdd7f0cf40bcbf4f765745bccc0"),
+        ((), "55986d401141e34408de571ed97832df"
+             "8da7712c843d05984e3a4dc02a19eb3d"),
+        (("--kinetic-fraction", "0.06"), "774f3bbc5aac731bd7ae3f592e3864d7"
+                                         "2f7a6e26e5d8842ec8c9a59cd3501671"),
     ], ids=["default", "kinetic_0.06"])
     def test_manifest_hash_pinned(self, capsys, tmp_path, flags, digest):
         # The manifest hashes the fitted dataset's kinetic fraction and
-        # the solver's constants; these digests must not move.
+        # the fitting and extraction constants; these digests must not
+        # move.
         code, _, _ = run(capsys, "area-fit", *flags, "--out", str(tmp_path))
         assert code == 0
         manifest = json.loads((tmp_path / "report.json").read_text())
         assert manifest["config_hash"] == digest
 
     def test_undetermined_error_never_prints_zero(self, capsys, tmp_path):
-        # Five areas within 1.2e-10 of each other: the normal matrix at
-        # the fit is singular to rounding, and its inverse has negative
-        # variances. Both constants read as undetermined, `+- inf`, not
-        # as the `+- 0` of an exact fit.
+        # Two areas fix both constants exactly and leave no degree of
+        # freedom to read their errors from: both read as undetermined,
+        # `+- inf`, not as the `+- 0` of an exact fit. Five areas within
+        # 1.2e-10 of each other, which once fitted to errors that the
+        # inversion of a normal matrix singular to rounding left
+        # negative, now fail the rank rule at the linear start, like the
+        # near-equal areas below: exit 2, and no error printed at all.
+        path = tmp_path / "two.csv"
+        path.write_text("area_um2,freq_hz\n100,7.3e9\n50,9.1e9\n")
+        code, out, _ = run(capsys, "area-fit", "--input", str(path))
+        assert code == 0
+        assert re.search(r"^cap_per_area_ff_um2 = .* \+- inf$", out, re.M)
+        assert re.search(r"^cap_to_ground_ff = .* \+- inf$", out, re.M)
         rows = [(1.458458566595887, 7299999952.700358),
                 (1.458458566770888, 7303486409.151894),
                 (1.4584585669458892, 7299771852.895368),
@@ -448,16 +459,16 @@ class TestAreaFitCommand:
         path = tmp_path / "areas.csv"
         path.write_text("area_um2,freq_hz\n" + "".join(
             f"{s!r},{f!r}\n" for s, f in rows))
-        code, out, _ = run(capsys, "area-fit", "--input", str(path))
-        assert code == 0
-        assert re.search(r"^cap_per_area_ff_um2 = .* \+- inf$", out, re.M)
-        assert re.search(r"^cap_to_ground_ff = .* \+- inf$", out, re.M)
+        code, out, err = run(capsys, "area-fit", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: area-frequency system is singular\n"
 
     def test_near_equal_areas_are_singular(self, capsys, tmp_path):
-        # Three areas 1.2e-6 um^2 apart: the design matrix passes the
-        # singular-value check, but its normal matrix is singular to
-        # rounding. The run ends as DegenerateDataError, exit 2 with one
-        # `error:` line, not a numpy traceback.
+        # Three areas 1.2e-6 um^2 apart: with its columns scaled to unit
+        # norm, the design's smallest singular value is 5.6e-10 of the
+        # largest, under RANK_RTOL. The run ends as DegenerateDataError,
+        # exit 2 with one `error:` line, not a numpy traceback.
         path = tmp_path / "areas.csv"
         path.write_text("area_um2,freq_hz\n912.4295161119187,7.3e9\n"
                         "912.4295173529637,7.2999e9\n"

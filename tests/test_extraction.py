@@ -781,7 +781,7 @@ class TestFitNotch:
         rows = oracles.notch_s21_gradient(trace.freqs_hz,
                                           dataclasses.astuple(fit))
         norm = res.residual_rms * fit.env_gain * math.sqrt(len(trace))
-        cov = ex.fitting.covariance(rows.T @ rows, rows.shape[0], norm)
+        cov = ex.fitting.covariance(rows, rows.shape[0], norm)
         for k, name in enumerate(("f_r", "q_loaded", "q_ext_mag",
                                   "mismatch_phi")):
             assert res.uncertainties[name] == pytest.approx(
@@ -789,25 +789,27 @@ class TestFitNotch:
 
     def test_refine_normal_matrix_matches_band_centred_columns(
             self, monkeypatch):
-        # The refine forms the covariance's 7x7 normal matrix from the
-        # Gram of the five vectors its columns share; here against the
-        # product of the seven columns themselves, with the environment
-        # phase referenced to the middle sample as in the refine. Entries
-        # that vanish by symmetry (the gain against the phase, |Q_e|
-        # against phi) are rounding on both sides, so each entry is held
-        # to its Cauchy-Schwarz bound sqrt(N_jj N_kk). The refine reads
-        # the samples scaled by 2^-k to [1/2, 1), and its gain column is
-        # the one of ln g: the oracle's columns are scaled to match.
-        normals = []
+        # The refine forms an 8x7 factor R of the covariance's normal
+        # matrix from the Gram of the five vectors its columns share;
+        # here R^T R against the product of the seven columns themselves,
+        # with the environment phase referenced to the middle sample as
+        # in the refine. Entries that vanish by symmetry (the gain against
+        # the phase, |Q_e| against phi) are rounding on both sides, so
+        # each entry is held to its Cauchy-Schwarz bound sqrt(N_jj N_kk).
+        # The refine reads the samples scaled by 2^-k to [1/2, 1), and its
+        # gain column is the one of ln g: the oracle's columns are scaled
+        # to match.
+        factors = []
         real = ex.fitting.covariance
 
-        def spy(normal, *args, **kwargs):
-            normals.append(normal.copy())
-            return real(normal, *args, **kwargs)
+        def spy(factor, *args, **kwargs):
+            factors.append(factor.copy())
+            return real(factor, *args, **kwargs)
 
         monkeypatch.setattr(ex.fitting, "covariance", spy)
         _, trace, res = self.acceptance_fit(0)
-        (normal,) = [m for m in normals if m.shape == (7, 7)]
+        (factor,) = [m for m in factors if m.shape == (8, 7)]
+        normal = factor.T @ factor
         f, fit = trace.freqs_hz, res.params
         jac = oracles.notch_s21_gradient_band_centred(
             f, dataclasses.astuple(fit), f[f.size // 2])
@@ -1029,24 +1031,26 @@ class TestFitNotch:
                              [(300, 31), (227, 31), (524, 21), (669, 21)])
     def test_wide_range_singular_covariance_refused(self, monkeypatch, index,
                                                     grid_points):
-        # The refine ends where the normal matrix is singular to rounding
-        # and the inversion leaves the Q_l and |Q_e| variances negative.
-        # fitting.covariance reads them as undetermined, infinite.
-        # Clipped to zero they would read as exact fits: draw 300 would
-        # end unconverged with Q_l and |Q_e| errors of 0, and draw 227,
-        # and with a 21-point delay grid draws 524 and 669, would end as
-        # NonphysicalQinError.
+        # The refine ends where its column-scaled factor has condition
+        # numbers of 6.2e12 (draw 300), 4.4e15 (227), 7.7e9 (524 with a
+        # 21-point delay grid) and 2.1e13 (669 with 21 points), all far
+        # past 1 / RANK_RTOL: Q_l and |Q_e| move along an undetermined
+        # direction, and fitting.covariance reads their errors as
+        # infinite, so the fit is refused. Read as exact fits instead,
+        # draw 300 would end unconverged with Q_l and |Q_e| errors of 0,
+        # and draws 227, 524 and 669 as NonphysicalQinError.
         monkeypatch.setattr(ex, "DELAY_GRID_POINTS", grid_points)
         with pytest.raises(UnresolvedResonanceError,
                            match="relative error inf on Q_l"):
             self.probe_draw(index)
 
     def test_singular_to_rounding_variances_read_infinite(self, monkeypatch):
-        # Draw 300's seven-parameter normal matrix is singular to
-        # rounding: its inverse has negative Q_l and |Q_e| variances.
-        # fitting.covariance reads them, as it reads a zero Jacobian
-        # column, as undetermined: infinite, with the rest of their rows
-        # and columns zero. No variance comes out negative or NaN.
+        # Draw 300's factor, columns scaled to unit norm, has a condition
+        # number of 6.2e12, past 1 / RANK_RTOL. fitting.covariance reads
+        # the parameters that move along its undetermined direction, Q_l
+        # and |Q_e| among them, as it reads a zero Jacobian column:
+        # infinite, with the rest of their rows and columns zero. No
+        # variance comes out negative or NaN.
         calls = []
         covariance = ex.fitting.covariance
         monkeypatch.setattr(
@@ -1054,14 +1058,39 @@ class TestFitNotch:
             lambda *args: calls.append(args) or covariance(*args))
         with pytest.raises(UnresolvedResonanceError):
             self.probe_draw(300)
-        (normal, *rest), = calls
-        assert (np.linalg.inv(normal).diagonal()[1:3] < 0.0).all()
-        cov = covariance(normal, *rest)
+        (factor, *rest), = calls
+        sv = np.linalg.svd(factor / np.linalg.norm(factor, axis=0),
+                           compute_uv=False)
+        assert sv[0] > 1e3 * sv[-1] / ex.fitting.RANK_RTOL
+        cov = covariance(factor, *rest)
         assert (cov.diagonal() >= 0.0).all()
         assert (cov.diagonal()[1:3] == math.inf).all()
         off = ~np.eye(7, dtype=bool)
         assert (cov[1:3][off[1:3]] == 0.0).all()
         assert (cov[:, 1:3][off[:, 1:3]] == 0.0).all()
+
+    def test_ill_conditioned_variances_match_50_digit_reference(
+            self, monkeypatch):
+        # Draw 39 is the worst-conditioned converged census fit on seed 5
+        # (column-scaled factor condition 1.3e5). Its seven variances,
+        # against a reference computed once with mpmath at 50 digits:
+        # the inverse of Re(parts^H G parts), with the float parts and
+        # Gram G the refine holds at the optimum, scaled by |r|^2 / (2N -
+        # 7). Read from the factor they agree to 7.4e-12; read from the
+        # inverse of the normal matrix they were off by 3.9e-8.
+        reference = [4855543.1940843593902, 6.8801445934070181722,
+                     304.26588505275309408, 0.0004019950262323171127,
+                     0.000078597833518027711595, 0.00074932466181828153235,
+                     2.3489659638136592069e-18]
+        covs = []
+        covariance = ex.fitting.covariance
+        monkeypatch.setattr(
+            ex.fitting, "covariance",
+            lambda *args: covs.append(covariance(*args)) or covs[-1])
+        _, res, _ = self.probe_draw(39)
+        assert res.converged
+        (cov,) = covs
+        assert cov.diagonal() == pytest.approx(reference, rel=1e-9, abs=0.0)
 
     @given(trace=wide_range_traces())
     @settings(max_examples=40, deadline=None)

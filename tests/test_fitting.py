@@ -58,9 +58,10 @@ class TestLinearWls:
             fitting.linear_wls(line([1.0]), [2.0])
 
     def test_normal_matrix_singular_to_rounding(self):
-        # Three x 1.2e-6 apart near 912: the smallest singular value of
-        # the design is 1.2e-12 of the largest, above the bound, but its
-        # square is lost in X^T X, which the solve finds singular.
+        # Three x 1.2e-6 apart near 912: with its columns scaled to unit
+        # norm, the design's smallest singular value is 5.6e-10 of the
+        # largest, under RANK_RTOL, so the rank rule refuses it. (Its
+        # square, 3e-19, is lost in X^T X, which no solve here forms.)
         x = np.array([912.4295161119187, 912.4295173529637,
                       912.4295185940086])
         with pytest.raises(RankDeficiencyError):
@@ -409,7 +410,7 @@ class TestCovariance:
         for _ in range(500):
             y = 2.0 * x + 1.0 + sigma * rng.standard_normal(n)
             res = fitting.linear_wls(design, y)
-            cov = fitting.covariance(design.T @ design, n, res.residual_norm)
+            cov = fitting.covariance(design, n, res.residual_norm)
             slopes.append(res.params[1])
             reported.append(math.sqrt(cov[1, 1]))
         assert abs(np.std(slopes) / np.median(reported) - 1.0) < 0.1
@@ -420,7 +421,7 @@ class TestCovariance:
         # not 0, with zeros off the diagonal and no NaN.
         design = line([0.0, 1.0])
         res = fitting.linear_wls(design, [1.0, 3.0])
-        cov = fitting.covariance(design.T @ design, 2, res.residual_norm)
+        cov = fitting.covariance(design, 2, res.residual_norm)
         assert np.array_equal(cov, np.diag([math.inf, math.inf]))
 
     def test_weighted_covariance_absolute(self):
@@ -434,7 +435,7 @@ class TestCovariance:
             residual=lambda p: (p[0] * x - y) / 0.05,
             initial_params=np.array([1.0]), bounds=[UNBOUNDED],
             normal_equations=fitting.from_jacobian(lambda p: rows)))
-        cov = fitting.covariance(rows.T @ rows, x.size)
+        cov = fitting.covariance(rows, x.size)
         expected = 0.05 / math.sqrt(float(np.sum(x * x)))
         assert res.converged
         assert math.sqrt(cov[0, 0]) == pytest.approx(expected, rel=1e-12)
@@ -468,9 +469,8 @@ class TestCovariance:
         assert np.allclose(exact.params, numeric.params, rtol=1e-8, atol=0.0)
         rows = jac(exact.params)
         numeric_rows = fitting.numeric_jacobian(resid, numeric.params)
-        assert np.allclose(fitting.covariance(rows.T @ rows, x.size),
-                           fitting.covariance(numeric_rows.T @ numeric_rows,
-                                              x.size),
+        assert np.allclose(fitting.covariance(rows, x.size),
+                           fitting.covariance(numeric_rows, x.size),
                            rtol=1e-6, atol=0.0)
 
     def test_pinned_parameter_has_zero_covariance(self):
@@ -491,14 +491,14 @@ class TestCovariance:
         free = np.array([True, False])
 
         rows = line(x) / sigma[:, None]
-        weighted = fitting.covariance(rows.T @ rows, x.size, free=free)
+        weighted = fitting.covariance(rows, x.size, free=free)
         assert weighted[0, 0] == pytest.approx(
             1.0 / np.sum(1.0 / sigma ** 2), rel=1e-12)
         assert np.all(weighted[1, :] == 0.0)
         assert np.all(weighted[:, 1] == 0.0)
 
-        plain = fitting.covariance(line(x).T @ line(x), x.size,
-                                   res.residual_norm, free=free)
+        plain = fitting.covariance(line(x), x.size, res.residual_norm,
+                                   free=free)
         assert plain[0, 0] == pytest.approx(
             res.residual_norm ** 2 / (x.size - 1) / x.size, rel=1e-12)
         assert np.all(plain[1, :] == 0.0)
@@ -516,21 +516,25 @@ class TestCovariance:
             bounds=[(-math.inf, math.inf)] * 2 + [(0.5, 0.5)],
             normal_equations=fitting.from_jacobian(lambda p: design)))
         assert res.converged
-        cov = fitting.covariance(design.T @ design, x.size, res.residual_norm,
+        cov = fitting.covariance(design, x.size, res.residual_norm,
                                  free=np.array([True, True, False]))
         assert np.array_equal(cov, np.diag([math.inf, math.inf, 0.0]))
 
-    def test_negative_variances_read_infinite(self):
-        # The Gram matrix of two unit columns that differ by rounding, with
-        # the off-diagonal rounded one ulp above 1: indefinite, so its
-        # inverse has variances of -2.3e15. Those two parameters read as
-        # undetermined, infinite, with zeros elsewhere in their rows and
-        # columns; the third keeps its variance 1/4, scaled by the
-        # reduced chi-square 3^2 / (10 - 3).
-        b = np.nextafter(1.0, 2.0)
-        normal = np.array([[1.0, b, 0.0], [b, 1.0, 0.0], [0.0, 0.0, 4.0]])
-        assert (np.linalg.inv(normal).diagonal()[:2] < 0.0).all()
-        cov = fitting.covariance(normal, 10, 3.0)
+    def test_columns_equal_to_rounding_read_infinite(self):
+        # Two unit columns that differ by one ulp in one entry: their
+        # column-scaled singular values are 1.4 and 7.9e-17, so the
+        # direction that tells them apart is undetermined. Both parameters
+        # move along it: infinite, with zeros elsewhere in their rows and
+        # columns. The third keeps its variance 1/4, scaled by the reduced
+        # chi-square 3^2 / (10 - 3). (Inverting F^T F instead gave both
+        # variances of -4.5e15.)
+        factor = np.zeros((10, 3))
+        factor[:2, 0] = 0.6, 0.8
+        factor[:2, 1] = 0.6, np.nextafter(0.8, 1.0)
+        factor[2, 2] = 2.0
+        sv = np.linalg.svd(factor[:, :2], compute_uv=False)
+        assert sv[1] <= fitting.RANK_RTOL * sv[0]
+        cov = fitting.covariance(factor, 10, 3.0)
         assert np.array_equal(cov, np.diag([math.inf, math.inf, 0.25 * 9 / 7]))
 
     def test_unseen_parameter_has_infinite_variance(self):
@@ -548,7 +552,7 @@ class TestCovariance:
             initial_params=np.array([0.0, 0.0, 0.3]), bounds=[UNBOUNDED] * 3,
             normal_equations=fitting.from_jacobian(lambda p: rows)))
         assert res.converged and res.params[2] == 0.3
-        cov = fitting.covariance(rows.T @ rows, x.size)
+        cov = fitting.covariance(rows, x.size)
         assert cov[2, 2] == math.inf
         assert np.all(cov[2, :2] == 0.0)
         assert np.all(cov[:2, 2] == 0.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import resokit as rk
-from resokit import fitting, report, svgplot
+from resokit import extraction, fitting, report, svgplot
 from resokit.errors import ConfigError, SchemaError
 from resokit.refdata import REFERENCE_RESONATORS, shared_cap_per_area
 from resokit.report import (ReportBundle, ReportRow, compare_sessions,
@@ -97,16 +97,21 @@ class TestManifest:
 
     def test_hash_covers_every_solver_constant(self, monkeypatch):
         base = config_hash()
-        for name in ("STEP_FLOOR", "STALL_STEPS", "DAMPING_MAX",
-                     "JACOBIAN_STEP_REL"):
+        for module, name in [
+                (fitting, "STEP_FLOOR"), (fitting, "STALL_STEPS"),
+                (fitting, "DAMPING_MAX"), (fitting, "JACOBIAN_STEP_REL"),
+                (fitting, "RANK_RTOL"), (extraction, "MIN_TRACE_POINTS"),
+                (extraction, "DELAY_POINTS"),
+                (extraction, "DELAY_GRID_POINTS"),
+                (extraction, "MAX_RELATIVE_ERROR")]:
             with monkeypatch.context() as patch:
-                patch.setattr(fitting, name, 2 * getattr(fitting, name))
+                patch.setattr(module, name, 2 * getattr(module, name))
                 assert config_hash() != base, name
 
     def test_default_hash_pinned(self, tmp_path):
-        # The manifest hashes the kinetic fraction and the solver's
-        # constants; this digest must not move.
-        pinned = "8ed41852f8cffd27684906474134d5f69672783af5b2c388ce6b073dcc0c0795"
+        # The manifest hashes the kinetic fraction and the fitting and
+        # extraction constants; this digest must not move.
+        pinned = "55986d401141e34408de571ed97832df8da7712c843d05984e3a4dc02a19eb3d"
         assert config_hash() == pinned
         emit_report(ReportBundle(), str(tmp_path))
         manifest = json.loads((tmp_path / "report.json").read_text())
